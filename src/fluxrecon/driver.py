@@ -237,12 +237,4 @@ def bench_to_row(shards_dir: str, cfg: RunConfig, steps: int = 50,
         "p": cfg.get_int("solver.p", 3),
         "fusion": cfg.get_bool("solver.fusion", True),
     }
-    flops_per_step = total_flops / steps
-    return [
-        meta["ranks"], meta["workers"], meta["elements"], meta["p"],
-        "on" if meta["fusion"] else "off",
-        f"{mean_step:.9g}",
-        int(total_flops),
-        f"{flops_per_step / mean_step / 1e9:.6g}",
-        int(total_bytes),
-    ]
+    return bench_csv_row(meta, mean_step, ledger)

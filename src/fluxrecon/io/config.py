@@ -24,7 +24,7 @@ _EXACT_KEYS = {
     "gas.mu_ref", "gas.T_ref", "gas.S",
     "solver.p", "solver.cfl", "solver.rk", "solver.riemann", "solver.fusion",
     "solver.block_kb", "solver.deterministic", "solver.viscous",
-    "solver.ldg_beta", "solver.ldg_tau_scale", "solver.double_buffer",
+    "solver.ldg_beta", "solver.ldg_tau_scale",
     "solver.startup_steps", "solver.startup_p",
     "prep.seed", "prep.routing",
     "bench.steps", "bench.warmup",
@@ -177,7 +177,6 @@ class RunConfig:
             viscous=self.get_bool("solver.viscous", False),
             ldg_beta=self.get_float("solver.ldg_beta", 0.5),
             ldg_tau_scale=self.get_float("solver.ldg_tau_scale", 0.1),
-            double_buffer=self.get_bool("solver.double_buffer", True),
             startup_steps=self.get_int("solver.startup_steps", 0),
             startup_p=self.get_int("solver.startup_p", 0),
         )

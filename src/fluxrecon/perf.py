@@ -102,7 +102,6 @@ class KernelStats:
     bytes_read: int = 0
     bytes_written: int = 0
     invocations: int = 0
-    wall: float = 0.0
 
 
 @dataclass
@@ -113,7 +112,6 @@ class PerfLedger:
     kernels: Dict[str, KernelStats] = field(default_factory=dict)
     step_times: List[float] = field(default_factory=list)
     prefetches: int = 0
-    time_kernels: bool = False
 
     def stat(self, name: str) -> KernelStats:
         if name not in self.kernels:
@@ -156,7 +154,6 @@ class PerfLedger:
             mine.bytes_read += s.bytes_read
             mine.bytes_written += s.bytes_written
             mine.invocations += s.invocations
-            mine.wall += s.wall
         self.prefetches += other.prefetches
 
     def reset_counters(self):

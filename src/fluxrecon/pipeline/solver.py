@@ -8,8 +8,10 @@ evaluation runs:
 1. interpolate Q to flux points (GEMM), exchange halos;
 2. (viscous) common solutions, corrected gradients, gradient halos;
 3. point-wise flux at solution points, transform to the reference frame;
-4. Riemann/LDG common interface fluxes, scaled to outward transformed
-   normal fluxes per flux-point slot;
+4. Riemann/LDG common interface fluxes over one pair list (local pairs,
+   then remote pairs against halo ghosts, then boundary pairs against
+   boundary ghosts), scaled to outward transformed normal fluxes per
+   flux-point slot;
 5. interpolate the transformed flux polynomial to faces and take its
    outward normal trace (the discontinuous interface flux);
 6. divergence GEMM + correction GEMM on the flux jumps, scale by 1/|J|,
@@ -85,7 +87,6 @@ class SolverOptions:
     viscous: bool = False
     ldg_beta: float = 0.5
     ldg_tau_scale: float = 0.1
-    double_buffer: bool = True
     startup_steps: int = 0
     startup_p: int = 0
 
@@ -101,17 +102,10 @@ class PointList:
     def size(self) -> int:
         return self.e.size
 
-    def sl(self, lo: int, hi: int) -> "PointList":
-        return PointList(self.e[lo:hi], self.p[lo:hi])
-
-
-def _empty_plist() -> PointList:
-    return PointList(np.empty(0, np.int64), np.empty(0, np.int64))
-
 
 def _cat_plist(parts) -> PointList:
     if not parts:
-        return _empty_plist()
+        return PointList(np.empty(0, np.int64), np.empty(0, np.int64))
     return PointList(
         np.concatenate([q.e for q in parts]),
         np.concatenate([q.p for q in parts]),
@@ -187,9 +181,7 @@ class SolverRank:
         self.x_fpts = np.empty((ne, nf, d))
         self.slot_normal = np.empty((ne, nf, d))
         self.slot_area = np.empty((ne, nf))
-        self.slot_sign = np.ones((ne, nf))
         self.h_min = np.empty(ne)
-        self.volume = np.empty(ne)
         for i, cell in enumerate(self.shard.cells):
             g = compute_geometry(self._cell_coords(cell), ref, cell.id)
             self.det_upts[i] = g.det_upts
@@ -200,7 +192,6 @@ class SolverRank:
             self.slot_normal[i] = g.normals_fpts
             self.slot_area[i] = g.area_fpts
             self.h_min[i] = g.h_min
-            self.volume[i] = g.volume
         # reference outward normal of every flux-point slot: axis, side
         nfp = ref.num_face_points
         self.slot_ref_axis = np.empty(nf, dtype=np.int64)
@@ -215,12 +206,21 @@ class SolverRank:
         return PointList(np.full(perm.size, li, np.int64), lf * nfp + perm)
 
     def _build_interfaces(self):
+        """One list of interface flux-point pairs: local, remote, boundary.
+
+        Each pair is this rank's own slot (``iface``) plus the other side's
+        state: the ``loc_r`` slot of a local pair, else row ``i - loc_r.size``
+        of ``ghost_Q`` (halo values for remote pairs, ghost states for
+        boundary pairs).  Normal, signed area, LDG switch and penalty come
+        from the own slot; ``iface_flip`` marks remote pairs whose own side
+        is the right side of the canonical frame.
+        """
         ref, d = self.ref, self.dim
         nfp = ref.num_face_points
         pts = ref.points_1d
         ident = np.arange(nfp)
 
-        ll, rr, nn, aa = [], [], [], []
+        ll, rr = [], []
         for f in self.shard.internal_faces:
             gl, lfl = f.left
             gr, lfr = f.right
@@ -231,40 +231,25 @@ class SolverRank:
             _, n_c, a_c = face_geometry(corners, pts)
             ll.append(pl)
             rr.append(pr)
-            nn.append(n_c)
-            aa.append(a_c)
-            self.slot_normal[pl.e, pl.p] = n_c
-            self.slot_area[pl.e, pl.p] = a_c
-            self.slot_normal[pr.e, pr.p] = n_c
-            self.slot_area[pr.e, pr.p] = a_c
-            self.slot_sign[pr.e, pr.p] = -1.0
-        self.loc_l = _cat_plist(ll)
+            for q in (pl, pr):
+                self.slot_normal[q.e, q.p] = n_c
+                self.slot_area[q.e, q.p] = a_c
         self.loc_r = _cat_plist(rr)
-        self.loc_n = np.concatenate(nn) if nn else np.empty((0, d))
-        self.loc_a = np.concatenate(aa) if aa else np.empty(0)
 
-        rm, rns, ras, rsg = [], [], [], []
+        rm, flips = [], []
         halo_order: Dict[int, list] = {}
         for fi, (face, cpl) in enumerate(self.shard.remote_faces):
             perm_c = orientation_permutation(d, cpl.orientation, pts)
             pm = self._plist(cpl.local_gid, cpl.local_face, perm_c)
             corners = np.array([self._coords[v] for v in cpl.canonical_corners])
             _, n_c, a_c = face_geometry(corners, pts)
-            sign = 1.0 if cpl.canonical else -1.0
             rm.append(pm)
-            rns.append(n_c)
-            ras.append(a_c)
-            rsg.append(np.full(nfp, sign))
+            flips.append(np.full(nfp, not cpl.canonical))
             self.slot_normal[pm.e, pm.p] = n_c
             self.slot_area[pm.e, pm.p] = a_c
-            self.slot_sign[pm.e, pm.p] = sign
             canon_key = ((cpl.local_gid, cpl.local_face) if cpl.canonical
                          else (cpl.remote_tag[2], cpl.remote_tag[3]))
             halo_order.setdefault(cpl.remote_rank, []).append((canon_key, fi, pm))
-        self.rem_mine = _cat_plist(rm)
-        self.rem_n = np.concatenate(rns) if rns else np.empty((0, d))
-        self.rem_a = np.concatenate(ras) if ras else np.empty(0)
-        self.rem_sign = np.concatenate(rsg) if rsg else np.empty(0)
 
         row_of_face = {fi: np.arange(fi * nfp, (fi + 1) * nfp)
                        for fi in range(len(self.shard.remote_faces))}
@@ -276,7 +261,6 @@ class SolverRank:
             rows[rank] = np.concatenate([row_of_face[fi] for _, fi, _ in entries])
         self.halo = HaloPlan(sorted(halo_order), pack, rows,
                              len(self.shard.remote_faces) * nfp)
-        self.n_ghost = self.halo.num_ghost_points
 
         by_patch: Dict[int, list] = {}
         for f in self.shard.boundary_faces:
@@ -295,12 +279,29 @@ class SolverRank:
             plist = _cat_plist([self._plist(*f.left, ident) for f in by_patch[pid]])
             self.boundary_groups.append((spec, plist))
 
-        flat_n = self.slot_normal.reshape(-1, d)
-        self.slot_switch = physics.ldg_switch(flat_n).reshape(self.ne, -1)
+        self.iface = _cat_plist(ll + rm + [pl for _, pl in self.boundary_groups])
+        nl = self.loc_r.size
+        self.n_face_pairs = nl + self.halo.num_ghost_points
+        self.loc_l = PointList(self.iface.e[:nl], self.iface.p[:nl])
+        self.iface_flip = np.zeros(self.iface.size, dtype=bool)
+        if flips:
+            self.iface_flip[nl:self.n_face_pairs] = np.concatenate(flips)
+        self.boundary_spans = []
+        lo = self.n_face_pairs
+        for spec, pl in self.boundary_groups:
+            self.boundary_spans.append((spec, lo, lo + pl.size))
+            lo += pl.size
+
+        e, p = self.iface.e, self.iface.p
+        self.iface_n = self.slot_normal[e, p]
+        area = self.slot_area[e, p]
+        self.iface_a = np.where(self.iface_flip, -area, area)
+        self.iface_sw = physics.ldg_switch(self.iface_n)
+        self.iface_sw[self.n_face_pairs:] = 0.0
         area_face = self.slot_area.reshape(self.ne, ref.num_faces, nfp) @ ref.face_weights
         h_face = area_face if d == 2 else np.sqrt(area_face)
         tau = self.opt.ldg_tau_scale * (self.opt.p + 1) ** 2 / h_face
-        self.slot_tau = np.repeat(tau, nfp, axis=1)
+        self.iface_tau = tau[e, p // nfp]
 
     def _build_arrays(self):
         ne, nv, d = self.ne, self.nv, self.dim
@@ -316,36 +317,17 @@ class SolverRank:
         self.jump_fpts = np.zeros((ne, nv, nf))
         self.divF_upts = np.zeros((ne, nv, Ns))
         self.dQdt = np.zeros((ne, nv, Ns))
-        self.ghost_Q = np.zeros((self.n_ghost, nv))
+        self.ghost_Q = np.zeros((self.iface.size - self.loc_r.size, nv))
         if self.opt.viscous:
             self.jumpQ_fpts = np.zeros((ne, nv, nf))
             self.grad_upts = np.zeros((ne, d, nv, Ns))
             self.grad_fpts = np.zeros((ne, d, nv, nf))
-            self.ghost_grad = np.zeros((self.n_ghost, d * nv))
+            self.ghost_grad = np.zeros((self.halo.num_ghost_points, d * nv))
         ref = self.ref
         self.gcorr = np.zeros((d, Ns, nf))
         for f, info in enumerate(ref.face_info):
             sl = ref.face_slice(f)
             self.gcorr[info.normal_axis][:, sl] = ref.correction_matrix[:, sl] * info.side
-        self._staged_Q: Optional[np.ndarray] = None
-        self._staged_range = (-1, -1)
-
-    # ------------------------------------------------------------------
-    # gathers and staging
-    # ------------------------------------------------------------------
-
-    def _q_at(self, pl: PointList) -> np.ndarray:
-        return self.Q_fpts[pl.e, :, pl.p]
-
-    def _grad_at(self, pl: PointList) -> Optional[np.ndarray]:
-        if not self.opt.viscous:
-            return None
-        return self.grad_fpts[pl.e, :, :, pl.p]  # (n, d, nv)
-
-    def _block_Q(self, lo, hi):
-        if self._staged_range == (lo, hi) and self._staged_Q is not None:
-            return self._staged_Q
-        return self.Q_upts[lo:hi]
 
     # ------------------------------------------------------------------
     # kernels: volume
@@ -364,7 +346,7 @@ class SolverRank:
         MT = ref.interp_to_faces.T.copy()
 
         def run(lo, hi):
-            X = self._block_Q(lo, hi).reshape(-1, Ns)
+            X = self.Q_upts[lo:hi].reshape(-1, Ns)
             out = _gemm(X, MT, self.opt.deterministic)
             self.Q_fpts[lo:hi] = out.reshape(hi - lo, nv, nf)
             self.ledger.add_gemm("interp_to_faces", X.shape[0], nf, Ns,
@@ -375,7 +357,7 @@ class SolverRank:
 
     def _phys_flux_body(self, lo, hi):
         d = self.dim
-        Q = np.moveaxis(self._block_Q(lo, hi), 1, 2)  # (n, Ns, nv)
+        Q = np.moveaxis(self.Q_upts[lo:hi], 1, 2)  # (n, Ns, nv)
         F = physics.inviscid_flux(Q, d, self.gas)     # (n, Ns, d, nv)
         if self.opt.viscous:
             grad = np.moveaxis(self.grad_upts[lo:hi], (1, 3), (2, 1))  # (n,Ns,d,nv)
@@ -547,7 +529,7 @@ class SolverRank:
         def run(lo, hi):
             out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
             if self.sponge_zones:
-                Q = np.moveaxis(self._block_Q(lo, hi), 1, 2)
+                Q = np.moveaxis(self.Q_upts[lo:hi], 1, 2)
                 x = self.x_upts[lo:hi]
                 S = np.zeros_like(Q)
                 for zone in self.sponge_zones:
@@ -565,212 +547,132 @@ class SolverRank:
         )
 
     # ------------------------------------------------------------------
-    # kernels: interface common fluxes
+    # kernels: interface pairs
     # ------------------------------------------------------------------
 
-    def _common_flux_vals(self, QL, QR, gL, gR, n, sw, tau):
-        F = physics.riemann_flux(QL, QR, n, self.dim, self.gas,
-                                 self.opt.riemann, self.riemann_diag)
-        if self.opt.viscous:
-            _, Gn = physics.ldg_interface(QL, QR, gL, gR, n,
-                                          self.opt.ldg_beta, tau,
-                                          self.dim, self.gas, switch=sw)
-            F = F - Gn
-        return F
+    def _own_other(self, arr, ghost, lo, hi):
+        """Own and other-side values of pairs [lo, hi) of a flux-point
+        field (element axis first, slot axis last) and its ghost rows."""
+        nl = self.loc_r.size
+        own = arr[self.iface.e[lo:hi], ..., self.iface.p[lo:hi]]
+        other = arr[self.loc_r.e[lo:hi], ..., self.loc_r.p[lo:hi]]
+        if hi > nl:
+            rows = ghost[max(lo, nl) - nl:hi - nl].reshape((-1,) + own.shape[1:])
+            other = np.concatenate([other, rows])
+        return own, other
 
-    def _kernel_common_flux(self):
-        nv = self.nv
-        riem_key = f"riemann_{self.opt.riemann}"
+    def _left_right(self, own, other, lo, hi):
+        """Order (own, other) as (left, right) of the canonical frame."""
+        flip = self.iface_flip[lo:hi]
+        if not flip.any():
+            return own, other
+        f = flip.reshape((-1,) + (1,) * (own.ndim - 1))
+        return np.where(f, other, own), np.where(f, own, other)
+
+    def _pair_tally(self, key):
+        # the common values of a remote pair are computed on both ranks;
+        # only the canonical side logs them so totals stay partition-invariant
+        def tally(lo, hi):
+            n = hi - lo - int(np.count_nonzero(self.iface_flip[lo:hi]))
+            return [(k, n) for k in key]
+        return tally
+
+    def _pair_traffic(self, doubles_read):
+        # one value per pair to the own slot, one more to a local pair's loc_r
+        def model(lo, hi):
+            nloc = max(0, min(hi, self.loc_r.size) - lo)
+            return ((hi - lo) * doubles_read * ITEM,
+                    (hi - lo + nloc) * self.nv * ITEM)
+        return model
+
+    def _boundary_ghosts(self):
+        """Ghost states of the boundary pairs into their ghost_Q rows;
+        runs once per residual, after the halo exchange of Q."""
+        nl = self.loc_r.size
+        for spec, lo, hi in self.boundary_spans:
+            e, p = self.iface.e[lo:hi], self.iface.p[lo:hi]
+            self.ghost_Q[lo - nl:hi - nl] = physics.apply_boundary(
+                spec, self.Q_fpts[e, :, p], self.iface_n[lo:hi], self.dim,
+                self.gas, x=self.x_fpts[e, p], diag=self.boundary_diag)
+        nb = self.iface.size - self.n_face_pairs
+        if nb:
+            self.ledger.add_pointwise("boundary_ghost", self.dim, nb,
+                                      nb * (self.nv + self.dim) * ITEM,
+                                      nb * self.nv * ITEM)
+
+    def _wall_flux(self, spec, Q, ghost, lo, hi):
+        """Viscous normal flux of boundary pairs [lo, hi): the physical
+        flux at the mean of interior and ghost states (on adiabatic walls
+        the energy flux is the stress work alone), plus the penalty."""
+        d = self.dim
+        e, p = self.iface.e[lo:hi], self.iface.p[lo:hi]
+        n = self.iface_n[lo:hi]
+        Qb = 0.5 * (Q + ghost)
+        Fv = physics.viscous_flux(Qb, self.grad_fpts[e, :, :, p], d, self.gas)
+        Gn = np.sum(Fv * n[..., None], axis=-2)
+        if spec.kind == "adiabatic":
+            vel = Qb[..., 1:1 + d] / Qb[..., 0:1]
+            tau_v = Fv[..., 1:1 + d]
+            Gn[..., 1 + d] = np.sum(np.sum(tau_v * n[..., None], axis=-2) * vel, axis=-1)
+        return Gn + self.iface_tau[lo:hi][:, None] * (ghost - Q)
+
+    def _kernel_riemann_common(self):
+        nv, d = self.nv, self.dim
+        visc = self.opt.viscous
 
         def run(lo, hi):
-            pl, pr = self.loc_l.sl(lo, hi), self.loc_r.sl(lo, hi)
-            QL, QR = self._q_at(pl), self._q_at(pr)
-            gL, gR = self._grad_at(pl), self._grad_at(pr)
-            sw = self.slot_switch[pl.e, pl.p][:, None]
-            tau = self.slot_tau[pl.e, pl.p][:, None]
-            Fc = self._common_flux_vals(QL, QR, gL, gR, self.loc_n[lo:hi], sw, tau)
-            A = self.loc_a[lo:hi][:, None]
-            self.Fc_fpts[pl.e, :, pl.p] = A * Fc
-            self.Fc_fpts[pr.e, :, pr.p] = -A * Fc
+            QL, QR = self._left_right(
+                *self._own_other(self.Q_fpts, self.ghost_Q, lo, hi), lo, hi)
+            n = self.iface_n[lo:hi]
+            F = physics.riemann_flux(QL, QR, n, d, self.gas,
+                                     self.opt.riemann, self.riemann_diag)
+            if visc:
+                m = min(hi, self.n_face_pairs)
+                if m > lo:
+                    k = m - lo
+                    gL, gR = self._left_right(
+                        *self._own_other(self.grad_fpts, self.ghost_grad, lo, m), lo, m)
+                    _, Gn = physics.ldg_interface(
+                        QL[:k], QR[:k], gL, gR, n[:k], self.opt.ldg_beta,
+                        self.iface_tau[lo:m], d, self.gas, switch=self.iface_sw[lo:m])
+                    F[:k] -= Gn
+                for spec, blo, bhi in self.boundary_spans:
+                    a, b = max(lo, blo), min(hi, bhi)
+                    if a < b and spec.kind != "slip":
+                        F[a - lo:b - lo] -= self._wall_flux(
+                            spec, QL[a - lo:b - lo], QR[a - lo:b - lo], a, b)
+            out = self.iface_a[lo:hi][:, None] * F
+            self.Fc_fpts[self.iface.e[lo:hi], :, self.iface.p[lo:hi]] = out
+            k = max(0, min(hi, self.loc_r.size) - lo)
+            self.Fc_fpts[self.loc_r.e[lo:hi], :, self.loc_r.p[lo:hi]] = -out[:k]
 
-        def tally(lo, hi):
-            n = hi - lo
-            out = [(riem_key, n), ("flux_scale", n)]
-            if self.opt.viscous:
-                out.append(("viscous_interface", n))
-            return out
-
-        read = 2 * nv + self.dim + 1 + (2 * self.dim * nv + 2 if self.opt.viscous else 0)
+        key = [f"riemann_{self.opt.riemann}", "flux_scale"]
+        if visc:
+            key.append("viscous_interface")
+        read = 2 * nv + d + 1 + (2 * d * nv + 2 if visc else 0)
         return Kernel(
-            "riemann_common", "pi", ("Q_fpts",), ("Fc_fpts",), "interfaces",
-            run, lambda lo, hi: ((hi - lo) * read * ITEM, (hi - lo) * 2 * nv * ITEM),
-            cost=None, points_of=lambda lo, hi: hi - lo, tally=tally,
-        )
-
-    def _kernel_remote_flux(self):
-        nv = self.nv
-        riem_key = f"riemann_{self.opt.riemann}"
-
-        def run(lo, hi):
-            pm = self.rem_mine.sl(lo, hi)
-            if pm.size == 0:
-                return
-            Qmine = self._q_at(pm)
-            Qghost = self.ghost_Q[lo:hi]
-            sign = self.rem_sign[lo:hi]
-            n = self.rem_n[lo:hi]
-            mc = (sign > 0)[:, None]
-            QL = np.where(mc, Qmine, Qghost)
-            QR = np.where(mc, Qghost, Qmine)
-            gmine = self._grad_at(pm)
-            if self.opt.viscous:
-                gghost = self.ghost_grad[lo:hi].reshape(-1, self.dim, nv)
-                gL = np.where(mc[..., None], gmine, gghost)
-                gR = np.where(mc[..., None], gghost, gmine)
-            else:
-                gL = gR = None
-            sw = self.slot_switch[pm.e, pm.p][:, None]
-            tau = self.slot_tau[pm.e, pm.p][:, None]
-            Fc = self._common_flux_vals(QL, QR, gL, gR, n, sw, tau)
-            A = (sign * self.rem_a[lo:hi])[:, None]
-            self.Fc_fpts[pm.e, :, pm.p] = A * Fc
-
-        def tally(lo, hi):
-            # the common flux is recomputed on both ranks; only the
-            # canonical side logs it so totals stay partition-invariant
-            ncanon = int(np.sum(self.rem_sign[lo:hi] > 0))
-            out = [(riem_key, ncanon), ("flux_scale", ncanon)]
-            if self.opt.viscous:
-                out.append(("viscous_interface", ncanon))
-            return out
-
-        return Kernel(
-            "remote_flux", "pi", ("Q_fpts", "ghost_Q"), ("Fc_fpts",),
-            "interfaces", run,
-            lambda lo, hi: ((hi - lo) * (2 * nv + self.dim + 2) * ITEM,
-                            (hi - lo) * nv * ITEM),
-            cost=None, points_of=lambda lo, hi: hi - lo, tally=tally,
-        )
-
-    def _kernel_boundary_flux(self):
-        nv = self.nv
-        riem_key = f"riemann_{self.opt.riemann}"
-
-        def run(lo, hi):
-            for spec, pl in self.boundary_groups[lo:hi]:
-                Q = self._q_at(pl)
-                n = self.slot_normal[pl.e, pl.p]
-                x = self.x_fpts[pl.e, pl.p]
-                ghost = physics.apply_boundary(spec, Q, n, self.dim, self.gas,
-                                               x=x, diag=self.boundary_diag)
-                Fc = physics.riemann_flux(Q, ghost, n, self.dim, self.gas,
-                                          self.opt.riemann, self.riemann_diag)
-                if self.opt.viscous:
-                    g = self._grad_at(pl)
-                    if spec.kind != "slip":
-                        Qb = 0.5 * (Q + ghost)
-                        Fv = physics.viscous_flux(Qb, g, self.dim, self.gas)
-                        Gn = np.sum(Fv * n[..., None], axis=-2)
-                        if spec.kind == "adiabatic":
-                            vel = Qb[..., 1:1 + self.dim] / Qb[..., 0:1]
-                            tau_v = Fv[..., 1:1 + self.dim]
-                            work = np.sum(np.sum(tau_v * n[..., None], axis=-2) * vel,
-                                          axis=-1)
-                            Gn = Gn.copy()
-                            Gn[..., 1 + self.dim] = work
-                        tau_pen = self.slot_tau[pl.e, pl.p][:, None]
-                        Gn = Gn + tau_pen * (ghost - Q)
-                        Fc = Fc - Gn
-                A = self.slot_area[pl.e, pl.p][:, None]
-                self.Fc_fpts[pl.e, :, pl.p] = A * Fc
-
-        def npts(lo, hi):
-            return sum(p.size for _, p in self.boundary_groups[lo:hi])
-
-        def tally(lo, hi):
-            n = npts(lo, hi)
-            out = [(riem_key, n), ("boundary_ghost", n), ("flux_scale", n)]
-            if self.opt.viscous:
-                out.append(("viscous_interface", n))
-            return out
-
-        return Kernel(
-            "boundary_flux", "pi", ("Q_fpts",), ("Fc_fpts",), "interfaces",
-            run,
-            lambda lo, hi: (npts(lo, hi) * (2 * nv + self.dim) * ITEM,
-                            npts(lo, hi) * nv * ITEM),
-            cost=None, points_of=npts, tally=tally,
+            "riemann_common", "pi", ("Q_fpts", "ghost_Q"), ("Fc_fpts",),
+            "interfaces", run, self._pair_traffic(read),
+            tally=self._pair_tally(key),
         )
 
     # viscous auxiliary passes ---------------------------------------------
 
     def _kernel_common_solution(self):
-        nv = self.nv
-
         def run(lo, hi):
-            pl, pr = self.loc_l.sl(lo, hi), self.loc_r.sl(lo, hi)
-            QL, QR = self._q_at(pl), self._q_at(pr)
-            sw = self.slot_switch[pl.e, pl.p][:, None]
+            own, other = self._own_other(self.Q_fpts, self.ghost_Q, lo, hi)
+            QL, QR = self._left_right(own, other, lo, hi)
+            sw = self.iface_sw[lo:hi][:, None]
             Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * sw * (QR - QL)
-            self.jumpQ_fpts[pl.e, :, pl.p] = Qs - QL
-            self.jumpQ_fpts[pr.e, :, pr.p] = Qs - QR
+            self.jumpQ_fpts[self.iface.e[lo:hi], :, self.iface.p[lo:hi]] = Qs - own
+            k = max(0, min(hi, self.loc_r.size) - lo)
+            self.jumpQ_fpts[self.loc_r.e[lo:hi], :, self.loc_r.p[lo:hi]] = \
+                Qs[:k] - other[:k]
 
         return Kernel(
-            "common_solution", "pi", ("Q_fpts",), ("jumpQ_fpts",), "interfaces",
-            run, lambda lo, hi: ((hi - lo) * (2 * nv + 1) * ITEM,
-                                 (hi - lo) * 2 * nv * ITEM),
-            cost="common_solution", points_of=lambda lo, hi: hi - lo,
-        )
-
-    def _kernel_common_solution_remote(self):
-        nv = self.nv
-
-        def run(lo, hi):
-            pm = self.rem_mine.sl(lo, hi)
-            if pm.size == 0:
-                return
-            Qmine = self._q_at(pm)
-            Qghost = self.ghost_Q[lo:hi]
-            mc = (self.rem_sign[lo:hi] > 0)[:, None]
-            QL = np.where(mc, Qmine, Qghost)
-            QR = np.where(mc, Qghost, Qmine)
-            sw = self.slot_switch[pm.e, pm.p][:, None]
-            Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * sw * (QR - QL)
-            self.jumpQ_fpts[pm.e, :, pm.p] = Qs - Qmine
-
-        def tally(lo, hi):
-            ncanon = int(np.sum(self.rem_sign[lo:hi] > 0))
-            return [("common_solution", ncanon)]
-
-        return Kernel(
-            "common_solution_remote", "pi", ("Q_fpts", "ghost_Q"),
-            ("jumpQ_fpts",), "interfaces", run,
-            lambda lo, hi: ((hi - lo) * (2 * nv + 1) * ITEM, (hi - lo) * nv * ITEM),
-            cost=None, points_of=lambda lo, hi: hi - lo,
-            tally=tally,
-        )
-
-    def _kernel_common_solution_boundary(self):
-        nv = self.nv
-
-        def run(lo, hi):
-            for spec, pl in self.boundary_groups[lo:hi]:
-                Q = self._q_at(pl)
-                n = self.slot_normal[pl.e, pl.p]
-                x = self.x_fpts[pl.e, pl.p]
-                ghost = physics.apply_boundary(spec, Q, n, self.dim, self.gas,
-                                               x=x, diag=self.boundary_diag)
-                self.jumpQ_fpts[pl.e, :, pl.p] = 0.5 * (Q + ghost) - Q
-
-        def npts(lo, hi):
-            return sum(p.size for _, p in self.boundary_groups[lo:hi])
-
-        return Kernel(
-            "common_solution_boundary", "pi", ("Q_fpts",), ("jumpQ_fpts",),
-            "interfaces", run,
-            lambda lo, hi: (npts(lo, hi) * 2 * nv * ITEM, npts(lo, hi) * nv * ITEM),
-            cost=None, points_of=npts,
-            members=("common_solution", "boundary_ghost"),
+            "common_solution", "pi", ("Q_fpts", "ghost_Q"), ("jumpQ_fpts",),
+            "interfaces", run, self._pair_traffic(2 * self.nv + 1),
+            tally=self._pair_tally(["common_solution"]),
         )
 
     def _kernel_gradient(self):
@@ -781,7 +683,7 @@ class SolverRank:
         GT = [self.gcorr[ax].T.copy() for ax in range(d)]
 
         def run(lo, hi):
-            Xq = self._block_Q(lo, hi).reshape(-1, Ns)
+            Xq = self.Q_upts[lo:hi].reshape(-1, Ns)
             Xj = self.jumpQ_fpts[lo:hi].reshape(-1, nf)
             for ax in range(d):
                 g = _gemm(Xq, DT[ax], self.opt.deterministic)
@@ -851,9 +753,7 @@ class SolverRank:
 
         kernels = [
             self._kernel_interp(),
-            self._kernel_common_flux(),
-            self._kernel_remote_flux(),
-            self._kernel_boundary_flux(),
+            self._kernel_riemann_common(),
             self._kernel_phys_flux(),
             self._kernel_transform(),
             self._kernel_interp_flux(),
@@ -879,8 +779,6 @@ class SolverRank:
         if self.opt.viscous:
             self.visc_kernels = {
                 "common_solution": self._kernel_common_solution(),
-                "common_solution_remote": self._kernel_common_solution_remote(),
-                "common_solution_boundary": self._kernel_common_solution_boundary(),
                 "gradient": self._kernel_gradient(),
                 "grad_transform": self._kernel_grad_transform(),
                 "interp_grad": self._kernel_interp_grad(),
@@ -905,63 +803,43 @@ class SolverRank:
         self.ledger.add_pointwise(k.name, self.dim, npts, br, bw,
                                   members=members)
 
-    def _run_kernel(self, k: Kernel, units: int):
-        """Run one interface-domain kernel over its chunked units."""
-        lo = 0
-        while True:
-            hi = min(lo + self.iface_chunk, units)
+    def _run_kernel(self, k: Kernel):
+        """Run one interface kernel over the pair list in chunks."""
+        for lo in range(0, self.iface.size, self.iface_chunk):
+            hi = min(lo + self.iface_chunk, self.iface.size)
             k.run(lo, hi)
             self._account(k, lo, hi)
-            lo = hi
-            if lo >= units:
-                break
 
     def _run_elem_kernels(self, kernels):
-        """Element-block loop with software-pipelined prefetch (double
-        buffering): stage the next block's state while processing the
-        current one."""
-        blocks = self.block_plan.blocks()
-        pending = None
-        for bi, (lo, hi) in enumerate(blocks):
-            if pending is not None and pending[0] == (lo, hi):
-                self._staged_Q, self._staged_range = pending[1], (lo, hi)
-            else:
-                self._staged_Q, self._staged_range = None, (-1, -1)
-            if self.opt.double_buffer and bi + 1 < len(blocks):
-                nlo, nhi = blocks[bi + 1]
-                pending = ((nlo, nhi), self.Q_upts[nlo:nhi].copy())
-                self.ledger.prefetches += 1
+        """Element-block loop: every kernel runs on one block before the
+        next block starts."""
+        for lo, hi in self.block_plan.blocks():
             for k in kernels:
                 k.run(lo, hi)
                 self._account(k, lo, hi)
-        self._staged_Q, self._staged_range = None, (-1, -1)
+
+    def _exchange(self, fpts: np.ndarray, ghost: np.ndarray):
+        """Send this rank's remote-face values of a flux-point field in
+        canonical order; unpack the peers' values into the ghost rows."""
+        if self.ctx is None or self.ctx.nranks == 1 or self.halo.empty():
+            return
+        width = ghost.shape[1]
+        sbuf = {}
+        for rank in self.halo.neighbors:
+            e, p = self.halo.pack[rank]
+            sbuf[rank] = np.ascontiguousarray(fpts[e, ..., p]).tobytes()
+        recv = nbx_exchange(self.ctx, sbuf)
+        for rank in self.halo.neighbors:
+            vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, width)
+            ghost[self.halo.rows[rank]] = vals
 
     def halo_exchange_q(self):
-        """Send interpolated face values; fill ghost_Q in canonical order."""
-        if self.ctx is None or self.ctx.nranks == 1 or self.halo.empty():
-            return
-        sbuf = {}
-        for rank in self.halo.neighbors:
-            e, p = self.halo.pack[rank]
-            sbuf[rank] = np.ascontiguousarray(self.Q_fpts[e, :, p]).tobytes()
-        recv = nbx_exchange(self.ctx, sbuf)
-        for rank in self.halo.neighbors:
-            vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, self.nv)
-            self.ghost_Q[self.halo.rows[rank]] = vals
+        """Fill the halo rows of ghost_Q with the peers' face values."""
+        self._exchange(self.Q_fpts, self.ghost_Q)
 
     def halo_exchange_grad(self):
-        if self.ctx is None or self.ctx.nranks == 1 or self.halo.empty():
-            return
-        d, nv = self.dim, self.nv
-        sbuf = {}
-        for rank in self.halo.neighbors:
-            e, p = self.halo.pack[rank]
-            g = self.grad_fpts[e, :, :, p].reshape(-1, d * nv)
-            sbuf[rank] = np.ascontiguousarray(g).tobytes()
-        recv = nbx_exchange(self.ctx, sbuf)
-        for rank in self.halo.neighbors:
-            vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, d * nv)
-            self.ghost_grad[self.halo.rows[rank]] = vals
+        """Fill ghost_grad with the peers' face gradients."""
+        self._exchange(self.grad_fpts, self.ghost_grad)
 
     def compute_residual(self, Q: np.ndarray, check: bool = True) -> np.ndarray:
         """dQ/dt for the given state (halo exchanges included)."""
@@ -973,19 +851,16 @@ class SolverRank:
 
         self._run_elem_kernels([by_name["interp_to_faces"]])
         self.halo_exchange_q()
+        self._boundary_ghosts()
 
         if self.opt.viscous:
             vk = self.visc_kernels
-            self._run_kernel(vk["common_solution"], self.loc_l.size)
-            self._run_kernel(vk["common_solution_remote"], self.rem_mine.size)
-            self._run_kernel(vk["common_solution_boundary"], len(self.boundary_groups))
+            self._run_kernel(vk["common_solution"])
             self._run_elem_kernels([vk["gradient"], vk["grad_transform"],
                                     vk["interp_grad"]])
             self.halo_exchange_grad()
 
-        self._run_kernel(by_name["riemann_common"], self.loc_l.size)
-        self._run_kernel(by_name["remote_flux"], self.rem_mine.size)
-        self._run_kernel(by_name["boundary_flux"], len(self.boundary_groups))
+        self._run_kernel(by_name["riemann_common"])
 
         if "phys_flux+transform_flux" in by_name:
             vol = [by_name["phys_flux+transform_flux"]]

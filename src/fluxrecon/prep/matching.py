@@ -114,17 +114,17 @@ def match_remote_faces(
     ctx: RankContext,
     uncoupled: Sequence[Face],
     alias: Optional[np.ndarray],
+    arity: int,
     routing: str = "modulo",
     nverts: int = 0,
 ) -> Tuple[List[RemoteCoupling], List[Face]]:
     """Find cross-rank partners for locally unmatched faces.
 
+    ``arity`` is the vertex count of a face key, the same on every rank.
     Returns (couplings, unmatched).  Unmatched faces are reported, not
     fatal here: the caller decides whether they are holes.
     """
-    L = 2 if ctx and uncoupled and len(uncoupled[0].key) == 2 else 4
-    if uncoupled:
-        L = len(uncoupled[0].key)
+    L = arity
     width = 2 * L + 3
 
     by_face = {}
@@ -204,6 +204,7 @@ def resolve_boundary_faces(
     uncoupled: Sequence[Face],
     boundary_records: Sequence[Tuple[int, tuple]],
     alias: Optional[np.ndarray],
+    arity: int,
     routing: str = "modulo",
     nverts: int = 0,
 ) -> Tuple[Dict[tuple, int], dict]:
@@ -211,14 +212,11 @@ def resolve_boundary_faces(
 
     ``boundary_records`` is the complete global list of (patch id, vertex
     ids); this rank only reads its cumulative-storage chunk of it.
+    ``arity`` is the vertex count of a face key.  Every rank enters all
+    three rounds, also with nothing to send.
     Returns ({(gid, local_face): patch_id}, diagnostics).
     """
-    if uncoupled:
-        L = len(uncoupled[0].key)
-    elif boundary_records:
-        L = len(boundary_records[0][1])
-    else:
-        return {}, {"duplicate_face_records": 0}
+    L = arity
     fwidth = 2 * L + 3
 
     # round 1: uncoupled volume faces by leading vertex
@@ -327,6 +325,7 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
     nvw = len(mesh.cells[0].vertex_ids)
     alias = mesh.vertex_alias
     nverts = mesh.vertices.shape[0]
+    arity = 2 ** (mesh.dim - 1)  # vertices of a quad edge or a hex face
 
     erange = distribute_entities(mesh.num_cells, nranks, ctx.rank)
     chunk = mesh.cells[erange.begin:erange.end]
@@ -348,7 +347,7 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
 
     records = flatten_boundary_records(mesh)
     assignments, diag = resolve_boundary_faces(
-        ctx, uncoupled, records, alias, routing, nverts
+        ctx, uncoupled, records, alias, arity, routing, nverts
     )
     boundary_faces = []
     remaining = []
@@ -360,7 +359,9 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
             f.patch_id = patch
             boundary_faces.append(f)
 
-    couplings, unmatched = match_remote_faces(ctx, remaining, alias, routing, nverts)
+    couplings, unmatched = match_remote_faces(
+        ctx, remaining, alias, arity, routing, nverts
+    )
     if unmatched:
         locs = [f.left for f in unmatched[:5]]
         raise MeshHoleError(

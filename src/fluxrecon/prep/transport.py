@@ -24,6 +24,7 @@ import select
 import socket
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -247,6 +248,9 @@ _MSG_DATA = 1
 _MSG_ACK = 2
 _MSG_BARRIER_ENTER = 3
 _MSG_BARRIER_DONE = 4
+_MSG_FIN = 5
+
+_FIN_TIMEOUT = 60.0  # seconds close() waits for every peer's FIN
 
 _HEADER = struct.Struct("<BQQ")  # kind, seq, length
 
@@ -258,6 +262,9 @@ class SocketTransport:
     ranks.  A data message completes its send handle when the receiver
     calls ``recv`` for it (synchronous-send semantics, carried by an ACK).
     The nonblocking barrier is a gather/broadcast through rank 0.
+    ``close`` is a handshake: a rank sends FIN to every peer and closes
+    only once every peer's FIN has arrived, so end-of-file from a peer is
+    an error unless that peer's FIN came first.
     """
 
     def __init__(self, rank: int, nranks: int, base_port: int,
@@ -271,6 +278,7 @@ class SocketTransport:
         self._rxbuf: Dict[int, bytearray] = {}
         self._barrier_entered: set = set()
         self._barrier_handle: Optional[BarrierHandle] = None
+        self._fin_from: set = set()
 
         if nranks == 1:
             return
@@ -330,12 +338,14 @@ class SocketTransport:
         finally:
             sock.setblocking(False)
 
-    def _pump(self):
-        """Drain readable sockets into the inbox; handle control frames."""
+    def _pump(self, wait: float = 0.0):
+        """Drain readable sockets into the inbox; handle control frames.
+        The first poll blocks for up to ``wait`` seconds."""
         if self.nranks == 1:
             return
         while True:
-            readable, _, _ = select.select(list(self._sock_of), [], [], 0.0)
+            readable, _, _ = select.select(list(self._sock_of), [], [], wait)
+            wait = 0.0
             if not readable:
                 return
             for fd in readable:
@@ -345,7 +355,11 @@ class SocketTransport:
                 except BlockingIOError:
                     continue
                 if not data:
-                    raise TransportError(f"rank {self.rank}: peer {peer} closed")
+                    if peer not in self._fin_from:
+                        raise TransportError(f"rank {self.rank}: peer {peer} closed")
+                    del self._sock_of[fd]
+                    sock.close()
+                    continue
                 buf = self._rxbuf[fd]
                 buf.extend(data)
                 while len(buf) >= _HEADER.size:
@@ -371,6 +385,8 @@ class SocketTransport:
                 raise TransportError("barrier completion without an open barrier")
             self._barrier_handle.done = True
             self._barrier_handle = None
+        elif kind == _MSG_FIN:
+            self._fin_from.add(peer)
         else:
             raise TransportError(f"unknown frame kind {kind}")
 
@@ -438,8 +454,21 @@ class SocketTransport:
         return handle.done
 
     def close(self):
-        for s in self._peers.values():
-            try:
-                s.close()
-            except OSError:
-                pass
+        """Send FIN to every peer, wait for every peer's FIN, then close."""
+        try:
+            for peer in self._peers:
+                self._send_frame(peer, _MSG_FIN, 0)
+            deadline = time.monotonic() + _FIN_TIMEOUT
+            while not self._fin_from.issuperset(self._peers):
+                if time.monotonic() > deadline:
+                    missing = sorted(set(self._peers) - self._fin_from)
+                    raise TransportError(
+                        f"rank {self.rank}: no FIN from peers {missing} "
+                        f"within {_FIN_TIMEOUT:g} s")
+                self._pump(wait=0.05)
+        finally:
+            for s in self._peers.values():
+                try:
+                    s.close()
+                except OSError:
+                    pass

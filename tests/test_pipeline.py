@@ -303,22 +303,6 @@ class TestFusion:
 
 
 class TestDoubleBuffering:
-    def test_counters_and_identical_numerics(self, gas):
-        mesh = vortex_mesh(8)
-        opts_on = SolverOptions(p=2, double_buffer=True, block_kb=32)
-        opts_off = SolverOptions(p=2, double_buffer=False, block_kb=32)
-        a = serial_solver(mesh, gas, opts_on)
-        b = serial_solver(mesh, gas, opts_off)
-        a.set_state(lambda x: vortex_state(x, 0.0, gas))
-        b.set_state(lambda x: vortex_state(x, 0.0, gas))
-        ra = a.compute_residual(a.Q_upts)
-        rb = b.compute_residual(b.Q_upts)
-        assert np.array_equal(ra, rb)
-        nblocks = len(a.block_plan.blocks())
-        npasses = 2  # element-kernel passes per inviscid residual
-        assert a.ledger.prefetches == npasses * (nblocks - 1)
-        assert b.ledger.prefetches == 0
-
     def test_block_plan_respects_budget(self):
         from fluxrecon.pipeline import BlockPlan
 
@@ -413,6 +397,52 @@ class TestHaloAndRankInvariance:
             for i, g in enumerate(gids):
                 out[int(g)] = Q[i]
         assert all(np.array_equal(out[g], ref[g]) for g in ref)
+
+    def test_viscous_walls_rank_invariance_bitwise(self):
+        """Remote LDG faces and every viscous boundary closure (inflow,
+        outflow, adiabatic and isothermal walls) give the serial bits on
+        any random partition."""
+        from oracles import random_partition
+
+        gasv = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=1e-2)
+        mesh = box_mesh_2d(6, 5, perturb=0.2, seed=4)
+        bcs = {
+            "xmin": BoundarySpec("xmin", "riemann-inflow", total_temperature=1.02,
+                                 total_pressure=1.06, direction=np.array([1.0, 0.1])),
+            "xmax": BoundarySpec("xmax", "outflow", static_pressure=0.98),
+            "ymin": BoundarySpec("ymin", "adiabatic"),
+            "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.05),
+        }
+        opts = SolverOptions(p=2, viscous=True, deterministic=True)
+
+        def field(x):
+            rho = 1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+            vel = np.stack([0.3 + 0.05 * x[:, 1], 0.04 * np.sin(4.0 * x[:, 0])], axis=-1)
+            return conserved(rho, vel, 1.0 + 0.02 * x[:, 0], gasv)
+
+        def states(nranks):
+            assignment = random_partition(np.random.default_rng(nranks), 30, nranks)
+            shards = prepare_shards(mesh, assignment, nranks)
+
+            def prog(ctx):
+                s = SolverRank(shards[ctx.rank], gasv, opts, boundary_specs=bcs, ctx=ctx)
+                s.set_state(field)
+                for _ in range(3):
+                    s.step_in_place(2e-3)
+                return {int(g): s.Q_upts[i] for i, g in enumerate(s.gids)}
+
+            if nranks == 1:
+                parts = [prog(RankContext(0, 1, None))]
+            else:
+                parts = SimCluster(nranks, seed=nranks).run(prog)
+            return {g: q for part in parts for g, q in part.items()}
+
+        ref = states(1)
+        assert np.isfinite(np.stack(list(ref.values()))).all()
+        for nranks in (2, 3, 4):
+            out = states(nranks)
+            assert sorted(out) == sorted(ref)
+            assert all(np.array_equal(out[g], ref[g]) for g in ref), nranks
 
 
 class TestStability:

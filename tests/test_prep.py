@@ -213,6 +213,33 @@ class TestDistributedMatching:
             assert ca.canonical_corners == cb.canonical_corners
             assert ca.remote_rank == rb and cb.remote_rank == ra
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["patches", "periodic"])
+    def test_disjoint_boxes_rank_without_remote_faces(self, periodic):
+        """Two disjoint 4x4 quad boxes on 3 ranks, rank 2 owning one whole
+        box: rank 2 has no face left to couple (and, periodic, no
+        uncoupled face at all) yet must decode its peers' 2-D records."""
+        from fluxrecon.mesh_core import BoundarySection, Cell, SerialMesh
+
+        a = box_mesh_2d(4, 4, periodic=(periodic, periodic))
+        b = box_mesh_2d(4, 4, origin=(2.0, 0.0), periodic=(periodic, periodic))
+        nv = a.vertices.shape[0]
+        cells = a.cells + [Cell(c.id + 16, c.kind, tuple(v + nv for v in c.vertex_ids))
+                           for c in b.cells]
+        sections = [BoundarySection(sa.patch_id, sa.name,
+                                    sa.records + [tuple(v + nv for v in r) for r in sb.records])
+                    for sa, sb in zip(a.boundary_sections, b.boundary_sections)]
+        alias = (np.concatenate([a.vertex_alias, b.vertex_alias + nv])
+                 if periodic else None)
+        mesh = SerialMesh(2, np.concatenate([a.vertices, b.vertices]), cells,
+                          sections, alias)
+        assignment = np.array([0] * 8 + [1] * 8 + [2] * 16)
+        for sim_seed in (0, 1, 2):
+            shards = prepare_shards(mesh, assignment, 3, sim_seed=sim_seed)
+            assert shards[2].remote_faces == []
+            assert len(shards[0].remote_faces) == len(shards[1].remote_faces) > 0
+            nbound = sum(len(sh.boundary_faces) for sh in shards)
+            assert nbound == (0 if periodic else 32)
+
     def test_hole_in_mesh_detected(self):
         # drop one boundary record: its face has no partner and no patch
         mesh = box_mesh_3d(2, 2, 1)
@@ -300,3 +327,48 @@ class TestRankCountInvariance:
         assert got == serial
         nb = sum(len(sh.boundary_faces) for sh in shards)
         assert nb == sum(len(s.records) for s in mesh.boundary_sections)
+
+
+def _exchange_then_close(rank, nranks, base_port, rounds, queue):
+    """Socket rank body: per round one all-to-all nbx exchange, then an
+    immediate close.  Posts (rank, error text or None)."""
+    from fluxrecon.prep.transport import RankContext, SocketTransport
+
+    try:
+        for r in range(rounds):
+            t = SocketTransport(rank, nranks, base_port + nranks * r)
+            ctx = RankContext(rank, nranks, t)
+            got = nbx_exchange(ctx, {d: bytes([rank, r]) for d in range(nranks)
+                                     if d != rank})
+            t.close()
+            expect = {s: bytes([s, r]) for s in range(nranks) if s != rank}
+            if got != expect:
+                raise AssertionError(f"round {r}: got {got!r}")
+        queue.put((rank, None))
+    except Exception as exc:  # noqa: BLE001 - reported to the test
+        queue.put((rank, f"{type(exc).__name__}: {exc}"))
+
+
+class TestSocketTransport:
+    def test_ranks_closing_right_after_a_collective(self):
+        """A rank that finishes its last collective and closes must not
+        make a peer that is still reading that collective's frames fail."""
+        import multiprocessing as mp
+
+        nranks, rounds = 3, 8
+        ctx = mp.get_context("spawn")
+        queue = ctx.Queue()
+        procs = [ctx.Process(target=_exchange_then_close,
+                             args=(r, nranks, 29830, rounds, queue))
+                 for r in range(nranks)]
+        for p in procs:
+            p.start()
+        try:
+            results = dict(queue.get(timeout=120) for _ in range(nranks))
+        finally:
+            for p in procs:
+                p.join(timeout=30)
+                if p.is_alive():
+                    p.terminate()
+        assert results == {r: None for r in range(nranks)}
+        assert all(p.exitcode == 0 for p in procs)
