@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
+import time
+from queue import Empty
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +25,9 @@ from .pipeline.solver import SolverOptions, SolverRank, interpolate_state
 from .prep.matching import prepare_shards
 from .prep.partition import partition_mesh
 from .prep.transport import RankContext, SocketTransport
+
+_POLL_S = 0.5               # how often the parent checks on its workers
+_RESULT_TIMEOUT_S = 600.0   # longest wait for the next worker result
 
 
 def load_mesh(mesh_path: str, cfg: RunConfig):
@@ -192,22 +197,51 @@ def run_workers(shards_dir: str, cfg: RunConfig, steps: int, mode: str,
     queue = ctxmp.Queue()
     procs = []
     for r in range(nranks):
-        p = ctxmp.Process(target=_worker, args=(
+        p = ctxmp.Process(target=_worker, name=f"fluxrecon-rank-{r}", args=(
             r, nranks, base_port, shards_dir, cfg_text, steps, mode, outdir,
             queue))
         p.start()
         procs.append(p)
-    results = {}
-    for _ in range(nranks):
-        rank, payload = queue.get(timeout=600)
-        results[rank] = payload
-    for p in procs:
-        p.join(timeout=60)
-        if p.is_alive():
+    try:
+        results = _collect(queue, procs)
+    except ConfigError:
+        for p in procs:
             p.terminate()
+        raise
+    finally:
+        for p in procs:
+            p.join(timeout=60)
+            if p.is_alive():
+                p.terminate()
     errors = {r: v["error"] for r, v in results.items() if "error" in v}
     if errors:
         raise ConfigError(f"worker failures: {errors}")
+    return results
+
+
+def _collect(results_q, procs) -> dict:
+    """{rank: payload} from every worker.  Raises ConfigError as soon as a
+    worker has exited without posting, or after _RESULT_TIMEOUT_S without
+    a result."""
+    results, exited = {}, {}
+    deadline = time.monotonic() + _RESULT_TIMEOUT_S
+    while len(results) < len(procs):
+        try:
+            rank, payload = results_q.get(timeout=_POLL_S)
+            results[rank] = payload
+            deadline = time.monotonic() + _RESULT_TIMEOUT_S
+            continue
+        except Empty:
+            pass
+        # a worker's result is in the pipe before the worker exits, so a
+        # rank that had exited before this empty poll began posts nothing
+        lost = [f"rank {r} (exit code {c})" for r, c in exited.items() if r not in results]
+        if lost:
+            raise ConfigError("worker exited without a result: " + ", ".join(lost))
+        if time.monotonic() > deadline:
+            missing = sorted(set(range(len(procs))) - set(results))
+            raise ConfigError(f"no result from ranks {missing} within {_RESULT_TIMEOUT_S:.0f} s")
+        exited = {r: p.exitcode for r, p in enumerate(procs) if p.exitcode is not None}
     return results
 
 

@@ -135,6 +135,17 @@ class ReferenceElement:
         return _tensor_basis(self.points_1d, np.atleast_2d(points))
 
 
+def tensor_rule(x: np.ndarray, w: np.ndarray, dim: int):
+    """Tensor product of a 1-D rule: points (n^dim, dim), flattened with
+    axis 0 fastest, and weights (n^dim,)."""
+    n = len(x)
+    idx = (np.arange(n ** dim)[:, None] // n ** np.arange(dim)) % n
+    wq = np.ones(n ** dim)
+    for ax in range(dim):
+        wq *= w[idx[:, ax]]
+    return x[idx], wq
+
+
 def _tensor_basis(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Tensor Lagrange basis values; solution index flattened x-fastest."""
     dim = points.shape[1]
@@ -148,22 +159,6 @@ def _tensor_basis(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
             col = col * per_axis[ax][:, idx[ax]]
         out[:, s] = col
     return out
-
-
-def _face_param_points(corners: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Reference coords of face points from the corner cycle (u-fastest)."""
-    if corners.shape[0] == 2:
-        u = pts[:, None]
-        return 0.5 * (1 - u) * corners[0] + 0.5 * (1 + u) * corners[1]
-    n = pts.size
-    uu, vv = np.meshgrid(pts, pts, indexing="xy")  # vv slow, uu fast
-    u = uu.reshape(-1, 1)
-    v = vv.reshape(-1, 1)
-    w0 = 0.25 * (1 - u) * (1 - v)
-    w1 = 0.25 * (1 + u) * (1 - v)
-    w2 = 0.25 * (1 + u) * (1 + v)
-    w3 = 0.25 * (1 - u) * (1 + v)
-    return w0 * corners[0] + w1 * corners[1] + w2 * corners[2] + w3 * corners[3]
 
 
 def _derive_face_info(corners: np.ndarray) -> FaceInfo:
@@ -193,25 +188,13 @@ def build_reference_element(kind: str, p: int, correction: str = "dg") -> Refere
     n = p + 1
     pts, wts = gauss_legendre_points(n)
 
-    # solution points, axis-0-fastest flattening: idx[ax] = (s // n^ax) % n
-    sol = np.empty((n ** dim, dim))
-    for ax in range(dim):
-        for s in range(n ** dim):
-            sol[s, ax] = pts[(s // n ** ax) % n]
-    wq = np.ones(n ** dim)
-    for ax in range(dim):
-        for s in range(n ** dim):
-            wq[s] *= wts[(s // n ** ax) % n]
+    sol, wq = tensor_rule(pts, wts, dim)
 
     faces = _KIND_FACES[kind]
-    ref_corners = _REF_CORNERS[kind]
     nfp = n ** (dim - 1)
-    fpts = np.zeros((len(faces) * nfp, dim))
-    infos = []
-    for f, cyc in enumerate(faces):
-        corners = ref_corners[list(cyc)]
-        fpts[f * nfp:(f + 1) * nfp] = _face_param_points(corners, pts)
-        infos.append(_derive_face_info(corners))
+    corners = _REF_CORNERS[kind][np.array(faces)]
+    fpts = face_geometry(corners, pts)[0].reshape(-1, dim)
+    infos = [_derive_face_info(c) for c in corners]
 
     interp = _tensor_basis(pts, fpts)
 
@@ -245,10 +228,7 @@ def build_reference_element(kind: str, p: int, correction: str = "dg") -> Refere
                     a = (s // n ** info.normal_axis) % n
                     corr[s, col] = info.side * gn[a]
 
-    face_wq = np.ones(nfp)
-    for ax in range(dim - 1):
-        for fp in range(nfp):
-            face_wq[fp] *= wts[(fp // n ** ax) % n]
+    face_wq = tensor_rule(pts, wts, dim - 1)[1]
 
     return ReferenceElement(
         kind=kind,
@@ -310,107 +290,125 @@ def _adjugate(J: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ElementGeometry:
-    """Mapping data evaluated at one element's solution and flux points."""
+    """Mapping data at the solution and flux points of a batch of elements.
 
-    jac_upts: np.ndarray       # (N_s, d, d)
-    det_upts: np.ndarray       # (N_s,)
-    adj_upts: np.ndarray       # (N_s, d, d)  |J| J^-1
-    inv_t_upts: np.ndarray     # (N_s, d, d)  J^-T, for chain-rule gradients
-    normals_fpts: np.ndarray   # (N_I*N_Fi, d) unit outward
-    area_fpts: np.ndarray      # (N_I*N_Fi,) transformed-normal magnitude
-    coords_upts: np.ndarray    # (N_s, d) physical solution points
-    coords_fpts: np.ndarray    # (N_I*N_Fi, d)
-    volume: float
-    face_areas: np.ndarray     # (N_I,)
-    h_min: float
+    Every array has a leading element axis of length ne.
+    """
+
+    jac_upts: np.ndarray       # (ne, N_s, d, d)
+    det_upts: np.ndarray       # (ne, N_s)
+    adj_upts: np.ndarray       # (ne, N_s, d, d)  |J| J^-1
+    inv_t_upts: np.ndarray     # (ne, N_s, d, d)  J^-T, for chain-rule gradients
+    normals_fpts: np.ndarray   # (ne, N_I*N_Fi, d) unit outward
+    area_fpts: np.ndarray      # (ne, N_I*N_Fi) transformed-normal magnitude
+    coords_upts: np.ndarray    # (ne, N_s, d) physical solution points
+    coords_fpts: np.ndarray    # (ne, N_I*N_Fi, d)
+    volume: np.ndarray         # (ne,)
+    face_areas: np.ndarray     # (ne, N_I)
+    h_min: np.ndarray          # (ne,)
 
 
 def face_geometry(corner_coords: np.ndarray, points_1d: np.ndarray):
     """Unit outward normal, area scale, and coordinates of face points.
 
-    Works directly on the face's corner coordinates so both owners of an
+    ``corner_coords`` stacks faces as (..., ncorners, d); the results are
+    (..., nfp, d), (..., nfp, d) and (..., nfp).  Every value is an
+    elementwise expression of one face's corners, so both owners of an
     interface compute bit-identical values when handed the same corner
-    order.
+    order, whatever else is in their batches.
     """
     corners = np.asarray(corner_coords, dtype=float)
     pts = np.asarray(points_1d, dtype=float)
-    dim = corners.shape[1]
-    if corners.shape[0] == 2:
+    c = [corners[..., k, None, :] for k in range(corners.shape[-2])]
+    if len(c) == 2:
         u = pts[:, None]
-        x = 0.5 * (1 - u) * corners[0] + 0.5 * (1 + u) * corners[1]
-        t = np.broadcast_to(0.5 * (corners[1] - corners[0]), x.shape)
-        normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
+        x = 0.5 * (1 - u) * c[0] + 0.5 * (1 + u) * c[1]
+        t = np.broadcast_to(0.5 * (c[1] - c[0]), x.shape)
+        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1)
     else:
-        n = pts.size
         uu, vv = np.meshgrid(pts, pts, indexing="xy")
         u = uu.reshape(-1, 1)
         v = vv.reshape(-1, 1)
-        x = (0.25 * (1 - u) * (1 - v) * corners[0]
-             + 0.25 * (1 + u) * (1 - v) * corners[1]
-             + 0.25 * (1 + u) * (1 + v) * corners[2]
-             + 0.25 * (1 - u) * (1 + v) * corners[3])
-        xu = (0.25 * (-(1 - v)) * corners[0] + 0.25 * (1 - v) * corners[1]
-              + 0.25 * (1 + v) * corners[2] - 0.25 * (1 + v) * corners[3])
-        xv = (0.25 * (-(1 - u)) * corners[0] - 0.25 * (1 + u) * corners[1]
-              + 0.25 * (1 + u) * corners[2] + 0.25 * (1 - u) * corners[3])
+        x = (0.25 * (1 - u) * (1 - v) * c[0]
+             + 0.25 * (1 + u) * (1 - v) * c[1]
+             + 0.25 * (1 + u) * (1 + v) * c[2]
+             + 0.25 * (1 - u) * (1 + v) * c[3])
+        xu = (0.25 * (-(1 - v)) * c[0] + 0.25 * (1 - v) * c[1]
+              + 0.25 * (1 + v) * c[2] - 0.25 * (1 + v) * c[3])
+        xv = (0.25 * (-(1 - u)) * c[0] - 0.25 * (1 + u) * c[1]
+              + 0.25 * (1 + u) * c[2] + 0.25 * (1 - u) * c[3])
         normal = np.cross(xu, xv)
-    area = np.linalg.norm(normal, axis=1)
-    unit = normal / area[:, None]
+    area = np.linalg.norm(normal, axis=-1)
+    unit = normal / area[..., None]
     return x, unit, area
 
 
+def _quadrature(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * vals[..., k], accumulated in index order, so each
+    result depends on its own row of ``vals`` alone."""
+    acc = weights[0] * vals[..., 0]
+    for k in range(1, weights.size):
+        acc = acc + weights[k] * vals[..., k]
+    return acc
+
+
+def face_integrals(area_fpts: np.ndarray, ref: ReferenceElement) -> np.ndarray:
+    """Quadrature of a flux-point field over each face: (..., N_I*N_Fi)
+    -> (..., N_I)."""
+    per_face = area_fpts.reshape(area_fpts.shape[:-1] + (ref.num_faces, ref.num_face_points))
+    return _quadrature(ref.face_weights, per_face)
+
+
 def compute_geometry(
-    vertex_coords: np.ndarray, ref: ReferenceElement, cell_id: int = -1
+    vertex_coords: np.ndarray, ref: ReferenceElement, cell_ids: np.ndarray
 ) -> ElementGeometry:
-    """Jacobians, adjugates, normals and the cell's length scale."""
+    """Jacobians, adjugates, normals and length scales of a batch of cells.
+
+    ``vertex_coords`` is (ne, nverts, d); ``cell_ids`` holds the cells'
+    global ids, used in error messages.  Reductions run over the small
+    per-element axes only, so a cell's numbers do not depend on which
+    other cells share its batch.
+    """
     coords = np.asarray(vertex_coords, dtype=float)
+    cell_ids = np.asarray(cell_ids)
     dim = ref.dim
-    if coords.shape != (_REF_CORNERS[ref.kind].shape[0], dim):
+    nverts = _REF_CORNERS[ref.kind].shape[0]
+    if coords.ndim != 3 or coords.shape[1:] != (nverts, dim):
         raise MeshError(
-            f"cell {cell_id}: vertex array shape {coords.shape} invalid for {ref.kind}"
+            f"vertex array shape {coords.shape} invalid for {ref.kind} (ne, {nverts}, {dim})"
         )
+    if cell_ids.shape != coords.shape[:1]:
+        raise MeshError(f"{cell_ids.size} cell ids for {coords.shape[0]} cells")
 
     grads = _shape_gradients(ref.kind, ref.solution_points)
-    jac = np.einsum("ia,pib->pab", coords, grads)
+    jac = np.einsum("eia,pib->epab", coords, grads)
     det = np.linalg.det(jac)
-    if np.any(det <= 0):
-        raise InvertedElementError(cell_id, f"min |J| = {det.min():.3e}")
+    bad = np.flatnonzero(np.any(det <= 0, axis=1))
+    if bad.size:
+        i = bad[0]
+        raise InvertedElementError(int(cell_ids[i]), f"min |J| = {det[i].min():.3e}")
     adj = _adjugate(jac)
-    inv_t = np.transpose(adj, (0, 2, 1)) / det[:, None, None]
+    inv_t = np.ascontiguousarray(np.swapaxes(adj, -1, -2)) / det[..., None, None]
 
-    nfp = ref.num_face_points
-    normals = np.empty((ref.num_faces * nfp, dim))
-    areas = np.empty(ref.num_faces * nfp)
-    coords_f = np.empty((ref.num_faces * nfp, dim))
-    faces = _KIND_FACES[ref.kind]
-    for f, cyc in enumerate(faces):
-        x, unit, area = face_geometry(coords[list(cyc)], ref.points_1d)
-        sl = ref.face_slice(f)
-        coords_f[sl] = x
-        normals[sl] = unit
-        areas[sl] = area
-
+    faces = np.array(_KIND_FACES[ref.kind])
+    coords_f, normals, areas = face_geometry(coords[:, faces], ref.points_1d)
+    ne, nf = coords.shape[0], ref.num_faces * ref.num_face_points
     shape_vals = _tensor_shape(ref.kind, ref.solution_points)
-    coords_u = shape_vals @ coords
-
-    volume = float(ref.solution_weights @ det)
-    face_areas = np.array(
-        [float(ref.face_weights @ areas[ref.face_slice(f)]) for f in range(ref.num_faces)]
-    )
-    h_min = volume / face_areas.max()
+    volume = _quadrature(ref.solution_weights, det)
+    face_areas = face_integrals(areas.reshape(ne, nf), ref)
 
     return ElementGeometry(
         jac_upts=jac,
         det_upts=det,
         adj_upts=adj,
         inv_t_upts=inv_t,
-        normals_fpts=normals,
-        area_fpts=areas,
-        coords_upts=coords_u,
-        coords_fpts=coords_f,
+        normals_fpts=normals.reshape(ne, nf, dim),
+        area_fpts=areas.reshape(ne, nf),
+        coords_upts=np.einsum("pi,eia->epa", shape_vals, coords),
+        coords_fpts=coords_f.reshape(ne, nf, dim),
         volume=volume,
         face_areas=face_areas,
-        h_min=h_min,
+        h_min=volume / face_areas.max(axis=1),
     )
 
 

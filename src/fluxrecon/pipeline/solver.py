@@ -31,9 +31,12 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, PositivityError
+from ..errors import ConfigError, MeshError, PositivityError
 from ..mesh_core import orientation_permutation
-from ..operators import build_reference_element, compute_geometry, face_geometry
+from ..operators import (
+    _shape_gradients, _tensor_shape, build_reference_element, compute_geometry,
+    face_geometry, face_integrals, gauss_legendre_points, tensor_rule,
+)
 from .. import physics
 from ..physics import BoundarySpec, GasModel, RiemannDiagnostics, SpongeZone
 from ..perf import PerfLedger, monotonic_time
@@ -103,13 +106,14 @@ class PointList:
         return self.e.size
 
 
-def _cat_plist(parts) -> PointList:
-    if not parts:
-        return PointList(np.empty(0, np.int64), np.empty(0, np.int64))
-    return PointList(
-        np.concatenate([q.e for q in parts]),
-        np.concatenate([q.p for q in parts]),
-    )
+def _positions(keys: np.ndarray, values, what: str) -> np.ndarray:
+    """Index into ``keys`` (unique ids) of every id in ``values``."""
+    values = np.asarray(values, dtype=np.int64)
+    order = np.argsort(keys)
+    pos = order[np.searchsorted(keys, values, sorter=order).clip(0, keys.size - 1)]
+    if not np.array_equal(keys[pos], values):
+        raise MeshError(f"shard references a {what} id it does not hold")
+    return pos
 
 
 def _gemm(X: np.ndarray, M: np.ndarray, deterministic: bool) -> np.ndarray:
@@ -155,8 +159,8 @@ class SolverRank:
 
         self.ne = len(shard.cells)
         self.gids = np.array([c.id for c in shard.cells], dtype=np.int64)
-        self.lid = {int(g): i for i, g in enumerate(self.gids)}
-        self._coords = shard.coord_lookup()
+        vids = np.array([c.vertex_ids for c in shard.cells], dtype=np.int64)
+        self.cell_coords = self._vertex_coords(vids)  # (ne, nverts, d)
 
         self._build_geometry()
         self._build_interfaces()
@@ -167,43 +171,39 @@ class SolverRank:
     # assembly
     # ------------------------------------------------------------------
 
-    def _cell_coords(self, cell) -> np.ndarray:
-        return np.array([self._coords[v] for v in cell.vertex_ids])
+    def _vertex_coords(self, vids: np.ndarray) -> np.ndarray:
+        """Coordinates of global vertex ids, any shape -> shape + (d,)."""
+        return self.shard.vertex_coords[_positions(self.shard.vertex_ids, vids, "vertex")]
+
+    def _slots(self, gids, lfaces, perm) -> PointList:
+        """Flux-point slots of faces (one row of nfp points per face), in
+        the point order ``perm`` gives per face: (nfp,) or (nfaces, nfp)."""
+        nfp = self.ref.num_face_points
+        e = np.repeat(_positions(self.gids, gids, "cell"), nfp)
+        return PointList(e, (lfaces[:, None] * nfp + perm).reshape(-1))
+
+    def _set_face_geometry(self, corner_vids: np.ndarray, *sides: PointList):
+        """Overwrite the slots of both sides of faces with the normal and
+        area computed once from one corner order per face."""
+        _, n_c, a_c = face_geometry(self._vertex_coords(corner_vids), self.ref.points_1d)
+        for q in sides:
+            self.slot_normal[q.e, q.p] = n_c.reshape(-1, self.dim)
+            self.slot_area[q.e, q.p] = a_c.reshape(-1)
 
     def _build_geometry(self):
-        ref, ne, d = self.ref, self.ne, self.dim
-        Ns = ref.num_solution_points
-        nf = ref.num_faces * ref.num_face_points
-        self.det_upts = np.empty((ne, Ns))
-        self.adj_upts = np.empty((ne, Ns, d, d))
-        self.invT_upts = np.empty((ne, Ns, d, d))
-        self.x_upts = np.empty((ne, Ns, d))
-        self.x_fpts = np.empty((ne, nf, d))
-        self.slot_normal = np.empty((ne, nf, d))
-        self.slot_area = np.empty((ne, nf))
-        self.h_min = np.empty(ne)
-        for i, cell in enumerate(self.shard.cells):
-            g = compute_geometry(self._cell_coords(cell), ref, cell.id)
-            self.det_upts[i] = g.det_upts
-            self.adj_upts[i] = g.adj_upts
-            self.invT_upts[i] = g.inv_t_upts
-            self.x_upts[i] = g.coords_upts
-            self.x_fpts[i] = g.coords_fpts
-            self.slot_normal[i] = g.normals_fpts
-            self.slot_area[i] = g.area_fpts
-            self.h_min[i] = g.h_min
+        ref, nfp = self.ref, self.ref.num_face_points
+        g = compute_geometry(self.cell_coords, ref, self.gids)
+        self.det_upts = g.det_upts
+        self.adj_upts = g.adj_upts
+        self.invT_upts = g.inv_t_upts
+        self.x_upts = g.coords_upts
+        self.x_fpts = g.coords_fpts
+        self.slot_normal = g.normals_fpts
+        self.slot_area = g.area_fpts
+        self.h_min = g.h_min
         # reference outward normal of every flux-point slot: axis, side
-        nfp = ref.num_face_points
-        self.slot_ref_axis = np.empty(nf, dtype=np.int64)
-        self.slot_ref_side = np.empty(nf)
-        for f, info in enumerate(ref.face_info):
-            self.slot_ref_axis[f * nfp:(f + 1) * nfp] = info.normal_axis
-            self.slot_ref_side[f * nfp:(f + 1) * nfp] = float(info.side)
-
-    def _plist(self, gid: int, lf: int, perm: np.ndarray) -> PointList:
-        nfp = self.ref.num_face_points
-        li = self.lid[gid]
-        return PointList(np.full(perm.size, li, np.int64), lf * nfp + perm)
+        self.slot_ref_axis = np.repeat([info.normal_axis for info in ref.face_info], nfp)
+        self.slot_ref_side = np.repeat([float(info.side) for info in ref.face_info], nfp)
 
     def _build_interfaces(self):
         """One list of interface flux-point pairs: local, remote, boundary.
@@ -215,59 +215,46 @@ class SolverRank:
         from the own slot; ``iface_flip`` marks remote pairs whose own side
         is the right side of the canonical frame.
         """
-        ref, d = self.ref, self.dim
-        nfp = ref.num_face_points
-        pts = ref.points_1d
+        ref, d, shard = self.ref, self.dim, self.shard
+        nfp, ncorners = ref.num_face_points, 2 ** (d - 1)
         ident = np.arange(nfp)
+        perms = np.stack([orientation_permutation(d, o, ref.points_1d)
+                          for o in range(2 if d == 2 else 8)])
 
-        ll, rr = [], []
-        for f in self.shard.internal_faces:
-            gl, lfl = f.left
-            gr, lfr = f.right
-            perm = orientation_permutation(d, f.orientation, pts)
-            pl = self._plist(gl, lfl, ident)
-            pr = self._plist(gr, lfr, perm)
-            corners = np.array([self._coords[v] for v in f.left_corners])
-            _, n_c, a_c = face_geometry(corners, pts)
-            ll.append(pl)
-            rr.append(pr)
-            for q in (pl, pr):
-                self.slot_normal[q.e, q.p] = n_c
-                self.slot_area[q.e, q.p] = a_c
-        self.loc_r = _cat_plist(rr)
+        faces = shard.internal_faces
+        loc = np.array([(*f.left, *f.right, f.orientation) for f in faces],
+                       dtype=np.int64).reshape(-1, 5)
+        self.loc_l = self._slots(loc[:, 0], loc[:, 1], ident)
+        self.loc_r = self._slots(loc[:, 2], loc[:, 3], perms[loc[:, 4]])
+        self._set_face_geometry(np.array([f.left_corners for f in faces], dtype=np.int64)
+                                .reshape(-1, ncorners), self.loc_l, self.loc_r)
 
-        rm, flips = [], []
-        halo_order: Dict[int, list] = {}
-        for fi, (face, cpl) in enumerate(self.shard.remote_faces):
-            perm_c = orientation_permutation(d, cpl.orientation, pts)
-            pm = self._plist(cpl.local_gid, cpl.local_face, perm_c)
-            corners = np.array([self._coords[v] for v in cpl.canonical_corners])
-            _, n_c, a_c = face_geometry(corners, pts)
-            rm.append(pm)
-            flips.append(np.full(nfp, not cpl.canonical))
-            self.slot_normal[pm.e, pm.p] = n_c
-            self.slot_area[pm.e, pm.p] = a_c
-            canon_key = ((cpl.local_gid, cpl.local_face) if cpl.canonical
-                         else (cpl.remote_tag[2], cpl.remote_tag[3]))
-            halo_order.setdefault(cpl.remote_rank, []).append((canon_key, fi, pm))
-
-        row_of_face = {fi: np.arange(fi * nfp, (fi + 1) * nfp)
-                       for fi in range(len(self.shard.remote_faces))}
+        # columns: local gid, local face, orientation, canonical, peer rank,
+        # canonical key (owner gid, owner local face)
+        cpls = [cpl for _, cpl in shard.remote_faces]
+        rem = np.array([(c.local_gid, c.local_face, c.orientation, c.canonical, c.remote_rank,
+                         *((c.local_gid, c.local_face) if c.canonical else c.remote_tag[2:4]))
+                        for c in cpls], dtype=np.int64).reshape(-1, 7)
+        rm = self._slots(rem[:, 0], rem[:, 1], perms[rem[:, 2]])
+        self._set_face_geometry(np.array([c.canonical_corners for c in cpls], dtype=np.int64)
+                                .reshape(-1, ncorners), rm)
+        # halo order: per peer rank, faces by canonical key
+        order = np.lexsort((rem[:, 6], rem[:, 5], rem[:, 4]))
+        face_e, face_p = rm.e.reshape(-1, nfp), rm.p.reshape(-1, nfp)
+        face_rows = np.arange(len(cpls) * nfp).reshape(-1, nfp)
+        neighbors = [int(r) for r in np.unique(rem[:, 4])]
         pack, rows = {}, {}
-        for rank in sorted(halo_order):
-            entries = sorted(halo_order[rank], key=lambda t: t[0])
-            pl = _cat_plist([pm for _, _, pm in entries])
-            pack[rank] = (pl.e, pl.p)
-            rows[rank] = np.concatenate([row_of_face[fi] for _, fi, _ in entries])
-        self.halo = HaloPlan(sorted(halo_order), pack, rows,
-                             len(self.shard.remote_faces) * nfp)
+        for rank in neighbors:
+            sel = order[rem[order, 4] == rank]
+            pack[rank] = (face_e[sel].reshape(-1), face_p[sel].reshape(-1))
+            rows[rank] = face_rows[sel].reshape(-1)
+        self.halo = HaloPlan(neighbors, pack, rows, len(cpls) * nfp)
 
-        by_patch: Dict[int, list] = {}
-        for f in self.shard.boundary_faces:
-            by_patch.setdefault(f.patch_id, []).append(f)
+        bnd = np.array([(*f.left, f.patch_id) for f in shard.boundary_faces],
+                       dtype=np.int64).reshape(-1, 3)
         self.boundary_groups = []
-        for pid in sorted(by_patch):
-            name = self.shard.patch_names.get(pid, str(pid))
+        for pid in (int(v) for v in np.unique(bnd[:, 2])):
+            name = shard.patch_names.get(pid, str(pid))
             spec = self.boundary_specs.get(name)
             if spec is None:
                 raise ConfigError(f"no boundary condition for patch {name!r}")
@@ -276,16 +263,16 @@ class SolverRank:
                     f"patch {name!r} declared periodic but carries boundary faces; "
                     "periodic pairing happens during mesh import"
                 )
-            plist = _cat_plist([self._plist(*f.left, ident) for f in by_patch[pid]])
-            self.boundary_groups.append((spec, plist))
+            sel = bnd[:, 2] == pid
+            self.boundary_groups.append((spec, self._slots(bnd[sel, 0], bnd[sel, 1], ident)))
 
-        self.iface = _cat_plist(ll + rm + [pl for _, pl in self.boundary_groups])
+        parts = [self.loc_l, rm] + [pl for _, pl in self.boundary_groups]
+        self.iface = PointList(np.concatenate([q.e for q in parts]),
+                               np.concatenate([q.p for q in parts]))
         nl = self.loc_r.size
         self.n_face_pairs = nl + self.halo.num_ghost_points
-        self.loc_l = PointList(self.iface.e[:nl], self.iface.p[:nl])
         self.iface_flip = np.zeros(self.iface.size, dtype=bool)
-        if flips:
-            self.iface_flip[nl:self.n_face_pairs] = np.concatenate(flips)
+        self.iface_flip[nl:self.n_face_pairs] = np.repeat(rem[:, 3] == 0, nfp)
         self.boundary_spans = []
         lo = self.n_face_pairs
         for spec, pl in self.boundary_groups:
@@ -298,7 +285,7 @@ class SolverRank:
         self.iface_a = np.where(self.iface_flip, -area, area)
         self.iface_sw = physics.ldg_switch(self.iface_n)
         self.iface_sw[self.n_face_pairs:] = 0.0
-        area_face = self.slot_area.reshape(self.ne, ref.num_faces, nfp) @ ref.face_weights
+        area_face = face_integrals(self.slot_area, ref)
         h_face = area_face if d == 2 else np.sqrt(area_face)
         tau = self.opt.ldg_tau_scale * (self.opt.p + 1) ** 2 / h_face
         self.iface_tau = tau[e, p // nfp]
@@ -959,29 +946,15 @@ class SolverRank:
         Uses a quadrature two orders finer than the solution points so the
         norm is not blind to error between collocation points.
         """
-        from ..operators import gauss_legendre_points, _shape_gradients, _tensor_shape
-        d = self.dim
-        nq1 = min(self.opt.p + 3, 12)
-        qx, qw = gauss_legendre_points(nq1)
-        pts = np.empty((nq1 ** d, d))
-        wq = np.ones(nq1 ** d)
-        for ax in range(d):
-            for s in range(nq1 ** d):
-                pts[s, ax] = qx[(s // nq1 ** ax) % nq1]
-                wq[s] *= qw[(s // nq1 ** ax) % nq1]
+        d, X = self.dim, self.cell_coords
+        pts, wq = tensor_rule(*gauss_legendre_points(min(self.opt.p + 3, 12)), d)
         M = self.ref.basis_at(pts)  # (m, Ns)
-        shp = _tensor_shape(self.ref.kind, pts)
-        grads = _shape_gradients(self.ref.kind, pts)
-        tot = np.zeros(self.nv)
-        vol = 0.0
         Qq = np.einsum("ms,evs->emv", M, self.Q_upts)
-        for i, cell in enumerate(self.shard.cells):
-            coords = self._cell_coords(cell)
-            xq = shp @ coords
-            det = np.linalg.det(np.einsum("ia,pib->pab", coords, grads))
-            diff2 = (Qq[i] - np.asarray(exact_fn(xq))) ** 2
-            tot += (wq * det) @ diff2
-            vol += float(wq @ det)
+        xq = np.einsum("mi,eia->ema", _tensor_shape(self.ref.kind, pts), X)
+        det = np.linalg.det(np.einsum("eia,mib->emab", X, _shape_gradients(self.ref.kind, pts)))
+        exact = np.asarray(exact_fn(xq.reshape(-1, d))).reshape(Qq.shape)
+        tot = np.einsum("m,em,emv->v", wq, det, (Qq - exact) ** 2)
+        vol = float(np.einsum("m,em->", wq, det))
         if self.ctx is not None and self.ctx.nranks > 1:
             tot = allreduce_sum(self.ctx, tot)
             vol = float(allreduce_sum(self.ctx, vol))
@@ -993,21 +966,11 @@ class SolverRank:
         coords: (ne, m, dim); vals: (ne, m, nv) with m = (order+1)^dim
         equispaced points per element.
         """
-        k = self.opt.p if order is None else order
-        n1 = k + 1
+        n1 = (self.opt.p if order is None else order) + 1
         lin = np.linspace(-1.0, 1.0, n1) if n1 > 1 else np.zeros(1)
-        d = self.dim
-        pts = np.empty((n1 ** d, d))
-        for ax in range(d):
-            for s in range(n1 ** d):
-                pts[s, ax] = lin[(s // n1 ** ax) % n1]
-        M = self.ref.basis_at(pts)
-        vals = np.einsum("ms,evs->emv", M, self.Q_upts)
-        from ..operators import _tensor_shape
-        shp = _tensor_shape(self.ref.kind, pts)
-        coords = np.empty((self.ne, n1 ** d, d))
-        for i, cell in enumerate(self.shard.cells):
-            coords[i] = shp @ self._cell_coords(cell)
+        pts, _ = tensor_rule(lin, np.ones(n1), self.dim)
+        vals = np.einsum("ms,evs->emv", self.ref.basis_at(pts), self.Q_upts)
+        coords = np.einsum("mi,eia->ema", _tensor_shape(self.ref.kind, pts), self.cell_coords)
         return coords, vals
 
 

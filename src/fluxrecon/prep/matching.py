@@ -79,9 +79,6 @@ class MeshShard:
     routing: str = "modulo"
     diagnostics: dict = field(default_factory=dict)
 
-    def coord_lookup(self) -> dict:
-        return {int(g): self.vertex_coords[i] for i, g in enumerate(self.vertex_ids)}
-
 
 def _encode(rows: Sequence[Sequence[int]]) -> bytes:
     if not rows:

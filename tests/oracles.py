@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (per-element
-loops, no kernel machinery, no canonical frames) so it exercises none of
-the production code paths it is checking.
+and per-face loops, no kernel machinery) so it exercises none of the
+production code paths it is checking.  Only ``interfaces_per_face`` uses
+canonical frames, because the halo order it reproduces is defined by them.
 """
 
 from __future__ import annotations
@@ -10,12 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from fluxrecon import physics
+from fluxrecon.errors import InvertedElementError
 from fluxrecon.mesh_core import (
+    HEX_FACES,
+    QUAD_EDGES,
     build_face_list,
     match_local_faces,
     orientation_permutation,
 )
-from fluxrecon.operators import build_reference_element, compute_geometry, face_geometry
+from fluxrecon.operators import (
+    ElementGeometry,
+    _adjugate,
+    _shape_gradients,
+    _tensor_shape,
+    build_reference_element,
+)
 
 
 def random_partition(rng, ncells, nranks):
@@ -46,6 +56,137 @@ def brute_force_match(cells, alias=None):
     return internal, uncoupled
 
 
+def face_geometry_one(corners, points_1d):
+    """Coordinates, unit outward normals and area scales of one face's
+    points from its (ncorners, d) corner coordinates."""
+    pts = np.asarray(points_1d, dtype=float)
+    if corners.shape[0] == 2:
+        u = pts[:, None]
+        x = 0.5 * (1 - u) * corners[0] + 0.5 * (1 + u) * corners[1]
+        t = np.broadcast_to(0.5 * (corners[1] - corners[0]), x.shape)
+        normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    else:
+        uu, vv = np.meshgrid(pts, pts, indexing="xy")
+        u = uu.reshape(-1, 1)
+        v = vv.reshape(-1, 1)
+        x = (0.25 * (1 - u) * (1 - v) * corners[0]
+             + 0.25 * (1 + u) * (1 - v) * corners[1]
+             + 0.25 * (1 + u) * (1 + v) * corners[2]
+             + 0.25 * (1 - u) * (1 + v) * corners[3])
+        xu = (0.25 * (-(1 - v)) * corners[0] + 0.25 * (1 - v) * corners[1]
+              + 0.25 * (1 + v) * corners[2] - 0.25 * (1 + v) * corners[3])
+        xv = (0.25 * (-(1 - u)) * corners[0] - 0.25 * (1 + u) * corners[1]
+              + 0.25 * (1 + u) * corners[2] + 0.25 * (1 - u) * corners[3])
+        normal = np.cross(xu, xv)
+    area = np.linalg.norm(normal, axis=1)
+    return x, normal / area[:, None], area
+
+
+def geometry_one(coords, ref, cell_id):
+    """One cell's geometry, face by face; fields without the element axis
+    (``volume`` and ``h_min`` are floats)."""
+    coords = np.asarray(coords, dtype=float)
+    grads = _shape_gradients(ref.kind, ref.solution_points)
+    jac = np.einsum("ia,pib->pab", coords, grads)
+    det = np.linalg.det(jac)
+    if np.any(det <= 0):
+        raise InvertedElementError(cell_id, f"min |J| = {det.min():.3e}")
+    adj = _adjugate(jac)
+    nfp = ref.num_face_points
+    faces = HEX_FACES if ref.kind == "hex" else QUAD_EDGES
+    x_f = np.empty((ref.num_faces * nfp, ref.dim))
+    normals = np.empty_like(x_f)
+    areas = np.empty(ref.num_faces * nfp)
+    for f, cyc in enumerate(faces):
+        sl = ref.face_slice(f)
+        x_f[sl], normals[sl], areas[sl] = face_geometry_one(coords[list(cyc)], ref.points_1d)
+    volume = float(ref.solution_weights @ det)
+    face_areas = np.array([float(ref.face_weights @ areas[ref.face_slice(f)])
+                           for f in range(ref.num_faces)])
+    return ElementGeometry(
+        jac_upts=jac, det_upts=det, adj_upts=adj,
+        inv_t_upts=np.transpose(adj, (0, 2, 1)) / det[:, None, None],
+        normals_fpts=normals, area_fpts=areas,
+        coords_upts=_tensor_shape(ref.kind, ref.solution_points) @ coords,
+        coords_fpts=x_f, volume=volume, face_areas=face_areas,
+        h_min=volume / face_areas.max(),
+    )
+
+
+def interfaces_per_face(solver):
+    """A solver's interface pair list, pair normals, signed areas, LDG
+    penalties, halo plan and boundary spans, rebuilt face by face from its
+    shard: one orientation permutation and one face geometry per face."""
+    shard, ref, d = solver.shard, solver.ref, solver.dim
+    nfp, pts = ref.num_face_points, ref.points_1d
+    ident = np.arange(nfp)
+    xyz = {int(v): shard.vertex_coords[i] for i, v in enumerate(shard.vertex_ids)}
+    lid = {c.id: i for i, c in enumerate(shard.cells)}
+    geoms = [geometry_one(np.array([xyz[v] for v in c.vertex_ids]), ref, c.id)
+             for c in shard.cells]
+    normal = np.stack([g.normals_fpts for g in geoms])
+    area = np.stack([g.area_fpts for g in geoms])
+
+    def slots(gid, lf, perm):
+        return [(lid[gid], lf * nfp + int(k)) for k in perm]
+
+    def set_geometry(corner_vids, *sides):
+        _, n_c, a_c = face_geometry_one(np.array([xyz[v] for v in corner_vids]), pts)
+        for side in sides:
+            for (e, p), n, a in zip(side, n_c, a_c):
+                normal[e, p], area[e, p] = n, a
+
+    own, loc_r, flip = [], [], []
+    for f in shard.internal_faces:
+        left = slots(*f.left, ident)
+        right = slots(*f.right, orientation_permutation(d, f.orientation, pts))
+        set_geometry(f.left_corners, left, right)
+        own += left
+        loc_r += right
+    halo = {}
+    for fi, (_, cpl) in enumerate(shard.remote_faces):
+        side = slots(cpl.local_gid, cpl.local_face,
+                     orientation_permutation(d, cpl.orientation, pts))
+        set_geometry(cpl.canonical_corners, side)
+        own += side
+        flip += [not cpl.canonical] * nfp
+        key = ((cpl.local_gid, cpl.local_face) if cpl.canonical
+               else (cpl.remote_tag[2], cpl.remote_tag[3]))
+        halo.setdefault(cpl.remote_rank, []).append((key, fi, side))
+    pack, rows = {}, {}
+    for rank, entries in halo.items():
+        entries.sort()
+        pack[rank] = [slot for _, _, side in entries for slot in side]
+        rows[rank] = [fi * nfp + k for _, fi, _ in entries for k in range(nfp)]
+    spans, lo = [], len(own)
+    for pid in sorted({f.patch_id for f in shard.boundary_faces}):
+        faces = [f for f in shard.boundary_faces if f.patch_id == pid]
+        for f in faces:
+            own += slots(*f.left, ident)
+        name = shard.patch_names.get(pid, str(pid))
+        spans.append((solver.boundary_specs[name], lo, lo + nfp * len(faces)))
+        lo += nfp * len(faces)
+    flip = [False] * len(loc_r) + flip + [False] * (len(own) - len(loc_r) - len(flip))
+
+    e, p = np.array(own, dtype=np.int64).reshape(-1, 2).T
+    h = np.array([[sum(w * a for w, a in zip(ref.face_weights, area[i, ref.face_slice(f)]))
+                   for f in range(ref.num_faces)] for i in range(len(shard.cells))])
+    tau = solver.opt.ldg_tau_scale * (solver.opt.p + 1) ** 2 / (h if d == 2 else np.sqrt(h))
+    return {
+        "own": (e, p),
+        "loc_r": tuple(np.array(loc_r, dtype=np.int64).reshape(-1, 2).T),
+        "flip": np.array(flip, dtype=bool),
+        "normal": normal[e, p],
+        "area": np.where(flip, -area[e, p], area[e, p]),
+        "tau": tau[e, p // nfp],
+        "neighbors": sorted(halo),
+        "pack": {r: tuple(np.array(v, dtype=np.int64).reshape(-1, 2).T)
+                 for r, v in pack.items()},
+        "rows": rows,
+        "spans": spans,
+    }
+
+
 def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
                        ldg_beta=0.5, ldg_tau_scale=0.1, sponges=()):
     """Plain dense evaluation of the corrected-divergence update.
@@ -62,7 +203,7 @@ def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
     nfp = ref.num_face_points
     nf = ref.num_faces * nfp
 
-    geoms = [compute_geometry(mesh.vertices[list(c.vertex_ids)], ref, c.id)
+    geoms = [geometry_one(mesh.vertices[list(c.vertex_ids)], ref, c.id)
              for c in mesh.cells]
 
     # discontinuous transformed flux at solution points and its interpolant
@@ -93,7 +234,7 @@ def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
         lsl = np.arange(lfl * nfp, (lfl + 1) * nfp)
         rsl = lfr * nfp + perm
         corners = np.array([mesh.vertices[v] for v in face.left_corners])
-        _, n_c, a_c = face_geometry(corners, ref.points_1d)
+        _, n_c, a_c = face_geometry_one(corners, ref.points_1d)
         QL = Q_f[gl, :, lsl]   # (nfp, nv)
         QR = Q_f[gr, :, rsl]
         Fc = physics.riemann_flux(QL, QR, n_c, dim, gas, riemann)

@@ -159,3 +159,48 @@ class TestMultiRank:
         for v in r4.values():
             for g, q in zip(v["gids"], v["state"]):
                 assert np.array_equal(np.array(q), ref[g])
+
+
+class TestWorkerFailure:
+    def test_killed_worker_reported_within_seconds(self, tmp_path, capsys):
+        """A worker killed without posting a result makes the CLI print one
+        error line naming its rank and exit code, seconds after the kill."""
+        import multiprocessing as mp
+        import signal
+        import threading
+        import time
+
+        run_cli("make-fixture", "--case", "vortex", "--out", str(tmp_path),
+                "--size", "8")
+        mesh, cfg = str(tmp_path / "vortex.msh"), str(tmp_path / "vortex.cfg")
+        sh = str(tmp_path / "s2")
+        assert run_cli("partition", "--mesh", mesh, "--ranks", "2",
+                       "--config", cfg, "--out", sh) == 0
+        codes = []
+        solve = threading.Thread(target=lambda: codes.append(run_cli(
+            "solve", "--shards", sh, "--config", cfg, "--steps", "100000",
+            "--base-port", "29710")), daemon=True)
+        solve.start()
+        try:
+            victim = None
+            limit = time.monotonic() + 60
+            while victim is None and time.monotonic() < limit:
+                victim = next((p for p in mp.active_children()
+                               if p.name == "fluxrecon-rank-1" and p.pid), None)
+                time.sleep(0.1)
+            assert victim is not None, "worker rank 1 never started"
+            time.sleep(1.0)
+            killed = time.monotonic()
+            os.kill(victim.pid, signal.SIGKILL)
+            solve.join(timeout=60)
+            took = time.monotonic() - killed
+        finally:
+            for p in mp.active_children():
+                p.terminate()
+                p.join(timeout=10)
+        assert not solve.is_alive()
+        assert codes == [1]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ")
+        assert f"rank 1 (exit code {-signal.SIGKILL})" in err
+        assert took < 10.0

@@ -169,12 +169,12 @@ def test_orientation_linear_field_continuity(dim, kind, p):
     cells = {c.id: c for c in mesh.cells}
     internal, _ = match_local_faces(build_face_list(mesh.cells))
     coef = np.arange(1, dim + 1, dtype=float)
-    geoms = {cid: compute_geometry(mesh.vertices[list(c.vertex_ids)], ref, cid)
-             for cid, c in cells.items()}
+    g = compute_geometry(np.array([mesh.vertices[list(c.vertex_ids)] for c in cells.values()]),
+                         ref, list(cells))
+    row = {cid: i for i, cid in enumerate(cells)}
 
     def side_vals(gid, lf):
-        g = geoms[gid]
-        vals = ref.interp_to_faces @ (g.coords_upts @ coef)
+        vals = ref.interp_to_faces @ (g.coords_upts[row[gid]] @ coef)
         return vals[ref.face_slice(lf)]
 
     for f in internal:

@@ -3,6 +3,7 @@ import pytest
 
 from fluxrecon.errors import InvertedElementError, MeshError
 from fluxrecon.operators import (
+    ElementGeometry,
     build_reference_element,
     compute_geometry,
     dg_correction_derivative,
@@ -16,6 +17,12 @@ from fluxrecon.operators import (
 UNIT_CUBE = np.array(
     [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
      [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
+
+
+def geometry_of(coords, ref, cell_id):
+    """compute_geometry on a batch of one cell, element axis dropped."""
+    g = compute_geometry(np.asarray(coords)[None], ref, [cell_id])
+    return ElementGeometry(**{k: v[0] for k, v in vars(g).items()})
 
 
 class TestGaussLegendre:
@@ -124,21 +131,21 @@ class TestReferenceElement:
 class TestGeometry:
     def test_unit_cube(self):
         ref = build_reference_element("hex", 2)
-        g = compute_geometry(UNIT_CUBE, ref, 0)
+        g = geometry_of(UNIT_CUBE, ref, 0)
         assert np.abs(g.det_upts - 0.125).max() < 1e-14
         assert abs(g.volume - 1.0) < 1e-12
         assert abs(g.h_min - 1.0) < 1e-12
 
     def test_stretched_box_det(self):
         ref = build_reference_element("hex", 2)
-        g = compute_geometry(UNIT_CUBE * np.array([2.0, 3.0, 4.0]), ref, 0)
+        g = geometry_of(UNIT_CUBE * np.array([2.0, 3.0, 4.0]), ref, 0)
         assert np.abs(g.det_upts - 3.0).max() < 1e-12
         assert abs(g.h_min - 2.0) < 1e-10
 
     def test_adjugate_identity_on_random_hex(self, rng):
         ref = build_reference_element("hex", 3)
         coords = UNIT_CUBE + 0.15 * rng.random((8, 3))
-        g = compute_geometry(coords, ref, 7)
+        g = geometry_of(coords, ref, 7)
         lhs = np.einsum("pab,pbc->pac", g.adj_upts, g.jac_upts)
         rhs = g.det_upts[:, None, None] * np.eye(3)
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -146,7 +153,7 @@ class TestGeometry:
     def test_outward_normals(self, rng):
         ref = build_reference_element("hex", 2)
         coords = UNIT_CUBE + 0.1 * rng.random((8, 3))
-        g = compute_geometry(coords, ref, 0)
+        g = geometry_of(coords, ref, 0)
         centroid = coords.mean(axis=0)
         dots = np.einsum("fd,fd->f", g.coords_fpts - centroid, g.normals_fpts)
         assert dots.min() > 0
@@ -156,13 +163,13 @@ class TestGeometry:
         bad[[0, 1]] = bad[[1, 0]]
         ref = build_reference_element("hex", 1)
         with pytest.raises(InvertedElementError) as err:
-            compute_geometry(bad, ref, cell_id=42)
+            geometry_of(bad, ref, 42)
         assert err.value.cell_id == 42
 
     def test_affine_jacobian_constant(self):
         ref = build_reference_element("quad", 4)
         coords = np.array([[0, 0], [2, 0], [2, 3], [0, 3]], dtype=float)
-        g = compute_geometry(coords, ref, 0)
+        g = geometry_of(coords, ref, 0)
         assert np.ptp(g.det_upts) < 1e-13
 
 
@@ -170,7 +177,7 @@ class TestTransformFlux:
     def test_identity_mapping(self, rng):
         ref = build_reference_element("quad", 2)
         coords = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-        g = compute_geometry(coords, ref, 0)
+        g = geometry_of(coords, ref, 0)
         F = rng.standard_normal((ref.num_solution_points, 2, 4))
         Fh = transform_flux(F, g.adj_upts)
         assert np.abs(Fh - F).max() < 1e-14
@@ -180,7 +187,7 @@ class TestTransformFlux:
         h = 0.37
         ref = build_reference_element("hex", 1)
         coords = UNIT_CUBE * h * 2  # reference cube scaled by h
-        g = compute_geometry(coords, ref, 0)
+        g = geometry_of(coords, ref, 0)
         F = rng.standard_normal((ref.num_solution_points, 3, 5))
         Fh = transform_flux(F, g.adj_upts)
         assert np.abs(Fh - h ** 2 * F).max() < 1e-13
@@ -192,7 +199,7 @@ class TestTransformFlux:
         square = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
         coords = square @ R.T
         ref = build_reference_element("quad", 3)
-        g = compute_geometry(coords, ref, 0)
+        g = geometry_of(coords, ref, 0)
         x = g.coords_upts
         # F = (y, -x): divergence-free, linear
         F = np.stack([np.stack([x[:, 1], -x[:, 0]], axis=1)], axis=2)
@@ -244,7 +251,7 @@ def test_face_geometry_matches_element_geometry(rng):
 
     ref = build_reference_element("hex", 2)
     coords = UNIT_CUBE + 0.2 * rng.random((8, 3))
-    g = compute_geometry(coords, ref, 0)
+    g = geometry_of(coords, ref, 0)
     for f, cyc in enumerate(HEX_FACES):
         x, n, a = face_geometry(coords[list(cyc)], ref.points_1d)
         sl = ref.face_slice(f)
