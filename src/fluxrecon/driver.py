@@ -4,6 +4,7 @@ multi-process solves, and step benchmarking."""
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing as mp
 import os
@@ -28,6 +29,9 @@ from .prep.transport import RankContext, SocketTransport
 
 _POLL_S = 0.5               # how often the parent checks on its workers
 _RESULT_TIMEOUT_S = 600.0   # longest wait for the next worker result
+_GRACE_S = 2.0              # wait for the other workers after one fails
+
+logger = logging.getLogger(__name__)
 
 
 def load_mesh(mesh_path: str, cfg: RunConfig):
@@ -189,9 +193,8 @@ def run_workers(shards_dir: str, cfg: RunConfig, steps: int, mode: str,
         q = _InlineQueue()
         _worker(0, 1, base_port, shards_dir, cfg_text, steps, mode, outdir, q)
         results = dict(q.items)
-        errors = {r: v["error"] for r, v in results.items() if "error" in v}
-        if errors:
-            raise ConfigError(f"worker failures: {errors}")
+        if "error" in results[0]:
+            raise ConfigError(_failure_report(results, {}, 1))
         return results
     ctxmp = mp.get_context("spawn")
     queue = ctxmp.Queue()
@@ -203,7 +206,7 @@ def run_workers(shards_dir: str, cfg: RunConfig, steps: int, mode: str,
         p.start()
         procs.append(p)
     try:
-        results = _collect(queue, procs)
+        return _collect(queue, procs)
     except ConfigError:
         for p in procs:
             p.terminate()
@@ -213,36 +216,61 @@ def run_workers(shards_dir: str, cfg: RunConfig, steps: int, mode: str,
             p.join(timeout=60)
             if p.is_alive():
                 p.terminate()
-    errors = {r: v["error"] for r, v in results.items() if "error" in v}
-    if errors:
-        raise ConfigError(f"worker failures: {errors}")
-    return results
 
 
 def _collect(results_q, procs) -> dict:
     """{rank: payload} from every worker.  Raises ConfigError as soon as a
-    worker has exited without posting, or after _RESULT_TIMEOUT_S without
-    a result."""
-    results, exited = {}, {}
+    worker has exited without posting, _GRACE_S after the first error
+    payload (the caller then terminates the others), or after
+    _RESULT_TIMEOUT_S without a result."""
+    results, exited, lost = {}, {}, {}
     deadline = time.monotonic() + _RESULT_TIMEOUT_S
-    while len(results) < len(procs):
+    failed = False
+    while len(results) < len(procs) and not lost and time.monotonic() <= deadline:
         try:
             rank, payload = results_q.get(timeout=_POLL_S)
             results[rank] = payload
-            deadline = time.monotonic() + _RESULT_TIMEOUT_S
+            if not failed:
+                failed = "error" in payload
+                deadline = time.monotonic() + (_GRACE_S if failed else _RESULT_TIMEOUT_S)
             continue
         except Empty:
             pass
         # a worker's result is in the pipe before the worker exits, so a
         # rank that had exited before this empty poll began posts nothing
-        lost = [f"rank {r} (exit code {c})" for r, c in exited.items() if r not in results]
-        if lost:
-            raise ConfigError("worker exited without a result: " + ", ".join(lost))
-        if time.monotonic() > deadline:
-            missing = sorted(set(range(len(procs))) - set(results))
-            raise ConfigError(f"no result from ranks {missing} within {_RESULT_TIMEOUT_S:.0f} s")
+        lost = {r: c for r, c in exited.items() if r not in results}
         exited = {r: p.exitcode for r, p in enumerate(procs) if p.exitcode is not None}
+    if failed or lost:
+        raise ConfigError(_failure_report(results, lost, len(procs)))
+    if len(results) < len(procs):
+        missing = sorted(set(range(len(procs))) - set(results))
+        raise ConfigError(f"no result from ranks {missing} within {_RESULT_TIMEOUT_S:.0f} s")
     return results
+
+
+def _failure_report(results: dict, lost: dict, nranks: int) -> str:
+    """One line, root cause first: workers that exited without a result,
+    then worker exceptions other than TransportError (in the order they were
+    posted), then the transport failures that follow from them, then the
+    ranks that posted nothing.  Full tracebacks go to the log."""
+    errors = []
+    for r, v in results.items():
+        if "error" in v:
+            logger.debug("rank %d failed: %s", r, v["error"])
+            errors.append((r, v["error"].splitlines()[0]))
+    root = [f"worker exited without a result: rank {r} (exit code {c})"
+            for r, c in lost.items()]
+    root += [f"rank {r}: {msg}" for r, msg in errors if not msg.startswith("TransportError")]
+    then = [f"rank {r}: {msg}" for r, msg in errors if msg.startswith("TransportError")]
+    if not root:
+        root, then = then[:1], then[1:]
+    parts = ["worker failures: " + "; ".join(root)]
+    if then:
+        parts.append("then " + "; ".join(then))
+    silent = sorted(set(range(nranks)) - set(results) - set(lost))
+    if silent:
+        parts.append(f"no result from ranks {silent}")
+    return "; ".join(parts)
 
 
 class _InlineQueue:

@@ -5,6 +5,21 @@ All point-wise kernels are written with element-wise numpy operations only
 (no BLAS/einsum), so they run unchanged on object arrays of instrumented
 scalars for operation-census purposes.  State vectors are ordered
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.
+
+Layout contract.  Every function indexes its arrays as ``(..., nv)``
+(fluxes ``(..., d, nv)``, normals ``(..., d)``) and accepts any strides.
+The bodies work one component at a time (``Q[..., k]``) and never on
+whole ``(..., nv)`` blocks, so when the caller passes a transposed view of
+a variable-major buffer (one contiguous row per variable, as the solver
+does) each component is a contiguous row and no strided column or
+transposing copy is made.  Outputs follow the input's layout: a
+variable-major input gives a variable-major result (see ``_like``).
+``inviscid_flux`` also takes ``out=``, a buffer of any strides to write
+the flux into.  The solver passes a view of its ``F_upts`` block (and then
+subtracts the viscous flux in place), so the volume flux is written where
+the next kernel reads it instead of being built C-ordered and copied back.  Component sums run in
+index order (``(a0 + a1) + a2``), the order numpy's sum over a length-d
+axis uses, so results do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -55,18 +70,51 @@ def _vmin(a, b):
     return np.where(a < b, a, b)
 
 
+def _like(Q: np.ndarray, *inner: int) -> np.ndarray:
+    """Uninitialised array of shape ``Q.shape[:-1] + inner`` laid out like
+    ``Q``: the ``inner`` axes outermost in memory when Q's variable axis is
+    (a transposed view of a variable-major buffer), else C-ordered."""
+    lead = Q.shape[:-1]
+    if Q.ndim > 1 and abs(Q.strides[-1]) > abs(Q.strides[-2]):
+        k = len(inner)
+        return np.moveaxis(np.empty(inner + lead, dtype=Q.dtype),
+                           tuple(range(k)), tuple(range(-k, 0)))
+    return np.empty(lead + inner, dtype=Q.dtype)
+
+
+def components(a: np.ndarray, dim: int) -> list:
+    """The first ``dim`` components ``a[..., i]`` of a vector field."""
+    return [a[..., i] for i in range(dim)]
+
+
+def dot(a, b):
+    """Sum of ``a[i] * b[i]`` over two sequences of components, in index
+    order."""
+    s = a[0] * b[0]
+    for i in range(1, len(a)):
+        s = s + a[i] * b[i]
+    return s
+
+
+def normal_component(F: np.ndarray, n) -> np.ndarray:
+    """``sum_j F[..., j, :] * n[j]`` of a flux ``(..., d, nv)`` and normal
+    components ``n``; laid out like ``F[..., 0, :]``."""
+    out = np.empty_like(F[..., 0, :])
+    for k in range(F.shape[-1]):
+        out[..., k] = dot([F[..., j, k] for j in range(len(n))], n)
+    return out
+
+
 def split_state(Q: np.ndarray, dim: int):
-    """(rho, velocity, pressure-ready pieces) from conserved variables."""
+    """rho, the velocity components ``[u_0 .. u_{d-1}]`` and E from
+    conserved variables."""
     rho = Q[..., 0]
-    mom = Q[..., 1:1 + dim]
-    E = Q[..., 1 + dim]
-    vel = mom / rho[..., None]
-    return rho, vel, E
+    return rho, [Q[..., 1 + i] / rho for i in range(dim)], Q[..., 1 + dim]
 
 
 def pressure(Q: np.ndarray, dim: int, gas: GasModel):
     rho, vel, E = split_state(Q, dim)
-    ke = 0.5 * rho * np.sum(vel * vel, axis=-1)
+    ke = 0.5 * rho * dot(vel, vel)
     return (gas.gamma - 1.0) * (E - ke)
 
 
@@ -100,18 +148,18 @@ def conserved(rho, vel, p, gas: GasModel) -> np.ndarray:
     )
 
 
-def inviscid_flux(Q: np.ndarray, dim: int, gas: GasModel) -> np.ndarray:
-    """Euler flux: shape (..., dim, nvars)."""
+def inviscid_flux(Q: np.ndarray, dim: int, gas: GasModel,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euler flux: shape (..., dim, nvars), written into ``out`` if given."""
     rho, vel, E = split_state(Q, dim)
     p = pressure(Q, dim, gas)
-    nv = dim + 2
-    F = np.empty(Q.shape[:-1] + (dim, nv), dtype=Q.dtype)
+    F = _like(Q, dim, dim + 2) if out is None else out
     for k in range(dim):
-        uk = vel[..., k]
+        uk = vel[k]
         F[..., k, 0] = rho * uk
         for i in range(dim):
-            F[..., k, 1 + i] = rho * uk * vel[..., i]
-        F[..., k, 1 + k] = F[..., k, 1 + k] + p
+            m = rho * uk * vel[i]
+            F[..., k, 1 + i] = m + p if i == k else m
         F[..., k, 1 + dim] = uk * (E + p)
     return F
 
@@ -120,11 +168,12 @@ def normal_flux(Q: np.ndarray, n: np.ndarray, dim: int, gas: GasModel) -> np.nda
     """Euler flux dotted with a unit normal: shape (..., nvars)."""
     rho, vel, E = split_state(Q, dim)
     p = pressure(Q, dim, gas)
-    un = np.sum(vel * n, axis=-1)
+    nc = components(n, dim)
+    un = dot(vel, nc)
     out = np.empty_like(Q)
     out[..., 0] = rho * un
     for i in range(dim):
-        out[..., 1 + i] = rho * un * vel[..., i] + p * n[..., i]
+        out[..., 1 + i] = rho * un * vel[i] + p * nc[i]
     out[..., 1 + dim] = un * (E + p)
     return out
 
@@ -132,7 +181,7 @@ def normal_flux(Q: np.ndarray, n: np.ndarray, dim: int, gas: GasModel) -> np.nda
 def wave_speed(Q: np.ndarray, n: np.ndarray, dim: int, gas: GasModel):
     """|u.n| + c, the rusanov/CFL signal speed."""
     rho, vel, _ = split_state(Q, dim)
-    un = np.sum(vel * n, axis=-1)
+    un = dot(vel, components(n, dim))
     c = np.sqrt(gas.gamma * pressure(Q, dim, gas) / rho)
     return np.abs(un) + c
 
@@ -146,9 +195,12 @@ class RiemannDiagnostics:
 
 def rusanov_flux(QL, QR, n, dim: int, gas: GasModel):
     lam = _vmax(wave_speed(QL, n, dim, gas), wave_speed(QR, n, dim, gas))
-    FL = normal_flux(QL, n, dim, gas)
+    F = normal_flux(QL, n, dim, gas)  # overwritten by the common flux
     FR = normal_flux(QR, n, dim, gas)
-    return 0.5 * (FL + FR) - 0.5 * lam[..., None] * (QR - QL)
+    half_lam = 0.5 * lam
+    for k in range(dim + 2):
+        F[..., k] = 0.5 * (F[..., k] + FR[..., k]) - half_lam * (QR[..., k] - QL[..., k])
+    return F
 
 
 def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
@@ -161,8 +213,9 @@ def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
     pR = pressure(QR, dim, gas)
     cL = np.sqrt(gas.gamma * pL / rhoL)
     cR = np.sqrt(gas.gamma * pR / rhoR)
-    unL = np.sum(velL * n, axis=-1)
-    unR = np.sum(velR * n, axis=-1)
+    nc = components(n, dim)
+    unL = dot(velL, nc)
+    unR = dot(velR, nc)
 
     SL = _vmin(unL - cL, unR - cR)
     SR = _vmax(unL + cL, unR + cR)
@@ -181,25 +234,27 @@ def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
         Qs = np.empty_like(Q)
         Qs[..., 0] = fac
         for i in range(dim):
-            Qs[..., 1 + i] = fac * (vel[..., i] + (Sstar - un) * n[..., i])
+            Qs[..., 1 + i] = fac * (vel[i] + (Sstar - un) * nc[i])
         Qs[..., 1 + dim] = fac * (E / rho + (Sstar - un) * (Sstar + p / d))
         return Qs
 
     QsL = star_state(QL, rhoL, velL, EL, pL, unL, SL, dL)
     QsR = star_state(QR, rhoR, velR, ER, pR, unR, SR, dR)
 
-    F = np.where((SL >= 0.0)[..., None], FL,
-        np.where((SR <= 0.0)[..., None], FR,
-        np.where((Sstar >= 0.0)[..., None],
-                 FL + SL[..., None] * (QsL - QL),
-                 FR + SR[..., None] * (QsR - QR))))
+    upwind_L, upwind_R, star_L = SL >= 0.0, SR <= 0.0, Sstar >= 0.0
+    F = np.empty_like(QL)
+    for k in range(dim + 2):
+        F[..., k] = np.where(upwind_L, FL[..., k],
+            np.where(upwind_R, FR[..., k],
+            np.where(star_L,
+                     FL[..., k] + SL * (QsL[..., k] - QL[..., k]),
+                     FR[..., k] + SR * (QsR[..., k] - QR[..., k]))))
 
-    degenerate = (~safe) | (QsL[..., 0] <= 0.0) | (QsR[..., 0] <= 0.0)
-    if np.asarray(degenerate).any():
+    degenerate = np.asarray((~safe) | (QsL[..., 0] <= 0.0) | (QsR[..., 0] <= 0.0))
+    if degenerate.any():
         if diag is not None:
             diag.hllc_fallbacks += int(np.sum(degenerate))
-        F = np.where(degenerate[..., None],
-                     rusanov_flux(QL, QR, n, dim, gas), F)
+        F[degenerate] = rusanov_flux(QL, QR, n, dim, gas)[degenerate]
     return F
 
 
@@ -215,12 +270,11 @@ def riemann_flux(QL, QR, n, dim: int, gas: GasModel, solver: str = "rusanov",
 
 def velocity_gradient(Q: np.ndarray, grad_Q: np.ndarray, dim: int):
     """du_i/dx_j from conserved gradients; grad_Q shape (..., dim, nvars)."""
-    rho = Q[..., 0]
-    vel = Q[..., 1:1 + dim] / rho[..., None]
-    dudx = np.empty(Q.shape[:-1] + (dim, dim), dtype=Q.dtype)
+    rho, vel, _ = split_state(Q, dim)
+    dudx = _like(Q, dim, dim)
     for i in range(dim):
         for j in range(dim):
-            dudx[..., i, j] = (grad_Q[..., j, 1 + i] - vel[..., i] * grad_Q[..., j, 0]) / rho
+            dudx[..., i, j] = (grad_Q[..., j, 1 + i] - vel[i] * grad_Q[..., j, 0]) / rho
     return dudx
 
 
@@ -242,29 +296,24 @@ def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel) -> 
     for i in range(1, dim):
         divu = divu + dudx[..., i, i]
 
-    # dT/dx_j via chain rule on p = (gamma-1)(E - 0.5 rho |u|^2)
-    ke_grad = np.zeros(Q.shape[:-1] + (dim,), dtype=Q.dtype)
-    u2 = np.sum(vel * vel, axis=-1)
-    for j in range(dim):
-        s = -0.5 * u2 * grad_Q[..., j, 0]
-        for i in range(dim):
-            s = s + vel[..., i] * grad_Q[..., j, 1 + i]
-        ke_grad[..., j] = s
-    nv = dim + 2
-    G = np.zeros(Q.shape[:-1] + (dim, nv), dtype=Q.dtype)
+    u2 = dot(vel, vel)
+    G = _like(Q, dim, dim + 2)
     for kdir in range(dim):
-        dp = (gas.gamma - 1.0) * (grad_Q[..., kdir, 1 + dim] - ke_grad[..., kdir])
+        # dT/dx_k via chain rule on p = (gamma-1)(E - 0.5 rho |u|^2)
+        ke_grad = -0.5 * u2 * grad_Q[..., kdir, 0]
+        for i in range(dim):
+            ke_grad = ke_grad + vel[i] * grad_Q[..., kdir, 1 + i]
+        dp = (gas.gamma - 1.0) * (grad_Q[..., kdir, 1 + dim] - ke_grad)
         dT = (dp * rho - p * grad_Q[..., kdir, 0]) / (rho * rho * gas.R)
         G[..., kdir, 0] = 0.0 * rho
+        tau = []
         for i in range(dim):
-            tau = mu * (dudx[..., i, kdir] + dudx[..., kdir, i])
+            t = mu * (dudx[..., i, kdir] + dudx[..., kdir, i])
             if i == kdir:
-                tau = tau - (2.0 / 3.0) * mu * divu
-            G[..., kdir, 1 + i] = tau
-        work = G[..., kdir, 1] * vel[..., 0]
-        for i in range(1, dim):
-            work = work + G[..., kdir, 1 + i] * vel[..., i]
-        G[..., kdir, 1 + dim] = work + k_cond * dT
+                t = t - (2.0 / 3.0) * mu * divu
+            G[..., kdir, 1 + i] = t
+            tau.append(t)
+        G[..., kdir, 1 + dim] = dot(tau, vel) + k_cond * dT
     return G
 
 
@@ -276,14 +325,10 @@ def ldg_switch(n: np.ndarray) -> np.ndarray:
 
 
 def _per_point(value, like: np.ndarray):
-    """Normalize a scalar / (n,) / (n,1) coefficient to broadcast with a
-    (n, nvars) state array."""
+    """Normalize a scalar / (n,) / (n,1) coefficient to broadcast with one
+    component ``like[..., k]`` of a (n, nvars) state array."""
     v = np.asarray(value)
-    if v.ndim == like.ndim:
-        return v
-    if v.ndim == like.ndim - 1:
-        return v[..., None]
-    return v
+    return v[..., 0] if v.ndim == like.ndim else v
 
 
 def ldg_interface(QL, QR, grad_L, grad_R, n, beta: float, tau,
@@ -298,10 +343,15 @@ def ldg_interface(QL, QR, grad_L, grad_R, n, beta: float, tau,
         switch = ldg_switch(n)
     sw = _per_point(switch, QL)
     taup = _per_point(tau, QL)
-    Qstar = 0.5 * (QL + QR) - beta * sw * (QR - QL)
-    GLn = np.sum(viscous_flux(QL, grad_L, dim, gas) * n[..., None], axis=-2)
-    GRn = np.sum(viscous_flux(QR, grad_R, dim, gas) * n[..., None], axis=-2)
-    Gstar = 0.5 * (GLn + GRn) + beta * sw * (GRn - GLn) + taup * (QR - QL)
+    nc = components(n, dim)
+    GLn = normal_component(viscous_flux(QL, grad_L, dim, gas), nc)
+    GRn = normal_component(viscous_flux(QR, grad_R, dim, gas), nc)
+    Qstar, Gstar = np.empty_like(QL), np.empty_like(QL)
+    bsw = beta * sw
+    for k in range(dim + 2):
+        Qstar[..., k] = 0.5 * (QL[..., k] + QR[..., k]) - bsw * (QR[..., k] - QL[..., k])
+        Gstar[..., k] = (0.5 * (GLn[..., k] + GRn[..., k]) + bsw * (GRn[..., k] - GLn[..., k])
+                         + taup * (QR[..., k] - QL[..., k]))
     return Qstar, Gstar
 
 
@@ -343,16 +393,17 @@ def apply_boundary(spec: BoundarySpec, Q_int: np.ndarray, n: np.ndarray,
     flux.  ``n`` is the outward unit normal of the interior element."""
     rho, vel, E = split_state(Q_int, dim)
     p = pressure(Q_int, dim, gas)
+    nc = components(n, dim)
     kind = spec.kind
 
     if kind == "slip":
-        un = np.sum(vel * n, axis=-1)
-        vg = vel - 2.0 * un[..., None] * n
-        return conserved(rho, vg, p, gas)
+        un2 = 2.0 * dot(vel, nc)
+        return conserved(rho, np.stack([u - un2 * ni for u, ni in zip(vel, nc)], axis=-1),
+                         p, gas)
 
     if kind in ("noslip-isothermal", "adiabatic"):
         wall_v = spec.wall_velocity if spec.wall_velocity is not None else np.zeros(dim)
-        vg = 2.0 * wall_v - vel
+        vg = np.stack([w - u for w, u in zip(2.0 * wall_v, vel)], axis=-1)
         T_int = p / (rho * gas.R)
         if kind == "noslip-isothermal":
             Tg = _vmax(2.0 * spec.wall_temperature - T_int, 0.05 * spec.wall_temperature)
@@ -363,10 +414,10 @@ def apply_boundary(spec: BoundarySpec, Q_int: np.ndarray, n: np.ndarray,
 
     if kind == "outflow":
         c = np.sqrt(gas.gamma * p / rho)
-        un = np.sum(vel * n, axis=-1)
+        un = dot(vel, nc)
         supersonic = un / c >= 1.0
         pg = np.where(supersonic, p, spec.static_pressure)
-        return conserved(rho, vel, pg, gas)
+        return conserved(rho, np.stack(vel, axis=-1), pg, gas)
 
     if kind == "riemann-inflow":
         d = np.asarray(spec.direction, dtype=float)
@@ -376,7 +427,7 @@ def apply_boundary(spec: BoundarySpec, Q_int: np.ndarray, n: np.ndarray,
         m2 = (ratio ** ((gamma - 1.0) / gamma) - 1.0) * 2.0 / (gamma - 1.0)
         m2 = _vmax(m2, 0.0)
         if diag is not None:
-            un = np.sum(vel * n, axis=-1)
+            un = dot(vel, nc)
             c = np.sqrt(gamma * p / rho)
             rev = np.asarray((un / c) < -1.0)
             diag.reversed_supersonic_inflow += int(np.sum(rev))
@@ -425,8 +476,11 @@ class SpongeZone:
 
 def sponge_source(Q: np.ndarray, zone: SpongeZone, x: np.ndarray) -> np.ndarray:
     """S = -sigma(x) (Q - Q_ref)."""
-    sig = zone.sigma(x)
-    return -sig[..., None] * (Q - zone.reference_state)
+    neg_sig = -zone.sigma(x)
+    S = np.empty_like(Q)
+    for k in range(Q.shape[-1]):
+        S[..., k] = neg_sig * (Q[..., k] - zone.reference_state[k])
+    return S
 
 
 def isentropic_mach(p, p0_ref: float, gas: GasModel):

@@ -17,6 +17,26 @@ evaluation runs:
 6. divergence GEMM + correction GEMM on the flux jumps, scale by 1/|J|,
    add sponge sources.
 
+Buffer layouts (C-ordered; every buffer has the point axis last and
+contiguous, so each variable is one contiguous row):
+
+* ``Q_upts``, ``divF_upts``, ``dQdt`` ``(ne, nv, Ns)``;
+  ``F_upts``, ``Fhat_upts``, ``grad_upts`` ``(ne, d, nv, Ns)``;
+* ``Q_fpts``, ``Fown_fpts``, ``Fc_fpts``, ``jump_fpts``, ``jumpQ_fpts``
+  ``(ne, nv, nf)``; ``Fhat_fpts``, ``grad_fpts`` ``(ne, d, nv, nf)``;
+* per interface pair: ``ghost_Q (nv, npairs - nloc)`` (one column per
+  halo point, then per boundary point), ``ghost_grad (d * nv, nhalo)``,
+  ``iface_n (d, npairs)``, and ``iface_a``, ``iface_sw``, ``iface_tau``,
+  ``iface_flip`` ``(npairs,)``.
+
+Interface kernels gather states as ``(nv, m)`` with ``ndarray.take`` at
+flat offsets ``e * nv * nf + p + k * nf`` (variable k of a pair's own slot,
+or of a local pair's other slot, in an ``(ne, nv, nf)`` buffer) and
+scatter with ``ndarray.put``; the volume kernels hand the physics
+``transpose`` views of their block (``(n, Ns, nv)``).  The physics indexes
+``(..., nv)`` and works per component, so every component it touches is a
+contiguous row (see :mod:`fluxrecon.physics`).
+
 The discontinuous interface flux comes from the same flux polynomial the
 divergence acts on, so interface corrections telescope and conservation
 holds to round-off.  Interface common fluxes are evaluated in the face's
@@ -39,7 +59,7 @@ from ..operators import (
 )
 from .. import physics
 from ..physics import BoundarySpec, GasModel, RiemannDiagnostics, SpongeZone
-from ..perf import PerfLedger, monotonic_time
+from ..perf import PerfLedger, flops_pointwise, monotonic_time
 from ..prep.distribute import allreduce_min, allreduce_sum, nbx_exchange
 from ..prep.matching import MeshShard
 from .halo import HaloPlan
@@ -209,7 +229,7 @@ class SolverRank:
         """One list of interface flux-point pairs: local, remote, boundary.
 
         Each pair is this rank's own slot (``iface``) plus the other side's
-        state: the ``loc_r`` slot of a local pair, else row ``i - loc_r.size``
+        state: the ``loc_r`` slot of a local pair, else column ``i - loc_r.size``
         of ``ghost_Q`` (halo values for remote pairs, ghost states for
         boundary pairs).  Normal, signed area, LDG switch and penalty come
         from the own slot; ``iface_flip`` marks remote pairs whose own side
@@ -280,10 +300,11 @@ class SolverRank:
             lo += pl.size
 
         e, p = self.iface.e, self.iface.p
-        self.iface_n = self.slot_normal[e, p]
+        self.nf = ref.num_faces * nfp
+        self.iface_n = np.ascontiguousarray(self.slot_normal[e, p].T)
         area = self.slot_area[e, p]
         self.iface_a = np.where(self.iface_flip, -area, area)
-        self.iface_sw = physics.ldg_switch(self.iface_n)
+        self.iface_sw = physics.ldg_switch(self.iface_n.T)
         self.iface_sw[self.n_face_pairs:] = 0.0
         area_face = face_integrals(self.slot_area, ref)
         h_face = area_face if d == 2 else np.sqrt(area_face)
@@ -304,12 +325,12 @@ class SolverRank:
         self.jump_fpts = np.zeros((ne, nv, nf))
         self.divF_upts = np.zeros((ne, nv, Ns))
         self.dQdt = np.zeros((ne, nv, Ns))
-        self.ghost_Q = np.zeros((self.iface.size - self.loc_r.size, nv))
+        self.ghost_Q = np.zeros((nv, self.iface.size - self.loc_r.size))
         if self.opt.viscous:
             self.jumpQ_fpts = np.zeros((ne, nv, nf))
             self.grad_upts = np.zeros((ne, d, nv, Ns))
             self.grad_fpts = np.zeros((ne, d, nv, nf))
-            self.ghost_grad = np.zeros((self.halo.num_ghost_points, d * nv))
+            self.ghost_grad = np.zeros((d * nv, self.halo.num_ghost_points))
         ref = self.ref
         self.gcorr = np.zeros((d, Ns, nf))
         for f, info in enumerate(ref.face_info):
@@ -344,12 +365,12 @@ class SolverRank:
 
     def _phys_flux_body(self, lo, hi):
         d = self.dim
-        Q = np.moveaxis(self.Q_upts[lo:hi], 1, 2)  # (n, Ns, nv)
-        F = physics.inviscid_flux(Q, d, self.gas)     # (n, Ns, d, nv)
+        Q = self.Q_upts[lo:hi].transpose(0, 2, 1)          # (n, Ns, nv) view
+        F = self.F_upts[lo:hi].transpose(0, 3, 1, 2)       # (n, Ns, d, nv) view
+        physics.inviscid_flux(Q, d, self.gas, out=F)
         if self.opt.viscous:
-            grad = np.moveaxis(self.grad_upts[lo:hi], (1, 3), (2, 1))  # (n,Ns,d,nv)
-            F = F - physics.viscous_flux(Q, grad, d, self.gas)
-        self.F_upts[lo:hi] = np.moveaxis(F, (1, 2), (3, 1))
+            grad = self.grad_upts[lo:hi].transpose(0, 3, 1, 2)
+            F -= physics.viscous_flux(Q, grad, d, self.gas)
 
     def _transform_body(self, lo, hi):
         F = self.F_upts[lo:hi]          # (n, d, nv, Ns)
@@ -516,12 +537,12 @@ class SolverRank:
         def run(lo, hi):
             out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
             if self.sponge_zones:
-                Q = np.moveaxis(self.Q_upts[lo:hi], 1, 2)
+                Q = self.Q_upts[lo:hi].transpose(0, 2, 1)  # (n, Ns, nv) view
                 x = self.x_upts[lo:hi]
                 S = np.zeros_like(Q)
                 for zone in self.sponge_zones:
                     S = S + physics.sponge_source(Q, zone, x)
-                out += np.moveaxis(S, 1, 2)
+                out += S.transpose(0, 2, 1)
             self.dQdt[lo:hi] = out
 
         members = ("scale_residual", "sponge_source") if self.sponge_zones else None
@@ -537,24 +558,41 @@ class SolverRank:
     # kernels: interface pairs
     # ------------------------------------------------------------------
 
-    def _own_other(self, arr, ghost, lo, hi):
-        """Own and other-side values of pairs [lo, hi) of a flux-point
-        field (element axis first, slot axis last) and its ghost rows."""
+    def _offsets(self, rows, lo, hi):
+        """Flat indices ``(rows, .)`` of the own slots of pairs [lo, hi)
+        and of the other slots of its local pairs in a C-ordered flux-point
+        field with ``rows`` rows per element (nv, or d * nv for the
+        gradient)."""
+        m, s = min(hi, self.loc_r.size), rows * self.nf
+        own = self.iface.e[lo:hi] * s + self.iface.p[lo:hi]
+        loc = self.loc_r.e[lo:m] * s + self.loc_r.p[lo:m]
+        step = np.arange(rows)[:, None] * self.nf
+        return own + step, loc + step
+
+    def _own_other(self, fpts, ghost, lo, hi):
+        """Own and other-side values, ``(rows, hi - lo)`` each, of pairs
+        [lo, hi) of a flux-point field and its ghost columns."""
         nl = self.loc_r.size
-        own = arr[self.iface.e[lo:hi], ..., self.iface.p[lo:hi]]
-        other = arr[self.loc_r.e[lo:hi], ..., self.loc_r.p[lo:hi]]
+        own, loc = self._offsets(ghost.shape[0], lo, hi)
+        own, other = fpts.take(own), fpts.take(loc)
         if hi > nl:
-            rows = ghost[max(lo, nl) - nl:hi - nl].reshape((-1,) + own.shape[1:])
-            other = np.concatenate([other, rows])
+            other = np.concatenate([other, ghost[:, max(lo, nl) - nl:hi - nl]], axis=1)
         return own, other
+
+    def _scatter(self, fpts, own, other, lo, hi):
+        """Write ``own`` (nv, hi - lo) to the own slots of pairs [lo, hi)
+        and ``other`` to the other slots of its local pairs of an
+        (ne, nv, nf) field."""
+        own_i, loc_i = self._offsets(self.nv, lo, hi)
+        fpts.put(own_i, own)
+        fpts.put(loc_i, other)
 
     def _left_right(self, own, other, lo, hi):
         """Order (own, other) as (left, right) of the canonical frame."""
         flip = self.iface_flip[lo:hi]
         if not flip.any():
             return own, other
-        f = flip.reshape((-1,) + (1,) * (own.ndim - 1))
-        return np.where(f, other, own), np.where(f, own, other)
+        return np.where(flip, other, own), np.where(flip, own, other)
 
     def _pair_tally(self, key):
         # the common values of a remote pair are computed on both ranks;
@@ -573,46 +611,51 @@ class SolverRank:
         return model
 
     def _boundary_ghosts(self):
-        """Ghost states of the boundary pairs into their ghost_Q rows;
+        """Ghost states of the boundary pairs into their ghost_Q columns;
         runs once per residual, after the halo exchange of Q."""
         nl = self.loc_r.size
         for spec, lo, hi in self.boundary_spans:
             e, p = self.iface.e[lo:hi], self.iface.p[lo:hi]
-            self.ghost_Q[lo - nl:hi - nl] = physics.apply_boundary(
-                spec, self.Q_fpts[e, :, p], self.iface_n[lo:hi], self.dim,
-                self.gas, x=self.x_fpts[e, p], diag=self.boundary_diag)
+            Q = self.Q_fpts.take(self._offsets(self.nv, lo, hi)[0])
+            self.ghost_Q[:, lo - nl:hi - nl] = physics.apply_boundary(
+                spec, Q.T, self.iface_n[:, lo:hi].T, self.dim,
+                self.gas, x=self.x_fpts[e, p], diag=self.boundary_diag).T
         nb = self.iface.size - self.n_face_pairs
         if nb:
             self.ledger.add_pointwise("boundary_ghost", self.dim, nb,
                                       nb * (self.nv + self.dim) * ITEM,
                                       nb * self.nv * ITEM)
 
+    def _by_point(self, grad):
+        """(m, d, nv) view of variable-major gradient rows (d * nv, m)."""
+        return grad.reshape(self.dim, self.nv, -1).transpose(2, 0, 1)
+
     def _wall_flux(self, spec, Q, ghost, lo, hi):
-        """Viscous normal flux of boundary pairs [lo, hi): the physical
-        flux at the mean of interior and ghost states (on adiabatic walls
-        the energy flux is the stress work alone), plus the penalty."""
+        """Viscous normal flux (nv, hi - lo) of boundary pairs [lo, hi)
+        from interior and ghost states (nv, hi - lo): the physical flux at
+        their mean (on adiabatic walls the energy flux is the stress work
+        alone), plus the penalty."""
         d = self.dim
-        e, p = self.iface.e[lo:hi], self.iface.p[lo:hi]
-        n = self.iface_n[lo:hi]
-        Qb = 0.5 * (Q + ghost)
-        Fv = physics.viscous_flux(Qb, self.grad_fpts[e, :, :, p], d, self.gas)
-        Gn = np.sum(Fv * n[..., None], axis=-2)
+        grad = self.grad_fpts.take(self._offsets(d * self.nv, lo, hi)[0])
+        Qb = (0.5 * (Q + ghost)).T
+        Fv = physics.viscous_flux(Qb, self._by_point(grad), d, self.gas)
+        Gn = physics.normal_component(Fv, list(self.iface_n[:, lo:hi]))
         if spec.kind == "adiabatic":
-            vel = Qb[..., 1:1 + d] / Qb[..., 0:1]
-            tau_v = Fv[..., 1:1 + d]
-            Gn[..., 1 + d] = np.sum(np.sum(tau_v * n[..., None], axis=-2) * vel, axis=-1)
-        return Gn + self.iface_tau[lo:hi][:, None] * (ghost - Q)
+            _, vel, _ = physics.split_state(Qb, d)
+            Gn[..., 1 + d] = physics.dot(physics.components(Gn[..., 1:], d), vel)
+        return Gn.T + self.iface_tau[lo:hi] * (ghost - Q)
 
     def _kernel_riemann_common(self):
         nv, d = self.nv, self.dim
         visc = self.opt.viscous
 
         def run(lo, hi):
+            # states (nv, m); the physics sees (m, nv) views of them
             QL, QR = self._left_right(
                 *self._own_other(self.Q_fpts, self.ghost_Q, lo, hi), lo, hi)
-            n = self.iface_n[lo:hi]
-            F = physics.riemann_flux(QL, QR, n, d, self.gas,
-                                     self.opt.riemann, self.riemann_diag)
+            n = self.iface_n[:, lo:hi].T
+            F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas,
+                                     self.opt.riemann, self.riemann_diag).T
             if visc:
                 m = min(hi, self.n_face_pairs)
                 if m > lo:
@@ -620,18 +663,18 @@ class SolverRank:
                     gL, gR = self._left_right(
                         *self._own_other(self.grad_fpts, self.ghost_grad, lo, m), lo, m)
                     _, Gn = physics.ldg_interface(
-                        QL[:k], QR[:k], gL, gR, n[:k], self.opt.ldg_beta,
-                        self.iface_tau[lo:m], d, self.gas, switch=self.iface_sw[lo:m])
-                    F[:k] -= Gn
+                        QL[:, :k].T, QR[:, :k].T, self._by_point(gL), self._by_point(gR),
+                        n[:k], self.opt.ldg_beta, self.iface_tau[lo:m], d, self.gas,
+                        switch=self.iface_sw[lo:m])
+                    F[:, :k] -= Gn.T
                 for spec, blo, bhi in self.boundary_spans:
                     a, b = max(lo, blo), min(hi, bhi)
                     if a < b and spec.kind != "slip":
-                        F[a - lo:b - lo] -= self._wall_flux(
-                            spec, QL[a - lo:b - lo], QR[a - lo:b - lo], a, b)
-            out = self.iface_a[lo:hi][:, None] * F
-            self.Fc_fpts[self.iface.e[lo:hi], :, self.iface.p[lo:hi]] = out
+                        F[:, a - lo:b - lo] -= self._wall_flux(
+                            spec, QL[:, a - lo:b - lo], QR[:, a - lo:b - lo], a, b)
+            out = F * self.iface_a[lo:hi]
             k = max(0, min(hi, self.loc_r.size) - lo)
-            self.Fc_fpts[self.loc_r.e[lo:hi], :, self.loc_r.p[lo:hi]] = -out[:k]
+            self._scatter(self.Fc_fpts, out, -out[:, :k], lo, hi)
 
         key = [f"riemann_{self.opt.riemann}", "flux_scale"]
         if visc:
@@ -649,12 +692,9 @@ class SolverRank:
         def run(lo, hi):
             own, other = self._own_other(self.Q_fpts, self.ghost_Q, lo, hi)
             QL, QR = self._left_right(own, other, lo, hi)
-            sw = self.iface_sw[lo:hi][:, None]
-            Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * sw * (QR - QL)
-            self.jumpQ_fpts[self.iface.e[lo:hi], :, self.iface.p[lo:hi]] = Qs - own
+            Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * self.iface_sw[lo:hi] * (QR - QL)
             k = max(0, min(hi, self.loc_r.size) - lo)
-            self.jumpQ_fpts[self.loc_r.e[lo:hi], :, self.loc_r.p[lo:hi]] = \
-                Qs[:k] - other[:k]
+            self._scatter(self.jumpQ_fpts, Qs - own, Qs[:, :k] - other[:, :k], lo, hi)
 
         return Kernel(
             "common_solution", "pi", ("Q_fpts", "ghost_Q"), ("jumpQ_fpts",),
@@ -761,8 +801,10 @@ class SolverRank:
             ["phys_flux", "transform_flux"],
             ["own_trace", "flux_jump"],
         ])
-        if self.opt.fusion:
-            self.graph.validate_plan(self.fusion_plan)
+        # passes in graph order: interp_to_faces, riemann_common, then the
+        # element-block volume passes
+        self.interp_pass, self.riemann_pass, *self.volume_passes = self.graph.passes(
+            self.fusion_plan if self.opt.fusion else None)
         if self.opt.viscous:
             self.visc_kernels = {
                 "common_solution": self._kernel_common_solution(),
@@ -777,7 +819,6 @@ class SolverRank:
             return  # gemm runners self-report with exact m, n, k
         br, bw = k.traffic(lo, hi)
         if k.tally is not None:
-            from ..perf import flops_pointwise
             s = self.ledger.stat(k.name)
             for key, npts in k.tally(lo, hi):
                 s.flops += flops_pointwise(key, self.dim, npts)
@@ -807,10 +848,11 @@ class SolverRank:
 
     def _exchange(self, fpts: np.ndarray, ghost: np.ndarray):
         """Send this rank's remote-face values of a flux-point field in
-        canonical order; unpack the peers' values into the ghost rows."""
+        canonical order; unpack the peers' values into the ghost columns
+        (message bytes are point-major, one point's values after another)."""
         if self.ctx is None or self.ctx.nranks == 1 or self.halo.empty():
             return
-        width = ghost.shape[1]
+        width = ghost.shape[0]
         sbuf = {}
         for rank in self.halo.neighbors:
             e, p = self.halo.pack[rank]
@@ -818,10 +860,10 @@ class SolverRank:
         recv = nbx_exchange(self.ctx, sbuf)
         for rank in self.halo.neighbors:
             vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, width)
-            ghost[self.halo.rows[rank]] = vals
+            ghost[:, self.halo.rows[rank]] = vals.T
 
     def halo_exchange_q(self):
-        """Fill the halo rows of ghost_Q with the peers' face values."""
+        """Fill the halo columns of ghost_Q with the peers' face values."""
         self._exchange(self.Q_fpts, self.ghost_Q)
 
     def halo_exchange_grad(self):
@@ -833,10 +875,7 @@ class SolverRank:
         if check:
             self._check_positivity(Q)
         self.Q_upts = np.ascontiguousarray(Q)
-        passes = self.graph.passes(self.fusion_plan if self.opt.fusion else None)
-        by_name = {k.name: k for k in passes}
-
-        self._run_elem_kernels([by_name["interp_to_faces"]])
+        self._run_elem_kernels([self.interp_pass])
         self.halo_exchange_q()
         self._boundary_ghosts()
 
@@ -847,25 +886,14 @@ class SolverRank:
                                     vk["interp_grad"]])
             self.halo_exchange_grad()
 
-        self._run_kernel(by_name["riemann_common"])
-
-        if "phys_flux+transform_flux" in by_name:
-            vol = [by_name["phys_flux+transform_flux"]]
-        else:
-            vol = [by_name["phys_flux"], by_name["transform_flux"]]
-        vol.append(by_name["interp_flux"])
-        if "own_trace+flux_jump" in by_name:
-            vol.append(by_name["own_trace+flux_jump"])
-        else:
-            vol += [by_name["own_trace"], by_name["flux_jump"]]
-        vol += [by_name["divergence"], by_name["correction"], by_name["scale_residual"]]
-        self._run_elem_kernels(vol)
+        self._run_kernel(self.riemann_pass)
+        self._run_elem_kernels(self.volume_passes)
         return self.dQdt.copy()
 
     def _check_positivity(self, Q: np.ndarray):
         Ns = self.ref.num_solution_points
         physics.check_positivity(
-            np.moveaxis(Q, 1, 2).reshape(-1, self.nv), self.dim, self.gas,
+            Q.transpose(0, 2, 1), self.dim, self.gas,
             cell_of_point=lambda i: self.gids[i // Ns],
         )
 
@@ -876,10 +904,9 @@ class SolverRank:
     def compute_dt(self, Q: np.ndarray, cfl: Optional[float] = None) -> float:
         """CFL dt: min over elements of h_min / ((|u|+c)(2p+1))."""
         cfl = self.opt.cfl if cfl is None else cfl
-        Qp = np.moveaxis(Q, 1, 2)  # (ne, Ns, nv)
-        rho = Qp[..., 0]
-        vel = Qp[..., 1:1 + self.dim] / rho[..., None]
-        umag = np.sqrt(np.sum(vel * vel, axis=-1))
+        Qp = Q.transpose(0, 2, 1)  # (ne, Ns, nv) view
+        _, vel, _ = physics.split_state(Qp, self.dim)
+        umag = np.sqrt(physics.dot(vel, vel))
         c = physics.sound_speed(Qp, self.dim, self.gas)
         sig = (umag + c).max(axis=1)
         local = float(np.min(self.h_min / (sig * (2 * self.opt.p + 1))))

@@ -306,9 +306,17 @@ class SocketTransport:
             s.setblocking(True)
             s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._peers[peer] = s
+        listener.settimeout(connect_timeout)
         for _ in range(nranks - 1 - rank):
-            s, _addr = listener.accept()
-            hello = self._read_exact(s, 8)
+            try:
+                s, _addr = listener.accept()
+                s.settimeout(connect_timeout)
+                hello = self._read_exact(s, 8)
+            except socket.timeout:
+                missing = sorted(set(range(rank + 1, nranks)) - set(self._peers))
+                listener.close()
+                raise TransportError(f"rank {rank}: no connection from ranks {missing} "
+                                     f"within {connect_timeout:g} s") from None
             peer = struct.unpack("<Q", hello)[0]
             s.setblocking(True)
             s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -335,6 +343,8 @@ class SocketTransport:
         sock.setblocking(True)
         try:
             sock.sendall(frame)
+        except OSError as exc:
+            raise TransportError(f"rank {self.rank}: cannot send to peer {peer}") from exc
         finally:
             sock.setblocking(False)
 
@@ -354,6 +364,8 @@ class SocketTransport:
                     data = sock.recv(1 << 20)
                 except BlockingIOError:
                     continue
+                except OSError as exc:
+                    raise TransportError(f"rank {self.rank}: peer {peer} closed") from exc
                 if not data:
                     if peer not in self._fin_from:
                         raise TransportError(f"rank {self.rank}: peer {peer} closed")

@@ -201,6 +201,45 @@ class TestWorkerFailure:
         assert not solve.is_alive()
         assert codes == [1]
         err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError: ")
-        assert f"rank 1 (exit code {-signal.SIGKILL})" in err
+        assert err.startswith("error: ConfigError: worker failures: worker exited "
+                              f"without a result: rank 1 (exit code {-signal.SIGKILL})")
         assert took < 10.0
+
+    def test_raising_worker_reported_first_within_seconds(self, tmp_path, capsys):
+        """A worker that raises (rank 1 reads a truncated shard) ends a
+        3-rank solve within seconds.  The error line names rank 1's
+        exception before any other rank; the other ranks, blocked in the
+        transport set-up waiting for rank 1, are stopped."""
+        import multiprocessing as mp
+        import threading
+        import time
+
+        run_cli("make-fixture", "--case", "vortex", "--out", str(tmp_path),
+                "--size", "8")
+        mesh, cfg = str(tmp_path / "vortex.msh"), str(tmp_path / "vortex.cfg")
+        sh = tmp_path / "s3"
+        assert run_cli("partition", "--mesh", mesh, "--ranks", "3",
+                       "--config", cfg, "--out", str(sh)) == 0
+        shard = sh / "shard_0001.zfrm"
+        data = shard.read_bytes()
+        shard.write_bytes(data[:len(data) // 2])
+        codes = []
+        solve = threading.Thread(target=lambda: codes.append(run_cli(
+            "solve", "--shards", str(sh), "--config", cfg, "--steps", "2",
+            "--base-port", "29750")), daemon=True)
+        start = time.monotonic()
+        solve.start()
+        try:
+            solve.join(timeout=60)
+            took = time.monotonic() - start
+        finally:
+            for p in mp.active_children():
+                p.terminate()
+                p.join(timeout=10)
+        assert not solve.is_alive()
+        assert codes == [1]
+        line = capsys.readouterr().err.splitlines()[0]
+        assert line.startswith("error: ConfigError: worker failures: rank 1: ")
+        others = [line.find(f"rank {r}") for r in (0, 2)]
+        assert all(i == -1 or i > line.index("rank 1: ") for i in others)
+        assert took < 15.0

@@ -434,6 +434,143 @@ class TestSponge:
         assert abs(expect - (1.0 + drho0 * np.exp(-z))) < drho0 * z ** 4 / 6
 
 
+def _point_last(a):
+    """The values of ``a`` (npts, ...) as a view of a C-ordered buffer whose
+    point axis is last, as the solver passes its variable-major buffers."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+def _is_point_last(a):
+    return np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
+class TestLayoutIndependence:
+    """Each point-wise function gives bitwise the same values for C-ordered
+    (npts, nv) inputs and for the same data as transposed views of
+    variable-major buffers; with no ``out=`` its result follows the layout
+    of its input."""
+
+    N = 211
+
+    def _case(self, dim, seed=0):
+        rng = np.random.default_rng(seed + dim)
+        gas = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=2e-2)
+        n = self.N
+
+        def states(scale):
+            vel = scale * rng.standard_normal((n, dim))
+            return conserved(1.0 + 0.5 * rng.random(n), vel, 0.8 + 0.5 * rng.random(n), gas)
+
+        nrm = rng.standard_normal((n, dim))
+        nrm /= np.sqrt(np.sum(nrm * nrm, axis=-1))[:, None]
+        return gas, {
+            "QL": states(1.5), "QR": states(1.5), "n": nrm,
+            "gL": 0.3 * rng.standard_normal((n, dim, dim + 2)),
+            "gR": 0.3 * rng.standard_normal((n, dim, dim + 2)),
+            "x": rng.random((n, dim)),
+        }
+
+    def _both(self, data, fn):
+        """fn on the C-ordered inputs and on point-last views of them."""
+        c = fn({k: np.ascontiguousarray(v) for k, v in data.items()})
+        v = fn({k: _point_last(v) for k, v in data.items()})
+        return c, v
+
+    def _assert_same(self, c, v):
+        assert c.shape == v.shape
+        assert np.array_equal(c, v)
+        assert _is_point_last(v) and not _is_point_last(c)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inviscid_flux(self, dim):
+        gas, data = self._case(dim)
+        self._assert_same(*self._both(data, lambda a: inviscid_flux(a["QL"], dim, gas)))
+        ref = inviscid_flux(data["QL"], dim, gas)
+        for out in (np.full(ref.shape, np.nan), _point_last(np.full(ref.shape, np.nan))):
+            Q = _point_last(data["QL"]) if _is_point_last(out) else data["QL"]
+            assert inviscid_flux(Q, dim, gas, out=out) is out
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("solver", ["rusanov", "hllc"])
+    def test_riemann_flux(self, dim, solver):
+        gas, data = self._case(dim)
+        diags = []
+
+        def run(a):
+            diags.append(physics.RiemannDiagnostics())
+            return riemann_flux(a["QL"], a["QR"], a["n"], dim, gas, solver, diags[-1])
+
+        self._assert_same(*self._both(data, run))
+        assert diags[0].hllc_fallbacks == diags[1].hllc_fallbacks
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_viscous_flux(self, dim):
+        gas, data = self._case(dim)
+        self._assert_same(*self._both(
+            data, lambda a: viscous_flux(a["QL"], a["gL"], dim, gas)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ldg_interface(self, dim):
+        gas, data = self._case(dim)
+        tau = np.linspace(0.5, 2.0, self.N)
+        sw = physics.ldg_switch(data["n"])
+        c, v = self._both(data, lambda a: ldg_interface(
+            a["QL"], a["QR"], a["gL"], a["gR"], a["n"], 0.5, tau, dim, gas, switch=sw))
+        for qc, qv in zip(c, v):
+            self._assert_same(qc, qv)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["riemann-inflow", "outflow", "noslip-isothermal",
+                                      "adiabatic", "slip", "sponge-ref", "prescribed"])
+    def test_apply_boundary(self, dim, kind):
+        gas, data = self._case(dim)
+        ref_state = conserved(np.array([1.1]), np.full((1, dim), 0.2), np.array([0.9]), gas)[0]
+        spec = BoundarySpec(
+            "b", kind, total_temperature=1.05, total_pressure=1.3,
+            direction=np.array([1.0, 0.3, -0.2][:dim]), static_pressure=0.95,
+            wall_temperature=1.1, wall_velocity=np.array([0.1, -0.05, 0.02][:dim]),
+            reference_state=ref_state,
+            state_fn=lambda x: conserved(1.0 + 0.1 * x[..., 0], 0.1 * x,
+                                         1.0 + 0.05 * x[..., 1], gas))
+        diags = []
+
+        def run(a):
+            diags.append(physics.BoundaryDiagnostics())
+            return apply_boundary(spec, a["QL"], a["n"], dim, gas, x=a["x"], diag=diags[-1])
+
+        c, v = self._both(data, run)
+        assert c.shape == v.shape and np.array_equal(c, v)
+        assert diags[0].reversed_supersonic_inflow == diags[1].reversed_supersonic_inflow
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sponge_source(self, dim):
+        gas, data = self._case(dim)
+        zone = SpongeZone(axis=dim - 1, lo=0.4, hi=1.0, ramp_width=0.3, strength=3.0,
+                          reference_state=data["QR"][0].copy())
+        self._assert_same(*self._both(data, lambda a: sponge_source(a["QL"], zone, a["x"])))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sound_speed(self, dim):
+        gas, data = self._case(dim)
+        c, v = self._both(data, lambda a: physics.sound_speed(a["QL"], dim, gas))
+        assert np.array_equal(c, v)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_check_positivity_names_same_cell_and_point(self, dim):
+        gas, data = self._case(dim)
+        Q = data["QL"].copy()
+        Q[150, 0] = -1.0
+        Q[97, -1] = 0.0  # the first bad point: zero energy, negative pressure
+        messages = []
+        for arr in (Q, _point_last(Q)):
+            with pytest.raises(PositivityError) as err:
+                physics.check_positivity(arr, dim, gas, cell_of_point=lambda i: 1000 + i // 4)
+            messages.append((err.value.cell_id, str(err.value)))
+        assert messages[0] == messages[1]
+        assert messages[0][0] == 1000 + 97 // 4 and "point 97" in messages[0][1]
+
+
 def test_isentropic_mach_roundtrip(gas):
     p0 = 2.0
     M = 0.7

@@ -370,7 +370,7 @@ class TestHaloAndRankInvariance:
             for fi, (face, cpl) in enumerate(s.shard.remote_faces):
                 nfp = s.ref.num_face_points
                 ghost[(cpl.local_gid, cpl.local_face)] = \
-                    s.ghost_Q[fi * nfp:(fi + 1) * nfp]
+                    s.ghost_Q[:, fi * nfp:(fi + 1) * nfp].T
             return s.gids, s.Q_fpts, ghost, s.shard.remote_faces, s.ref
 
         for gids, qf, ghost, remotes, ref in SimCluster(2, seed=0).run(prog):

@@ -126,7 +126,7 @@ def _assert_interfaces_match_loop(s):
     assert np.array_equal(s.loc_r.e, want["loc_r"][0])
     assert np.array_equal(s.loc_r.p, want["loc_r"][1])
     assert np.array_equal(s.iface_flip, want["flip"])
-    assert np.array_equal(s.iface_n, want["normal"])
+    assert np.array_equal(s.iface_n.T, want["normal"])
     assert np.array_equal(s.iface_a, want["area"])
     assert np.array_equal(s.iface_tau, want["tau"])
     assert s.halo.neighbors == want["neighbors"]
