@@ -53,7 +53,3 @@ class ConfigError(FluxReconError):
 
 class FormatError(FluxReconError):
     """Malformed mesh/shard/solution file."""
-
-
-class KernelPlanError(FluxReconError):
-    """A fusion plan violates kernel-graph dependencies."""

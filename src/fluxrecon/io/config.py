@@ -22,16 +22,14 @@ logger = logging.getLogger(__name__)
 _EXACT_KEYS = {
     "gas.gamma", "gas.R", "gas.Pr", "gas.mu", "gas.sutherland",
     "gas.mu_ref", "gas.T_ref", "gas.S",
-    "solver.p", "solver.cfl", "solver.rk", "solver.riemann", "solver.fusion",
+    "solver.p", "solver.cfl", "solver.riemann", "solver.fusion",
     "solver.block_kb", "solver.deterministic", "solver.viscous",
     "solver.ldg_beta", "solver.ldg_tau_scale",
     "solver.startup_steps", "solver.startup_p",
     "prep.seed", "prep.routing",
-    "bench.steps", "bench.warmup",
+    "bench.steps",
     "init.case",
-    "output.order", "output.format", "output.cadence", "output.p0_ref",
-    "output.mean_start", "output.patch",
-    "mesh.file",
+    "output.order", "output.format", "output.p0_ref", "output.patch",
 }
 
 _PATTERN_KEYS = [
@@ -158,18 +156,15 @@ class RunConfig:
             S=self.get_float("gas.S", 110.4),
         )
 
-    def solver_options(self, deterministic_override: Optional[bool] = None) -> SolverOptions:
+    def solver_options(self) -> SolverOptions:
         import os
 
         det = self.get_bool("solver.deterministic", False)
         if os.environ.get("ZFR_DETERMINISTIC") == "1":
             det = True
-        if deterministic_override is not None:
-            det = deterministic_override
         return SolverOptions(
             p=self.get_int("solver.p", 3),
             cfl=self.get_float("solver.cfl", 1.0),
-            rk=self.get_str("solver.rk", "ssp3"),
             riemann=self.get_str("solver.riemann", "rusanov"),
             fusion=self.get_bool("solver.fusion", True),
             block_kb=self.get_int("solver.block_kb", 256),

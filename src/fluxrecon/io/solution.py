@@ -144,19 +144,3 @@ def write_surface_csv(path: str, solver, patch: str, p0_ref: float):
         w.writerow(["x", "y", "z", "p", "T", "mach_is"])
         for row in rows:
             w.writerow([f"{v:.12g}" for v in row])
-
-
-class RunningMean:
-    """Streaming mean of solution-point fields for time statistics."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean: Optional[np.ndarray] = None
-
-    def update(self, Q: np.ndarray):
-        if self.mean is None:
-            self.mean = Q.copy()
-            self.count = 1
-            return
-        self.count += 1
-        self.mean += (Q - self.mean) / self.count

@@ -130,7 +130,7 @@ def check_positivity(Q: np.ndarray, dim: int, gas: GasModel, cell_of_point=None)
     """Raise PositivityError naming the first offending cell, if any."""
     rho = Q[..., 0]
     p = pressure(Q, dim, gas)
-    bad = np.asarray((rho <= 0.0) | (p <= 0.0))
+    bad = np.asarray(~(rho > 0.0) | ~(p > 0.0))
     if bad.any():
         idx = int(np.argmax(bad.reshape(-1)))
         cell = -1 if cell_of_point is None else int(cell_of_point(idx))

@@ -1,4 +1,4 @@
-from .kernels import BlockPlan, FusionPlan, Kernel, KernelGraph
+from .kernels import BlockPlan
 from .halo import HaloPlan
 from .solver import (
     RKScheme,
@@ -10,9 +10,6 @@ from .solver import (
 
 __all__ = [
     "BlockPlan",
-    "FusionPlan",
-    "Kernel",
-    "KernelGraph",
     "HaloPlan",
     "RKScheme",
     "SSP_RK3",

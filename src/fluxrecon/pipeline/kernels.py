@@ -1,127 +1,9 @@
-"""Kernel graph, fusion plans, and element blocking.
-
-Kernels are classified as matrix multiplies (gemm), point-wise with direct
-memory access (pd), or point-wise with indirect access (pi).  A fusion plan
-groups consecutive pd/pi kernels of one domain into a single pass whose
-intermediates never touch the modeled memory traffic; FLOP counts always
-tally the member kernels, so fusion changes bytes moved but never flops.
-GEMMs are excluded from fusion groups.
-"""
+"""Element blocking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..errors import KernelPlanError
-
-ITEM = 8  # bytes per double
-
-
-@dataclass
-class Kernel:
-    """One node of the execution DAG.
-
-    ``run(lo, hi)`` processes element block or interface chunk [lo, hi).
-    ``traffic(lo, hi)`` models (bytes_read, bytes_written) for that range.
-    ``cost`` names a per-point cost-table entry; ``tally(lo, hi)`` may
-    instead return explicit [(table_key, npoints), ...] pairs (used where
-    two sides or partial ownership make the simple form wrong).
-    """
-
-    name: str
-    kind: str  # 'gemm' | 'pd' | 'pi'
-    reads: tuple
-    writes: tuple
-    domain: str  # 'elements' | 'interfaces'
-    run: Callable[[int, int], None]
-    traffic: Callable[[int, int], Tuple[int, int]]
-    cost: Optional[str] = None
-    points_of: Optional[Callable[[int, int], int]] = None
-    members: Optional[tuple] = None
-    tally: Optional[Callable[[int, int], list]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("gemm", "pd", "pi"):
-            raise KernelPlanError(f"kernel {self.name}: bad kind {self.kind}")
-
-
-@dataclass
-class FusionPlan:
-    """Named groups of kernels executed as single passes."""
-
-    groups: List[List[str]] = field(default_factory=list)
-
-    def group_of(self, kernel: str) -> Optional[int]:
-        for gi, g in enumerate(self.groups):
-            if kernel in g:
-                return gi
-        return None
-
-
-class KernelGraph:
-    """Validated kernel sequence with data-flow bookkeeping."""
-
-    def __init__(self, kernels: Sequence[Kernel], inputs: Sequence[str],
-                 fused_runners: Optional[Dict[str, Kernel]] = None):
-        self.kernels = list(kernels)
-        self.inputs = set(inputs)
-        self.fused_runners = fused_runners or {}
-        self._validate_dag()
-
-    def _validate_dag(self):
-        produced = set(self.inputs)
-        for k in self.kernels:
-            missing = [r for r in k.reads if r not in produced]
-            if missing:
-                raise KernelPlanError(
-                    f"kernel {k.name} consumes {missing} before production"
-                )
-            produced.update(k.writes)
-
-    def validate_plan(self, plan: FusionPlan):
-        """Groups must be consecutive pd/pi kernels of a single domain."""
-        names = [k.name for k in self.kernels]
-        by_name = {k.name: k for k in self.kernels}
-        for group in plan.groups:
-            if len(group) < 2:
-                raise KernelPlanError("fusion group needs >= 2 kernels")
-            for kn in group:
-                if kn not in by_name:
-                    raise KernelPlanError(f"fusion plan names unknown kernel {kn}")
-                if by_name[kn].kind == "gemm":
-                    raise KernelPlanError(
-                        f"fusion group contains GEMM kernel {kn}; GEMMs are excluded"
-                    )
-            idx = [names.index(kn) for kn in group]
-            if sorted(idx) != list(range(min(idx), min(idx) + len(idx))):
-                raise KernelPlanError(
-                    f"fusion group {group} is not a consecutive kernel run"
-                )
-            domains = {by_name[kn].domain for kn in group}
-            if len(domains) != 1:
-                raise KernelPlanError(f"fusion group {group} mixes domains")
-            gname = "+".join(group)
-            if gname not in self.fused_runners:
-                raise KernelPlanError(f"no fused runner registered for {gname}")
-
-    def passes(self, plan: Optional[FusionPlan]):
-        """Kernel sequence after substituting fusion groups."""
-        if plan is None or not plan.groups:
-            return list(self.kernels)
-        self.validate_plan(plan)
-        out, consumed = [], set()
-        for k in self.kernels:
-            if k.name in consumed:
-                continue
-            gi = plan.group_of(k.name)
-            if gi is None:
-                out.append(k)
-            else:
-                group = plan.groups[gi]
-                consumed.update(group)
-                out.append(self.fused_runners["+".join(group)])
-        return out
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass

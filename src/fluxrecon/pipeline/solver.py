@@ -1,5 +1,5 @@
-"""Per-rank execution engine: residual kernel graph, halo exchange,
-time-step control, and SSP Runge-Kutta advance.
+"""Per-rank execution engine: residual passes, halo exchange, time-step
+control, and SSP Runge-Kutta advance.
 
 State is physical conserved variables Q with layout
 ``(elements, variables, points)``, point index contiguous.  One residual
@@ -16,6 +16,18 @@ evaluation runs:
    outward normal trace (the discontinuous interface flux);
 6. divergence GEMM + correction GEMM on the flux jumps, scale by 1/|J|,
    add sponge sources.
+
+Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
+the pair list that logs its own ledger entry: GEMM passes through
+``PerfLedger.add_gemm`` with their exact shapes, point-wise passes through
+``PerfLedger.add_pointwise``.  ``SolverOptions.fusion`` only selects the
+ledger's traffic model.  Fused, the volume flux and its transform run as
+one pass, ``phys_flux+transform_flux``, and so do the face trace and the
+flux jump, ``own_trace+flux_jump``; their intermediates ``F_upts`` and
+``Fown_fpts`` are then not charged as memory traffic.  Both settings run
+the same array operations in the same order on each block, so results are
+bitwise equal.  GEMMs are never fused, and fusion changes modelled bytes
+but never flops: a fused entry's flops are the sum of its members'.
 
 Buffer layouts (C-ordered; every buffer has the point axis last and
 contiguous, so each variable is one contiguous row):
@@ -55,15 +67,16 @@ from ..errors import ConfigError, MeshError, PositivityError
 from ..mesh_core import orientation_permutation
 from ..operators import (
     _shape_gradients, _tensor_shape, build_reference_element, compute_geometry,
-    face_geometry, face_integrals, gauss_legendre_points, tensor_rule,
+    face_geometry, face_integrals, gauss_legendre_points, interpolation_matrix,
+    tensor_rule,
 )
 from .. import physics
 from ..physics import BoundarySpec, GasModel, RiemannDiagnostics, SpongeZone
-from ..perf import PerfLedger, flops_pointwise, monotonic_time
+from ..perf import PerfLedger, monotonic_time
 from ..prep.distribute import allreduce_min, allreduce_sum, nbx_exchange
 from ..prep.matching import MeshShard
 from .halo import HaloPlan
-from .kernels import BlockPlan, FusionPlan, Kernel, KernelGraph
+from .kernels import BlockPlan
 
 ITEM = 8
 
@@ -95,14 +108,11 @@ SSP_RK3 = RKScheme(
     ),
 )
 
-RK_SCHEMES = {"ssp3": SSP_RK3}
-
 
 @dataclass
 class SolverOptions:
     p: int = 3
     cfl: float = 1.0
-    rk: str = "ssp3"
     riemann: str = "rusanov"
     fusion: bool = True
     block_kb: int = 256
@@ -168,9 +178,7 @@ class SolverRank:
         self.nv = self.dim + 2
         kind = "hex" if self.dim == 3 else "quad"
         self.ref = build_reference_element(kind, options.p)
-        if options.rk not in RK_SCHEMES:
-            raise ConfigError(f"unknown RK scheme {options.rk!r}")
-        self.rk = RK_SCHEMES[options.rk]
+        self.Ns = self.ref.num_solution_points
         self.ledger = ledger if ledger is not None else PerfLedger()
         self.riemann_diag = RiemannDiagnostics()
         self.boundary_diag = physics.BoundaryDiagnostics()
@@ -185,7 +193,7 @@ class SolverRank:
         self._build_geometry()
         self._build_interfaces()
         self._build_arrays()
-        self._build_graph()
+        self._build_passes()
 
     # ------------------------------------------------------------------
     # assembly
@@ -338,30 +346,23 @@ class SolverRank:
             self.gcorr[info.normal_axis][:, sl] = ref.correction_matrix[:, sl] * info.side
 
     # ------------------------------------------------------------------
-    # kernels: volume
+    # passes over element blocks
     # ------------------------------------------------------------------
 
-    def _traffic_elem(self, doubles_in: int, doubles_out: int):
-        def model(lo, hi):
-            n = hi - lo
-            return (doubles_in * n * ITEM, doubles_out * n * ITEM)
-        return model
+    def _log_block(self, name, lo, hi, npts, doubles_in, doubles_out, members=None):
+        """Ledger entry of a point-wise pass over elements [lo, hi) with
+        ``npts`` points per element, each reading ``doubles_in`` and writing
+        ``doubles_out`` doubles."""
+        n = (hi - lo) * npts
+        self.ledger.add_pointwise(name, self.dim, n, doubles_in * n * ITEM,
+                                  doubles_out * n * ITEM, members=members)
 
-    def _kernel_interp(self):
-        ref, nv = self.ref, self.nv
-        Ns = ref.num_solution_points
-        nf = ref.num_faces * ref.num_face_points
-        MT = ref.interp_to_faces.T.copy()
-
-        def run(lo, hi):
-            X = self.Q_upts[lo:hi].reshape(-1, Ns)
-            out = _gemm(X, MT, self.opt.deterministic)
-            self.Q_fpts[lo:hi] = out.reshape(hi - lo, nv, nf)
-            self.ledger.add_gemm("interp_to_faces", X.shape[0], nf, Ns,
-                                 X.nbytes, out.nbytes)
-
-        return Kernel("interp_to_faces", "gemm", ("Q_upts",), ("Q_fpts",),
-                      "elements", run, lambda lo, hi: (0, 0))
+    def _interp_to_faces(self, lo, hi):
+        X = self.Q_upts[lo:hi].reshape(-1, self.Ns)
+        out = _gemm(X, self.interp_T, self.opt.deterministic)
+        self.Q_fpts[lo:hi] = out.reshape(hi - lo, self.nv, self.nf)
+        self.ledger.add_gemm("interp_to_faces", X.shape[0], self.nf, self.Ns,
+                             X.nbytes, out.nbytes)
 
     def _phys_flux_body(self, lo, hi):
         d = self.dim
@@ -383,68 +384,32 @@ class SolverRank:
                 acc = acc + adj[:, :, k, l][:, None, :] * F[:, l]
             out[:, k] = acc
 
-    def _kernel_phys_flux(self):
-        Ns = self.ref.num_solution_points
-        members = ("phys_flux", "viscous_flux") if self.opt.viscous else None
-        return Kernel(
-            "phys_flux", "pd", ("Q_upts",), ("F_upts",), "elements",
-            self._phys_flux_body,
-            self._traffic_elem(
-                (self.nv + (self.dim * self.nv if self.opt.viscous else 0)) * Ns,
-                self.dim * self.nv * Ns),
-            cost=None if self.opt.viscous else "phys_flux",
-            points_of=lambda lo, hi: (hi - lo) * Ns,
-            members=members,
-        )
+    def _phys_flux(self, lo, hi):
+        self._phys_flux_body(lo, hi)
+        self._log_block("phys_flux", lo, hi, self.Ns, self.nv + self.grad_rows,
+                        self.dim * self.nv, members=self.flux_members)
 
-    def _kernel_transform(self):
-        Ns = self.ref.num_solution_points
-        return Kernel(
-            "transform_flux", "pd", ("F_upts",), ("Fhat_upts",), "elements",
-            self._transform_body,
-            self._traffic_elem((self.dim * self.nv + self.dim * self.dim) * Ns,
-                               self.dim * self.nv * Ns),
-            cost="transform_flux",
-            points_of=lambda lo, hi: (hi - lo) * Ns,
-        )
+    def _transform_flux(self, lo, hi):
+        self._transform_body(lo, hi)
+        d, nv = self.dim, self.nv
+        self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
-    def _fused_volume_flux(self):
-        Ns = self.ref.num_solution_points
-        members = ["phys_flux", "transform_flux"]
-        if self.opt.viscous:
-            members.insert(1, "viscous_flux")
+    def _volume_flux(self, lo, hi):
+        """phys_flux and transform_flux fused: F_upts is not charged."""
+        self._phys_flux_body(lo, hi)
+        self._transform_body(lo, hi)
+        d, nv = self.dim, self.nv
+        self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
+                        nv + d * d + self.grad_rows, d * nv,
+                        members=self.flux_members + ("transform_flux",))
 
-        def run(lo, hi):
-            self._phys_flux_body(lo, hi)
-            self._transform_body(lo, hi)
-
-        return Kernel(
-            "phys_flux+transform_flux", "pd", ("Q_upts",), ("Fhat_upts",),
-            "elements", run,
-            self._traffic_elem(
-                (self.nv + self.dim * self.dim
-                 + (self.dim * self.nv if self.opt.viscous else 0)) * Ns,
-                self.dim * self.nv * Ns),
-            cost=None, points_of=lambda lo, hi: (hi - lo) * Ns,
-            members=tuple(members),
-        )
-
-    def _kernel_interp_flux(self):
-        ref, nv, d = self.ref, self.nv, self.dim
-        Ns = ref.num_solution_points
-        nf = ref.num_faces * ref.num_face_points
-        MT = ref.interp_to_faces.T.copy()
-
-        def run(lo, hi):
-            for ax in range(d):
-                X = self.Fhat_upts[lo:hi, ax].reshape(-1, Ns)
-                out = _gemm(X, MT, self.opt.deterministic)
-                self.Fhat_fpts[lo:hi, ax] = out.reshape(hi - lo, nv, nf)
-                self.ledger.add_gemm("interp_flux", X.shape[0], nf, Ns,
-                                     X.nbytes, out.nbytes)
-
-        return Kernel("interp_flux", "gemm", ("Fhat_upts",), ("Fhat_fpts",),
-                      "elements", run, lambda lo, hi: (0, 0))
+    def _interp_flux(self, lo, hi):
+        for ax in range(self.dim):
+            X = self.Fhat_upts[lo:hi, ax].reshape(-1, self.Ns)
+            out = _gemm(X, self.interp_T, self.opt.deterministic)
+            self.Fhat_fpts[lo:hi, ax] = out.reshape(hi - lo, self.nv, self.nf)
+            self.ledger.add_gemm("interp_flux", X.shape[0], self.nf, self.Ns,
+                                 X.nbytes, out.nbytes)
 
     def _own_trace_body(self, lo, hi):
         # outward normal trace of the transformed flux polynomial
@@ -460,102 +425,92 @@ class SolverRank:
     def _jump_body(self, lo, hi):
         self.jump_fpts[lo:hi] = self.Fc_fpts[lo:hi] - self.Fown_fpts[lo:hi]
 
-    def _kernel_own_trace(self):
+    def _own_trace(self, lo, hi):
+        self._own_trace_body(lo, hi)
         nv = self.nv
-        nf = self.ref.num_faces * self.ref.num_face_points
-        return Kernel(
-            "own_trace", "pd", ("Fhat_fpts",), ("Fown_fpts",), "elements",
-            self._own_trace_body,
-            self._traffic_elem((self.dim * nv + 1) * nf, nv * nf),
-            cost="own_trace",
-            points_of=lambda lo, hi: (hi - lo) * nf,
-        )
+        self._log_block("own_trace", lo, hi, self.nf, self.dim * nv + 1, nv)
 
-    def _kernel_flux_jump(self):
+    def _flux_jump(self, lo, hi):
+        self._jump_body(lo, hi)
+        self._log_block("flux_jump", lo, hi, self.nf, 2 * self.nv, self.nv)
+
+    def _trace_jump(self, lo, hi):
+        """own_trace and flux_jump fused: Fown_fpts is not charged."""
+        self._own_trace_body(lo, hi)
+        self._jump_body(lo, hi)
         nv = self.nv
-        nf = self.ref.num_faces * self.ref.num_face_points
-        return Kernel(
-            "flux_jump", "pd", ("Fc_fpts", "Fown_fpts"), ("jump_fpts",),
-            "elements", self._jump_body,
-            self._traffic_elem(2 * nv * nf, nv * nf),
-            cost="flux_jump",
-            points_of=lambda lo, hi: (hi - lo) * nf,
-        )
+        self._log_block("own_trace+flux_jump", lo, hi, self.nf, self.dim * nv + 1 + nv,
+                        nv, members=("own_trace", "flux_jump"))
 
-    def _fused_trace_jump(self):
+    def _divergence(self, lo, hi):
+        Ns = self.Ns
+        X = self.Fhat_upts[lo:hi, 0].reshape(-1, Ns)
+        acc = _gemm(X, self.div_T[0], self.opt.deterministic)
+        self.ledger.add_gemm("divergence", X.shape[0], Ns, Ns, X.nbytes, acc.nbytes)
+        for ax in range(1, self.dim):
+            X = self.Fhat_upts[lo:hi, ax].reshape(-1, Ns)
+            acc += _gemm(X, self.div_T[ax], self.opt.deterministic)
+            self.ledger.add_gemm("divergence", X.shape[0], Ns, Ns, X.nbytes, 0)
+        self.divF_upts[lo:hi] = acc.reshape(hi - lo, self.nv, Ns)
+
+    def _correction(self, lo, hi):
+        X = self.jump_fpts[lo:hi].reshape(-1, self.nf)
+        out = _gemm(X, self.corr_T, self.opt.deterministic)
+        self.divF_upts[lo:hi] += out.reshape(hi - lo, self.nv, self.Ns)
+        self.ledger.add_gemm("correction", X.shape[0], self.Ns, self.nf,
+                             X.nbytes, out.nbytes)
+
+    def _scale_residual(self, lo, hi):
+        out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
+        members = None
+        if self.sponge_zones:
+            Q = self.Q_upts[lo:hi].transpose(0, 2, 1)  # (n, Ns, nv) view
+            x = self.x_upts[lo:hi]
+            S = np.zeros_like(Q)
+            for zone in self.sponge_zones:
+                S = S + physics.sponge_source(Q, zone, x)
+            out += S.transpose(0, 2, 1)
+            members = ("scale_residual", "sponge_source")
+        self.dQdt[lo:hi] = out
         nv = self.nv
-        nf = self.ref.num_faces * self.ref.num_face_points
+        self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv, members=members)
 
-        def run(lo, hi):
-            self._own_trace_body(lo, hi)
-            self._jump_body(lo, hi)
+    # viscous gradient passes ----------------------------------------------
 
-        return Kernel(
-            "own_trace+flux_jump", "pd", ("Fhat_fpts", "Fc_fpts"),
-            ("jump_fpts",), "elements", run,
-            self._traffic_elem((self.dim * nv + 1 + nv) * nf, nv * nf),
-            cost=None, points_of=lambda lo, hi: (hi - lo) * nf,
-            members=("own_trace", "flux_jump"),
-        )
+    def _gradient(self, lo, hi):
+        Ns, nf = self.Ns, self.nf
+        Xq = self.Q_upts[lo:hi].reshape(-1, Ns)
+        Xj = self.jumpQ_fpts[lo:hi].reshape(-1, nf)
+        for ax in range(self.dim):
+            g = _gemm(Xq, self.div_T[ax], self.opt.deterministic)
+            g += _gemm(Xj, self.gcorr_T[ax], self.opt.deterministic)
+            self.grad_upts[lo:hi, ax] = g.reshape(hi - lo, self.nv, Ns)
+            self.ledger.add_gemm("gradient", Xq.shape[0], Ns, Ns, Xq.nbytes, g.nbytes)
+            self.ledger.add_gemm("gradient_corr", Xj.shape[0], Ns, nf, Xj.nbytes, 0)
 
-    def _kernel_div(self):
-        ref, nv = self.ref, self.nv
-        Ns = ref.num_solution_points
-        DT = [ref.div_operators[ax].T.copy() for ax in range(self.dim)]
+    def _grad_transform(self, lo, hi):
+        d, nv = self.dim, self.nv
+        g = self.grad_upts[lo:hi]
+        invT = self.invT_upts[lo:hi]
+        out = np.empty_like(g)
+        for k in range(d):
+            acc = invT[:, :, k, 0][:, None, :] * g[:, 0]
+            for l in range(1, d):
+                acc = acc + invT[:, :, k, l][:, None, :] * g[:, l]
+            out[:, k] = acc
+        self.grad_upts[lo:hi] = out
+        self._log_block("grad_transform", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
-        def run(lo, hi):
-            X = self.Fhat_upts[lo:hi, 0].reshape(-1, Ns)
-            acc = _gemm(X, DT[0], self.opt.deterministic)
-            self.ledger.add_gemm("divergence", X.shape[0], Ns, Ns, X.nbytes, acc.nbytes)
-            for ax in range(1, self.dim):
-                X = self.Fhat_upts[lo:hi, ax].reshape(-1, Ns)
-                acc += _gemm(X, DT[ax], self.opt.deterministic)
-                self.ledger.add_gemm("divergence", X.shape[0], Ns, Ns, X.nbytes, 0)
-            self.divF_upts[lo:hi] = acc.reshape(hi - lo, nv, Ns)
-
-        return Kernel("divergence", "gemm", ("Fhat_upts",), ("divF_upts",),
-                      "elements", run, lambda lo, hi: (0, 0))
-
-    def _kernel_corr(self):
-        ref, nv = self.ref, self.nv
-        Ns = ref.num_solution_points
-        nf = ref.num_faces * ref.num_face_points
-        CT = ref.correction_matrix.T.copy()
-
-        def run(lo, hi):
-            X = self.jump_fpts[lo:hi].reshape(-1, nf)
-            out = _gemm(X, CT, self.opt.deterministic)
-            self.divF_upts[lo:hi] += out.reshape(hi - lo, nv, Ns)
-            self.ledger.add_gemm("correction", X.shape[0], Ns, nf, X.nbytes, out.nbytes)
-
-        return Kernel("correction", "gemm", ("jump_fpts", "divF_upts"),
-                      ("divF_upts",), "elements", run, lambda lo, hi: (0, 0))
-
-    def _kernel_scale(self):
-        nv, Ns = self.nv, self.ref.num_solution_points
-
-        def run(lo, hi):
-            out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
-            if self.sponge_zones:
-                Q = self.Q_upts[lo:hi].transpose(0, 2, 1)  # (n, Ns, nv) view
-                x = self.x_upts[lo:hi]
-                S = np.zeros_like(Q)
-                for zone in self.sponge_zones:
-                    S = S + physics.sponge_source(Q, zone, x)
-                out += S.transpose(0, 2, 1)
-            self.dQdt[lo:hi] = out
-
-        members = ("scale_residual", "sponge_source") if self.sponge_zones else None
-        return Kernel(
-            "scale_residual", "pd", ("divF_upts", "Q_upts"), ("dQdt",),
-            "elements", run,
-            self._traffic_elem((nv + 1) * Ns, nv * Ns),
-            cost="scale_residual", points_of=lambda lo, hi: (hi - lo) * Ns,
-            members=members,
-        )
+    def _interp_grad(self, lo, hi):
+        for ax in range(self.dim):
+            X = self.grad_upts[lo:hi, ax].reshape(-1, self.Ns)
+            out = _gemm(X, self.interp_T, self.opt.deterministic)
+            self.grad_fpts[lo:hi, ax] = out.reshape(hi - lo, self.nv, self.nf)
+            self.ledger.add_gemm("interp_grad", X.shape[0], self.nf, self.Ns,
+                                 X.nbytes, out.nbytes)
 
     # ------------------------------------------------------------------
-    # kernels: interface pairs
+    # passes over interface pairs
     # ------------------------------------------------------------------
 
     def _offsets(self, rows, lo, hi):
@@ -594,21 +549,16 @@ class SolverRank:
             return own, other
         return np.where(flip, other, own), np.where(flip, own, other)
 
-    def _pair_tally(self, key):
-        # the common values of a remote pair are computed on both ranks;
-        # only the canonical side logs them so totals stay partition-invariant
-        def tally(lo, hi):
-            n = hi - lo - int(np.count_nonzero(self.iface_flip[lo:hi]))
-            return [(k, n) for k in key]
-        return tally
-
-    def _pair_traffic(self, doubles_read):
-        # one value per pair to the own slot, one more to a local pair's loc_r
-        def model(lo, hi):
-            nloc = max(0, min(hi, self.loc_r.size) - lo)
-            return ((hi - lo) * doubles_read * ITEM,
-                    (hi - lo + nloc) * self.nv * ITEM)
-        return model
+    def _log_pairs(self, name, lo, hi, doubles_read, members):
+        """Ledger entry of a pair pass over pairs [lo, hi).  The common
+        values of a remote pair are computed on both ranks; only the
+        canonical side counts their flops, so totals stay partition-invariant.
+        Each pair writes one value to its own slot, and a local pair one
+        more to its ``loc_r`` slot."""
+        n = hi - lo - int(np.count_nonzero(self.iface_flip[lo:hi]))
+        nloc = max(0, min(hi, self.loc_r.size) - lo)
+        self.ledger.add_pointwise(name, self.dim, n, (hi - lo) * doubles_read * ITEM,
+                                  (hi - lo + nloc) * self.nv * ITEM, members=members)
 
     def _boundary_ghosts(self):
         """Ghost states of the boundary pairs into their ghost_Q columns;
@@ -645,206 +595,90 @@ class SolverRank:
             Gn[..., 1 + d] = physics.dot(physics.components(Gn[..., 1:], d), vel)
         return Gn.T + self.iface_tau[lo:hi] * (ghost - Q)
 
-    def _kernel_riemann_common(self):
+    def _riemann_common(self, lo, hi):
         nv, d = self.nv, self.dim
         visc = self.opt.viscous
-
-        def run(lo, hi):
-            # states (nv, m); the physics sees (m, nv) views of them
-            QL, QR = self._left_right(
-                *self._own_other(self.Q_fpts, self.ghost_Q, lo, hi), lo, hi)
-            n = self.iface_n[:, lo:hi].T
-            F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas,
-                                     self.opt.riemann, self.riemann_diag).T
-            if visc:
-                m = min(hi, self.n_face_pairs)
-                if m > lo:
-                    k = m - lo
-                    gL, gR = self._left_right(
-                        *self._own_other(self.grad_fpts, self.ghost_grad, lo, m), lo, m)
-                    _, Gn = physics.ldg_interface(
-                        QL[:, :k].T, QR[:, :k].T, self._by_point(gL), self._by_point(gR),
-                        n[:k], self.opt.ldg_beta, self.iface_tau[lo:m], d, self.gas,
-                        switch=self.iface_sw[lo:m])
-                    F[:, :k] -= Gn.T
-                for spec, blo, bhi in self.boundary_spans:
-                    a, b = max(lo, blo), min(hi, bhi)
-                    if a < b and spec.kind != "slip":
-                        F[:, a - lo:b - lo] -= self._wall_flux(
-                            spec, QL[:, a - lo:b - lo], QR[:, a - lo:b - lo], a, b)
-            out = F * self.iface_a[lo:hi]
-            k = max(0, min(hi, self.loc_r.size) - lo)
-            self._scatter(self.Fc_fpts, out, -out[:, :k], lo, hi)
-
-        key = [f"riemann_{self.opt.riemann}", "flux_scale"]
+        # states (nv, m); the physics sees (m, nv) views of them
+        QL, QR = self._left_right(
+            *self._own_other(self.Q_fpts, self.ghost_Q, lo, hi), lo, hi)
+        n = self.iface_n[:, lo:hi].T
+        F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas,
+                                 self.opt.riemann, self.riemann_diag).T
         if visc:
-            key.append("viscous_interface")
-        read = 2 * nv + d + 1 + (2 * d * nv + 2 if visc else 0)
-        return Kernel(
-            "riemann_common", "pi", ("Q_fpts", "ghost_Q"), ("Fc_fpts",),
-            "interfaces", run, self._pair_traffic(read),
-            tally=self._pair_tally(key),
-        )
+            m = min(hi, self.n_face_pairs)
+            if m > lo:
+                k = m - lo
+                gL, gR = self._left_right(
+                    *self._own_other(self.grad_fpts, self.ghost_grad, lo, m), lo, m)
+                _, Gn = physics.ldg_interface(
+                    QL[:, :k].T, QR[:, :k].T, self._by_point(gL), self._by_point(gR),
+                    n[:k], self.opt.ldg_beta, self.iface_tau[lo:m], d, self.gas,
+                    switch=self.iface_sw[lo:m])
+                F[:, :k] -= Gn.T
+            for spec, blo, bhi in self.boundary_spans:
+                a, b = max(lo, blo), min(hi, bhi)
+                if a < b and spec.kind != "slip":
+                    F[:, a - lo:b - lo] -= self._wall_flux(
+                        spec, QL[:, a - lo:b - lo], QR[:, a - lo:b - lo], a, b)
+        out = F * self.iface_a[lo:hi]
+        k = max(0, min(hi, self.loc_r.size) - lo)
+        self._scatter(self.Fc_fpts, out, -out[:, :k], lo, hi)
+        members = (f"riemann_{self.opt.riemann}", "flux_scale")
+        if visc:
+            members += ("viscous_interface",)
+        self._log_pairs("riemann_common", lo, hi,
+                        2 * nv + d + 1 + (2 * d * nv + 2 if visc else 0), members)
 
-    # viscous auxiliary passes ---------------------------------------------
-
-    def _kernel_common_solution(self):
-        def run(lo, hi):
-            own, other = self._own_other(self.Q_fpts, self.ghost_Q, lo, hi)
-            QL, QR = self._left_right(own, other, lo, hi)
-            Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * self.iface_sw[lo:hi] * (QR - QL)
-            k = max(0, min(hi, self.loc_r.size) - lo)
-            self._scatter(self.jumpQ_fpts, Qs - own, Qs[:, :k] - other[:, :k], lo, hi)
-
-        return Kernel(
-            "common_solution", "pi", ("Q_fpts", "ghost_Q"), ("jumpQ_fpts",),
-            "interfaces", run, self._pair_traffic(2 * self.nv + 1),
-            tally=self._pair_tally(["common_solution"]),
-        )
-
-    def _kernel_gradient(self):
-        ref, nv, d = self.ref, self.nv, self.dim
-        Ns = ref.num_solution_points
-        nf = ref.num_faces * ref.num_face_points
-        DT = [ref.div_operators[ax].T.copy() for ax in range(d)]
-        GT = [self.gcorr[ax].T.copy() for ax in range(d)]
-
-        def run(lo, hi):
-            Xq = self.Q_upts[lo:hi].reshape(-1, Ns)
-            Xj = self.jumpQ_fpts[lo:hi].reshape(-1, nf)
-            for ax in range(d):
-                g = _gemm(Xq, DT[ax], self.opt.deterministic)
-                g += _gemm(Xj, GT[ax], self.opt.deterministic)
-                self.grad_upts[lo:hi, ax] = g.reshape(hi - lo, nv, Ns)
-                self.ledger.add_gemm("gradient", Xq.shape[0], Ns, Ns,
-                                     Xq.nbytes, g.nbytes)
-                self.ledger.add_gemm("gradient_corr", Xj.shape[0], Ns, nf,
-                                     Xj.nbytes, 0)
-
-        return Kernel("gradient", "gemm", ("Q_upts", "jumpQ_fpts"),
-                      ("grad_upts",), "elements", run, lambda lo, hi: (0, 0))
-
-    def _kernel_grad_transform(self):
-        Ns = self.ref.num_solution_points
-        d, nv = self.dim, self.nv
-
-        def run(lo, hi):
-            g = self.grad_upts[lo:hi]
-            invT = self.invT_upts[lo:hi]
-            out = np.empty_like(g)
-            for k in range(d):
-                acc = invT[:, :, k, 0][:, None, :] * g[:, 0]
-                for l in range(1, d):
-                    acc = acc + invT[:, :, k, l][:, None, :] * g[:, l]
-                out[:, k] = acc
-            self.grad_upts[lo:hi] = out
-
-        return Kernel(
-            "grad_transform", "pd", ("grad_upts",), ("grad_upts",),
-            "elements", run,
-            self._traffic_elem((d * nv + d * d) * Ns, d * nv * Ns),
-            cost="grad_transform", points_of=lambda lo, hi: (hi - lo) * Ns,
-        )
-
-    def _kernel_interp_grad(self):
-        ref, nv, d = self.ref, self.nv, self.dim
-        Ns = ref.num_solution_points
-        nf = ref.num_faces * ref.num_face_points
-        MT = ref.interp_to_faces.T.copy()
-
-        def run(lo, hi):
-            for ax in range(d):
-                X = self.grad_upts[lo:hi, ax].reshape(-1, Ns)
-                out = _gemm(X, MT, self.opt.deterministic)
-                self.grad_fpts[lo:hi, ax] = out.reshape(hi - lo, nv, nf)
-                self.ledger.add_gemm("interp_grad", X.shape[0], nf, Ns,
-                                     X.nbytes, out.nbytes)
-
-        return Kernel("interp_grad", "gemm", ("grad_upts",), ("grad_fpts",),
-                      "elements", run, lambda lo, hi: (0, 0))
+    def _common_solution(self, lo, hi):
+        own, other = self._own_other(self.Q_fpts, self.ghost_Q, lo, hi)
+        QL, QR = self._left_right(own, other, lo, hi)
+        Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * self.iface_sw[lo:hi] * (QR - QL)
+        k = max(0, min(hi, self.loc_r.size) - lo)
+        self._scatter(self.jumpQ_fpts, Qs - own, Qs[:, :k] - other[:, :k], lo, hi)
+        self._log_pairs("common_solution", lo, hi, 2 * self.nv + 1, ("common_solution",))
 
     # ------------------------------------------------------------------
-    # graph and execution
+    # pass lists and execution
     # ------------------------------------------------------------------
 
-    def _build_graph(self):
-        nv, Ns = self.nv, self.ref.num_solution_points
-        nf = self.ref.num_faces * self.ref.num_face_points
-        doubles_per_elem = (2 * nv * Ns + 2 * self.dim * nv * Ns + 4 * nv * nf)
+    def _build_passes(self):
+        ref, nv, d, Ns, nf = self.ref, self.nv, self.dim, self.Ns, self.nf
+        doubles_per_elem = (2 * nv * Ns + 2 * d * nv * Ns + 4 * nv * nf)
         self.block_plan = BlockPlan(
             num_elements=self.ne,
             bytes_per_element=doubles_per_elem * ITEM,
             budget_bytes=self.opt.block_kb * 1024,
             fixed_block=32 if self.opt.deterministic else None,
         )
+        self.interp_T = ref.interp_to_faces.T.copy()
+        self.div_T = [ref.div_operators[ax].T.copy() for ax in range(d)]
+        self.corr_T = ref.correction_matrix.T.copy()
+        self.gcorr_T = [self.gcorr[ax].T.copy() for ax in range(d)]
+        # the volume flux reads the gradient too when viscous
+        self.grad_rows = d * nv if self.opt.viscous else 0
+        self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
 
-        kernels = [
-            self._kernel_interp(),
-            self._kernel_riemann_common(),
-            self._kernel_phys_flux(),
-            self._kernel_transform(),
-            self._kernel_interp_flux(),
-            self._kernel_own_trace(),
-            self._kernel_flux_jump(),
-            self._kernel_div(),
-            self._kernel_corr(),
-            self._kernel_scale(),
-        ]
-        inputs = ["Q_upts", "ghost_Q"]
-        if self.opt.viscous:
-            inputs += ["grad_upts", "grad_fpts", "ghost_grad"]
-        self.graph = KernelGraph(kernels, inputs, fused_runners={
-            "phys_flux+transform_flux": self._fused_volume_flux(),
-            "own_trace+flux_jump": self._fused_trace_jump(),
-        })
-        self.fusion_plan = FusionPlan([
-            ["phys_flux", "transform_flux"],
-            ["own_trace", "flux_jump"],
-        ])
-        # passes in graph order: interp_to_faces, riemann_common, then the
-        # element-block volume passes
-        self.interp_pass, self.riemann_pass, *self.volume_passes = self.graph.passes(
-            self.fusion_plan if self.opt.fusion else None)
-        if self.opt.viscous:
-            self.visc_kernels = {
-                "common_solution": self._kernel_common_solution(),
-                "gradient": self._kernel_gradient(),
-                "grad_transform": self._kernel_grad_transform(),
-                "interp_grad": self._kernel_interp_grad(),
-            }
+        if self.opt.fusion:
+            flux = [self._volume_flux, self._interp_flux, self._trace_jump]
+        else:
+            flux = [self._phys_flux, self._transform_flux, self._interp_flux,
+                    self._own_trace, self._flux_jump]
+        self.volume_passes = flux + [self._divergence, self._correction,
+                                     self._scale_residual]
+        self.gradient_passes = [self._gradient, self._grad_transform, self._interp_grad]
         self.iface_chunk = 65536
 
-    def _account(self, k: Kernel, lo: int, hi: int):
-        if k.kind == "gemm":
-            return  # gemm runners self-report with exact m, n, k
-        br, bw = k.traffic(lo, hi)
-        if k.tally is not None:
-            s = self.ledger.stat(k.name)
-            for key, npts in k.tally(lo, hi):
-                s.flops += flops_pointwise(key, self.dim, npts)
-            s.bytes_read += br
-            s.bytes_written += bw
-            s.invocations += 1
-            return
-        npts = k.points_of(lo, hi) if k.points_of else (hi - lo)
-        members = k.members if k.members else ((k.cost,) if k.cost else None)
-        self.ledger.add_pointwise(k.name, self.dim, npts, br, bw,
-                                  members=members)
-
-    def _run_kernel(self, k: Kernel):
-        """Run one interface kernel over the pair list in chunks."""
+    def _run_pairs(self, run):
+        """Run one interface pass over the pair list in chunks."""
         for lo in range(0, self.iface.size, self.iface_chunk):
-            hi = min(lo + self.iface_chunk, self.iface.size)
-            k.run(lo, hi)
-            self._account(k, lo, hi)
+            run(lo, min(lo + self.iface_chunk, self.iface.size))
 
-    def _run_elem_kernels(self, kernels):
-        """Element-block loop: every kernel runs on one block before the
-        next block starts."""
+    def _run_blocks(self, passes):
+        """Element-block loop: every pass runs on one block before the next
+        block starts."""
         for lo, hi in self.block_plan.blocks():
-            for k in kernels:
-                k.run(lo, hi)
-                self._account(k, lo, hi)
+            for run in passes:
+                run(lo, hi)
 
     def _exchange(self, fpts: np.ndarray, ghost: np.ndarray):
         """Send this rank's remote-face values of a flux-point field in
@@ -875,19 +709,17 @@ class SolverRank:
         if check:
             self._check_positivity(Q)
         self.Q_upts = np.ascontiguousarray(Q)
-        self._run_elem_kernels([self.interp_pass])
+        self._run_blocks([self._interp_to_faces])
         self.halo_exchange_q()
         self._boundary_ghosts()
 
         if self.opt.viscous:
-            vk = self.visc_kernels
-            self._run_kernel(vk["common_solution"])
-            self._run_elem_kernels([vk["gradient"], vk["grad_transform"],
-                                    vk["interp_grad"]])
+            self._run_pairs(self._common_solution)
+            self._run_blocks(self.gradient_passes)
             self.halo_exchange_grad()
 
-        self._run_kernel(self.riemann_pass)
-        self._run_elem_kernels(self.volume_passes)
+        self._run_pairs(self._riemann_common)
+        self._run_blocks(self.volume_passes)
         return self.dQdt.copy()
 
     def _check_positivity(self, Q: np.ndarray):
@@ -912,6 +744,12 @@ class SolverRank:
         local = float(np.min(self.h_min / (sig * (2 * self.opt.p + 1))))
         if self.ctx is not None and self.ctx.nranks > 1:
             local = allreduce_min(self.ctx, local)
+        # after the collective: the reduction propagates NaN, so every rank
+        # sees the same value and raises together; a rank holding a bad
+        # point names its cell, the others report cell -1
+        if not local > 0.0 or not np.isfinite(local):
+            self._check_positivity(Q)
+            raise PositivityError(-1, f"time step {local!r} is not finite and positive")
         return cfl * local
 
     def advance_step(self, Q: np.ndarray, dt: float) -> np.ndarray:
@@ -919,7 +757,7 @@ class SolverRank:
         if dt <= 0:
             raise ConfigError("dt must be positive")
         states = [Q]
-        for alphas, beta in self.rk.stages:
+        for alphas, beta in SSP_RK3.stages:
             r = self.compute_residual(states[-1])
             new = beta * dt * r
             for a, u in zip(alphas, states):
@@ -1005,7 +843,6 @@ def interpolate_state(Q: np.ndarray, kind: str, p_from: int, p_to: int) -> np.nd
     """Transfer states between polynomial degrees (start-up order switch)."""
     if p_from == p_to:
         return Q.copy()
-    rf = build_reference_element(kind, p_from)
-    rt = build_reference_element(kind, p_to)
-    M = rf.basis_at(rt.solution_points)  # (Ns_to, Ns_from)
+    M = interpolation_matrix(build_reference_element(kind, p_from),
+                             build_reference_element(kind, p_to))  # (Ns_to, Ns_from)
     return np.einsum("ts,evs->evt", M, Q)

@@ -1,4 +1,4 @@
-from .transport import RankContext, SimCluster, SocketTransport, run_simulated
+from .transport import RankContext, SimCluster, SocketTransport
 from .distribute import EntityRange, distribute_entities, nbx_exchange
 from .matching import (
     MeshShard,
@@ -13,7 +13,6 @@ __all__ = [
     "RankContext",
     "SimCluster",
     "SocketTransport",
-    "run_simulated",
     "EntityRange",
     "distribute_entities",
     "nbx_exchange",

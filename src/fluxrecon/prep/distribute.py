@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -87,20 +87,6 @@ def nbx_exchange(ctx: RankContext, sbuffers: Dict[int, bytes]) -> Dict[int, byte
         elif barrier is not None and t.barrier_test(barrier):
             break
     return {src: b"".join(parts) for src, parts in sorted(received.items())}
-
-
-def gather_arrays(ctx: RankContext, array: np.ndarray, root: int = 0) -> Optional[list]:
-    """Gather one nonempty ndarray per rank at the root (None elsewhere)."""
-    payload = np.asarray(array, dtype=np.float64).tobytes()
-    sbuf = {} if ctx.rank == root else {root: payload}
-    recv = nbx_exchange(ctx, sbuf)
-    if ctx.rank != root:
-        return None
-    out = [None] * ctx.nranks
-    out[root] = np.frombuffer(payload, dtype=np.float64).copy()
-    for src, buf in recv.items():
-        out[src] = np.frombuffer(buf, dtype=np.float64).copy()
-    return out
 
 
 def allreduce_min(ctx: RankContext, value: float) -> float:

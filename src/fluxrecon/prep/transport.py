@@ -234,12 +234,6 @@ class SimCluster:
         return results
 
 
-def run_simulated(nranks: int, program: Callable, *args, seed: int = 0,
-                  max_delay: int = 3) -> list:
-    """One-shot convenience wrapper around SimCluster.run."""
-    return SimCluster(nranks, seed=seed, max_delay=max_delay).run(program, *args)
-
-
 # ---------------------------------------------------------------------------
 # Socket transport (multi-process)
 # ---------------------------------------------------------------------------

@@ -222,6 +222,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.parse("solver.warp_drive = on\n")
 
+    @pytest.mark.parametrize("key", ["solver.rk", "output.cadence", "output.mean_start",
+                                     "mesh.file", "bench.warmup"])
+    def test_removed_key_rejected(self, key):
+        with pytest.raises(ConfigError):
+            RunConfig.parse(f"{key} = 1\n")
+
     def test_round_trip_identical_maps(self):
         text = ("solver.p = 3\nsolver.cfl = 0.5\ngas.gamma = 1.4\n"
                 "bc.w.kind = slip\nsponge.out.axis = 0\nsponge.out.lo = 1\n"
@@ -352,13 +358,3 @@ class TestSolutionOutput:
             m = float(row["mach_is"])
             expect = np.sqrt(((p0 / p) ** (0.4 / 1.4) - 1) * 2 / 0.4)
             assert abs(m - expect) < 1e-9
-
-    def test_running_mean(self, rng):
-        from fluxrecon.io.solution import RunningMean
-
-        acc = RunningMean()
-        data = rng.standard_normal((5, 3, 4))
-        for row in data:
-            acc.update(row)
-        assert acc.count == 5
-        assert np.allclose(acc.mean, data.mean(axis=0), atol=1e-13)

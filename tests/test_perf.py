@@ -159,6 +159,37 @@ class TestLedger:
 
         assert total(2) == total(1)
 
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_residual_ledger_table(self, viscous):
+        """One residual on vortex 8x8, p=3 (two element blocks, one pair
+        chunk): the passes that run, how often, and fused flops equal to the
+        sum of their members'."""
+        gas = GasModel(gamma=1.4, R=1.0, mu=1e-3 if viscous else 0.0)
+        shards = prepare_shards(vortex_mesh(8), np.zeros(64, np.int64), 1)
+
+        def table(fusion):
+            s = SolverRank(shards[0], gas, SolverOptions(p=3, fusion=fusion, viscous=viscous))
+            s.set_state(lambda x: vortex_state(x, 0.0, gas))
+            s.compute_residual(s.Q_upts)
+            return s.ledger.kernels
+
+        common = {"interp_to_faces": 2, "riemann_common": 1, "interp_flux": 4,
+                  "divergence": 4, "correction": 2, "scale_residual": 2}
+        if viscous:
+            common.update({"common_solution": 1, "gradient": 4, "gradient_corr": 4,
+                           "grad_transform": 2, "interp_grad": 4})
+        fused_names = {"phys_flux+transform_flux": ("phys_flux", "transform_flux"),
+                       "own_trace+flux_jump": ("own_trace", "flux_jump")}
+        on, off = table(True), table(False)
+        assert {k: s.invocations for k, s in on.items()} == {
+            **common, "phys_flux+transform_flux": 2, "own_trace+flux_jump": 2}
+        assert {k: s.invocations for k, s in off.items()} == {
+            **common, "phys_flux": 2, "transform_flux": 2, "own_trace": 2, "flux_jump": 2}
+        for name in common:
+            assert on[name].flops == off[name].flops
+        for name, members in fused_names.items():
+            assert on[name].flops == sum(off[m].flops for m in members) > 0
+
     def test_step_summary_excludes_warmup(self):
         stats = summarize_steps([10.0, 9.0, 8.0, 1.0, 1.2, 0.8], warmup=3)
         assert stats["mean"] == pytest.approx(1.0)

@@ -62,6 +62,20 @@ class TestInviscidFlux:
         with pytest.raises(PositivityError):
             physics.check_positivity(Q, 2, gas)
 
+    def test_positivity_rejects_nan_energy(self, gas):
+        Q = np.repeat(state(gas, vel=(0.3, -0.2)), 6, axis=0)
+        Q[3, -1] = np.nan
+        with pytest.raises(PositivityError) as err:
+            physics.check_positivity(Q, 2, gas, cell_of_point=lambda i: 10 + i)
+        assert err.value.cell_id == 13 and "point 3" in str(err.value)
+
+    def test_positivity_rejects_nan_row(self, gas):
+        Q = np.repeat(state(gas), 6, axis=0)
+        Q[:] = np.nan
+        with pytest.raises(PositivityError) as err:
+            physics.check_positivity(Q, 2, gas, cell_of_point=lambda i: 10 + i)
+        assert err.value.cell_id == 10 and "point 0" in str(err.value)
+
 
 class TestRiemann:
     def test_consistency_both_solvers(self, gas):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxrecon.errors import ConfigError, KernelPlanError, PositivityError
+from fluxrecon.errors import ConfigError, PositivityError
 from fluxrecon.fixtures import (
     box_mesh_2d,
     box_mesh_3d,
@@ -14,7 +14,6 @@ from fluxrecon.fixtures import (
 )
 from fluxrecon.physics import BoundarySpec, GasModel, conserved
 from fluxrecon.pipeline import (
-    FusionPlan,
     RKScheme,
     SolverOptions,
     SolverRank,
@@ -193,6 +192,27 @@ class TestTimeStepping:
             best = min(best, s.h_min[e] / (sig * 5))
         assert dt == pytest.approx(0.8 * best, rel=1e-13)
 
+    def test_dt_rejects_nan_on_every_rank(self, gas):
+        """A NaN on one rank fails compute_dt on both, after the reduction,
+        so neither rank is left waiting in the collective; the rank holding
+        the NaN names its cell."""
+        mesh = box_mesh_2d(4, 3, periodic=(True, True))
+        shards = prepare_shards(mesh, np.repeat(np.arange(2), 6), 2)
+
+        def prog(ctx):
+            s = SolverRank(shards[ctx.rank], gas, SolverOptions(p=1), ctx=ctx)
+            s.set_state(lambda x: vortex_state(x, 0.0, gas))
+            if ctx.rank == 1:
+                s.Q_upts[2, 1, 0] = np.nan
+            try:
+                s.compute_dt(s.Q_upts)
+            except PositivityError as exc:
+                return exc.cell_id, int(s.gids[2])
+            return None
+
+        (cell0, _), (cell1, gid) = SimCluster(2, seed=0).run(prog)
+        assert cell0 == -1 and cell1 == gid
+
     def test_startup_order_switch(self, gas):
         Q = np.zeros((2, 4, 4))
         Q[:, 0, :] = np.arange(4)
@@ -280,26 +300,6 @@ class TestFusion:
         Q = self.random_state(on, gas, 3)
         assert np.array_equal(on.compute_residual(Q.copy()),
                               off.compute_residual(Q.copy()))
-
-    def test_plan_validation_errors(self, gas):
-        mesh = vortex_mesh(4)
-        s = serial_solver(mesh, gas, SolverOptions(p=2))
-        with pytest.raises(KernelPlanError):
-            s.graph.validate_plan(FusionPlan([["phys_flux", "divergence"]]))
-        with pytest.raises(KernelPlanError):
-            s.graph.validate_plan(FusionPlan([["phys_flux", "own_trace"]]))
-        with pytest.raises(KernelPlanError):
-            s.graph.validate_plan(FusionPlan([["phys_flux"]]))
-        with pytest.raises(KernelPlanError):
-            s.graph.validate_plan(FusionPlan([["phys_flux", "nonsense"]]))
-
-    def test_graph_rejects_missing_producer(self):
-        from fluxrecon.pipeline import Kernel, KernelGraph
-
-        k = Kernel("k", "pd", ("ghost",), ("out",), "elements",
-                   lambda lo, hi: None, lambda lo, hi: (0, 0))
-        with pytest.raises(KernelPlanError):
-            KernelGraph([k], inputs=["other"])
 
 
 class TestDoubleBuffering:
