@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -157,24 +158,17 @@ class RunConfig:
         )
 
     def solver_options(self) -> SolverOptions:
+        """``solver.<field>`` for every ``SolverOptions`` field, defaulting
+        to the field's default."""
         import os
 
-        det = self.get_bool("solver.deterministic", False)
+        get = {bool: self.get_bool, int: self.get_int, float: self.get_float,
+               str: self.get_str}
+        kw = {f.name: get[type(f.default)](f"solver.{f.name}", f.default)
+              for f in fields(SolverOptions)}
         if os.environ.get("ZFR_DETERMINISTIC") == "1":
-            det = True
-        return SolverOptions(
-            p=self.get_int("solver.p", 3),
-            cfl=self.get_float("solver.cfl", 1.0),
-            riemann=self.get_str("solver.riemann", "rusanov"),
-            fusion=self.get_bool("solver.fusion", True),
-            block_kb=self.get_int("solver.block_kb", 256),
-            deterministic=det,
-            viscous=self.get_bool("solver.viscous", False),
-            ldg_beta=self.get_float("solver.ldg_beta", 0.5),
-            ldg_tau_scale=self.get_float("solver.ldg_tau_scale", 0.1),
-            startup_steps=self.get_int("solver.startup_steps", 0),
-            startup_p=self.get_int("solver.startup_p", 0),
-        )
+            kw["deterministic"] = True
+        return SolverOptions(**kw)
 
     def boundary_specs(self) -> Dict[str, BoundarySpec]:
         out = {}

@@ -463,6 +463,12 @@ class SpongeZone:
     reference_state: np.ndarray
     from_side: str = "lo"  # slab edge facing the interior, where the ramp starts
 
+    def __post_init__(self):
+        if self.from_side not in ("lo", "hi"):
+            raise ConfigError(f"sponge side must be 'lo' or 'hi', got {self.from_side!r}")
+        if not self.ramp_width > 0:
+            raise ConfigError(f"sponge ramp width must be positive, got {self.ramp_width!r}")
+
     def sigma(self, x: np.ndarray) -> np.ndarray:
         """Smooth quintic ramp, zero outside the slab, sigma0 deep inside."""
         xi = x[..., self.axis]

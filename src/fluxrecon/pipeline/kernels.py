@@ -8,11 +8,16 @@ from typing import Optional
 
 @dataclass
 class BlockPlan:
-    """Element blocking driven by a scratchpad budget.
+    """Element blocking driven by a memory budget.
 
     ``block_elements`` is the largest element count whose working set fits
-    the budget; blocks never split an element.  A fixed block size
-    (deterministic mode) overrides the budget.
+    the budget; blocks never split an element.  The budget bounds the
+    numpy temporaries one pass allocates per block: too small, and the
+    per-call overhead of many short passes dominates; too large, and the
+    temporaries fall out of cache.  Blocking stays because the fused passes
+    run on one block at a time, which is what the ledger's fused traffic
+    model describes; that model does not depend on the block size.  A
+    fixed block size (deterministic mode) overrides the budget.
     """
 
     num_elements: int

@@ -15,7 +15,9 @@ evaluation runs:
 5. interpolate the transformed flux polynomial to faces and take its
    outward normal trace (the discontinuous interface flux);
 6. divergence GEMM + correction GEMM on the flux jumps, scale by 1/|J|,
-   add sponge sources.
+   add sponge sources.  The sponge ramps do not change in time: each
+   zone's ``-sigma`` is evaluated once at build time on the elements some
+   zone reaches, and only those elements get a source.
 
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
@@ -115,13 +117,17 @@ class SolverOptions:
     cfl: float = 1.0
     riemann: str = "rusanov"
     fusion: bool = True
-    block_kb: int = 256
+    block_kb: int = 1024
     deterministic: bool = False
     viscous: bool = False
     ldg_beta: float = 0.5
     ldg_tau_scale: float = 0.1
     startup_steps: int = 0
     startup_p: int = 0
+
+    def __post_init__(self):
+        if self.block_kb < 1:
+            raise ConfigError(f"solver.block_kb must be at least 1, got {self.block_kb}")
 
 
 @dataclass
@@ -191,6 +197,7 @@ class SolverRank:
         self.cell_coords = self._vertex_coords(vids)  # (ne, nverts, d)
 
         self._build_geometry()
+        self._build_sponges()
         self._build_interfaces()
         self._build_arrays()
         self._build_passes()
@@ -232,6 +239,28 @@ class SolverRank:
         # reference outward normal of every flux-point slot: axis, side
         self.slot_ref_axis = np.repeat([info.normal_axis for info in ref.face_info], nfp)
         self.slot_ref_side = np.repeat([float(info.side) for info in ref.face_info], nfp)
+
+    def _build_sponges(self):
+        """Check the zones against the mesh, then keep per zone
+        ``(-sigma, Q_ref)``: ``-sigma`` ``(m, 1, Ns)`` at the solution points
+        of ``sponge_elems``, the sorted ids of the m elements where some zone
+        is non-zero, and the reference state as an ``(nv, 1)`` column."""
+        for zone in self.sponge_zones:
+            if not 0 <= zone.axis < self.dim:
+                raise ConfigError(f"sponge zone axis {zone.axis} is not an axis of "
+                                  f"a {self.dim}-D mesh")
+            if np.shape(zone.reference_state) != (self.nv,):
+                raise ConfigError(f"sponge reference state has shape "
+                                  f"{np.shape(zone.reference_state)}, expected ({self.nv},)")
+        neg = [-zone.sigma(self.x_upts) for zone in self.sponge_zones]  # (ne, Ns)
+        reach = np.zeros(self.ne, dtype=bool)
+        for s in neg:
+            reach |= (s != 0).any(axis=1)
+        self.sponge_elems = np.flatnonzero(reach)
+        self.sponge_factors = [
+            (s[self.sponge_elems][:, None, :],
+             np.asarray(zone.reference_state, dtype=float)[:, None])
+            for zone, s in zip(self.sponge_zones, neg)]
 
     def _build_interfaces(self):
         """One list of interface flux-point pairs: local, remote, boundary.
@@ -464,12 +493,16 @@ class SolverRank:
         out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
         members = None
         if self.sponge_zones:
-            Q = self.Q_upts[lo:hi].transpose(0, 2, 1)  # (n, Ns, nv) view
-            x = self.x_upts[lo:hi]
-            S = np.zeros_like(Q)
-            for zone in self.sponge_zones:
-                S = S + physics.sponge_source(Q, zone, x)
-            out += S.transpose(0, 2, 1)
+            # S = -sigma (Q - Q_ref) summed over the zones in config order,
+            # on the block's elements that some zone reaches
+            a, b = np.searchsorted(self.sponge_elems, (lo, hi))
+            if b > a:
+                sel = self.sponge_elems[a:b]
+                Q = self.Q_upts[sel]  # (m, nv, Ns)
+                S = 0.0
+                for neg_sigma, ref in self.sponge_factors:
+                    S = S + neg_sigma[a:b] * (Q - ref)
+                out[sel - lo] += S
             members = ("scale_residual", "sponge_source")
         self.dQdt[lo:hi] = out
         nv = self.nv

@@ -273,6 +273,16 @@ class TestConfig:
         monkeypatch.delenv("ZFR_DETERMINISTIC")
         assert cfg.solver_options().deterministic is False
 
+    def test_solver_defaults_are_the_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("ZFR_DETERMINISTIC", raising=False)
+        assert RunConfig.parse("").solver_options() == SolverOptions()
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_block_kb_below_one_rejected(self, value):
+        cfg = RunConfig.parse(f"solver.block_kb = {value}\n")
+        with pytest.raises(ConfigError, match="block_kb"):
+            cfg.solver_options()
+
     def test_sponges(self):
         cfg = RunConfig.parse(
             "sponge.out.axis = 0\nsponge.out.lo = 1\nsponge.out.hi = 2\n"

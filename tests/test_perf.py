@@ -161,14 +161,15 @@ class TestLedger:
 
     @pytest.mark.parametrize("viscous", [False, True])
     def test_residual_ledger_table(self, viscous):
-        """One residual on vortex 8x8, p=3 (two element blocks, one pair
-        chunk): the passes that run, how often, and fused flops equal to the
+        """One residual on vortex 8x8, p=3 (two element blocks of a 256 KB
+        budget, one pair chunk): the passes that run, how often, and fused flops equal to the
         sum of their members'."""
         gas = GasModel(gamma=1.4, R=1.0, mu=1e-3 if viscous else 0.0)
         shards = prepare_shards(vortex_mesh(8), np.zeros(64, np.int64), 1)
 
         def table(fusion):
-            s = SolverRank(shards[0], gas, SolverOptions(p=3, fusion=fusion, viscous=viscous))
+            s = SolverRank(shards[0], gas, SolverOptions(p=3, fusion=fusion, viscous=viscous,
+                                                         block_kb=256))
             s.set_state(lambda x: vortex_state(x, 0.0, gas))
             s.compute_residual(s.Q_upts)
             return s.ledger.kernels

@@ -414,6 +414,38 @@ class TestSponge:
         assert np.all(sig[~inside] == 0)
         assert np.all(np.diff(sig[inside]) >= -1e-12)
 
+    def test_side_typo_rejected(self):
+        with pytest.raises(ConfigError, match="side"):
+            SpongeZone(axis=0, lo=1.0, hi=2.0, ramp_width=0.5, strength=3.0,
+                       reference_state=np.array([1.0, 0.0, 0.0, 2.5]), from_side="high")
+
+    @pytest.mark.parametrize("width", [0.0, -0.5])
+    def test_nonpositive_ramp_width_rejected(self, width):
+        with pytest.raises(ConfigError, match="ramp width"):
+            SpongeZone(axis=0, lo=1.0, hi=2.0, ramp_width=width, strength=3.0,
+                       reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
+
+    def _solver(self, gas, zone):
+        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.pipeline import SolverOptions, SolverRank
+        from fluxrecon.prep import prepare_shards
+
+        mesh = box_mesh_2d(3, 3, periodic=(True, True))
+        shards = prepare_shards(mesh, np.zeros(9, np.int64), 1)
+        return SolverRank(shards[0], gas, SolverOptions(p=1), sponge_zones=[zone])
+
+    def test_reference_state_length_checked_by_solver(self, gas):
+        zone = SpongeZone(axis=0, lo=0.0, hi=1.0, ramp_width=0.5, strength=3.0,
+                          reference_state=np.array([1.0, 0.0, 0.0, 0.0, 2.5]))
+        with pytest.raises(ConfigError, match="reference state"):
+            self._solver(gas, zone)
+
+    def test_axis_beyond_dim_checked_by_solver(self, gas):
+        zone = SpongeZone(axis=2, lo=0.0, hi=1.0, ramp_width=0.5, strength=3.0,
+                          reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
+        with pytest.raises(ConfigError, match="axis"):
+            self._solver(gas, zone)
+
     def test_exponential_decay_matches_ode(self, gas):
         """A state fully inside the sponge at full strength decays like
         exp(-sigma t) through the RK integrator to its order."""

@@ -12,7 +12,7 @@ from fluxrecon.fixtures import (
     vortex_mesh,
     vortex_state,
 )
-from fluxrecon.physics import BoundarySpec, GasModel, conserved
+from fluxrecon.physics import BoundarySpec, GasModel, SpongeZone, conserved, sponge_source
 from fluxrecon.pipeline import (
     RKScheme,
     SolverOptions,
@@ -22,7 +22,7 @@ from fluxrecon.pipeline import (
 from fluxrecon.prep import SimCluster, prepare_shards
 from fluxrecon.prep.transport import RankContext
 
-from oracles import reference_residual
+from oracles import random_partition, reference_residual
 
 
 def serial_solver(mesh, gas, opts, **kw):
@@ -323,6 +323,85 @@ class TestDoubleBuffering:
         b.set_state(lambda x: vortex_state(x, 0.0, gas))
         assert np.array_equal(a.compute_residual(a.Q_upts),
                               b.compute_residual(b.Q_upts))
+
+
+def _sponge_state(x, gas):
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
+    vel = np.stack([0.3 + 0.1 * np.cos(2 * np.pi * x[:, 1]),
+                    -0.2 + 0.1 * np.sin(2 * np.pi * x[:, 0])], axis=1)
+    p = 1.0 + 0.1 * np.cos(2 * np.pi * (x[:, 0] + x[:, 1]))
+    return conserved(rho, vel, p, gas)
+
+
+class TestSpongeResidual:
+    """Sponge sources on a periodic unit box: two zones that overlap in a
+    corner and a third beyond the box that reaches no element."""
+
+    def mesh(self):
+        return box_mesh_2d(6, 6, periodic=(True, True), perturb=0.2, seed=3)
+
+    def zones(self, gas):
+        ref_a = conserved(np.array([1.1]), np.array([[0.2, -0.1]]), np.array([0.9]), gas)[0]
+        ref_b = conserved(np.array([0.9]), np.array([[0.4, 0.0]]), np.array([1.2]), gas)[0]
+        return [
+            SpongeZone(axis=0, lo=0.5, hi=1.0, ramp_width=0.25, strength=4.0,
+                       reference_state=ref_a, from_side="lo"),
+            SpongeZone(axis=1, lo=0.0, hi=0.4, ramp_width=0.3, strength=2.5,
+                       reference_state=ref_b, from_side="hi"),
+            SpongeZone(axis=0, lo=3.0, hi=4.0, ramp_width=0.5, strength=9.0,
+                       reference_state=ref_a),
+        ]
+
+    @pytest.mark.parametrize("block_kb", [8, 64, SolverOptions().block_kb])
+    def test_residual_bitwise_per_element_reference(self, block_kb, gas):
+        """Residual = the sponge-free residual plus, per element, the zones'
+        ``sponge_source`` summed in config order, bit for bit."""
+        mesh, zones = self.mesh(), self.zones(gas)
+        opts = SolverOptions(p=3, block_kb=block_kb)
+        s = serial_solver(mesh, gas, opts, sponge_zones=zones)
+        plain = serial_solver(mesh, gas, opts)
+        s.set_state(lambda x: _sponge_state(x, gas))
+        Q = s.Q_upts.copy()
+        hit = [(z.sigma(s.x_upts) > 0).any(axis=1) for z in zones]
+        assert (hit[0] & hit[1]).any() and not hit[2].any()
+        assert not (hit[0] | hit[1]).all()
+
+        expect = plain.compute_residual(Q)
+        for e in range(s.ne):
+            S = np.zeros((s.Ns, s.nv))
+            for zone in zones:
+                S = S + sponge_source(Q[e].T, zone, s.x_upts[e])
+            expect[e] += S.T
+        got = s.compute_residual(Q)
+        assert np.array_equal(got, expect)
+        dense = reference_residual(mesh, Q, 3, gas, sponges=zones)
+        assert np.abs(got - dense).max() / np.abs(dense).max() < 1e-12
+
+    def test_deterministic_rank_invariance(self, gas):
+        mesh, zones = self.mesh(), self.zones(gas)
+        opts = SolverOptions(p=3, deterministic=True)
+
+        def run(nranks):
+            assignment = random_partition(np.random.default_rng(5), len(mesh.cells), nranks)
+            shards = prepare_shards(mesh, assignment, nranks)
+
+            def prog(ctx):
+                s = SolverRank(shards[ctx.rank], gas, opts, sponge_zones=zones, ctx=ctx)
+                s.set_state(lambda x: _sponge_state(x, gas))
+                for _ in range(3):
+                    s.step_in_place(0.005)
+                return s.gids, s.Q_upts
+
+            if nranks == 1:
+                return [prog(RankContext(0, 1, None))]
+            return SimCluster(nranks, seed=2).run(prog)
+
+        def by_gid(results):
+            return {int(g): Q[i] for gids, Q in results for i, g in enumerate(gids)}
+
+        one, three = by_gid(run(1)), by_gid(run(3))
+        assert one.keys() == three.keys()
+        assert all(np.array_equal(one[g], three[g]) for g in one)
 
 
 class TestHaloAndRankInvariance:
