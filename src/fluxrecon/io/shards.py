@@ -148,10 +148,19 @@ def read_shard(path: str) -> MeshShard:
     cells = [Cell(id=int(r[0]), kind=kind, vertex_ids=tuple(int(v) for v in r[1:]))
              for r in cell_rows]
 
+    int_rows = take_i(nint, int_w)
+    bnd_rows = take_i(nbnd, bnd_w)
+    rem_rows = take_i(nrem, rem_w)
+    alias = take_i(nalias) if nalias else None
+
+    def key(corners):
+        # faces are keyed by aliased corners, as in preparation
+        return tuple(sorted(int(v) for v in (corners if alias is None else alias[corners])))
+
     internal = []
-    for r in take_i(nint, int_w) if nint else []:
+    for r in int_rows:
         internal.append(Face(
-            key=tuple(sorted(int(v) for v in r[5:5 + nc])),
+            key=key(r[5:5 + nc]),
             left=(int(r[0]), int(r[1])),
             left_corners=tuple(int(v) for v in r[5:5 + nc]),
             right=(int(r[2]), int(r[3])),
@@ -159,15 +168,15 @@ def read_shard(path: str) -> MeshShard:
             orientation=int(r[4]),
         ))
     boundary = []
-    for r in take_i(nbnd, bnd_w) if nbnd else []:
+    for r in bnd_rows:
         boundary.append(Face(
-            key=tuple(sorted(int(v) for v in r[3:3 + nc])),
+            key=key(r[3:3 + nc]),
             left=(int(r[0]), int(r[1])),
             left_corners=tuple(int(v) for v in r[3:3 + nc]),
             patch_id=int(r[2]),
         ))
     remote = []
-    for r in take_i(nrem, rem_w) if nrem else []:
+    for r in rem_rows:
         cpl = RemoteCoupling(
             local_gid=int(r[0]),
             local_face=int(r[1]),
@@ -178,13 +187,11 @@ def read_shard(path: str) -> MeshShard:
             canonical_corners=tuple(int(v) for v in r[9:9 + nc]),
         )
         face = Face(
-            key=tuple(sorted(int(v) for v in r[9 + nc:9 + 2 * nc])),
+            key=key(r[9 + nc:9 + 2 * nc]),
             left=(int(r[0]), int(r[1])),
             left_corners=tuple(int(v) for v in r[9 + nc:9 + 2 * nc]),
         )
         remote.append((face, cpl))
-
-    alias = take_i(nalias) if nalias else None
 
     (meta_len,) = struct.unpack_from("<Q", raw, off)
     off += 8

@@ -123,11 +123,6 @@ class SerialMesh:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def alias_of(self, vid: int) -> int:
-        if self.vertex_alias is None:
-            return vid
-        return int(self.vertex_alias[vid])
-
 
 def local_face_corners(cell: Cell, local_face: int) -> tuple:
     """Corner vertex ids of a local face, wound outward."""

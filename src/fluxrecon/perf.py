@@ -293,10 +293,6 @@ def counting_array(values: np.ndarray, counter: OpCounter) -> np.ndarray:
     return np.array(flat, dtype=object).reshape(np.shape(values))
 
 
-def plain_array(obj_arr: np.ndarray) -> np.ndarray:
-    return np.array([float(x) for x in np.asarray(obj_arr).reshape(-1)]).reshape(np.shape(obj_arr))
-
-
 # ---------------------------------------------------------------------------
 # Census bodies: the per-point arithmetic of each point-wise kernel, run on
 # instrumented scalars.  These mirror the vectorized kernel formulas.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -16,19 +15,17 @@ class BlockPlan:
     per-call overhead of many short passes dominates; too large, and the
     temporaries fall out of cache.  Blocking stays because the fused passes
     run on one block at a time, which is what the ledger's fused traffic
-    model describes; that model does not depend on the block size.  A
-    fixed block size (deterministic mode) overrides the budget.
+    model describes; that model does not depend on the block size.
+    Deterministic mode needs no fixed size: its GEMMs accumulate each row
+    in a fixed order, so results do not depend on the blocking.
     """
 
     num_elements: int
     bytes_per_element: int
     budget_bytes: int
-    fixed_block: Optional[int] = None
 
     @property
     def block_elements(self) -> int:
-        if self.fixed_block:
-            return min(self.fixed_block, max(self.num_elements, 1))
         return max(1, min(max(self.num_elements, 1),
                           self.budget_bytes // max(self.bytes_per_element, 1)))
 

@@ -22,14 +22,15 @@ evaluation runs:
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
 ``PerfLedger.add_gemm`` with their exact shapes, point-wise passes through
-``PerfLedger.add_pointwise``.  ``SolverOptions.fusion`` only selects the
-ledger's traffic model.  Fused, the volume flux and its transform run as
-one pass, ``phys_flux+transform_flux``, and so do the face trace and the
-flux jump, ``own_trace+flux_jump``; their intermediates ``F_upts`` and
-``Fown_fpts`` are then not charged as memory traffic.  Both settings run
-the same array operations in the same order on each block, so results are
-bitwise equal.  GEMMs are never fused, and fusion changes modelled bytes
-but never flops: a fused entry's flops are the sum of its members'.
+``PerfLedger.add_pointwise``.  The volume flux and its transform run as
+one pass, and so do the face trace and the flux jump.
+``SolverOptions.fusion`` only selects how the ledger books them: fused, as
+one entry each, ``phys_flux+transform_flux`` and ``own_trace+flux_jump``,
+whose intermediates ``F_upts`` and ``Fown_fpts`` are not charged as
+memory traffic; unfused, as their two member entries.  Results are
+therefore bitwise equal under both settings.  GEMMs are never fused, and
+fusion changes modelled bytes but never flops: a fused entry's flops are
+the sum of its members'.
 
 Buffer layouts (C-ordered; every buffer has the point axis last and
 contiguous, so each variable is one contiguous row):
@@ -393,44 +394,32 @@ class SolverRank:
         self.ledger.add_gemm("interp_to_faces", X.shape[0], self.nf, self.Ns,
                              X.nbytes, out.nbytes)
 
-    def _phys_flux_body(self, lo, hi):
-        d = self.dim
+    def _volume_flux(self, lo, hi):
+        """Physical flux, then its transform to reference space.  Fused, the
+        ledger does not charge the intermediate F_upts."""
+        d, nv = self.dim, self.nv
         Q = self.Q_upts[lo:hi].transpose(0, 2, 1)          # (n, Ns, nv) view
         F = self.F_upts[lo:hi].transpose(0, 3, 1, 2)       # (n, Ns, d, nv) view
         physics.inviscid_flux(Q, d, self.gas, out=F)
         if self.opt.viscous:
             grad = self.grad_upts[lo:hi].transpose(0, 3, 1, 2)
             F -= physics.viscous_flux(Q, grad, d, self.gas)
-
-    def _transform_body(self, lo, hi):
         F = self.F_upts[lo:hi]          # (n, d, nv, Ns)
         adj = self.adj_upts[lo:hi]      # (n, Ns, d, d)
         out = self.Fhat_upts[lo:hi]
-        d = self.dim
         for k in range(d):
             acc = adj[:, :, k, 0][:, None, :] * F[:, 0]
             for l in range(1, d):
                 acc = acc + adj[:, :, k, l][:, None, :] * F[:, l]
             out[:, k] = acc
-
-    def _phys_flux(self, lo, hi):
-        self._phys_flux_body(lo, hi)
-        self._log_block("phys_flux", lo, hi, self.Ns, self.nv + self.grad_rows,
-                        self.dim * self.nv, members=self.flux_members)
-
-    def _transform_flux(self, lo, hi):
-        self._transform_body(lo, hi)
-        d, nv = self.dim, self.nv
-        self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv)
-
-    def _volume_flux(self, lo, hi):
-        """phys_flux and transform_flux fused: F_upts is not charged."""
-        self._phys_flux_body(lo, hi)
-        self._transform_body(lo, hi)
-        d, nv = self.dim, self.nv
-        self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
-                        nv + d * d + self.grad_rows, d * nv,
-                        members=self.flux_members + ("transform_flux",))
+        if self.opt.fusion:
+            self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
+                            nv + d * d + self.grad_rows, d * nv,
+                            members=self.flux_members + ("transform_flux",))
+        else:
+            self._log_block("phys_flux", lo, hi, self.Ns, nv + self.grad_rows,
+                            d * nv, members=self.flux_members)
+            self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
     def _interp_flux(self, lo, hi):
         for ax in range(self.dim):
@@ -440,36 +429,25 @@ class SolverRank:
             self.ledger.add_gemm("interp_flux", X.shape[0], self.nf, self.Ns,
                                  X.nbytes, out.nbytes)
 
-    def _own_trace_body(self, lo, hi):
-        # outward normal trace of the transformed flux polynomial
-        d = self.dim
+    def _trace_jump(self, lo, hi):
+        """Outward normal trace of the transformed flux polynomial, then its
+        jump against the common flux.  Fused, the ledger does not charge the
+        intermediate Fown_fpts."""
         Ff = self.Fhat_fpts[lo:hi]
         acc = None
-        for ax in range(d):
+        for ax in range(self.dim):
             mask = (self.slot_ref_axis == ax)
             term = Ff[:, ax] * (self.slot_ref_side * mask)
             acc = term if acc is None else acc + term
         self.Fown_fpts[lo:hi] = acc
-
-    def _jump_body(self, lo, hi):
         self.jump_fpts[lo:hi] = self.Fc_fpts[lo:hi] - self.Fown_fpts[lo:hi]
-
-    def _own_trace(self, lo, hi):
-        self._own_trace_body(lo, hi)
         nv = self.nv
-        self._log_block("own_trace", lo, hi, self.nf, self.dim * nv + 1, nv)
-
-    def _flux_jump(self, lo, hi):
-        self._jump_body(lo, hi)
-        self._log_block("flux_jump", lo, hi, self.nf, 2 * self.nv, self.nv)
-
-    def _trace_jump(self, lo, hi):
-        """own_trace and flux_jump fused: Fown_fpts is not charged."""
-        self._own_trace_body(lo, hi)
-        self._jump_body(lo, hi)
-        nv = self.nv
-        self._log_block("own_trace+flux_jump", lo, hi, self.nf, self.dim * nv + 1 + nv,
-                        nv, members=("own_trace", "flux_jump"))
+        if self.opt.fusion:
+            self._log_block("own_trace+flux_jump", lo, hi, self.nf,
+                            self.dim * nv + 1 + nv, nv, members=("own_trace", "flux_jump"))
+        else:
+            self._log_block("own_trace", lo, hi, self.nf, self.dim * nv + 1, nv)
+            self._log_block("flux_jump", lo, hi, self.nf, 2 * nv, nv)
 
     def _divergence(self, lo, hi):
         Ns = self.Ns
@@ -681,7 +659,6 @@ class SolverRank:
             num_elements=self.ne,
             bytes_per_element=doubles_per_elem * ITEM,
             budget_bytes=self.opt.block_kb * 1024,
-            fixed_block=32 if self.opt.deterministic else None,
         )
         self.interp_T = ref.interp_to_faces.T.copy()
         self.div_T = [ref.div_operators[ax].T.copy() for ax in range(d)]
@@ -691,13 +668,8 @@ class SolverRank:
         self.grad_rows = d * nv if self.opt.viscous else 0
         self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
 
-        if self.opt.fusion:
-            flux = [self._volume_flux, self._interp_flux, self._trace_jump]
-        else:
-            flux = [self._phys_flux, self._transform_flux, self._interp_flux,
-                    self._own_trace, self._flux_jump]
-        self.volume_passes = flux + [self._divergence, self._correction,
-                                     self._scale_residual]
+        self.volume_passes = [self._volume_flux, self._interp_flux, self._trace_jump,
+                              self._divergence, self._correction, self._scale_residual]
         self.gradient_passes = [self._gradient, self._grad_transform, self._interp_grad]
         self.iface_chunk = 65536
 

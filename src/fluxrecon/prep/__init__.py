@@ -3,9 +3,8 @@ from .distribute import EntityRange, distribute_entities, nbx_exchange
 from .matching import (
     MeshShard,
     RemoteCoupling,
-    match_remote_faces,
+    match_uncoupled_faces,
     prepare_shards,
-    resolve_boundary_faces,
 )
 from .partition import partition_mesh
 
@@ -18,8 +17,7 @@ __all__ = [
     "nbx_exchange",
     "MeshShard",
     "RemoteCoupling",
-    "match_remote_faces",
-    "resolve_boundary_faces",
+    "match_uncoupled_faces",
     "prepare_shards",
     "partition_mesh",
 ]

@@ -26,9 +26,6 @@ class EntityRange:
     def size(self) -> int:
         return self.end - self.begin
 
-    def intersects(self, other: "EntityRange") -> bool:
-        return self.begin < other.end and other.begin < self.end
-
 
 def distribute_entities(global_count: int, nranks: int, rank: int) -> EntityRange:
     """Contiguous balanced chunk for one rank.

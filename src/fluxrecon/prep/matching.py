@@ -1,21 +1,20 @@
 """Distributed face matching and shard assembly.
 
-Implements the two pre-processing exchanges over the NBX transport:
-
-* boundary-face resolution: three rounds (route uncoupled volume faces by
-  leading vertex id, route boundary records the same way, return matched
-  patch assignments to the owners);
-* remote internal-face matching: two rounds (route uncoupled faces, return
-  couplings to both owners).
-
-Both rely on the same-destination property: a face key's leading (minimum,
-aliased) vertex id routes both copies of a coupled face to one rank.
-Records travel as fixed-width little-endian int64 rows.
+Preparation takes three NBX exchanges per rank: one moves cells to their
+partition owners, and two resolve the faces that no local cell couples.
+The latter is a rendezvous on an assumed partition (Baker, Falgout & Yang,
+Parallel Computing 32, 2006): each uncoupled face and each boundary record
+is routed by the leading (minimum, aliased) vertex id of its key, so every
+copy of a face and its record meet on one home rank.  There a face with a
+record gets the record's patch, two faces become a coupling for both
+owners, and anything else is a mesh error; the second round returns the
+results to the owners.  Rows travel as fixed-width little-endian int64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +76,6 @@ class MeshShard:
     patch_names: dict = field(default_factory=dict)
     seed: int = 0
     routing: str = "modulo"
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _encode(rows: Sequence[Sequence[int]]) -> bytes:
@@ -107,96 +105,7 @@ def _alias_tuple(vids, alias) -> tuple:
     return tuple(int(alias[v]) for v in vids)
 
 
-def match_remote_faces(
-    ctx: RankContext,
-    uncoupled: Sequence[Face],
-    alias: Optional[np.ndarray],
-    arity: int,
-    routing: str = "modulo",
-    nverts: int = 0,
-) -> Tuple[List[RemoteCoupling], List[Face]]:
-    """Find cross-rank partners for locally unmatched faces.
-
-    ``arity`` is the vertex count of a face key, the same on every rank.
-    Returns (couplings, unmatched).  Unmatched faces are reported, not
-    fatal here: the caller decides whether they are holes.
-    """
-    L = arity
-    width = 2 * L + 3
-
-    by_face = {}
-    sbuf_rows: Dict[int, list] = {}
-    for f in uncoupled:
-        gid, lf = f.left
-        by_face[(gid, lf)] = f
-        row = list(f.key) + list(f.left_corners) + [ctx.rank, gid, lf]
-        dest = _route(f.key[0], ctx.nranks, routing, nverts)
-        sbuf_rows.setdefault(dest, []).append(row)
-
-    recv = nbx_exchange(ctx, {d: _encode(r) for d, r in sbuf_rows.items()})
-
-    rows = []
-    for src in sorted(recv):
-        rows.extend(_decode(recv[src], width).tolist())
-    rows.sort()
-
-    replies: Dict[int, list] = {}
-    i = 0
-    reply_width = 5 + L
-    while i < len(rows):
-        j = i + 1
-        while j < len(rows) and rows[j][:L] == rows[i][:L]:
-            j += 1
-        group = rows[i:j]
-        if len(group) == 2:
-            a, b = group
-            for mine, peer in ((a, b), (b, a)):
-                rank, gid, lf = mine[2 * L], mine[2 * L + 1], mine[2 * L + 2]
-                prank, pgid, plf = peer[2 * L], peer[2 * L + 1], peer[2 * L + 2]
-                reply = [gid, lf, prank, pgid, plf] + peer[L:2 * L]
-                replies.setdefault(rank, []).append(reply)
-        elif len(group) > 2:
-            owners = [tuple(g[2 * L:]) for g in group]
-            raise NonManifoldError(
-                f"face key {tuple(rows[i][:L])} claimed by {len(group)} owners: {owners}"
-            )
-        i = j
-
-    recv2 = nbx_exchange(ctx, {d: _encode(r) for d, r in replies.items()})
-
-    couplings = []
-    matched = set()
-    for src in sorted(recv2):
-        for row in _decode(recv2[src], reply_width).tolist():
-            gid, lf, prank, pgid, plf = row[:5]
-            peer_corners = tuple(row[5:5 + L])
-            face = by_face[(gid, lf)]
-            matched.add((gid, lf))
-            my_aliased = _alias_tuple(face.left_corners, alias)
-            peer_aliased = _alias_tuple(peer_corners, alias)
-            canonical = gid < pgid
-            if canonical:
-                canon_aliased, canon_true = my_aliased, tuple(face.left_corners)
-            else:
-                canon_aliased, canon_true = peer_aliased, peer_corners
-            orientation = corner_orientation(canon_aliased, my_aliased)
-            couplings.append(
-                RemoteCoupling(
-                    local_gid=int(gid),
-                    local_face=int(lf),
-                    remote_rank=int(prank),
-                    remote_tag=(hash(face.key), int(prank), int(pgid), int(plf)),
-                    orientation=orientation,
-                    canonical=canonical,
-                    canonical_corners=canon_true,
-                )
-            )
-    couplings.sort(key=lambda c: (c.local_gid, c.local_face))
-    unmatched = [f for key, f in by_face.items() if key not in matched]
-    return couplings, unmatched
-
-
-def resolve_boundary_faces(
+def match_uncoupled_faces(
     ctx: RankContext,
     uncoupled: Sequence[Face],
     boundary_records: Sequence[Tuple[int, tuple]],
@@ -204,93 +113,90 @@ def resolve_boundary_faces(
     arity: int,
     routing: str = "modulo",
     nverts: int = 0,
-) -> Tuple[Dict[tuple, int], dict]:
-    """Assign boundary patches to uncoupled faces (three-round exchange).
+) -> Tuple[Dict[tuple, int], List[RemoteCoupling]]:
+    """Give every locally uncoupled face a boundary patch or a remote partner.
 
     ``boundary_records`` is the complete global list of (patch id, vertex
-    ids); this rank only reads its cumulative-storage chunk of it.
-    ``arity`` is the vertex count of a face key.  Every rank enters all
-    three rounds, also with nothing to send.
-    Returns ({(gid, local_face): patch_id}, diagnostics).
+    ids); this rank only sends its cumulative-storage chunk of it.
+    ``arity`` is the vertex count of a face key, the same on every rank.
+    Every rank enters both rounds, also with nothing to send.
+    Returns ({(gid, local_face): patch_id}, couplings sorted by local face).
     """
     L = arity
-    fwidth = 2 * L + 3
+    width = 2 * L + 3
 
-    # round 1: uncoupled volume faces by leading vertex
-    sbuf_rows: Dict[int, list] = {}
+    # round 1: faces and records to the home rank of their key
+    rows: Dict[int, list] = {}
     for f in uncoupled:
         gid, lf = f.left
-        row = list(f.key) + list(f.left_corners) + [ctx.rank, gid, lf]
         dest = _route(f.key[0], ctx.nranks, routing, nverts)
-        sbuf_rows.setdefault(dest, []).append(row)
-    recv_faces = nbx_exchange(ctx, {d: _encode(r) for d, r in sbuf_rows.items()})
-
-    # round 2: this rank's chunk of boundary records, routed the same way
+        rows.setdefault(dest, []).append(list(f.key) + list(f.left_corners) + [ctx.rank, gid, lf])
     erange = distribute_entities(len(boundary_records), ctx.nranks, ctx.rank)
-    brow_buf: Dict[int, list] = {}
-    for idx in range(erange.begin, erange.end):
-        patch_id, vids = boundary_records[idx]
+    for patch_id, vids in boundary_records[erange.begin:erange.end]:
         key = tuple(sorted(_alias_tuple(vids, alias)))
         if len(key) != L:
             raise MeshError(f"boundary record arity {len(key)} != face arity {L}")
         dest = _route(key[0], ctx.nranks, routing, nverts)
-        brow_buf.setdefault(dest, []).append(list(key) + [patch_id])
-    recv_brec = nbx_exchange(ctx, {d: _encode(r) for d, r in brow_buf.items()})
+        rows.setdefault(dest, []).append(list(key) + list(vids) + [-1, patch_id, 0])
+    recv = nbx_exchange(ctx, {d: _encode(r) for d, r in rows.items()})
 
-    face_rows = []
-    for src in sorted(recv_faces):
-        face_rows.extend(_decode(recv_faces[src], fwidth).tolist())
-    face_rows.sort()
-    ndup = 0
-    deduped = []
-    for row in face_rows:
-        sig = tuple(row[:L]) + tuple(row[2 * L:])
-        if deduped and deduped[-1][0] == sig:
-            ndup += 1
-            continue
-        deduped.append((sig, row))
-    face_rows = [row for _, row in deduped]
-
-    brec_rows = []
-    for src in sorted(recv_brec):
-        brec_rows.extend(_decode(recv_brec[src], L + 1).tolist())
-    brec_rows.sort()
-
-    # match bface records with face records (both sorted by key)
+    # at the home rank: one group of rows per key
+    received = sorted(row for src in sorted(recv) for row in _decode(recv[src], width).tolist())
     replies: Dict[int, list] = {}
-    fi = 0
-    for brow in brec_rows:
-        bkey = brow[:L]
-        while fi < len(face_rows) and face_rows[fi][:L] < bkey:
-            fi += 1
-        group = []
-        fj = fi
-        while fj < len(face_rows) and face_rows[fj][:L] == bkey:
-            group.append(face_rows[fj])
-            fj += 1
-        if not group:
-            raise DanglingBoundaryError(
-                f"boundary record {tuple(bkey)} (patch {brow[L]}) owns no face"
-            )
-        owners = {(r[2 * L + 1], r[2 * L + 2]) for r in group}
-        if len(owners) > 1:
-            raise MeshError(
-                f"boundary record {tuple(bkey)} names a two-owner (internal) face"
-            )
-        row = group[0]
-        rank, gid, lf = row[2 * L], row[2 * L + 1], row[2 * L + 2]
-        replies.setdefault(rank, []).append([gid, lf, brow[L]])
+    for key, group in groupby(received, key=lambda r: tuple(r[:L])):
+        group = list(group)
+        faces = [r for r in group if r[2 * L] >= 0]
+        patches = {r[2 * L + 1] for r in group if r[2 * L] < 0}
+        owners = [tuple(r[2 * L:]) for r in faces]
+        if patches:
+            if not faces:
+                raise DanglingBoundaryError(
+                    f"boundary record {key} (patch {min(patches)}) owns no face")
+            if len(faces) > 1:
+                raise MeshError(f"boundary record {key} names a two-owner (internal) face")
+            if len(patches) > 1:
+                raise MeshError(f"face {owners[0][1:]} assigned to patches {sorted(patches)}")
+            rank, gid, lf = owners[0]
+            replies.setdefault(rank, []).append([gid, lf, -1, patches.pop(), 0] + [0] * L)
+        elif len(faces) == 2:
+            for mine, peer in ((faces[0], faces[1]), (faces[1], faces[0])):
+                rank, gid, lf = mine[2 * L:]
+                replies.setdefault(rank, []).append([gid, lf] + peer[2 * L:] + peer[L:2 * L])
+        elif len(faces) == 1:
+            raise MeshHoleError(
+                f"face {owners[0][1:]} on rank {owners[0][0]} has neither partner "
+                f"nor boundary record")
+        else:
+            raise NonManifoldError(f"face key {key} claimed by {len(faces)} owners: {owners}")
 
-    recv_assign = nbx_exchange(ctx, {d: _encode(r) for d, r in replies.items()})
-
-    assignments: Dict[tuple, int] = {}
-    for src in sorted(recv_assign):
-        for gid, lf, patch in _decode(recv_assign[src], 3).tolist():
-            key = (int(gid), int(lf))
-            if key in assignments and assignments[key] != patch:
-                raise MeshError(f"face {key} assigned to two patches")
-            assignments[key] = int(patch)
-    return assignments, {"duplicate_face_records": ndup}
+    # round 2: patches and partners back to the owners
+    recv = nbx_exchange(ctx, {d: _encode(r) for d, r in replies.items()})
+    by_face = {f.left: f for f in uncoupled}
+    patch_by_face: Dict[tuple, int] = {}
+    couplings = []
+    for src in sorted(recv):
+        for row in _decode(recv[src], 5 + L).tolist():
+            gid, lf, prank, pgid, plf = row[:5]
+            if prank < 0:
+                patch_by_face[(gid, lf)] = pgid
+                continue
+            face = by_face[(gid, lf)]
+            peer_corners = tuple(row[5:])
+            canonical = gid < pgid
+            canon_true = tuple(face.left_corners) if canonical else peer_corners
+            orientation = corner_orientation(_alias_tuple(canon_true, alias),
+                                             _alias_tuple(face.left_corners, alias))
+            couplings.append(RemoteCoupling(
+                local_gid=gid,
+                local_face=lf,
+                remote_rank=prank,
+                remote_tag=(hash(face.key), prank, pgid, plf),
+                orientation=orientation,
+                canonical=canonical,
+                canonical_corners=canon_true,
+            ))
+    couplings.sort(key=lambda c: (c.local_gid, c.local_face))
+    return patch_by_face, couplings
 
 
 def flatten_boundary_records(mesh: SerialMesh) -> List[Tuple[int, tuple]]:
@@ -299,10 +205,6 @@ def flatten_boundary_records(mesh: SerialMesh) -> List[Tuple[int, tuple]]:
         for vids in sect.records:
             records.append((sect.patch_id, tuple(vids)))
     return records
-
-
-def _cell_rows(cells: Sequence[Cell]) -> list:
-    return [[c.id] + list(c.vertex_ids) for c in cells]
 
 
 def _cells_from_rows(rows, kind: str) -> list:
@@ -314,8 +216,8 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
     """Per-rank body of the mesh preparation pipeline.
 
     Reads a cumulative chunk of cells, redistributes them to partition
-    owners, matches local faces, resolves boundary patches, and couples
-    remote faces.
+    owners, matches local faces, then resolves the uncoupled ones into
+    boundary patches and remote couplings.
     """
     nranks = ctx.nranks
     kind = mesh.cells[0].kind
@@ -342,30 +244,14 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
     faces = build_face_list(my_cells, alias)
     internal, uncoupled = match_local_faces(faces, alias)
 
-    records = flatten_boundary_records(mesh)
-    assignments, diag = resolve_boundary_faces(
-        ctx, uncoupled, records, alias, arity, routing, nverts
+    patch_by_face, couplings = match_uncoupled_faces(
+        ctx, uncoupled, flatten_boundary_records(mesh), alias, arity, routing, nverts
     )
-    boundary_faces = []
-    remaining = []
     for f in uncoupled:
-        patch = assignments.get(f.left)
-        if patch is None:
-            remaining.append(f)
-        else:
-            f.patch_id = patch
-            boundary_faces.append(f)
-
-    couplings, unmatched = match_remote_faces(
-        ctx, remaining, alias, arity, routing, nverts
-    )
-    if unmatched:
-        locs = [f.left for f in unmatched[:5]]
-        raise MeshHoleError(
-            f"rank {ctx.rank}: {len(unmatched)} faces have neither partner "
-            f"nor boundary record, e.g. {locs}"
-        )
-    by_face = {f.left: f for f in remaining}
+        f.patch_id = patch_by_face.get(f.left)
+    boundary_faces = sorted((f for f in uncoupled if f.patch_id is not None),
+                            key=lambda f: f.left)
+    by_face = {f.left: f for f in uncoupled}
     remote_faces = [(by_face[(c.local_gid, c.local_face)], c) for c in couplings]
 
     vid_set = set()
@@ -376,7 +262,6 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
     vertex_ids = np.array(sorted(vid_set), dtype=np.int64)
     vertex_coords = mesh.vertices[vertex_ids]
 
-    boundary_faces.sort(key=lambda f: f.left)
     return MeshShard(
         rank=ctx.rank,
         nranks=nranks,
@@ -393,7 +278,6 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
         patch_names={s.patch_id: s.name for s in mesh.boundary_sections},
         seed=seed,
         routing=routing,
-        diagnostics=diag,
     )
 
 

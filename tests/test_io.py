@@ -150,6 +150,19 @@ class TestShards:
         for vid, xy in verts.items():
             assert np.array_equal(xy, mesh.vertices[vid])
 
+    def test_periodic_face_keys_survive_round_trip(self, tmp_path):
+        """Preparation keys faces by aliased corners; a shard read back from
+        disk must carry the same keys."""
+        mesh = box_mesh_2d(4, 3, periodic=(True, False))
+        shards = prepare_shards(mesh, np.array([0, 0, 1, 1] * 3), 2)
+        write_shards(shards, str(tmp_path / "s"))
+        for a, b in zip(shards, read_shards(str(tmp_path / "s"))):
+            for faces in ("internal_faces", "boundary_faces"):
+                assert [f.key for f in getattr(a, faces)] == \
+                       [f.key for f in getattr(b, faces)]
+            assert [f.key for f, _ in a.remote_faces] == [f.key for f, _ in b.remote_faces]
+            assert a.remote_faces
+
     def test_corrupt_magic_rejected_before_payload(self, tmp_path, rng):
         mesh = box_mesh_3d(2, 2, 1)
         shards = prepare_shards(mesh, np.zeros(4, np.int64), 1)

@@ -134,6 +134,32 @@ class TestNbx:
 _random_partition = random_partition
 
 
+def _record_on_shared_face():
+    mesh = box_mesh_3d(2, 1, 1)
+    shared = set(mesh.cells[0].vertex_ids) & set(mesh.cells[1].vertex_ids)
+    mesh.boundary_sections[0].records.append(tuple(sorted(shared)))
+    return mesh, [0, 1]
+
+
+def _face_on_two_patches():
+    mesh = box_mesh_3d(2, 1, 1)
+    mesh.boundary_sections[1].records.append(mesh.boundary_sections[0].records[0])
+    return mesh, [0, 1]
+
+
+def _edge_of_three_cells():
+    """Three quads on three ranks share the edge (0, 1); every other
+    edge has a boundary record."""
+    from fluxrecon.mesh_core import BoundarySection, Cell, SerialMesh
+
+    quads = [(0, 1, 2, 3), (1, 0, 4, 5), (0, 1, 6, 7)]
+    edges = {tuple(sorted((q[i], q[(i + 1) % 4]))) for q in quads for i in range(4)}
+    records = sorted(edges - {(0, 1)})
+    mesh = SerialMesh(2, np.zeros((8, 2)), [Cell(i, "quad", q) for i, q in enumerate(quads)],
+                      [BoundarySection(0, "wall", records)])
+    return mesh, [0, 1, 2]
+
+
 class TestDistributedMatching:
     def test_two_hexes_two_ranks(self, gas):
         mesh = box_mesh_3d(2, 1, 1)
@@ -257,6 +283,34 @@ class TestDistributedMatching:
 
         with pytest.raises((DanglingBoundaryError, MeshError)):
             prepare_shards(mesh, np.array([0, 1, 0, 1]), 2)
+
+    @pytest.mark.parametrize("build, error", [
+        (_record_on_shared_face, MeshError),
+        (_face_on_two_patches, MeshError),
+        (_edge_of_three_cells, NonManifoldError),
+    ], ids=["record-on-shared-face", "face-on-two-patches", "edge-of-three-cells"])
+    def test_rendezvous_errors(self, build, error):
+        mesh, assignment = build()
+        with pytest.raises(MeshError) as excinfo:
+            prepare_shards(mesh, np.array(assignment), max(assignment) + 1)
+        assert excinfo.type is error
+
+    def test_three_exchanges_per_rank(self, monkeypatch, rng):
+        """Cells to owners, then faces and records to their home rank and
+        the results back: three NBX rounds on every rank."""
+        from fluxrecon.prep import matching
+
+        calls = {}
+        exchange = matching.nbx_exchange
+
+        def counting(ctx, sbuffers):
+            calls[ctx.rank] = calls.get(ctx.rank, 0) + 1
+            return exchange(ctx, sbuffers)
+
+        monkeypatch.setattr(matching, "nbx_exchange", counting)
+        mesh = box_mesh_2d(6, 6, periodic=(True, False))
+        prepare_shards(mesh, _random_partition(rng, 36, 3), 3)
+        assert calls == {0: 3, 1: 3, 2: 3}
 
 
 class TestPartition:
