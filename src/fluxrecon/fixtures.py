@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MeshError
-from .mesh_core import BoundarySection, Cell, SerialMesh
+from .mesh_core import BoundarySection, SerialMesh
 from .physics import GasModel, conserved
 
 
@@ -402,16 +402,9 @@ def box_mesh_2d(
     def vid(i, j):
         return i + nvx * j
 
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append(
-                Cell(
-                    id=i + nx * j,
-                    kind="quad",
-                    vertex_ids=(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)),
-                )
-            )
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v0 = vid(i, j)
+    cells = np.column_stack([v0, v0 + 1, v0 + 1 + nvx, v0 + nvx])
 
     alias = np.arange(nvx * nvy, dtype=np.int64)
     if periodic[0]:
@@ -476,22 +469,12 @@ def box_mesh_3d(
                 for i in range(1, nx):
                     verts[vid(i, j, k)] += perturb * h * (rng.random(3) - 0.5)
 
-    cells = []
-    cid = 0
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                cells.append(
-                    Cell(
-                        id=cid,
-                        kind="hex",
-                        vertex_ids=(
-                            vid(i, j, k), vid(i + 1, j, k), vid(i + 1, j + 1, k), vid(i, j + 1, k),
-                            vid(i, j, k + 1), vid(i + 1, j, k + 1), vid(i + 1, j + 1, k + 1), vid(i, j + 1, k + 1),
-                        ),
-                    )
-                )
-                cid += 1
+    k, rest = np.divmod(np.arange(nx * ny * nz), nx * ny)
+    j, i = np.divmod(rest, nx)
+    v0 = vid(i, j, k)
+    corners = np.array([vid(0, 0, 0), vid(1, 0, 0), vid(1, 1, 0), vid(0, 1, 0),
+                        vid(0, 0, 1), vid(1, 0, 1), vid(1, 1, 1), vid(0, 1, 1)])
+    cells = v0[:, None] + corners
 
     alias = np.arange(verts.shape[0], dtype=np.int64)
     if periodic[0]:

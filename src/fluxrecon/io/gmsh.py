@@ -11,8 +11,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..errors import FormatError
-from ..mesh_core import BoundarySection, Cell, SerialMesh
+from ..errors import FormatError, MeshError
+from ..mesh_core import BoundarySection, SerialMesh
 
 _SUPPORTED = {1: 2, 3: 4, 5: 8}
 _GMSH_NODE_COUNT = {1: 2, 2: 3, 3: 4, 4: 4, 5: 8, 6: 6, 7: 5, 15: 1}
@@ -108,39 +108,47 @@ def import_gmsh_ascii(path: str) -> SerialMesh:
     if not elements:
         raise FormatError(f"{path}: no $Elements section")
 
-    id_map = {nid: k for k, nid in enumerate(node_ids)}
     has_hex = any(et == 5 for et, _, _ in elements)
     dim = 3 if has_hex else 2
     volume_type = 5 if dim == 3 else 3
     boundary_type = 3 if dim == 3 else 1
 
     coords = np.array(node_xyz, dtype=float)[:, :dim]
+    file_ids = np.array(node_ids, dtype=np.int64)
+    sorter = np.argsort(file_ids, kind="stable")
+    if np.any(np.diff(file_ids[sorter]) == 0):
+        raise FormatError(f"{path}: repeated node ids in $Nodes")
 
-    cells = []
-    sections: Dict[int, BoundarySection] = {}
-    patch_of_phys: Dict[int, int] = {}
-    for etype, phys, nodes in elements:
-        mapped = tuple(id_map[v] for v in nodes)
-        if etype == volume_type:
-            cells.append(Cell(id=len(cells), kind="hex" if dim == 3 else "quad",
-                              vertex_ids=mapped))
-        elif etype == boundary_type:
-            if phys not in patch_of_phys:
-                pid = len(patch_of_phys)
-                patch_of_phys[phys] = pid
-                sections[pid] = BoundarySection(
-                    pid, phys_names.get(phys, f"patch{phys}"), [])
-            sections[patch_of_phys[phys]].records.append(mapped)
-        else:
+    def vertex_rows(nodes, width):
+        """Node ids of the file -> vertex ids (row index of ``coords``)."""
+        nodes = np.array(nodes, dtype=np.int64).reshape(-1, width)
+        pos = sorter[np.searchsorted(file_ids, nodes, sorter=sorter).clip(0, len(sorter) - 1)]
+        bad = np.argwhere(file_ids[pos] != nodes)
+        if bad.size:
+            raise MeshError(f"{path}: element names node {int(nodes[tuple(bad[0])])}, "
+                            f"which $Nodes does not define")
+        return pos
+
+    for etype, _, _ in elements:
+        if etype not in (volume_type, boundary_type):
             raise FormatError(
                 f"{path}: element type {etype} has the wrong dimension for this mesh"
             )
+    cells = vertex_rows([nodes for et, _, nodes in elements if et == volume_type],
+                        _SUPPORTED[volume_type])
+    bnd = [(phys, nodes) for et, phys, nodes in elements if et == boundary_type]
+    records = vertex_rows([nodes for _, nodes in bnd], _SUPPORTED[boundary_type]).tolist()
+    sections: Dict[int, BoundarySection] = {}
+    for (phys, _), rec in zip(bnd, records):
+        if phys not in sections:
+            sections[phys] = BoundarySection(len(sections), phys_names.get(phys, f"patch{phys}"), [])
+        sections[phys].records.append(tuple(rec))
 
     return SerialMesh(
         dim=dim,
         vertices=coords,
         cells=cells,
-        boundary_sections=[sections[k] for k in sorted(sections)],
+        boundary_sections=list(sections.values()),
         vertex_alias=None,
     )
 
@@ -176,8 +184,8 @@ def write_gmsh_ascii(mesh: SerialMesh, path: str):
                          f"{sect.patch_id + 1} {nodes}\n")
                 eid += 1
         fluid_tag = len(mesh.boundary_sections) + 1
-        for cell in mesh.cells:
-            nodes = " ".join(str(v + 1) for v in cell.vertex_ids)
+        for cell in mesh.cells.tolist():
+            nodes = " ".join(str(v + 1) for v in cell)
             fh.write(f"{eid} {volume_type} 2 {fluid_tag} {fluid_tag} {nodes}\n")
             eid += 1
         fh.write("$EndElements\n")
@@ -190,8 +198,6 @@ def apply_periodic(mesh: SerialMesh, pairs) -> SerialMesh:
     translation (b = a + translation); the two patches leave the boundary
     section list.  Matching tolerance is 1e-10 of the mesh extent.
     """
-    from ..errors import MeshError
-
     names = {s.name: s for s in mesh.boundary_sections}
     alias = (mesh.vertex_alias.copy() if mesh.vertex_alias is not None
              else np.arange(mesh.vertices.shape[0], dtype=np.int64))

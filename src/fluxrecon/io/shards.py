@@ -1,9 +1,28 @@
 """Binary shard files (magic "ZFRM"): per-rank mesh pieces plus couplings.
 
-Layout: a fixed header (magic, version, little-endian u64 counts) followed
-by int64/float64 payload sections.  The header is validated before any
-payload is trusted; a truncated or inconsistent file raises FormatError
-without side effects.
+Layout: a fixed header (magic, version, 14 little-endian u64 counts: dim,
+rank, nranks, vertices, cells, internal, boundary and remote faces, global
+cells, global vertices, alias length, kind code, routing code, seed)
+followed by the payload sections, each a C-ordered little-endian table:
+
+* vertex ids ``(nverts,)`` int64 and coordinates ``(nverts, dim)`` float64;
+* cells ``(ncells, 1 + nverts_per_cell)`` int64: gid, vertex ids;
+* internal faces ``(nint, 5 + 2L)``: left gid, left local face, right gid,
+  right local face, orientation, left corners, right corners;
+* boundary faces ``(nbnd, 3 + L)``: gid, local face, patch id, corners;
+* remote faces ``(nrem, 9 + 2L)``: gid, local face, peer rank,
+  orientation, canonical flag, remote tag (key hash, peer rank, peer gid,
+  peer local face), canonical corners, own corners;
+* the vertex alias ``(nalias,)`` int64, if any;
+* the patch-name table as u64 length plus JSON.
+
+L is 2 in 2-D and 4 in 3-D.  These are the tables of
+:class:`fluxrecon.prep.matching.MeshShard`, so writing is ``tobytes`` and
+reading is ``np.frombuffer`` (read-only views of the file bytes); the
+shard's object views (``cells``, ``internal_faces``, ...) exist only for
+readers outside the package.  The header is validated before any payload
+is trusted; a truncated or inconsistent file raises FormatError without
+side effects.
 """
 
 from __future__ import annotations
@@ -16,91 +35,53 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import FormatError
-from ..mesh_core import Cell, Face
-from ..prep.matching import MeshShard, RemoteCoupling
+from ..prep.matching import MeshShard
 
 MAGIC = b"ZFRM"
 VERSION = 1
 _HEADER = struct.Struct("<4sI")
 _COUNTS = 14  # u64 fields after the magic/version
 
-_KIND_CODE = {"quad": 2, "hex": 3}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_KIND_CODE = {4: 2, 8: 3}  # vertices per cell (quad, hex) -> kind code
+_CODE_NVERTS = {v: k for k, v in _KIND_CODE.items()}
 _ROUTING_CODE = {"modulo": 0, "block": 1}
 _CODE_ROUTING = {v: k for k, v in _ROUTING_CODE.items()}
 
 
-def _corners_per_face(dim: int) -> int:
-    return 4 if dim == 3 else 2
-
-
 def write_shard(shard: MeshShard, path: str):
-    dim = shard.dim
-    nc = _corners_per_face(dim)
-    kind = shard.cells[0].kind
-    nvpc = len(shard.cells[0].vertex_ids)
     has_alias = shard.vertex_alias is not None
-
     counts = [
-        dim,
+        shard.dim,
         shard.rank,
         shard.nranks,
         shard.vertex_ids.size,
-        len(shard.cells),
-        len(shard.internal_faces),
-        len(shard.boundary_faces),
-        len(shard.remote_faces),
+        shard.cell_rows.shape[0],
+        shard.internal_rows.shape[0],
+        shard.boundary_rows.shape[0],
+        shard.remote_rows.shape[0],
         shard.num_global_cells,
         shard.num_global_vertices,
         (shard.num_global_vertices if has_alias else 0),
-        _KIND_CODE[kind],
+        _KIND_CODE[shard.cell_rows.shape[1] - 1],
         _ROUTING_CODE[shard.routing],
         shard.seed,
     ]
-
-    blobs = [
-        _HEADER.pack(MAGIC, VERSION),
-        np.asarray(counts, dtype="<u8").tobytes(),
-        np.asarray(shard.vertex_ids, dtype="<i8").tobytes(),
-        np.asarray(shard.vertex_coords, dtype="<f8").tobytes(),
-    ]
-    cell_rows = [[c.id] + list(c.vertex_ids) for c in shard.cells]
-    blobs.append(np.asarray(cell_rows, dtype="<i8").tobytes())
-
-    int_rows = []
-    for f in shard.internal_faces:
-        int_rows.append([f.left[0], f.left[1], f.right[0], f.right[1],
-                         f.orientation] + list(f.left_corners) + list(f.right_corners))
-    blobs.append(np.asarray(int_rows, dtype="<i8").tobytes() if int_rows else b"")
-
-    bnd_rows = []
-    for f in shard.boundary_faces:
-        bnd_rows.append([f.left[0], f.left[1], f.patch_id] + list(f.left_corners))
-    blobs.append(np.asarray(bnd_rows, dtype="<i8").tobytes() if bnd_rows else b"")
-
-    rem_rows = []
-    for face, c in shard.remote_faces:
-        rem_rows.append(
-            [c.local_gid, c.local_face, c.remote_rank, c.orientation,
-             1 if c.canonical else 0]
-            + list(c.remote_tag)
-            + list(c.canonical_corners)
-            + list(face.left_corners)
-        )
-    blobs.append(np.asarray(rem_rows, dtype="<i8").tobytes() if rem_rows else b"")
-
+    tables = [shard.vertex_ids, shard.cell_rows, shard.internal_rows,
+              shard.boundary_rows, shard.remote_rows]
     if has_alias:
-        blobs.append(np.asarray(shard.vertex_alias, dtype="<i8").tobytes())
-
+        tables.append(shard.vertex_alias)
     patch_meta = json.dumps(
         {str(k): v for k, v in sorted(shard.patch_names.items())},
         sort_keys=True).encode()
-    blobs.append(struct.pack("<Q", len(patch_meta)))
-    blobs.append(patch_meta)
-
     with open(path, "wb") as fh:
-        for b in blobs:
-            fh.write(b)
+        fh.write(_HEADER.pack(MAGIC, VERSION))
+        fh.write(np.asarray(counts, dtype="<u8").tobytes())
+        fh.write(np.asarray(tables[0], dtype="<i8").tobytes())
+        fh.write(np.asarray(shard.vertex_coords, dtype="<f8").tobytes())
+        for table in tables[1:]:
+            fh.write(np.asarray(table, dtype="<i8").tobytes())
+        fh.write(struct.pack("<Q", len(patch_meta)))
+        fh.write(patch_meta)
 
 
 def read_shard(path: str) -> MeshShard:
@@ -118,11 +99,10 @@ def read_shard(path: str) -> MeshShard:
     off += 8 * _COUNTS
     (dim, rank, nranks, nverts, ncells, nint, nbnd, nrem, ncells_g, nverts_g,
      nalias, kind_code, routing_code, seed) = (int(v) for v in counts)
-    if dim not in (2, 3) or kind_code not in _CODE_KIND:
+    if dim not in (2, 3) or kind_code not in _CODE_NVERTS:
         raise FormatError(f"{path}: inconsistent header fields")
-    kind = _CODE_KIND[kind_code]
-    nvpc = 8 if kind == "hex" else 4
-    nc = _corners_per_face(dim)
+    nvpc = _CODE_NVERTS[kind_code]
+    nc = 2 ** (dim - 1)
 
     int_w = 5 + 2 * nc
     bnd_w = 3 + nc
@@ -133,65 +113,20 @@ def read_shard(path: str) -> MeshShard:
     if len(raw) < off + need:
         raise FormatError(f"{path}: payload shorter than header counts imply")
 
-    def take_i(n, w=None):
+    def take(n, w=None, dtype="<i8"):
         nonlocal off
         cnt = n * (w or 1)
-        arr = np.frombuffer(raw, dtype="<i8", count=cnt, offset=off).copy()
+        arr = np.frombuffer(raw, dtype=dtype, count=cnt, offset=off)
         off += 8 * cnt
         return arr.reshape(n, w) if w else arr
 
-    vertex_ids = take_i(nverts)
-    vertex_coords = np.frombuffer(raw, dtype="<f8", count=nverts * dim,
-                                  offset=off).copy().reshape(nverts, dim)
-    off += 8 * nverts * dim
-    cell_rows = take_i(ncells, 1 + nvpc)
-    cells = [Cell(id=int(r[0]), kind=kind, vertex_ids=tuple(int(v) for v in r[1:]))
-             for r in cell_rows]
-
-    int_rows = take_i(nint, int_w)
-    bnd_rows = take_i(nbnd, bnd_w)
-    rem_rows = take_i(nrem, rem_w)
-    alias = take_i(nalias) if nalias else None
-
-    def key(corners):
-        # faces are keyed by aliased corners, as in preparation
-        return tuple(sorted(int(v) for v in (corners if alias is None else alias[corners])))
-
-    internal = []
-    for r in int_rows:
-        internal.append(Face(
-            key=key(r[5:5 + nc]),
-            left=(int(r[0]), int(r[1])),
-            left_corners=tuple(int(v) for v in r[5:5 + nc]),
-            right=(int(r[2]), int(r[3])),
-            right_corners=tuple(int(v) for v in r[5 + nc:5 + 2 * nc]),
-            orientation=int(r[4]),
-        ))
-    boundary = []
-    for r in bnd_rows:
-        boundary.append(Face(
-            key=key(r[3:3 + nc]),
-            left=(int(r[0]), int(r[1])),
-            left_corners=tuple(int(v) for v in r[3:3 + nc]),
-            patch_id=int(r[2]),
-        ))
-    remote = []
-    for r in rem_rows:
-        cpl = RemoteCoupling(
-            local_gid=int(r[0]),
-            local_face=int(r[1]),
-            remote_rank=int(r[2]),
-            remote_tag=tuple(int(v) for v in r[5:9]),
-            orientation=int(r[3]),
-            canonical=bool(r[4]),
-            canonical_corners=tuple(int(v) for v in r[9:9 + nc]),
-        )
-        face = Face(
-            key=key(r[9 + nc:9 + 2 * nc]),
-            left=(int(r[0]), int(r[1])),
-            left_corners=tuple(int(v) for v in r[9 + nc:9 + 2 * nc]),
-        )
-        remote.append((face, cpl))
+    vertex_ids = take(nverts)
+    vertex_coords = take(nverts, dim, "<f8")
+    cell_rows = take(ncells, 1 + nvpc)
+    int_rows = take(nint, int_w)
+    bnd_rows = take(nbnd, bnd_w)
+    rem_rows = take(nrem, rem_w)
+    alias = take(nalias) if nalias else None
 
     (meta_len,) = struct.unpack_from("<Q", raw, off)
     off += 8
@@ -200,9 +135,9 @@ def read_shard(path: str) -> MeshShard:
     patch_names = {int(k): v for k, v in json.loads(raw[off:off + meta_len]).items()}
 
     return MeshShard(
-        rank=rank, nranks=nranks, dim=dim, cells=cells,
+        rank=rank, nranks=nranks, dim=dim, cell_rows=cell_rows,
         vertex_ids=vertex_ids, vertex_coords=vertex_coords,
-        internal_faces=internal, boundary_faces=boundary, remote_faces=remote,
+        internal_rows=int_rows, boundary_rows=bnd_rows, remote_rows=rem_rows,
         num_global_cells=ncells_g, num_global_vertices=nverts_g,
         vertex_alias=alias, patch_names=patch_names,
         seed=seed, routing=_CODE_ROUTING[routing_code],

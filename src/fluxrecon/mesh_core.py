@@ -1,10 +1,24 @@
-"""Serial unstructured-mesh data model.
+"""Serial unstructured-mesh data model as int64 tables.
 
-Cells, canonical faces, local face matching, dual graph.  Supports
-hexahedra (3-D) and quadrilaterals (2-D).  Periodic boundaries are handled
-through an optional vertex-alias map: face keys are built from aliased
-vertex ids so a periodic face pair carries one key and matches through the
-exact same machinery as any interior face.
+Supports hexahedra (3-D) and quadrilaterals (2-D).  A mesh is held as
+tables, never as one Python object per cell or face:
+
+* cells ``(ncells, nverts)``: row ``g`` holds the ordered vertex ids of
+  global cell ``g``; the kind follows from the width (4 quad, 8 hex);
+* faces (:func:`build_face_list`) ``(nfaces, 2 + 2L)``: gid, local face,
+  the L corner ids wound outward, then the key (the sorted, aliased
+  corners), with ``L = 2`` (edge) or ``4`` (quad face);
+* internal faces (:func:`match_local_faces`) ``(n, 5 + 2L)``: left gid,
+  left local face, right gid, right local face, orientation, left corners,
+  right corners.  The shard files store this layout (:mod:`fluxrecon.io.shards`).
+
+No ``Cell`` or ``Face`` object is built on the way from mesh import to the
+solver; the object views of a shard (:class:`fluxrecon.prep.matching.MeshShard`)
+exist only for readers outside the package.
+
+Periodic boundaries are handled through an optional vertex-alias map: face
+keys are built from aliased vertex ids so a periodic face pair carries one
+key and matches through the exact same machinery as any interior face.
 
 Local face numbering and winding (outward normals) must stay in sync with
 the reference-element face parameterization in :mod:`fluxrecon.operators`:
@@ -17,13 +31,11 @@ that frame, flattened u-fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import MeshError, NonManifoldError
-
-FaceKey = tuple  # sorted tuple of (aliased) vertex ids
 
 # Face corner cycles, wound so the right-hand rule gives the outward normal.
 HEX_FACES = (
@@ -41,52 +53,8 @@ QUAD_EDGES = (
     (3, 0),  # -xi
 )
 
-_KIND_VERTS = {"hex": 8, "quad": 4}
-_KIND_FACES = {"hex": HEX_FACES, "quad": QUAD_EDGES}
-
-
-@dataclass(slots=True)
-class Cell:
-    """One element: global id, kind, ordered global vertex ids."""
-
-    id: int
-    kind: str
-    vertex_ids: tuple
-
-    def __post_init__(self):
-        if self.kind not in _KIND_VERTS:
-            raise MeshError(f"unsupported element kind {self.kind!r}")
-        self.vertex_ids = tuple(int(v) for v in self.vertex_ids)
-        if len(self.vertex_ids) != _KIND_VERTS[self.kind]:
-            raise MeshError(
-                f"cell {self.id}: {self.kind} needs {_KIND_VERTS[self.kind]} "
-                f"vertices, got {len(self.vertex_ids)}"
-            )
-        if len(set(self.vertex_ids)) != len(self.vertex_ids):
-            raise MeshError(f"cell {self.id}: repeated vertex ids")
-
-    @property
-    def num_faces(self) -> int:
-        return len(_KIND_FACES[self.kind])
-
-
-@dataclass(slots=True)
-class Face:
-    """A mesh face with its owner(s).
-
-    ``left``/``right`` are (cell id, local face index) pairs; ``right`` is
-    None for an unmatched face.  Corner tuples keep each owner's winding
-    (true vertex ids); orientation maps right-side flux points onto
-    left-side ones (see :func:`orientation_permutation`).
-    """
-
-    key: FaceKey
-    left: tuple
-    left_corners: tuple
-    right: Optional[tuple] = None
-    right_corners: Optional[tuple] = None
-    orientation: int = 0
-    patch_id: Optional[int] = None
+# cell width (vertices per cell) -> local face corner table
+_FACE_TABLES = {4: np.array(QUAD_EDGES), 8: np.array(HEX_FACES)}
 
 
 @dataclass
@@ -111,96 +79,96 @@ class BoundarySection:
 
 @dataclass
 class SerialMesh:
-    """Whole mesh on one rank: vertices, cells, boundary sections, alias."""
+    """Whole mesh on one rank: vertices, cell table, boundary sections, alias."""
 
     dim: int
     vertices: np.ndarray  # (nverts, dim) float64, row index = vertex id
-    cells: list
+    cells: np.ndarray     # (ncells, 2 ** dim) int64, row index = cell id
     boundary_sections: list = field(default_factory=list)
     vertex_alias: Optional[np.ndarray] = None  # periodic canonical map
 
+    def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=np.int64)
+        if cells.ndim != 2 or self.dim not in (2, 3) or cells.shape[1] != 2 ** self.dim:
+            raise MeshError(f"a {self.dim}-D mesh needs cells of {2 ** self.dim} vertices, "
+                            f"got a table of shape {cells.shape}")
+        srt = np.sort(cells, axis=1)
+        bad = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+        if bad.size:
+            raise MeshError(f"cell {bad[0]}: repeated vertex ids {cells[bad[0]].tolist()}")
+        self.cells = cells
+
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.cells.shape[0]
 
 
-def local_face_corners(cell: Cell, local_face: int) -> tuple:
-    """Corner vertex ids of a local face, wound outward."""
-    faces = _KIND_FACES[cell.kind]
-    if not 0 <= local_face < len(faces):
-        raise MeshError(
-            f"cell {cell.id}: local face {local_face} out of range for {cell.kind}"
-        )
-    return tuple(cell.vertex_ids[i] for i in faces[local_face])
+def aliased(vids: np.ndarray, alias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vertex ids through the periodic alias map, if there is one."""
+    return vids if alias is None else alias[vids]
 
 
-def canonical_face_key(
-    cell: Cell, local_face: int, alias: Optional[Mapping] = None
-) -> FaceKey:
-    """Sorted (aliased) vertex tuple identifying a face geometrically."""
-    corners = local_face_corners(cell, local_face)
-    if alias is not None:
-        corners = tuple(int(alias[v]) for v in corners)
-    return tuple(sorted(corners))
+def face_keys(corners: np.ndarray, alias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sorted (aliased) corner ids of faces ``(..., L)``: the key that
+    identifies a face geometrically."""
+    return np.sort(aliased(np.asarray(corners, dtype=np.int64), alias), axis=-1)
 
 
-def build_face_list(
-    cells: Sequence[Cell], alias: Optional[Mapping] = None
-) -> list:
-    """All (cell, local face) entries as Faces, sorted by key.
+def build_face_list(cells, alias: Optional[np.ndarray] = None,
+                    gids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Every (cell, local face) as one row of the face table, sorted by key.
 
+    ``cells`` is a cell table; ``gids`` the global ids of its rows (default
+    the row index).  Columns: gid, local face, corners (L), key (L).
     Sorting places coupled faces next to each other; ties break on
-    (cell id, local face) so output is deterministic byte-for-byte.
+    (gid, local face), so the order is deterministic.
     """
-    if not cells:
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.shape[0] == 0:
         raise MeshError("build_face_list: empty cell list")
-    raw = []
-    for cell in cells:
-        for lf in range(cell.num_faces):
-            key = canonical_face_key(cell, lf, alias)
-            raw.append(
-                Face(
-                    key=key,
-                    left=(cell.id, lf),
-                    left_corners=local_face_corners(cell, lf),
-                )
-            )
-    raw.sort(key=lambda f: (f.key, f.left))
-    return raw
+    if cells.ndim != 2 or cells.shape[1] not in _FACE_TABLES:
+        raise MeshError(f"unsupported cell table of shape {cells.shape}")
+    table = _FACE_TABLES[cells.shape[1]]
+    nfaces, L = table.shape
+    gids = np.arange(cells.shape[0]) if gids is None else np.asarray(gids, dtype=np.int64)
+    corners = cells[:, table].reshape(-1, L)
+    keys = face_keys(corners, alias)
+    gid = np.repeat(gids, nfaces)
+    lf = np.tile(np.arange(nfaces), cells.shape[0])
+    order = np.lexsort((lf, gid) + tuple(keys[:, m] for m in range(L - 1, -1, -1)))
+    return np.column_stack([gid, lf, corners, keys])[order]
 
 
-def _aliased(corners: Iterable, alias: Optional[Mapping]) -> tuple:
-    if alias is None:
-        return tuple(corners)
-    return tuple(int(alias[v]) for v in corners)
+def corner_orientation(left, right):
+    """Orientation code of right face windings relative to left ones.
 
-
-def corner_orientation(left_corners: Sequence, right_corners: Sequence) -> int:
-    """Orientation index of a right face winding relative to the left one.
-
-    Quad faces: one of 8 (rotation k in 0..3, flip bit), with
-    right[m] == left[(k + s*m) % 4], s = +1 for even codes, -1 for odd.
-    Edges: 0 same direction, 1 reversed.
+    ``left`` and ``right`` are corner ids ``(..., L)`` of faces with the
+    same vertex set; a single face gives an int.  Quad faces: one of 8
+    (rotation k in 0..3, flip bit), with right[m] == left[(k + s*m) % 4],
+    s = +1 for even codes, -1 for odd.  Edges: 0 same direction, 1 reversed.
     """
-    left = tuple(left_corners)
-    right = tuple(right_corners)
-    if len(left) != len(right) or set(left) != set(right):
-        raise MeshError(
-            f"faces do not share a vertex set: {left} vs {right}"
-        )
-    if len(left) == 2:
-        return 0 if right == left else 1
-    k = left.index(right[0])
-    if right[1] == left[(k + 1) % 4]:
-        s = 1
-    elif right[1] == left[(k - 1) % 4]:
-        s = -1
+    left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    single = left.ndim == 1
+    left, right = np.atleast_2d(left), np.atleast_2d(right)
+    L = left.shape[-1]
+    if right.shape != left.shape or not np.array_equal(np.sort(left, axis=-1),
+                                                       np.sort(right, axis=-1)):
+        raise MeshError(f"faces do not share a vertex set: {left.tolist()} vs {right.tolist()}")
+    if L == 2:
+        code = (right[:, 0] != left[:, 0]).astype(np.int64)
     else:
-        raise MeshError(f"corner cycles incompatible: {left} vs {right}")
-    for m in range(4):
-        if right[m] != left[(k + s * m) % 4]:
-            raise MeshError(f"corner cycles incompatible: {left} vs {right}")
-    return 2 * k + (0 if s == 1 else 1)
+        k = np.argmax(left == right[:, :1], axis=1)
+        m = np.arange(4)
+        rows = np.arange(left.shape[0])[:, None]
+        fwd = (right == left[rows, (k[:, None] + m) % 4]).all(axis=1)
+        back = (right == left[rows, (k[:, None] - m) % 4]).all(axis=1)
+        bad = np.flatnonzero(~(fwd | back))
+        if bad.size:
+            i = bad[0]
+            raise MeshError(f"corner cycles incompatible: {left[i].tolist()} vs "
+                            f"{right[i].tolist()}")
+        code = 2 * k + np.where(fwd, 0, 1)
+    return int(code[0]) if single else code
 
 
 _SQUARE_CORNER_PARAMS = np.array(
@@ -244,70 +212,49 @@ def orientation_permutation(dim: int, orientation: int, points_1d: np.ndarray) -
     return perm
 
 
-def match_local_faces(faces: Sequence[Face], alias: Optional[Mapping] = None):
-    """Couple equal-key neighbours in a key-sorted face list.
+def key_runs(keys: np.ndarray):
+    """Start and length of every run of equal rows in key-sorted ``keys``."""
+    if keys.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, keys.shape[0]))
 
-    Returns (internal, uncoupled).  The lower (cell id, local face) owner
-    of a pair becomes the left side.  A key held by more than two owners
-    is non-manifold.
+
+def match_local_faces(faces: np.ndarray, alias: Optional[np.ndarray] = None):
+    """Couple equal-key neighbours of a face table (:func:`build_face_list`).
+
+    Returns (internal, uncoupled): the internal-face table and the face
+    rows no other local face shares, both in key order.  The lower
+    (gid, local face) owner of a pair becomes the left side.  A key held by
+    more than two owners is non-manifold.
     """
-    internal, uncoupled = [], []
-    i, nfaces = 0, len(faces)
-    while i < nfaces:
-        j = i + 1
-        while j < nfaces and faces[j].key == faces[i].key:
-            j += 1
-        group = faces[i:j]
-        if len(group) == 1:
-            uncoupled.append(group[0])
-        elif len(group) == 2:
-            a, b = group  # already ordered by (key, left)
-            left_aliased = _aliased(a.left_corners, alias)
-            right_aliased = _aliased(b.left_corners, alias)
-            internal.append(
-                Face(
-                    key=a.key,
-                    left=a.left,
-                    left_corners=a.left_corners,
-                    right=b.left,
-                    right_corners=b.left_corners,
-                    orientation=corner_orientation(left_aliased, right_aliased),
-                )
-            )
-        else:
-            owners = [f.left for f in group]
-            raise NonManifoldError(
-                f"face key {faces[i].key} owned by {len(group)} cells: {owners}"
-            )
-        i = j
-    return internal, uncoupled
+    L = (faces.shape[1] - 2) // 2
+    starts, sizes = key_runs(faces[:, 2 + L:])
+    if (sizes > 2).any():
+        i = int(np.flatnonzero(sizes > 2)[0])
+        group = faces[starts[i]:starts[i] + sizes[i]]
+        owners = [tuple(r) for r in group[:, :2].tolist()]
+        raise NonManifoldError(
+            f"face key {tuple(group[0, 2 + L:].tolist())} owned by {len(owners)} "
+            f"cells: {owners}")
+    a = starts[sizes == 2]
+    left, right = faces[a], faces[a + 1]
+    lc, rc = left[:, 2:2 + L], right[:, 2:2 + L]
+    orientation = corner_orientation(aliased(lc, alias), aliased(rc, alias))
+    internal = np.column_stack([left[:, :2], right[:, :2], orientation, lc, rc])
+    return internal, faces[starts[sizes == 1]]
 
 
-DEFAULT_PARTITION_WEIGHTS = {"hex": 1, "quad": 1}
-
-
-def build_dual_graph(
-    cells: Sequence[Cell],
-    internal_faces: Sequence[Face],
-    kind_weights: Optional[Mapping] = None,
-) -> DualGraph:
-    """Cell-cell adjacency through internal faces, with partition weights."""
-    kind_weights = dict(DEFAULT_PARTITION_WEIGHTS, **(kind_weights or {}))
-    adjacency = {cell.id: set() for cell in cells}
-    for face in internal_faces:
-        a, b = face.left[0], face.right[0]
-        if a == b:
-            continue  # self-periodic face, no dual-graph self loop
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    weights = {cell.id: int(kind_weights[cell.kind]) for cell in cells}
-    return DualGraph(
-        adjacency={cid: sorted(neigh) for cid, neigh in adjacency.items()},
-        weights=weights,
-    )
-
-
-def face_census(cells: Sequence[Cell], internal, uncoupled) -> bool:
-    """Round-trip check: 2*internal + uncoupled covers every cell face."""
-    total = sum(c.num_faces for c in cells)
-    return 2 * len(internal) + len(uncoupled) == total
+def build_dual_graph(cells: np.ndarray, internal: np.ndarray) -> DualGraph:
+    """Cell-cell adjacency through internal faces; every cell weighs 1."""
+    n = cells.shape[0]
+    a, b = internal[:, 0], internal[:, 2]
+    keep = a != b  # a self-periodic face makes no dual-graph self loop
+    a, b = a[keep], b[keep]
+    edges = np.unique(np.concatenate([a * n + b, b * n + a]))
+    dst = (edges % n).tolist()
+    ptr = np.searchsorted(edges // n, np.arange(n + 1)).tolist()
+    adjacency = {c: dst[ptr[c]:ptr[c + 1]] for c in range(n)}
+    return DualGraph(adjacency=adjacency, weights=dict.fromkeys(range(n), 1))

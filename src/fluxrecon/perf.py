@@ -81,8 +81,8 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("grad_transform", 3): 75,
     ("viscous_flux", 2): 82,
     ("viscous_flux", 3): 150,
-    ("viscous_interface", 2): 240,
-    ("viscous_interface", 3): 415,
+    ("viscous_interface", 2): 223,
+    ("viscous_interface", 3): 391,
 }
 
 

@@ -331,13 +331,20 @@ def _per_point(value, like: np.ndarray):
     return v[..., 0] if v.ndim == like.ndim else v
 
 
+def ldg_solution(QL, QR, beta: float, switch):
+    """LDG common solution: the mean state upwinded by beta toward the
+    switch side."""
+    bsw = np.asarray(beta * _per_point(switch, QL))
+    return 0.5 * (QL + QR) - bsw[..., None] * (QR - QL)
+
+
 def ldg_interface(QL, QR, grad_L, grad_R, n, beta: float, tau,
                   dim: int, gas: GasModel, switch=None):
-    """LDG common solution and common normal viscous flux.
+    """LDG common normal viscous flux.
 
-    The common solution upwinds by beta toward the switch side; the viscous
-    flux downwinds by the same amount and adds the penalty tau*(QR - QL)
-    (dissipative with the residual's sign convention).
+    It downwinds by beta, against the common solution of
+    :func:`ldg_solution`, and adds the penalty tau*(QR - QL) (dissipative
+    with the residual's sign convention).
     """
     if switch is None:
         switch = ldg_switch(n)
@@ -346,13 +353,12 @@ def ldg_interface(QL, QR, grad_L, grad_R, n, beta: float, tau,
     nc = components(n, dim)
     GLn = normal_component(viscous_flux(QL, grad_L, dim, gas), nc)
     GRn = normal_component(viscous_flux(QR, grad_R, dim, gas), nc)
-    Qstar, Gstar = np.empty_like(QL), np.empty_like(QL)
+    Gstar = np.empty_like(QL)
     bsw = beta * sw
     for k in range(dim + 2):
-        Qstar[..., k] = 0.5 * (QL[..., k] + QR[..., k]) - bsw * (QR[..., k] - QL[..., k])
         Gstar[..., k] = (0.5 * (GLn[..., k] + GRn[..., k]) + bsw * (GRn[..., k] - GLn[..., k])
                          + taup * (QR[..., k] - QL[..., k]))
-    return Qstar, Gstar
+    return Gstar
 
 
 @dataclass

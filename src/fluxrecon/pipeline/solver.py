@@ -192,10 +192,9 @@ class SolverRank:
         self.sponge_zones = list(sponge_zones or [])
         self.boundary_specs = dict(boundary_specs or {})
 
-        self.ne = len(shard.cells)
-        self.gids = np.array([c.id for c in shard.cells], dtype=np.int64)
-        vids = np.array([c.vertex_ids for c in shard.cells], dtype=np.int64)
-        self.cell_coords = self._vertex_coords(vids)  # (ne, nverts, d)
+        self.ne = shard.cell_rows.shape[0]
+        self.gids = np.array(shard.cell_rows[:, 0])
+        self.cell_coords = self._vertex_coords(shard.cell_rows[:, 1:])  # (ne, nverts, d)
 
         self._build_geometry()
         self._build_sponges()
@@ -215,6 +214,9 @@ class SolverRank:
         """Flux-point slots of faces (one row of nfp points per face), in
         the point order ``perm`` gives per face: (nfp,) or (nfaces, nfp)."""
         nfp = self.ref.num_face_points
+        if lfaces.size and not 0 <= lfaces.min() <= lfaces.max() < self.ref.num_faces:
+            raise MeshError(f"shard names local faces {lfaces.min()}..{lfaces.max()}; "
+                            f"a {self.ref.kind} has {self.ref.num_faces}")
         e = np.repeat(_positions(self.gids, gids, "cell"), nfp)
         return PointList(e, (lfaces[:, None] * nfp + perm).reshape(-1))
 
@@ -279,37 +281,29 @@ class SolverRank:
         perms = np.stack([orientation_permutation(d, o, ref.points_1d)
                           for o in range(2 if d == 2 else 8)])
 
-        faces = shard.internal_faces
-        loc = np.array([(*f.left, *f.right, f.orientation) for f in faces],
-                       dtype=np.int64).reshape(-1, 5)
+        loc = shard.internal_rows
         self.loc_l = self._slots(loc[:, 0], loc[:, 1], ident)
         self.loc_r = self._slots(loc[:, 2], loc[:, 3], perms[loc[:, 4]])
-        self._set_face_geometry(np.array([f.left_corners for f in faces], dtype=np.int64)
-                                .reshape(-1, ncorners), self.loc_l, self.loc_r)
+        self._set_face_geometry(loc[:, 5:5 + ncorners], self.loc_l, self.loc_r)
 
-        # columns: local gid, local face, orientation, canonical, peer rank,
-        # canonical key (owner gid, owner local face)
-        cpls = [cpl for _, cpl in shard.remote_faces]
-        rem = np.array([(c.local_gid, c.local_face, c.orientation, c.canonical, c.remote_rank,
-                         *((c.local_gid, c.local_face) if c.canonical else c.remote_tag[2:4]))
-                        for c in cpls], dtype=np.int64).reshape(-1, 7)
-        rm = self._slots(rem[:, 0], rem[:, 1], perms[rem[:, 2]])
-        self._set_face_geometry(np.array([c.canonical_corners for c in cpls], dtype=np.int64)
-                                .reshape(-1, ncorners), rm)
-        # halo order: per peer rank, faces by canonical key
-        order = np.lexsort((rem[:, 6], rem[:, 5], rem[:, 4]))
+        rem = shard.remote_rows
+        rm = self._slots(rem[:, 0], rem[:, 1], perms[rem[:, 3]])
+        self._set_face_geometry(rem[:, 9:9 + ncorners], rm)
+        # halo order: per peer rank, faces by canonical key (owner gid,
+        # owner local face)
+        key = np.where(rem[:, 4:5] != 0, rem[:, 0:2], rem[:, 7:9])
+        order = np.lexsort((key[:, 1], key[:, 0], rem[:, 2]))
         face_e, face_p = rm.e.reshape(-1, nfp), rm.p.reshape(-1, nfp)
-        face_rows = np.arange(len(cpls) * nfp).reshape(-1, nfp)
-        neighbors = [int(r) for r in np.unique(rem[:, 4])]
+        face_rows = np.arange(rem.shape[0] * nfp).reshape(-1, nfp)
+        neighbors = [int(r) for r in np.unique(rem[:, 2])]
         pack, rows = {}, {}
         for rank in neighbors:
-            sel = order[rem[order, 4] == rank]
+            sel = order[rem[order, 2] == rank]
             pack[rank] = (face_e[sel].reshape(-1), face_p[sel].reshape(-1))
             rows[rank] = face_rows[sel].reshape(-1)
-        self.halo = HaloPlan(neighbors, pack, rows, len(cpls) * nfp)
+        self.halo = HaloPlan(neighbors, pack, rows, rem.shape[0] * nfp)
 
-        bnd = np.array([(*f.left, f.patch_id) for f in shard.boundary_faces],
-                       dtype=np.int64).reshape(-1, 3)
+        bnd = shard.boundary_rows
         self.boundary_groups = []
         for pid in (int(v) for v in np.unique(bnd[:, 2])):
             name = shard.patch_names.get(pid, str(pid))
@@ -330,7 +324,7 @@ class SolverRank:
         nl = self.loc_r.size
         self.n_face_pairs = nl + self.halo.num_ghost_points
         self.iface_flip = np.zeros(self.iface.size, dtype=bool)
-        self.iface_flip[nl:self.n_face_pairs] = np.repeat(rem[:, 3] == 0, nfp)
+        self.iface_flip[nl:self.n_face_pairs] = np.repeat(rem[:, 4] == 0, nfp)
         self.boundary_spans = []
         lo = self.n_face_pairs
         for spec, pl in self.boundary_groups:
@@ -469,22 +463,21 @@ class SolverRank:
 
     def _scale_residual(self, lo, hi):
         out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
-        members = None
-        if self.sponge_zones:
-            # S = -sigma (Q - Q_ref) summed over the zones in config order,
-            # on the block's elements that some zone reaches
-            a, b = np.searchsorted(self.sponge_elems, (lo, hi))
-            if b > a:
-                sel = self.sponge_elems[a:b]
-                Q = self.Q_upts[sel]  # (m, nv, Ns)
-                S = 0.0
-                for neg_sigma, ref in self.sponge_factors:
-                    S = S + neg_sigma[a:b] * (Q - ref)
-                out[sel - lo] += S
-            members = ("scale_residual", "sponge_source")
-        self.dQdt[lo:hi] = out
         nv = self.nv
-        self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv, members=members)
+        # S = -sigma (Q - Q_ref) summed over the zones in config order, on
+        # the block's elements that some zone reaches; the ledger charges
+        # one sponge_source per zone and point there
+        a, b = np.searchsorted(self.sponge_elems, (lo, hi))
+        if b > a:
+            sel = self.sponge_elems[a:b]
+            Q = self.Q_upts[sel]  # (m, nv, Ns)
+            S = 0.0
+            for neg_sigma, ref in self.sponge_factors:
+                S = S + neg_sigma[a:b] * (Q - ref)
+            out[sel - lo] += S
+            self._log_block("sponge_source", a, b, self.Ns * len(self.sponge_factors), nv + 1, nv)
+        self.dQdt[lo:hi] = out
+        self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv)
 
     # viscous gradient passes ----------------------------------------------
 
@@ -621,7 +614,7 @@ class SolverRank:
                 k = m - lo
                 gL, gR = self._left_right(
                     *self._own_other(self.grad_fpts, self.ghost_grad, lo, m), lo, m)
-                _, Gn = physics.ldg_interface(
+                Gn = physics.ldg_interface(
                     QL[:, :k].T, QR[:, :k].T, self._by_point(gL), self._by_point(gR),
                     n[:k], self.opt.ldg_beta, self.iface_tau[lo:m], d, self.gas,
                     switch=self.iface_sw[lo:m])
@@ -643,7 +636,7 @@ class SolverRank:
     def _common_solution(self, lo, hi):
         own, other = self._own_other(self.Q_fpts, self.ghost_Q, lo, hi)
         QL, QR = self._left_right(own, other, lo, hi)
-        Qs = 0.5 * (QL + QR) - self.opt.ldg_beta * self.iface_sw[lo:hi] * (QR - QL)
+        Qs = physics.ldg_solution(QL.T, QR.T, self.opt.ldg_beta, self.iface_sw[lo:hi]).T
         k = max(0, min(hi, self.loc_r.size) - lo)
         self._scatter(self.jumpQ_fpts, Qs - own, Qs[:, :k] - other[:, :k], lo, hi)
         self._log_pairs("common_solution", lo, hi, 2 * self.nv + 1, ("common_solution",))

@@ -14,8 +14,8 @@ results to the owners.  Rows travel as fixed-width little-endian int64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,20 +26,21 @@ from ..errors import (
     NonManifoldError,
 )
 from ..mesh_core import (
-    Cell,
-    Face,
     SerialMesh,
+    aliased,
     build_face_list,
     corner_orientation,
+    face_keys,
+    key_runs,
     match_local_faces,
 )
-from .distribute import EntityRange, distribute_entities, nbx_exchange
+from .distribute import distribute_entities, nbx_exchange
 from .transport import RankContext
 
 
 @dataclass(frozen=True)
 class RemoteCoupling:
-    """One side of a cross-rank face pairing.
+    """One side of a cross-rank face pairing (a view of one remote row).
 
     ``orientation`` maps canonical-order flux points onto this side's own
     order (identity when this side is canonical); the two sides' couplings
@@ -57,19 +58,58 @@ class RemoteCoupling:
     canonical_corners: tuple
 
 
+@dataclass(slots=True)
+class Cell:
+    """View of one cell row: global id and ordered vertex ids."""
+
+    id: int
+    vertex_ids: tuple
+
+
+@dataclass(slots=True)
+class Face:
+    """View of one face row.  ``left``/``right`` are (gid, local face)
+    pairs; ``right`` is None for a face without a local partner."""
+
+    key: tuple
+    left: tuple
+    left_corners: tuple
+    right: Optional[tuple] = None
+    right_corners: Optional[tuple] = None
+    orientation: int = 0
+    patch_id: Optional[int] = None
+
+
 @dataclass
 class MeshShard:
-    """Per-rank mesh piece plus couplings back into the global mesh."""
+    """Per-rank mesh piece plus couplings back into the global mesh.
+
+    The mesh is held in the int64 tables the shard file stores
+    (:mod:`fluxrecon.io.shards`), with L corners per face:
+
+    * ``cell_rows`` ``(n, 1 + nverts)``: gid, vertex ids;
+    * ``internal_rows`` ``(n, 5 + 2L)``: the internal-face table of
+      :mod:`fluxrecon.mesh_core`;
+    * ``boundary_rows`` ``(n, 3 + L)``: gid, local face, patch id, corners;
+    * ``remote_rows`` ``(n, 9 + 2L)``: gid, local face, peer rank,
+      orientation, canonical flag, remote tag (key hash, peer rank, peer
+      gid, peer local face), canonical corners, own corners.
+
+    ``cells``, ``internal_faces``, ``boundary_faces`` and ``remote_faces``
+    are object views of these tables, built on first access and cached
+    (changes to them persist but do not reach the tables).  They exist only
+    for readers outside the package; nothing in it reads them.
+    """
 
     rank: int
     nranks: int
     dim: int
-    cells: list
+    cell_rows: np.ndarray
     vertex_ids: np.ndarray
     vertex_coords: np.ndarray
-    internal_faces: list
-    boundary_faces: list
-    remote_faces: list  # list of (Face, RemoteCoupling)
+    internal_rows: np.ndarray
+    boundary_rows: np.ndarray
+    remote_rows: np.ndarray
     num_global_cells: int
     num_global_vertices: int
     vertex_alias: Optional[np.ndarray] = None
@@ -77,138 +117,177 @@ class MeshShard:
     seed: int = 0
     routing: str = "modulo"
 
+    def _keys(self, corners: np.ndarray) -> list:
+        return [tuple(k) for k in face_keys(corners, self.vertex_alias).tolist()]
 
-def _encode(rows: Sequence[Sequence[int]]) -> bytes:
-    if not rows:
-        return b""
-    return np.asarray(rows, dtype=np.int64).tobytes()
+    @cached_property
+    def cells(self) -> list:
+        return [Cell(r[0], tuple(r[1:])) for r in self.cell_rows.tolist()]
+
+    @cached_property
+    def internal_faces(self) -> list:
+        L = 2 ** (self.dim - 1)
+        keys = self._keys(self.internal_rows[:, 5:5 + L])
+        return [Face(k, tuple(r[:2]), tuple(r[5:5 + L]), tuple(r[2:4]), tuple(r[5 + L:]), r[4])
+                for k, r in zip(keys, self.internal_rows.tolist())]
+
+    @cached_property
+    def boundary_faces(self) -> list:
+        keys = self._keys(self.boundary_rows[:, 3:])
+        return [Face(k, tuple(r[:2]), tuple(r[3:]), patch_id=r[2])
+                for k, r in zip(keys, self.boundary_rows.tolist())]
+
+    @cached_property
+    def remote_faces(self) -> list:
+        """(Face, RemoteCoupling) per remote row."""
+        L = 2 ** (self.dim - 1)
+        keys = self._keys(self.remote_rows[:, 9 + L:])
+        return [(Face(k, tuple(r[:2]), tuple(r[9 + L:])),
+                 RemoteCoupling(r[0], r[1], r[2], tuple(r[5:9]), r[3], bool(r[4]),
+                                tuple(r[9:9 + L])))
+                for k, r in zip(keys, self.remote_rows.tolist())]
 
 
-def _decode(buf: bytes, width: int) -> np.ndarray:
-    arr = np.frombuffer(buf, dtype=np.int64)
-    if arr.size % width:
-        raise MeshError("corrupt exchange payload")
-    return arr.reshape(-1, width)
+def _by_dest(rows: np.ndarray, dest: np.ndarray) -> Dict[int, bytes]:
+    """Rows grouped into one int64 message per destination rank, in row order."""
+    return {int(d): rows[dest == d].tobytes() for d in np.unique(dest)}
 
 
-def _route(lead: int, nranks: int, routing: str, nverts: int) -> int:
+def _gather(recv: Dict[int, bytes], width: int) -> np.ndarray:
+    """Received messages of int64 rows, stacked in source-rank order."""
+    parts = []
+    for src in sorted(recv):
+        arr = np.frombuffer(recv[src], dtype=np.int64)
+        if arr.size % width:
+            raise MeshError("corrupt exchange payload")
+        parts.append(arr.reshape(-1, width))
+    return np.concatenate(parts) if parts else np.zeros((0, width), dtype=np.int64)
+
+
+def _route(lead: np.ndarray, nranks: int, routing: str, nverts: int) -> np.ndarray:
     if routing == "modulo":
-        return int(lead) % nranks
+        return lead % nranks
     if routing == "block":
-        return min(int(lead) * nranks // max(nverts, 1), nranks - 1)
+        return np.minimum(lead * nranks // max(nverts, 1), nranks - 1)
     raise MeshError(f"unknown routing mode {routing!r}")
 
 
-def _alias_tuple(vids, alias) -> tuple:
-    if alias is None:
-        return tuple(int(v) for v in vids)
-    return tuple(int(alias[v]) for v in vids)
+def _raise_for_group(group: np.ndarray, L: int):
+    """The mesh error of one key's rows at its home rank (key, corners,
+    owner rank or -1, gid or patch id, local face)."""
+    key = tuple(group[0, :L].tolist())
+    faces = group[group[:, 2 * L] >= 0]
+    patches = sorted(set(group[group[:, 2 * L] < 0, 2 * L + 1].tolist()))
+    owners = [tuple(r) for r in faces[:, 2 * L:].tolist()]
+    if patches:
+        if not owners:
+            raise DanglingBoundaryError(
+                f"boundary record {key} (patch {patches[0]}) owns no face")
+        if len(owners) > 1:
+            raise MeshError(f"boundary record {key} names a two-owner (internal) face")
+        raise MeshError(f"face {owners[0][1:]} assigned to patches {patches}")
+    if len(owners) == 1:
+        raise MeshHoleError(
+            f"face {owners[0][1:]} on rank {owners[0][0]} has neither partner "
+            f"nor boundary record")
+    raise NonManifoldError(f"face key {key} claimed by {len(owners)} owners: {owners}")
 
 
 def match_uncoupled_faces(
     ctx: RankContext,
-    uncoupled: Sequence[Face],
-    boundary_records: Sequence[Tuple[int, tuple]],
+    uncoupled: np.ndarray,
+    records: np.ndarray,
     alias: Optional[np.ndarray],
     arity: int,
     routing: str = "modulo",
     nverts: int = 0,
-) -> Tuple[Dict[tuple, int], List[RemoteCoupling]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Give every locally uncoupled face a boundary patch or a remote partner.
 
-    ``boundary_records`` is the complete global list of (patch id, vertex
-    ids); this rank only sends its cumulative-storage chunk of it.
+    ``uncoupled`` holds rows of the face table (:func:`build_face_list`);
+    ``records`` is the complete global boundary record table (patch id,
+    vertex ids), of which this rank only sends its cumulative-storage chunk.
     ``arity`` is the vertex count of a face key, the same on every rank.
-    Every rank enters both rounds, also with nothing to send.
-    Returns ({(gid, local_face): patch_id}, couplings sorted by local face).
+    Every rank enters both rounds, also with nothing to send.  Returns the
+    shard's boundary and remote rows (:class:`MeshShard`), sorted by
+    (gid, local face).
     """
     L = arity
     width = 2 * L + 3
 
-    # round 1: faces and records to the home rank of their key
-    rows: Dict[int, list] = {}
-    for f in uncoupled:
-        gid, lf = f.left
-        dest = _route(f.key[0], ctx.nranks, routing, nverts)
-        rows.setdefault(dest, []).append(list(f.key) + list(f.left_corners) + [ctx.rank, gid, lf])
-    erange = distribute_entities(len(boundary_records), ctx.nranks, ctx.rank)
-    for patch_id, vids in boundary_records[erange.begin:erange.end]:
-        key = tuple(sorted(_alias_tuple(vids, alias)))
-        if len(key) != L:
-            raise MeshError(f"boundary record arity {len(key)} != face arity {L}")
-        dest = _route(key[0], ctx.nranks, routing, nverts)
-        rows.setdefault(dest, []).append(list(key) + list(vids) + [-1, patch_id, 0])
-    recv = nbx_exchange(ctx, {d: _encode(r) for d, r in rows.items()})
+    # round 1: faces and records to the home rank of their key, as rows
+    # (key, corners, owner rank or -1, gid or patch id, local face)
+    erange = distribute_entities(records.shape[0], ctx.nranks, ctx.rank)
+    mine = records[erange.begin:erange.end]
+    nu, nr = uncoupled.shape[0], mine.shape[0]
+    rows = np.concatenate([
+        np.column_stack([uncoupled[:, 2 + L:], uncoupled[:, 2:2 + L],
+                         np.full(nu, ctx.rank), uncoupled[:, :2]]),
+        np.column_stack([face_keys(mine[:, 1:], alias), mine[:, 1:],
+                         np.full(nr, -1), mine[:, 0], np.zeros(nr, dtype=np.int64)]),
+    ])
+    recv = nbx_exchange(ctx, _by_dest(rows, _route(rows[:, 0], ctx.nranks, routing, nverts)))
 
-    # at the home rank: one group of rows per key
-    received = sorted(row for src in sorted(recv) for row in _decode(recv[src], width).tolist())
-    replies: Dict[int, list] = {}
-    for key, group in groupby(received, key=lambda r: tuple(r[:L])):
-        group = list(group)
-        faces = [r for r in group if r[2 * L] >= 0]
-        patches = {r[2 * L + 1] for r in group if r[2 * L] < 0}
-        owners = [tuple(r[2 * L:]) for r in faces]
-        if patches:
-            if not faces:
-                raise DanglingBoundaryError(
-                    f"boundary record {key} (patch {min(patches)}) owns no face")
-            if len(faces) > 1:
-                raise MeshError(f"boundary record {key} names a two-owner (internal) face")
-            if len(patches) > 1:
-                raise MeshError(f"face {owners[0][1:]} assigned to patches {sorted(patches)}")
-            rank, gid, lf = owners[0]
-            replies.setdefault(rank, []).append([gid, lf, -1, patches.pop(), 0] + [0] * L)
-        elif len(faces) == 2:
-            for mine, peer in ((faces[0], faces[1]), (faces[1], faces[0])):
-                rank, gid, lf = mine[2 * L:]
-                replies.setdefault(rank, []).append([gid, lf] + peer[2 * L:] + peer[L:2 * L])
-        elif len(faces) == 1:
-            raise MeshHoleError(
-                f"face {owners[0][1:]} on rank {owners[0][0]} has neither partner "
-                f"nor boundary record")
-        else:
-            raise NonManifoldError(f"face key {key} claimed by {len(faces)} owners: {owners}")
+    # at the home rank: one run of rows per key
+    rows = _gather(recv, width)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts, sizes = key_runs(rows[:, :L])
+    is_face = rows[:, 2 * L] >= 0
+    patch = rows[:, 2 * L + 1]
+    nface = np.add.reduceat(is_face.astype(np.int64), starts)
+    pmin = np.minimum.reduceat(np.where(is_face, np.iinfo(np.int64).max, patch), starts)
+    pmax = np.maximum.reduceat(np.where(is_face, -1, patch), starts)
+    has_rec = nface < sizes
+    bad = np.flatnonzero(np.where(has_rec, (nface != 1) | (pmin != pmax), nface != 2))
+    if bad.size:
+        _raise_for_group(rows[starts[bad[0]]:starts[bad[0]] + sizes[bad[0]]], L)
+
+    # replies (gid, local face, peer rank or -1, peer gid or patch id,
+    # peer local face, peer corners) to the owners
+    group = np.repeat(np.arange(starts.size), sizes)
+    owner = rows[is_face & has_rec[group]]
+    pat = np.column_stack([owner[:, 2 * L + 1:], np.full(owner.shape[0], -1),
+                           pmin[has_rec], np.zeros((owner.shape[0], 1 + L), dtype=np.int64)])
+    a = starts[~has_rec]
+    fa, fb = rows[a], rows[a + 1]
+    cpl = np.concatenate([
+        np.column_stack([fa[:, 2 * L + 1:], fb[:, 2 * L:], fb[:, L:2 * L]]),
+        np.column_stack([fb[:, 2 * L + 1:], fa[:, 2 * L:], fa[:, L:2 * L]]),
+    ])
+    replies = np.concatenate([pat, cpl])
+    dest = np.concatenate([owner[:, 2 * L], fa[:, 2 * L], fb[:, 2 * L]])
 
     # round 2: patches and partners back to the owners
-    recv = nbx_exchange(ctx, {d: _encode(r) for d, r in replies.items()})
-    by_face = {f.left: f for f in uncoupled}
-    patch_by_face: Dict[tuple, int] = {}
-    couplings = []
-    for src in sorted(recv):
-        for row in _decode(recv[src], 5 + L).tolist():
-            gid, lf, prank, pgid, plf = row[:5]
-            if prank < 0:
-                patch_by_face[(gid, lf)] = pgid
-                continue
-            face = by_face[(gid, lf)]
-            peer_corners = tuple(row[5:])
-            canonical = gid < pgid
-            canon_true = tuple(face.left_corners) if canonical else peer_corners
-            orientation = corner_orientation(_alias_tuple(canon_true, alias),
-                                             _alias_tuple(face.left_corners, alias))
-            couplings.append(RemoteCoupling(
-                local_gid=gid,
-                local_face=lf,
-                remote_rank=prank,
-                remote_tag=(hash(face.key), prank, pgid, plf),
-                orientation=orientation,
-                canonical=canonical,
-                canonical_corners=canon_true,
-            ))
-    couplings.sort(key=lambda c: (c.local_gid, c.local_face))
-    return patch_by_face, couplings
+    got = _gather(nbx_exchange(ctx, _by_dest(replies, dest)), 5 + L)
+    got = got[np.lexsort((got[:, 1], got[:, 0]))]
+    # rows of uncoupled by (gid, local face); local face ids are below 8
+    code = uncoupled[:, 0] * 8 + uncoupled[:, 1]
+    order = np.argsort(code)
+    pos = order[np.searchsorted(code[order], got[:, 0] * 8 + got[:, 1])]
+    corners = uncoupled[pos, 2:2 + L]
+    is_patch = got[:, 2] < 0
+    boundary = np.column_stack([got[is_patch, :2], got[is_patch, 3], corners[is_patch]])
+
+    c, own = got[~is_patch], corners[~is_patch]
+    canonical = c[:, 0] < c[:, 3]
+    canon = np.where(canonical[:, None], own, c[:, 5:])
+    orientation = corner_orientation(aliased(canon, alias), aliased(own, alias))
+    key_hash = np.array([hash(tuple(k)) for k in uncoupled[pos[~is_patch], 2 + L:].tolist()],
+                        dtype=np.int64)
+    remote = np.column_stack([c[:, :3], orientation, canonical, key_hash, c[:, 2:5],
+                              canon, own])
+    return boundary, remote
 
 
-def flatten_boundary_records(mesh: SerialMesh) -> List[Tuple[int, tuple]]:
-    records = []
-    for sect in mesh.boundary_sections:
-        for vids in sect.records:
-            records.append((sect.patch_id, tuple(vids)))
-    return records
-
-
-def _cells_from_rows(rows, kind: str) -> list:
-    return [Cell(id=int(r[0]), kind=kind, vertex_ids=tuple(r[1:])) for r in rows]
+def flatten_boundary_records(mesh: SerialMesh) -> np.ndarray:
+    """The boundary record table: patch id, vertex ids (one row per record)."""
+    L = 2 ** (mesh.dim - 1)
+    rows = [(sect.patch_id,) + tuple(vids) for sect in mesh.boundary_sections
+            for vids in sect.records]
+    bad = next((r for r in rows if len(r) != 1 + L), None)
+    if bad is not None:
+        raise MeshError(f"boundary record arity {len(bad) - 1} != face arity {L}")
+    return np.array(rows, dtype=np.int64).reshape(-1, 1 + L)
 
 
 def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
@@ -219,59 +298,36 @@ def shard_program(ctx: RankContext, mesh: SerialMesh, assignment: np.ndarray,
     owners, matches local faces, then resolves the uncoupled ones into
     boundary patches and remote couplings.
     """
-    nranks = ctx.nranks
-    kind = mesh.cells[0].kind
-    nvw = len(mesh.cells[0].vertex_ids)
+    nvw = mesh.cells.shape[1]
     alias = mesh.vertex_alias
     nverts = mesh.vertices.shape[0]
     arity = 2 ** (mesh.dim - 1)  # vertices of a quad edge or a hex face
 
-    erange = distribute_entities(mesh.num_cells, nranks, ctx.rank)
-    chunk = mesh.cells[erange.begin:erange.end]
-
-    dest_rows: Dict[int, list] = {}
-    for c in chunk:
-        dest_rows.setdefault(int(assignment[c.id]), []).append([c.id] + list(c.vertex_ids))
-    recv = nbx_exchange(ctx, {d: _encode(r) for d, r in dest_rows.items()})
-    rows = []
-    for src in sorted(recv):
-        rows.extend(_decode(recv[src], 1 + nvw).tolist())
-    rows.sort()
-    my_cells = _cells_from_rows(rows, kind)
-    if not my_cells:
+    erange = distribute_entities(mesh.num_cells, ctx.nranks, ctx.rank)
+    gids = np.arange(erange.begin, erange.end, dtype=np.int64)
+    chunk = np.column_stack([gids, mesh.cells[erange.begin:erange.end]])
+    rows = _gather(nbx_exchange(ctx, _by_dest(chunk, assignment[gids])), 1 + nvw)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    if not rows.shape[0]:
         raise MeshError(f"rank {ctx.rank} received no cells; lower nranks")
 
-    faces = build_face_list(my_cells, alias)
+    faces = build_face_list(rows[:, 1:], alias, gids=rows[:, 0])
     internal, uncoupled = match_local_faces(faces, alias)
+    boundary, remote = match_uncoupled_faces(
+        ctx, uncoupled, flatten_boundary_records(mesh), alias, arity, routing, nverts)
 
-    patch_by_face, couplings = match_uncoupled_faces(
-        ctx, uncoupled, flatten_boundary_records(mesh), alias, arity, routing, nverts
-    )
-    for f in uncoupled:
-        f.patch_id = patch_by_face.get(f.left)
-    boundary_faces = sorted((f for f in uncoupled if f.patch_id is not None),
-                            key=lambda f: f.left)
-    by_face = {f.left: f for f in uncoupled}
-    remote_faces = [(by_face[(c.local_gid, c.local_face)], c) for c in couplings]
-
-    vid_set = set()
-    for c in my_cells:
-        vid_set.update(c.vertex_ids)
-    for _, cpl in remote_faces:
-        vid_set.update(cpl.canonical_corners)
-    vertex_ids = np.array(sorted(vid_set), dtype=np.int64)
-    vertex_coords = mesh.vertices[vertex_ids]
-
+    vertex_ids = np.unique(np.concatenate([rows[:, 1:].ravel(),
+                                           remote[:, 9:9 + arity].ravel()]))
     return MeshShard(
         rank=ctx.rank,
-        nranks=nranks,
+        nranks=ctx.nranks,
         dim=mesh.dim,
-        cells=my_cells,
+        cell_rows=rows,
         vertex_ids=vertex_ids,
-        vertex_coords=vertex_coords,
-        internal_faces=internal,
-        boundary_faces=boundary_faces,
-        remote_faces=remote_faces,
+        vertex_coords=mesh.vertices[vertex_ids],
+        internal_rows=internal,
+        boundary_rows=boundary,
+        remote_rows=remote,
         num_global_cells=mesh.num_cells,
         num_global_vertices=nverts,
         vertex_alias=alias,

@@ -20,6 +20,7 @@ from fluxrecon.mesh_core import (
     orientation_permutation,
 )
 from fluxrecon.operators import (
+    _REF_CORNERS,
     ElementGeometry,
     _adjugate,
     _shape_gradients,
@@ -36,15 +37,50 @@ def random_partition(rng, ncells, nranks):
     return a
 
 
-def brute_force_match(cells, alias=None):
-    """O(n^2)-flavored matcher: group every (cell, face) by key via a dict."""
-    from fluxrecon.mesh_core import canonical_face_key
+def cube_rotations():
+    """Vertex permutations of the 24 proper rotations of the reference hex:
+    new vertex k is old vertex perm[k]."""
+    corners = _REF_CORNERS["hex"]
+    gens = (np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+            np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]))
+    found, todo = {}, [np.eye(3, dtype=int)]
+    while todo:
+        R = todo.pop()
+        perm = tuple(int(np.flatnonzero((corners == r).all(axis=1))[0]) for r in corners @ R.T)
+        if perm not in found:
+            found[perm] = R
+            todo += [G @ R for G in gens]
+    assert len(found) == 24
+    return sorted(found)
 
+
+def twisted_hex_box(rotation):
+    """A 3x2x2 hex box, periodic in x with the wrap mirrored in z
+    (z -> nz - z), and the local numbering of hex ``g`` turned by the
+    cube rotation ``rotation(g)``: its faces meet in all 8 orientations."""
+    from fluxrecon.fixtures import box_mesh_3d
+
+    nx, ny, nz = 3, 2, 2
+    mesh = box_mesh_3d(nx, ny, nz, periodic=(True, False, False), perturb=0.2, seed=3)
+    nvx, nvy = nx + 1, ny + 1
+    for k in range(nz + 1):
+        for j in range(nvy):
+            mesh.vertex_alias[nx + nvx * (j + nvy * k)] = nvx * (j + nvy * (nz - k))
+    rots = np.array(cube_rotations())
+    picks = rots[[rotation(g) for g in range(mesh.num_cells)]]
+    mesh.cells = np.take_along_axis(mesh.cells, picks, axis=1)
+    return mesh
+
+
+def brute_force_match(cells, alias=None):
+    """O(n^2)-flavored matcher: group every (cell, face) of a cell table by
+    key via a dict."""
     groups = {}
-    for cell in cells:
-        for lf in range(cell.num_faces):
-            key = canonical_face_key(cell, lf, alias)
-            groups.setdefault(key, []).append((cell.id, lf))
+    for gid, row in enumerate(np.asarray(cells).tolist()):
+        for lf, cyc in enumerate(HEX_FACES if len(row) == 8 else QUAD_EDGES):
+            vids = [row[i] for i in cyc]
+            key = tuple(sorted(vids if alias is None else (int(alias[v]) for v in vids)))
+            groups.setdefault(key, []).append((gid, lf))
     internal, uncoupled = [], []
     for key, owners in sorted(groups.items()):
         if len(owners) == 1:
@@ -54,6 +90,13 @@ def brute_force_match(cells, alias=None):
         else:
             raise AssertionError(f"non-manifold key {key}")
     return internal, uncoupled
+
+
+def internal_keys(internal, alias=None):
+    """Face keys (sorted aliased left corners) of an internal-face table."""
+    L = (internal.shape[1] - 5) // 2
+    return {tuple(sorted(v if alias is None else int(alias[v]) for v in row[5:5 + L]))
+            for row in internal.tolist()}
 
 
 def face_geometry_one(corners, points_1d):
@@ -198,13 +241,13 @@ def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
     nv = dim + 2
     kind = "hex" if dim == 3 else "quad"
     ref = build_reference_element(kind, p)
-    ne = len(mesh.cells)
+    ne = mesh.num_cells
     Ns = ref.num_solution_points
     nfp = ref.num_face_points
     nf = ref.num_faces * nfp
 
-    geoms = [geometry_one(mesh.vertices[list(c.vertex_ids)], ref, c.id)
-             for c in mesh.cells]
+    geoms = [geometry_one(mesh.vertices[row], ref, gid)
+             for gid, row in enumerate(mesh.cells)]
 
     # discontinuous transformed flux at solution points and its interpolant
     Fhat = np.zeros((ne, dim, nv, Ns))
@@ -225,15 +268,14 @@ def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
     # common fluxes, one pass per internal face
     faces = build_face_list(mesh.cells, mesh.vertex_alias)
     internal, uncoupled = match_local_faces(faces, mesh.vertex_alias)
-    assert not uncoupled, "reference_residual expects a fully periodic mesh"
+    assert not len(uncoupled), "reference_residual expects a fully periodic mesh"
     common = np.zeros((ne, nv, nf))
-    for face in internal:
-        gl, lfl = face.left
-        gr, lfr = face.right
-        perm = orientation_permutation(dim, face.orientation, ref.points_1d)
+    for face in internal.tolist():
+        gl, lfl, gr, lfr, orientation = face[:5]
+        perm = orientation_permutation(dim, orientation, ref.points_1d)
         lsl = np.arange(lfl * nfp, (lfl + 1) * nfp)
         rsl = lfr * nfp + perm
-        corners = np.array([mesh.vertices[v] for v in face.left_corners])
+        corners = np.array([mesh.vertices[v] for v in face[5:5 + 2 ** (dim - 1)]])
         _, n_c, a_c = face_geometry_one(corners, ref.points_1d)
         QL = Q_f[gl, :, lsl]   # (nfp, nv)
         QR = Q_f[gr, :, rsl]

@@ -17,14 +17,14 @@ from fluxrecon.fixtures import (
     vortex_mesh,
     vortex_state,
 )
-from fluxrecon.mesh_core import build_face_list, canonical_face_key, match_local_faces
+from fluxrecon.mesh_core import build_face_list, match_local_faces
 from fluxrecon.perf import census_table, dof_count, flops_gemm, scaling_report
 from fluxrecon.physics import BoundarySpec, GasModel
 from fluxrecon.pipeline import SolverOptions, SolverRank
 from fluxrecon.prep import SimCluster, distribute_entities, prepare_shards
 from fluxrecon.prep.transport import RankContext
 
-from oracles import exact_riemann_sod, random_partition
+from oracles import exact_riemann_sod, internal_keys, random_partition
 
 GAS = GasModel(gamma=1.4, R=1.0)
 
@@ -96,9 +96,10 @@ def _serial_boundary_oracle(mesh):
     """Direct dictionary matcher: boundary record key -> owning face."""
     faces = build_face_list(mesh.cells, mesh.vertex_alias)
     _, uncoupled = match_local_faces(faces, mesh.vertex_alias)
+    L = 2 ** (mesh.dim - 1)
     by_key = {}
-    for f in uncoupled:
-        by_key.setdefault(f.key, []).append(f.left)
+    for f in uncoupled.tolist():
+        by_key.setdefault(tuple(f[2 + L:]), []).append(tuple(f[:2]))
     assign = {}
     alias = mesh.vertex_alias
     for sect in mesh.boundary_sections:
@@ -133,7 +134,7 @@ def test_criterion_05_distributed_matching_oracle():
 
         serial_internal, _ = match_local_faces(
             build_face_list(mesh.cells, mesh.vertex_alias), mesh.vertex_alias)
-        serial_keys = {f.key for f in serial_internal}
+        serial_keys = internal_keys(serial_internal, mesh.vertex_alias)
         got = set()
         for sh in shards:
             got.update(f.key for f in sh.internal_faces)

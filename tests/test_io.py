@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from fluxrecon.errors import ConfigError, FormatError
+from fluxrecon.errors import ConfigError, FormatError, MeshError
 from fluxrecon.fixtures import (
     box_mesh_2d,
     box_mesh_3d,
@@ -49,7 +49,27 @@ class TestGmsh:
         assert mesh.dim == 3
         assert mesh.vertices.shape == (8, 3)
         assert len(mesh.cells) == 1
-        assert mesh.cells[0].vertex_ids == tuple(range(8))
+        assert tuple(mesh.cells[0].tolist()) == tuple(range(8))
+
+    def test_repeated_vertex_in_cell_rejected(self, tmp_path):
+        path = tmp_path / "rep.msh"
+        path.write_text(SINGLE_HEX.replace("1 2 3 4 5 6 7 8\n$EndElements",
+                                           "1 2 3 4 5 6 7 1\n$EndElements"))
+        with pytest.raises(MeshError, match="cell 0: repeated vertex ids"):
+            import_gmsh_ascii(str(path))
+
+    def test_repeated_node_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.msh"
+        path.write_text(SINGLE_HEX.replace("8 0 1 1\n", "7 0 1 1\n"))
+        with pytest.raises(FormatError, match="repeated node ids"):
+            import_gmsh_ascii(str(path))
+
+    def test_undefined_vertex_in_cell_rejected(self, tmp_path):
+        path = tmp_path / "missing.msh"
+        path.write_text(SINGLE_HEX.replace("1 2 3 4 5 6 7 8\n$EndElements",
+                                           "1 2 3 4 5 6 7 9\n$EndElements"))
+        with pytest.raises(MeshError, match="node 9"):
+            import_gmsh_ascii(str(path))
 
     def test_tetrahedron_rejected_by_type(self, tmp_path):
         bad = SINGLE_HEX.replace("1 5 2 1 1 1 2 3 4 5 6 7 8",
@@ -76,8 +96,7 @@ class TestGmsh:
         assert sum(len(s.records) for s in back.boundary_sections) == 96
         assert {s.name for s in back.boundary_sections} == \
                {"xmin", "xmax", "ymin", "ymax", "zmin", "zmax"}
-        for a, b in zip(mesh.cells, back.cells):
-            assert a.vertex_ids == b.vertex_ids
+        assert np.array_equal(mesh.cells, back.cells)
         assert np.allclose(mesh.vertices, back.vertices)
 
     def test_2d_roundtrip(self, tmp_path):
@@ -211,6 +230,62 @@ class TestShards:
         b.set_state(lambda x: vortex_state(x, 0.0, gas))
         assert np.array_equal(a.compute_residual(a.Q_upts),
                               b.compute_residual(b.Q_upts))
+
+
+class TestGoldenShards:
+    """Shard files are pinned byte for byte: a change to preparation or to
+    the shard format that moves any byte fails here."""
+
+    GOLDEN = {
+        "vortex-8-r1": {
+            "index.zfri": "9b0b68e37bb140d0c2b86b4f04bdc49a5e3e4354d7a5a32d9a15528e97ba26f4",
+            "shard_0000.zfrm": "1ff37f0078d0e4ffb0fcd26febbe26a05db82ed0a6756af9fadf05c2c7660c33",
+        },
+        "tgv-3-r1": {
+            "index.zfri": "fdbe90bf9edbce3894115e84b5642fdbbe0b360fb9349a74e18479e7c73ad191",
+            "shard_0000.zfrm": "6b6d415bbec72fe56900da5835d68e5eee780e4978ebb92c15aa3f55287ce65f",
+        },
+        "ls89-2d-12-r2": {
+            "index.zfri": "0b28a5597fad2788041cc0a9291aa3579191dc96e17e3ee5da0faf1374d67e5f",
+            "shard_0000.zfrm": "2294f2cf11040a26596073e1c81d6d38ae72c6b69ee34681395215a9e6226303",
+            "shard_0001.zfrm": "5626c021fb527774383b9df1c646f73833c368ac8a18a1dacb5ce8aaca2757f9",
+        },
+        "box3d-periodic-r2": {
+            "index.zfri": "5e9086c67bad943bb3ec9ddc3ca32a648b797a28ed72f0edd4d03c0de598beee",
+            "shard_0000.zfrm": "c0c23c0a74f8ff8ac25be70f7986d3624f2820b345a8036f0cee8d2576325240",
+            "shard_0001.zfrm": "e344e1d5232cebc8b50822feeb131a4cb8897a4391e02d46f37c9da95f8e0593",
+        },
+    }
+
+    @staticmethod
+    def _hashes(outdir):
+        import hashlib
+
+        return {f: hashlib.sha256(open(os.path.join(outdir, f), "rb").read()).hexdigest()
+                for f in sorted(os.listdir(outdir))}
+
+    @pytest.mark.parametrize("case, size, nranks", [
+        ("vortex", 8, 1), ("tgv", 3, 1), ("ls89-2d", 12, 2)])
+    def test_fixture_shards(self, tmp_path, case, size, nranks):
+        from fluxrecon import driver, fixtures
+
+        mesh_path, cfg_path = fixtures.make_fixture(case, str(tmp_path), size=size)
+        outdir = str(tmp_path / "shards")
+        driver.partition_to_dir(mesh_path, nranks, RunConfig.load(cfg_path), outdir)
+        assert self._hashes(outdir) == self.GOLDEN[f"{case}-{size}-r{nranks}"]
+
+    def test_periodic_hex_box_two_ranks(self, tmp_path):
+        """Renumbered hexes on a mirrored periodic wrap: remote couplings in
+        seven of the eight orientations, internal faces in the eighth."""
+        from oracles import twisted_hex_box
+
+        mesh = twisted_hex_box(lambda gid: (23 * gid + 5) % 24)
+        shards = prepare_shards(mesh, np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1]), 2)
+        codes = {int(c) for sh in shards for c in sh.internal_rows[:, 4]}
+        codes |= {int(c) for sh in shards for c in sh.remote_rows[:, 3]}
+        assert codes == set(range(8))
+        write_shards(shards, str(tmp_path))
+        assert self._hashes(str(tmp_path)) == self.GOLDEN["box3d-periodic-r2"]
 
 
 class TestConfig:

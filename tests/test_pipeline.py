@@ -12,6 +12,7 @@ from fluxrecon.fixtures import (
     vortex_mesh,
     vortex_state,
 )
+from fluxrecon.perf import POINTWISE_COSTS
 from fluxrecon.physics import BoundarySpec, GasModel, SpongeZone, conserved, sponge_source
 from fluxrecon.pipeline import (
     RKScheme,
@@ -376,6 +377,31 @@ class TestSpongeResidual:
         assert np.array_equal(got, expect)
         dense = reference_residual(mesh, Q, 3, gas, sponges=zones)
         assert np.abs(got - dense).max() / np.abs(dense).max() < 1e-12
+
+    def test_ledger_charges_each_zone_on_sponge_points(self, gas):
+        """One sponge_source per zone on each point of a block's sponge
+        elements: nothing on a block no zone reaches, part of a partly
+        covered block, and scale_residual alone on every point."""
+        mesh, zones = self.mesh(), self.zones(gas)
+        s = serial_solver(mesh, gas, SolverOptions(p=3, block_kb=12), sponge_zones=zones)
+        s.set_state(lambda x: _sponge_state(x, gas))
+        s.ledger.reset_counters()
+        s.compute_residual(s.Q_upts)
+        covered = [np.count_nonzero((s.sponge_elems >= lo) & (s.sponge_elems < hi))
+                   for lo, hi in s.block_plan.blocks()]
+        sizes = [hi - lo for lo, hi in s.block_plan.blocks()]
+        assert 0 in covered
+        assert any(0 < c < n for c, n in zip(covered, sizes))
+        sponge = s.ledger.kernels["sponge_source"]
+        assert sponge.invocations == sum(c > 0 for c in covered)
+        assert sponge.flops == (POINTWISE_COSTS[("sponge_source", 2)] * len(zones)
+                                * s.Ns * sum(covered))
+        scale = s.ledger.kernels["scale_residual"]
+        assert scale.flops == POINTWISE_COSTS[("scale_residual", 2)] * s.ne * s.Ns
+
+        plain = serial_solver(mesh, gas, SolverOptions(p=3, block_kb=12))
+        plain.compute_residual(s.Q_upts)
+        assert "sponge_source" not in plain.ledger.kernels
 
     def test_deterministic_rank_invariance(self, gas):
         mesh, zones = self.mesh(), self.zones(gas)

@@ -16,7 +16,7 @@ from fluxrecon.prep import (
 from fluxrecon.prep.distribute import allreduce_min, allreduce_sum
 from fluxrecon.prep.matching import flatten_boundary_records
 
-from oracles import brute_force_match, random_partition
+from oracles import internal_keys, random_partition
 
 
 class TestDistributeEntities:
@@ -136,7 +136,7 @@ _random_partition = random_partition
 
 def _record_on_shared_face():
     mesh = box_mesh_3d(2, 1, 1)
-    shared = set(mesh.cells[0].vertex_ids) & set(mesh.cells[1].vertex_ids)
+    shared = set(mesh.cells[0].tolist()) & set(mesh.cells[1].tolist())
     mesh.boundary_sections[0].records.append(tuple(sorted(shared)))
     return mesh, [0, 1]
 
@@ -150,12 +150,12 @@ def _face_on_two_patches():
 def _edge_of_three_cells():
     """Three quads on three ranks share the edge (0, 1); every other
     edge has a boundary record."""
-    from fluxrecon.mesh_core import BoundarySection, Cell, SerialMesh
+    from fluxrecon.mesh_core import BoundarySection, SerialMesh
 
     quads = [(0, 1, 2, 3), (1, 0, 4, 5), (0, 1, 6, 7)]
     edges = {tuple(sorted((q[i], q[(i + 1) % 4]))) for q in quads for i in range(4)}
     records = sorted(edges - {(0, 1)})
-    mesh = SerialMesh(2, np.zeros((8, 2)), [Cell(i, "quad", q) for i, q in enumerate(quads)],
+    mesh = SerialMesh(2, np.zeros((8, 2)), np.array(quads),
                       [BoundarySection(0, "wall", records)])
     return mesh, [0, 1, 2]
 
@@ -184,7 +184,7 @@ class TestDistributedMatching:
         assignment = _random_partition(rng, 64, 4)
         shards = prepare_shards(mesh, assignment, 4)
         serial_internal, _ = match_local_faces(build_face_list(mesh.cells))
-        serial_keys = {f.key for f in serial_internal}
+        serial_keys = internal_keys(serial_internal)
         dist_keys = set()
         for sh in shards:
             dist_keys.update(f.key for f in sh.internal_faces)
@@ -244,13 +244,12 @@ class TestDistributedMatching:
         """Two disjoint 4x4 quad boxes on 3 ranks, rank 2 owning one whole
         box: rank 2 has no face left to couple (and, periodic, no
         uncoupled face at all) yet must decode its peers' 2-D records."""
-        from fluxrecon.mesh_core import BoundarySection, Cell, SerialMesh
+        from fluxrecon.mesh_core import BoundarySection, SerialMesh
 
         a = box_mesh_2d(4, 4, periodic=(periodic, periodic))
         b = box_mesh_2d(4, 4, origin=(2.0, 0.0), periodic=(periodic, periodic))
         nv = a.vertices.shape[0]
-        cells = a.cells + [Cell(c.id + 16, c.kind, tuple(v + nv for v in c.vertex_ids))
-                           for c in b.cells]
+        cells = np.concatenate([a.cells, b.cells + nv])
         sections = [BoundarySection(sa.patch_id, sa.name,
                                     sa.records + [tuple(v + nv for v in r) for r in sb.records])
                     for sa, sb in zip(a.boundary_sections, b.boundary_sections)]
@@ -273,6 +272,12 @@ class TestDistributedMatching:
         from fluxrecon.errors import MeshHoleError
 
         with pytest.raises(MeshHoleError):
+            prepare_shards(mesh, np.array([0, 1, 0, 1]), 2)
+
+    def test_record_of_wrong_arity_rejected(self):
+        mesh = box_mesh_3d(2, 2, 1)
+        mesh.boundary_sections[0].records.append((0, 1))
+        with pytest.raises(MeshError, match="arity 2 != face arity 4"):
             prepare_shards(mesh, np.array([0, 1, 0, 1]), 2)
 
     def test_dangling_boundary_detected(self):
@@ -373,7 +378,7 @@ class TestRankCountInvariance:
         shards = prepare_shards(mesh, assignment, nranks)
         serial_internal, _ = match_local_faces(
             build_face_list(mesh.cells, mesh.vertex_alias), mesh.vertex_alias)
-        serial = {f.key for f in serial_internal}
+        serial = internal_keys(serial_internal, mesh.vertex_alias)
         got = set()
         for sh in shards:
             got.update(f.key for f in sh.internal_faces)

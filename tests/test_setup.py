@@ -7,13 +7,14 @@ import pytest
 
 from fluxrecon.errors import InvertedElementError
 from fluxrecon.fixtures import box_mesh_2d, box_mesh_3d
-from fluxrecon.mesh_core import Cell, HEX_FACES, QUAD_EDGES
-from fluxrecon.operators import _REF_CORNERS, build_reference_element, compute_geometry, face_geometry
+from fluxrecon.mesh_core import HEX_FACES, QUAD_EDGES
+from fluxrecon.operators import build_reference_element, compute_geometry, face_geometry
 from fluxrecon.physics import BoundarySpec, GasModel
 from fluxrecon.pipeline import SolverOptions, SolverRank
 from fluxrecon.prep import prepare_shards
 
-from oracles import face_geometry_one, geometry_one, interfaces_per_face, random_partition
+from oracles import (cube_rotations, face_geometry_one, geometry_one, interfaces_per_face,
+                     random_partition)
 
 # the sums behind coords_upts, volume, face_areas and h_min run in another
 # order than the loop's BLAS products
@@ -23,29 +24,12 @@ BITWISE = ("jac_upts", "det_upts", "adj_upts", "inv_t_upts",
 CLOSE = ("coords_upts", "volume", "face_areas", "h_min")
 
 
-def _cube_rotations():
-    """Vertex permutations of the 24 proper rotations of the reference hex:
-    new vertex k is old vertex perm[k]."""
-    corners = _REF_CORNERS["hex"]
-    gens = (np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
-            np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]))
-    found, todo = {}, [np.eye(3, dtype=int)]
-    while todo:
-        R = todo.pop()
-        perm = tuple(int(np.flatnonzero((corners == r).all(axis=1))[0]) for r in corners @ R.T)
-        if perm not in found:
-            found[perm] = R
-            todo += [G @ R for G in gens]
-    assert len(found) == 24
-    return sorted(found)
-
-
 def _renumber(mesh, rng):
     """Start every hex at a random corner (a random rotation of its local
     numbering), so its faces meet in many orientations."""
-    rots = _cube_rotations()
-    mesh.cells = [Cell(c.id, c.kind, tuple(c.vertex_ids[k] for k in rots[rng.integers(24)]))
-                  for c in mesh.cells]
+    rots = np.array(cube_rotations())
+    picks = rots[[rng.integers(24) for _ in range(mesh.num_cells)]]
+    mesh.cells = np.take_along_axis(mesh.cells, picks, axis=1)
     return mesh
 
 
@@ -62,8 +46,7 @@ MESHES = _perturbed_meshes()
 
 
 def _stack(mesh):
-    coords = np.array([mesh.vertices[list(c.vertex_ids)] for c in mesh.cells])
-    return coords, np.array([c.id for c in mesh.cells], dtype=np.int64)
+    return mesh.vertices[mesh.cells], np.arange(mesh.num_cells)
 
 
 class TestBatchedGeometry:
