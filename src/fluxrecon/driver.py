@@ -1,18 +1,15 @@
 """End-to-end run orchestration shared by the CLI and the test harness:
-import, periodic pairing, partitioning, shard I/O, serial and
-multi-process solves, and step benchmarking."""
+import, periodic pairing, partitioning, shard I/O, multi-process
+solves, and step benchmarking."""
 
 from __future__ import annotations
 
 import logging
-import math
 import multiprocessing as mp
 import os
 import time
 from queue import Empty
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from . import fixtures
 from .errors import ConfigError
@@ -86,22 +83,6 @@ def run_startup(solver: SolverRank, cfg: RunConfig, shard, ctx=None):
     s_low.run_steps(opts.startup_steps)
     kind = "hex" if shard.dim == 3 else "quad"
     solver.Q_upts = interpolate_state(s_low.Q_upts, kind, opts.startup_p, opts.p)
-    return solver
-
-
-def solve_serial(shards_dir: str, cfg: RunConfig, steps: int,
-                 outdir: Optional[str] = None) -> SolverRank:
-    shard = read_shards(shards_dir, ranks=[0])[0]
-    if shard.nranks != 1:
-        raise ConfigError("serial solve needs a 1-rank shard set; use workers")
-    solver = build_solver(shard, cfg)
-    if cfg.solver_options().startup_steps > 0:
-        run_startup(solver, cfg, shard)
-    else:
-        initialize(solver, cfg)
-    solver.run_steps(steps)
-    if outdir:
-        _write_outputs(solver, cfg, outdir, rank=0)
     return solver
 
 
@@ -290,13 +271,9 @@ def bench_to_row(shards_dir: str, cfg: RunConfig, steps: int = 50,
     total_flops = sum(v["flops"] for v in results.values())
     total_bytes = sum(v["bytes"] for v in results.values())
     elements = sum(v["elements"] for v in results.values())
-    ledger = PerfLedger()
-    ledger.stat("all").flops = total_flops
-    ledger.stat("all").bytes_read = total_bytes
-    ledger.step_times = [mean_step] * steps
     meta = {
         "ranks": nranks, "workers": nranks, "elements": elements,
         "p": cfg.get_int("solver.p", 3),
         "fusion": cfg.get_bool("solver.fusion", True),
     }
-    return bench_csv_row(meta, mean_step, ledger)
+    return bench_csv_row(meta, mean_step, total_flops, total_bytes, steps)

@@ -1,5 +1,5 @@
-"""Solution output: VTK legacy ASCII unstructured grids, boundary-surface
-CSV extracts, and a running-mean accumulator for time statistics."""
+"""Solution output: VTK legacy ASCII unstructured grids and boundary-surface
+CSV extracts."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from .. import physics
 from ..errors import ConfigError
+from ..operators import tensor_rule
 
 
 def _subcell_connectivity(dim: int, k: int):
@@ -98,11 +99,7 @@ def _plot_velocity_gradient(solver, k: int):
     solution points (chain rule), then interpolated."""
     dim = solver.dim
     n1 = k + 1
-    lin = np.linspace(-1.0, 1.0, n1)
-    pts = np.empty((n1 ** dim, dim))
-    for ax in range(dim):
-        for s in range(n1 ** dim):
-            pts[s, ax] = lin[(s // n1 ** ax) % n1]
+    pts, _ = tensor_rule(np.linspace(-1.0, 1.0, n1), np.ones(n1), dim)
     ref = solver.ref
     grads_ref = np.empty((solver.ne, dim, dim + 2, ref.num_solution_points))
     for ax in range(dim):

@@ -2,21 +2,23 @@
 reports.
 
 GEMM work is counted as 2mnk.  Point-wise kernels carry a per-point cost
-table derived from the implemented formulas; an instrumented scalar type
-(:class:`CountingFloat`) re-runs the same kernels on tiny object arrays to
-cross-check the table.
+table; the census (:func:`census_pointwise`) cross-checks it by running, on
+one point of instrumented scalars (:class:`CountingFloat`), the function
+that each kernel's solver pass calls.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import physics
 from .errors import ConfigError
 
 
@@ -35,25 +37,10 @@ def flops_gemm(m: int, n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Point-wise operation table
 # ---------------------------------------------------------------------------
-# Cost per point of each point-wise kernel, tallied by hand from the
-# vectorized formulas in fluxrecon.physics / pipeline.  The census test
-# re-derives these with CountingFloat and requires agreement within 10%.
-
-_DIV_COST = 1
-_SQRT_COST = 1
-
-
-def _flux_cost(d):
-    # pressure: ke (2d flops: d mul + d-1 add + 1 mul) + sub + mul => 2d+3
-    # velocities: d divs
-    # flux: per dir: mass 1; momentum d muls + ... tallied from inviscid_flux
-    return {2: 27, 3: 46}[d]
-
-
-# Scheme-count table: double-precision ops per point, tallied by hand from
-# the implemented formulas (adds/subs, muls, divs, sqrt/pow; negations and
-# comparisons free).  The instrumented census re-measures the same bodies
-# at runtime and must agree within 10%.
+# Double-precision ops per point of each point-wise kernel (adds/subs, muls,
+# divs, sqrt/pow; negations and comparisons free).  The census re-measures
+# each entry by running its solver pass's own function and must agree
+# within 10%.
 POINTWISE_COSTS: Dict[tuple, int] = {
     ("phys_flux", 2): 26,
     ("phys_flux", 3): 45,
@@ -65,16 +52,16 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("riemann_rusanov", 3): 140,
     ("riemann_hllc", 2): 160,
     ("riemann_hllc", 3): 205,
-    ("flux_scale", 2): 9,
-    ("flux_scale", 3): 11,
+    ("flux_scale", 2): 4,
+    ("flux_scale", 3): 5,
     ("flux_jump", 2): 4,
     ("flux_jump", 3): 5,
-    ("boundary_ghost", 2): 19,
-    ("boundary_ghost", 3): 27,
+    ("boundary_ghost", 2): 28,
+    ("boundary_ghost", 3): 39,
     ("scale_residual", 2): 4,
     ("scale_residual", 3): 5,
-    ("sponge_source", 2): 19,
-    ("sponge_source", 3): 21,
+    ("sponge_source", 2): 12,
+    ("sponge_source", 3): 15,
     ("common_solution", 2): 29,
     ("common_solution", 3): 36,
     ("grad_transform", 2): 24,
@@ -108,7 +95,6 @@ class KernelStats:
 class PerfLedger:
     """Per-kernel counters plus per-step aggregates for one run."""
 
-    meta: dict = field(default_factory=dict)
     kernels: Dict[str, KernelStats] = field(default_factory=dict)
     step_times: List[float] = field(default_factory=list)
     prefetches: int = 0
@@ -294,119 +280,87 @@ def counting_array(values: np.ndarray, counter: OpCounter) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Census bodies: the per-point arithmetic of each point-wise kernel, run on
-# instrumented scalars.  These mirror the vectorized kernel formulas.
+# Census: each kernel maps to the function its solver pass calls and to a
+# builder of that function's arguments at one point.  Kernels whose pass is
+# one operator (flux_scale, flux_jump, scale_residual) run the pass's own
+# expression, and common_solution adds the pass's two jump subtractions to
+# physics.ldg_solution.
 # ---------------------------------------------------------------------------
 
+_GAS = physics.GasModel(gamma=1.4, R=1.0)
 
-def _census_state(dim, c, shift=0.0):
-    from .physics import conserved, GasModel
 
-    gas = GasModel(gamma=1.4, R=1.0)
-    rho = 1.1 + shift
+def _state(dim, c, shift=0.0):
+    """One conserved state ``(1, nv)``."""
     vel = [0.3 - 0.1 * k + shift for k in range(dim)]
-    p = 0.9 + shift
-    Q = conserved(np.array(rho), np.array(vel), np.array(p), gas)
-    return counting_array(Q, c)[None, :], gas
+    Q = physics.conserved(np.array(1.1 + shift), np.array(vel), np.array(0.9 + shift), _GAS)
+    return counting_array(Q, c)[None, :]
 
 
-def _census_normal(dim, c):
-    n = np.array([0.6, 0.8] if dim == 2 else [0.48, 0.6, 0.64])
-    return counting_array(n, c)[None, :]
+def _pair(dim, c):
+    return _state(dim, c), _state(dim, c, shift=0.05)
 
 
-def _census_grad(dim, c, seed=3):
-    rng = np.random.default_rng(seed)
-    return counting_array(0.1 * rng.standard_normal((1, dim, dim + 2)), c)
+def _normal(dim, c):
+    return counting_array(np.array([0.6, 0.8] if dim == 2 else [0.48, 0.6, 0.64]), c)[None, :]
+
+
+def _random(shape, c, seed, scale=1.0):
+    return counting_array(scale * np.random.default_rng(seed).standard_normal(shape), c)
+
+
+def _grad(dim, c, seed=3):
+    return _random((1, dim, dim + 2), c, seed, scale=0.1)
+
+
+def _transform_args(dim, c):
+    return _random((dim, dim), c, 0), list(_random((dim, dim + 2), c, 2))
+
+
+def _ldg_jumps(QL, QR, beta, switch):
+    """The common_solution pass: the LDG common solution and its jump
+    against each side."""
+    Qs = physics.ldg_solution(QL, QR, beta, switch)
+    return Qs - QL, Qs - QR
+
+
+_CENSUS = {
+    "phys_flux": (physics.inviscid_flux, lambda d, c: (_state(d, c), d, _GAS)),
+    "transform_flux": (physics.transform, _transform_args),
+    "grad_transform": (physics.transform, _transform_args),
+    "own_trace": (physics.dot, lambda d, c: (
+        list(_random((d, d + 2), c, 1)), list(counting_array(-np.eye(d)[0], c)))),
+    "riemann_rusanov": (physics.riemann_flux, lambda d, c: (
+        *_pair(d, c), _normal(d, c), d, _GAS, "rusanov")),
+    "riemann_hllc": (physics.riemann_flux, lambda d, c: (
+        *_pair(d, c), _normal(d, c), d, _GAS, "hllc")),
+    "flux_scale": (operator.mul, lambda d, c: (_state(d, c), CountingFloat(0.7, c))),
+    "flux_jump": (operator.sub, _pair),
+    "boundary_ghost": (physics.apply_boundary, lambda d, c: (
+        physics.BoundarySpec("w", "slip"), _state(d, c), _normal(d, c), d, _GAS)),
+    "scale_residual": (lambda r, det: -r / det,
+                       lambda d, c: (_state(d, c), CountingFloat(0.5, c))),
+    "sponge_source": (physics.sponge_sum, lambda d, c: (
+        _state(d, c), [(CountingFloat(-2.0, c), counting_array(np.ones(d + 2), c))])),
+    "common_solution": (_ldg_jumps, lambda d, c: (*_pair(d, c), 0.5, counting_array([1.0], c))),
+    "viscous_flux": (physics.viscous_flux, lambda d, c: (_state(d, c), _grad(d, c), d, _GAS)),
+    "viscous_interface": (physics.ldg_interface, lambda d, c: (
+        *_pair(d, c), _grad(d, c), _grad(d, c, seed=5), _normal(d, c), 0.5,
+        CountingFloat(1.0, c), d, _GAS, CountingFloat(1.0, c))),
+}
 
 
 def census_pointwise(kernel: str, dim: int) -> int:
-    """Operation count of one point of ``kernel``, measured by running the
-    implemented formula on instrumented scalars."""
-    from . import physics
-
-    c = OpCounter()
-    if kernel == "phys_flux":
-        Q, gas = _census_state(dim, c)
-        physics.inviscid_flux(Q, dim, gas)
-    elif kernel == "transform_flux" or kernel == "grad_transform":
-        rng = np.random.default_rng(0)
-        F = counting_array(rng.standard_normal((dim, dim + 2)), c)
-        adj = counting_array(rng.standard_normal((dim, dim)), c)
-        for k in range(dim):
-            acc = adj[k, 0] * F[0]
-            for l in range(1, dim):
-                acc = acc + adj[k, l] * F[l]
-    elif kernel == "own_trace":
-        rng = np.random.default_rng(1)
-        Ff = counting_array(rng.standard_normal((dim, dim + 2)), c)
-        side_mask = counting_array(np.eye(dim)[0] * -1.0, c)
-        acc = None
-        for ax in range(dim):
-            term = Ff[ax] * side_mask[ax]
-            acc = term if acc is None else acc + term
-    elif kernel in ("riemann_rusanov", "riemann_hllc"):
-        QL, gas = _census_state(dim, c)
-        QR, _ = _census_state(dim, c, shift=0.05)
-        n = _census_normal(dim, c)
-        if kernel == "riemann_rusanov":
-            physics.rusanov_flux(QL, QR, n, dim, gas)
-        else:
-            physics.hllc_flux(QL, QR, n, dim, gas)
-    elif kernel == "flux_scale":
-        Q, gas = _census_state(dim, c)
-        Fc = Q  # any nv-vector stands in for the common flux
-        sign = CountingFloat(1.0, c)
-        area = CountingFloat(0.7, c)
-        A = sign * area
-        _ = A * Fc
-        _ = -A * Fc
-    elif kernel == "flux_jump":
-        Q, gas = _census_state(dim, c)
-        Q2, _ = _census_state(dim, c, shift=0.1)
-        _ = Q - Q2
-    elif kernel == "scale_residual":
-        Q, gas = _census_state(dim, c)
-        det = CountingFloat(0.5, c)
-        _ = -Q / det
-    elif kernel == "sponge_source":
-        from .physics import SpongeZone
-
-        Q, gas = _census_state(dim, c)
-        ref = counting_array(np.ones(dim + 2), c)
-        zone = SpongeZone(axis=0, lo=0.0, hi=1.0, ramp_width=0.5, strength=2.0,
-                          reference_state=ref)
-        x = counting_array(np.full((1, dim), 0.25), c)
-        physics.sponge_source(Q, zone, x)
-    elif kernel == "common_solution":
-        QL, gas = _census_state(dim, c)
-        QR, _ = _census_state(dim, c, shift=0.05)
-        sw = CountingFloat(1.0, c)
-        Qs = 0.5 * (QL + QR) - 0.5 * sw * (QR - QL)
-        _ = Qs - QL
-        _ = Qs - QR
-    elif kernel == "viscous_flux":
-        Q, gas = _census_state(dim, c)
-        g = _census_grad(dim, c)
-        physics.viscous_flux(Q, g, dim, gas)
-    elif kernel == "viscous_interface":
-        QL, gas = _census_state(dim, c)
-        QR, _ = _census_state(dim, c, shift=0.05)
-        gL, gR = _census_grad(dim, c), _census_grad(dim, c, seed=5)
-        n = _census_normal(dim, c)
-        physics.ldg_interface(QL, QR, gL, gR, n, 0.5,
-                              CountingFloat(1.0, c), dim, gas,
-                              switch=CountingFloat(1.0, c))
-    elif kernel == "boundary_ghost":
-        from .physics import BoundarySpec
-
-        Q, gas = _census_state(dim, c)
-        n = _census_normal(dim, c)
-        spec = BoundarySpec("w", "slip")
-        physics.apply_boundary(spec, Q, n, dim, gas)
-    else:
+    """Operation count of one point of ``kernel``, measured by running its
+    solver pass's function on instrumented scalars."""
+    if kernel not in _CENSUS:
         raise ConfigError(f"no census body for kernel {kernel!r}")
-    return c.total
+    fn, build = _CENSUS[kernel]
+    c = OpCounter()
+    args = build(dim, c)
+    before = c.total
+    fn(*args)
+    return c.total - before
 
 
 def census_table(dim: int) -> Dict[str, int]:
@@ -478,8 +432,10 @@ BENCH_CSV_COLUMNS = ["ranks", "workers", "elements", "p", "fusion",
                      "mean_step_s", "flops", "gflops_rate", "bytes_moved"]
 
 
-def bench_csv_row(meta: dict, mean_step: float, ledger: PerfLedger) -> list:
-    flops_per_step = ledger.total_flops / max(len(ledger.step_times), 1)
+def bench_csv_row(meta: dict, mean_step: float, flops: int, bytes_moved: int,
+                  steps: int) -> list:
+    """One row in the bench schema from the totals of ``steps`` steps."""
+    flops_per_step = flops / max(steps, 1)
     return [
         meta.get("ranks", 1),
         meta.get("workers", meta.get("ranks", 1)),
@@ -487,9 +443,9 @@ def bench_csv_row(meta: dict, mean_step: float, ledger: PerfLedger) -> list:
         meta.get("p", 0),
         "on" if meta.get("fusion", True) else "off",
         f"{mean_step:.9g}",
-        int(ledger.total_flops),
+        int(flops),
         f"{flops_per_step / mean_step / 1e9:.6g}",
-        int(ledger.total_bytes),
+        int(bytes_moved),
     ]
 
 

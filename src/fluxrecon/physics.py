@@ -3,7 +3,14 @@ interface treatment, boundary ghost states, and sponge-zone sources.
 
 All point-wise kernels are written with element-wise numpy operations only
 (no BLAS/einsum), so they run unchanged on object arrays of instrumented
-scalars for operation-census purposes.  State vectors are ordered
+scalars.  The solver's passes call them, and the FLOP census
+(``perf.census_pointwise``) runs the same function for each ledger kernel:
+``phys_flux`` :func:`inviscid_flux`, ``viscous_flux`` :func:`viscous_flux`,
+``transform_flux`` and ``grad_transform`` :func:`transform`, ``own_trace``
+:func:`dot`, ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
+``viscous_interface`` :func:`ldg_interface`, ``common_solution``
+:func:`ldg_solution`, ``boundary_ghost`` :func:`apply_boundary` and
+``sponge_source`` :func:`sponge_sum`.  State vectors are ordered
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
@@ -96,6 +103,13 @@ def dot(a, b):
     return s
 
 
+def transform(M, v) -> list:
+    """Point-wise matrix times vector: ``[dot(M[k], v) for k]``, where ``M``
+    is a sequence of rows of matrix entries and ``v`` a sequence of
+    components (a Jacobian transform of the d flux or gradient rows)."""
+    return [dot(row, v) for row in M]
+
+
 def normal_component(F: np.ndarray, n) -> np.ndarray:
     """``sum_j F[..., j, :] * n[j]`` of a flux ``(..., d, nv)`` and normal
     components ``n``; laid out like ``F[..., 0, :]``."""
@@ -118,10 +132,6 @@ def pressure(Q: np.ndarray, dim: int, gas: GasModel):
     return (gas.gamma - 1.0) * (E - ke)
 
 
-def temperature(Q: np.ndarray, dim: int, gas: GasModel):
-    return pressure(Q, dim, gas) / (Q[..., 0] * gas.R)
-
-
 def sound_speed(Q: np.ndarray, dim: int, gas: GasModel):
     return np.sqrt(gas.gamma * pressure(Q, dim, gas) / Q[..., 0])
 
@@ -138,10 +148,9 @@ def check_positivity(Q: np.ndarray, dim: int, gas: GasModel, cell_of_point=None)
 
 
 def conserved(rho, vel, p, gas: GasModel) -> np.ndarray:
-    """Assemble conserved variables from primitives."""
-    rho = np.asarray(rho, dtype=float)
-    vel = np.asarray(vel, dtype=float)
-    p = np.asarray(p, dtype=float)
+    """Assemble conserved variables from primitives.  Object arrays stay
+    object arrays, so the operation census counts the assembly."""
+    rho, vel, p = np.asarray(rho), np.asarray(vel), np.asarray(p)
     E = p / (gas.gamma - 1.0) + 0.5 * rho * np.sum(vel * vel, axis=-1)
     return np.concatenate(
         [rho[..., None], rho[..., None] * vel, E[..., None]], axis=-1
@@ -487,11 +496,21 @@ class SpongeZone:
 
 
 def sponge_source(Q: np.ndarray, zone: SpongeZone, x: np.ndarray) -> np.ndarray:
-    """S = -sigma(x) (Q - Q_ref)."""
+    """S = -sigma(x) (Q - Q_ref), with the ramp evaluated at ``x``; the
+    reference for the solver's :func:`sponge_sum` on precomputed ramps."""
     neg_sig = -zone.sigma(x)
     S = np.empty_like(Q)
     for k in range(Q.shape[-1]):
         S[..., k] = neg_sig * (Q[..., k] - zone.reference_state[k])
+    return S
+
+
+def sponge_sum(Q: np.ndarray, factors) -> np.ndarray:
+    """Sum of the zones' sources ``-sigma (Q - Q_ref)`` in zone order, from
+    precomputed ``(-sigma, Q_ref)`` pairs that broadcast against ``Q``."""
+    S = 0.0
+    for neg_sigma, ref in factors:
+        S = S + neg_sigma * (Q - ref)
     return S
 
 

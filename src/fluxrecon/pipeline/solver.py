@@ -21,9 +21,17 @@ evaluation runs:
 
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
-``PerfLedger.add_gemm`` with their exact shapes, point-wise passes through
-``PerfLedger.add_pointwise``.  The volume flux and its transform run as
-one pass, and so do the face trace and the flux jump.
+``_gemm_pass`` and ``PerfLedger.add_gemm`` with their exact shapes,
+point-wise passes through ``PerfLedger.add_pointwise``.  A point-wise
+pass's arithmetic is one :mod:`fluxrecon.physics` function, the one the
+FLOP census runs for its ledger kernel: ``physics.transform`` for
+``transform_flux`` and ``grad_transform``, ``physics.dot`` with the slots'
+``trace_sign`` rows for ``own_trace``, ``physics.sponge_sum`` on the
+build-time ``(-sigma, Q_ref)`` pairs for ``sponge_source``, and so on (see
+:mod:`fluxrecon.physics`).  ``flux_scale`` (common flux times signed area),
+``flux_jump`` and ``scale_residual`` are one operator each.  The volume
+flux and its transform run as one pass, and so do the face trace and the
+flux jump.
 ``SolverOptions.fusion`` only selects how the ledger books them: fused, as
 one entry each, ``phys_flux+transform_flux`` and ``own_trace+flux_jump``,
 whose intermediates ``F_upts`` and ``Fown_fpts`` are not charged as
@@ -229,8 +237,7 @@ class SolverRank:
             self.slot_area[q.e, q.p] = a_c.reshape(-1)
 
     def _build_geometry(self):
-        ref, nfp = self.ref, self.ref.num_face_points
-        g = compute_geometry(self.cell_coords, ref, self.gids)
+        g = compute_geometry(self.cell_coords, self.ref, self.gids)
         self.det_upts = g.det_upts
         self.adj_upts = g.adj_upts
         self.invT_upts = g.inv_t_upts
@@ -239,9 +246,6 @@ class SolverRank:
         self.slot_normal = g.normals_fpts
         self.slot_area = g.area_fpts
         self.h_min = g.h_min
-        # reference outward normal of every flux-point slot: axis, side
-        self.slot_ref_axis = np.repeat([info.normal_axis for info in ref.face_info], nfp)
-        self.slot_ref_side = np.repeat([float(info.side) for info in ref.face_info], nfp)
 
     def _build_sponges(self):
         """Check the zones against the mesh, then keep per zone
@@ -368,6 +372,13 @@ class SolverRank:
         for f, info in enumerate(ref.face_info):
             sl = ref.face_slice(f)
             self.gcorr[info.normal_axis][:, sl] = ref.correction_matrix[:, sl] * info.side
+        # per axis, the reference outward normal's component at every
+        # flux-point slot: the face's side (+-1) where the face is normal to
+        # that axis, else 0
+        nfp = ref.num_face_points
+        axis = np.repeat([info.normal_axis for info in ref.face_info], nfp)
+        side = np.repeat([float(info.side) for info in ref.face_info], nfp)
+        self.trace_sign = [side * (axis == ax) for ax in range(d)]
 
     # ------------------------------------------------------------------
     # passes over element blocks
@@ -381,12 +392,33 @@ class SolverRank:
         self.ledger.add_pointwise(name, self.dim, n, doubles_in * n * ITEM,
                                   doubles_out * n * ITEM, members=members)
 
+    def _gemm_pass(self, dst, terms, add=False):
+        """``dst = sum src @ M`` over ``terms`` ``[(name, src, M)]`` in order
+        (``dst +=`` when ``add``), with ``src`` a block's ``(..., k)`` buffer
+        taken as ``(rows, k)``.  Each GEMM logs its ledger entry; only the
+        first is charged for writing ``dst``, the others add to it."""
+        for i, (name, src, M) in enumerate(terms):
+            X = src.reshape(-1, M.shape[0])
+            Y = _gemm(X, M, self.opt.deterministic).reshape(dst.shape)
+            if add or i:
+                dst += Y
+            else:
+                dst[...] = Y
+            self.ledger.add_gemm(name, X.shape[0], M.shape[1], M.shape[0],
+                                 X.nbytes, 0 if i else Y.nbytes)
+
+    def _transform(self, M, X, out):
+        """``out[:, k] = sum_l M[..., k, l] X[:, l]``: point-wise matrices
+        ``M`` ``(n, Ns, d, d)`` times the d rows of ``X`` ``(n, d, nv, Ns)``;
+        ``out`` may be ``X``."""
+        d = self.dim
+        rows = [[M[:, None, :, k, l] for l in range(d)] for k in range(d)]
+        for k, row in enumerate(physics.transform(rows, [X[:, l] for l in range(d)])):
+            out[:, k] = row
+
     def _interp_to_faces(self, lo, hi):
-        X = self.Q_upts[lo:hi].reshape(-1, self.Ns)
-        out = _gemm(X, self.interp_T, self.opt.deterministic)
-        self.Q_fpts[lo:hi] = out.reshape(hi - lo, self.nv, self.nf)
-        self.ledger.add_gemm("interp_to_faces", X.shape[0], self.nf, self.Ns,
-                             X.nbytes, out.nbytes)
+        self._gemm_pass(self.Q_fpts[lo:hi],
+                        [("interp_to_faces", self.Q_upts[lo:hi], self.interp_T)])
 
     def _volume_flux(self, lo, hi):
         """Physical flux, then its transform to reference space.  Fused, the
@@ -398,14 +430,7 @@ class SolverRank:
         if self.opt.viscous:
             grad = self.grad_upts[lo:hi].transpose(0, 3, 1, 2)
             F -= physics.viscous_flux(Q, grad, d, self.gas)
-        F = self.F_upts[lo:hi]          # (n, d, nv, Ns)
-        adj = self.adj_upts[lo:hi]      # (n, Ns, d, d)
-        out = self.Fhat_upts[lo:hi]
-        for k in range(d):
-            acc = adj[:, :, k, 0][:, None, :] * F[:, 0]
-            for l in range(1, d):
-                acc = acc + adj[:, :, k, l][:, None, :] * F[:, l]
-            out[:, k] = acc
+        self._transform(self.adj_upts[lo:hi], self.F_upts[lo:hi], self.Fhat_upts[lo:hi])
         if self.opt.fusion:
             self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
                             nv + d * d + self.grad_rows, d * nv,
@@ -417,23 +442,16 @@ class SolverRank:
 
     def _interp_flux(self, lo, hi):
         for ax in range(self.dim):
-            X = self.Fhat_upts[lo:hi, ax].reshape(-1, self.Ns)
-            out = _gemm(X, self.interp_T, self.opt.deterministic)
-            self.Fhat_fpts[lo:hi, ax] = out.reshape(hi - lo, self.nv, self.nf)
-            self.ledger.add_gemm("interp_flux", X.shape[0], self.nf, self.Ns,
-                                 X.nbytes, out.nbytes)
+            self._gemm_pass(self.Fhat_fpts[lo:hi, ax],
+                            [("interp_flux", self.Fhat_upts[lo:hi, ax], self.interp_T)])
 
     def _trace_jump(self, lo, hi):
         """Outward normal trace of the transformed flux polynomial, then its
         jump against the common flux.  Fused, the ledger does not charge the
         intermediate Fown_fpts."""
         Ff = self.Fhat_fpts[lo:hi]
-        acc = None
-        for ax in range(self.dim):
-            mask = (self.slot_ref_axis == ax)
-            term = Ff[:, ax] * (self.slot_ref_side * mask)
-            acc = term if acc is None else acc + term
-        self.Fown_fpts[lo:hi] = acc
+        self.Fown_fpts[lo:hi] = physics.dot([Ff[:, ax] for ax in range(self.dim)],
+                                            self.trace_sign)
         self.jump_fpts[lo:hi] = self.Fc_fpts[lo:hi] - self.Fown_fpts[lo:hi]
         nv = self.nv
         if self.opt.fusion:
@@ -444,22 +462,13 @@ class SolverRank:
             self._log_block("flux_jump", lo, hi, self.nf, 2 * nv, nv)
 
     def _divergence(self, lo, hi):
-        Ns = self.Ns
-        X = self.Fhat_upts[lo:hi, 0].reshape(-1, Ns)
-        acc = _gemm(X, self.div_T[0], self.opt.deterministic)
-        self.ledger.add_gemm("divergence", X.shape[0], Ns, Ns, X.nbytes, acc.nbytes)
-        for ax in range(1, self.dim):
-            X = self.Fhat_upts[lo:hi, ax].reshape(-1, Ns)
-            acc += _gemm(X, self.div_T[ax], self.opt.deterministic)
-            self.ledger.add_gemm("divergence", X.shape[0], Ns, Ns, X.nbytes, 0)
-        self.divF_upts[lo:hi] = acc.reshape(hi - lo, self.nv, Ns)
+        self._gemm_pass(self.divF_upts[lo:hi],
+                        [("divergence", self.Fhat_upts[lo:hi, ax], self.div_T[ax])
+                         for ax in range(self.dim)])
 
     def _correction(self, lo, hi):
-        X = self.jump_fpts[lo:hi].reshape(-1, self.nf)
-        out = _gemm(X, self.corr_T, self.opt.deterministic)
-        self.divF_upts[lo:hi] += out.reshape(hi - lo, self.nv, self.Ns)
-        self.ledger.add_gemm("correction", X.shape[0], self.Ns, self.nf,
-                             X.nbytes, out.nbytes)
+        self._gemm_pass(self.divF_upts[lo:hi],
+                        [("correction", self.jump_fpts[lo:hi], self.corr_T)], add=True)
 
     def _scale_residual(self, lo, hi):
         out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
@@ -470,11 +479,8 @@ class SolverRank:
         a, b = np.searchsorted(self.sponge_elems, (lo, hi))
         if b > a:
             sel = self.sponge_elems[a:b]
-            Q = self.Q_upts[sel]  # (m, nv, Ns)
-            S = 0.0
-            for neg_sigma, ref in self.sponge_factors:
-                S = S + neg_sigma[a:b] * (Q - ref)
-            out[sel - lo] += S
+            out[sel - lo] += physics.sponge_sum(
+                self.Q_upts[sel], [(s[a:b], ref) for s, ref in self.sponge_factors])
             self._log_block("sponge_source", a, b, self.Ns * len(self.sponge_factors), nv + 1, nv)
         self.dQdt[lo:hi] = out
         self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv)
@@ -482,36 +488,21 @@ class SolverRank:
     # viscous gradient passes ----------------------------------------------
 
     def _gradient(self, lo, hi):
-        Ns, nf = self.Ns, self.nf
-        Xq = self.Q_upts[lo:hi].reshape(-1, Ns)
-        Xj = self.jumpQ_fpts[lo:hi].reshape(-1, nf)
         for ax in range(self.dim):
-            g = _gemm(Xq, self.div_T[ax], self.opt.deterministic)
-            g += _gemm(Xj, self.gcorr_T[ax], self.opt.deterministic)
-            self.grad_upts[lo:hi, ax] = g.reshape(hi - lo, self.nv, Ns)
-            self.ledger.add_gemm("gradient", Xq.shape[0], Ns, Ns, Xq.nbytes, g.nbytes)
-            self.ledger.add_gemm("gradient_corr", Xj.shape[0], Ns, nf, Xj.nbytes, 0)
+            self._gemm_pass(self.grad_upts[lo:hi, ax],
+                            [("gradient", self.Q_upts[lo:hi], self.div_T[ax]),
+                             ("gradient_corr", self.jumpQ_fpts[lo:hi], self.gcorr_T[ax])])
 
     def _grad_transform(self, lo, hi):
         d, nv = self.dim, self.nv
         g = self.grad_upts[lo:hi]
-        invT = self.invT_upts[lo:hi]
-        out = np.empty_like(g)
-        for k in range(d):
-            acc = invT[:, :, k, 0][:, None, :] * g[:, 0]
-            for l in range(1, d):
-                acc = acc + invT[:, :, k, l][:, None, :] * g[:, l]
-            out[:, k] = acc
-        self.grad_upts[lo:hi] = out
+        self._transform(self.invT_upts[lo:hi], g, g)
         self._log_block("grad_transform", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
     def _interp_grad(self, lo, hi):
         for ax in range(self.dim):
-            X = self.grad_upts[lo:hi, ax].reshape(-1, self.Ns)
-            out = _gemm(X, self.interp_T, self.opt.deterministic)
-            self.grad_fpts[lo:hi, ax] = out.reshape(hi - lo, self.nv, self.nf)
-            self.ledger.add_gemm("interp_grad", X.shape[0], self.nf, self.Ns,
-                                 X.nbytes, out.nbytes)
+            self._gemm_pass(self.grad_fpts[lo:hi, ax],
+                            [("interp_grad", self.grad_upts[lo:hi, ax], self.interp_T)])
 
     # ------------------------------------------------------------------
     # passes over interface pairs
@@ -702,10 +693,9 @@ class SolverRank:
         """Fill ghost_grad with the peers' face gradients."""
         self._exchange(self.grad_fpts, self.ghost_grad)
 
-    def compute_residual(self, Q: np.ndarray, check: bool = True) -> np.ndarray:
+    def compute_residual(self, Q: np.ndarray) -> np.ndarray:
         """dQ/dt for the given state (halo exchanges included)."""
-        if check:
-            self._check_positivity(Q)
+        self._check_positivity(Q)
         self.Q_upts = np.ascontiguousarray(Q)
         self._run_blocks([self._interp_to_faces])
         self.halo_exchange_q()
@@ -767,8 +757,7 @@ class SolverRank:
     def step_in_place(self, dt: float):
         self.Q_upts = self.advance_step(self.Q_upts, dt)
 
-    def run_steps(self, nsteps: int, dt: Optional[float] = None,
-                  time_steps: bool = True) -> float:
+    def run_steps(self, nsteps: int, dt: Optional[float] = None) -> float:
         """March nsteps (CFL-adaptive dt unless fixed); returns simulated
         time covered."""
         t = 0.0
@@ -776,8 +765,7 @@ class SolverRank:
             step_dt = dt if dt is not None else self.compute_dt(self.Q_upts)
             t0 = monotonic_time()
             self.step_in_place(step_dt)
-            if time_steps:
-                self.ledger.step_times.append(monotonic_time() - t0)
+            self.ledger.step_times.append(monotonic_time() - t0)
             t += step_dt
         return t
 

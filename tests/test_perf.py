@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,6 +79,17 @@ class TestPointwiseCosts:
             table = POINTWISE_COSTS[(kernel, dim)]
             assert abs(table - measured) <= 0.10 * max(measured, 1), \
                 f"{kernel}: table {table} vs census {measured}"
+
+    @pytest.mark.parametrize("kernel, dim, count", [
+        ("flux_scale", 2, 4), ("flux_scale", 3, 5),
+        ("sponge_source", 2, 12), ("sponge_source", 3, 15),
+        ("boundary_ghost", 2, 28), ("boundary_ghost", 3, 39)])
+    def test_census_counts_the_solver_formula(self, kernel, dim, count):
+        """The common flux times the signed area (one mul per variable);
+        one zone's precomputed -sigma (Q - Q_ref) added to the source (three
+        ops per variable); the slip ghost including its conserved-state
+        assembly.  The table carries the same counts."""
+        assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
 class TestLedger:
@@ -279,3 +294,38 @@ class TestFullStepCrossCheck:
             perf.POINTWISE_COSTS.update(saved)
         assert census_total > 0
         assert abs(scheme_total - census_total) / census_total < 0.10
+
+
+class TestBenchmarkTracer:
+    def test_tracer_wraps_every_target_and_restores_it(self):
+        """perfbench/tracing.py, loaded as it is, finds every function it
+        times in this package, and uninstalling puts every binding back."""
+        import fluxrecon.cli  # noqa: F401 - imports every traced module
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        targets = [(d, a) for d, a, _, _ in tracing.TARGETS] + [tracing.NBX]
+
+        def bindings():
+            out = {(name, key): val for name, mod in sorted(sys.modules.items())
+                   if name.startswith("fluxrecon") and mod is not None
+                   for key, val in vars(mod).items()}
+            for dotted, attr in targets:
+                owner = tracing._resolve(dotted)
+                if isinstance(owner, type):
+                    out[(dotted, attr)] = vars(owner)[attr]
+            return out
+
+        before = bindings()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            during = bindings()
+        finally:
+            tracer.uninstall()
+        after = bindings()
+        assert [t for t in targets if during[t] is before[t]] == []
+        assert after.keys() == before.keys()
+        assert [k for k, v in before.items() if after[k] is not v] == []
