@@ -46,8 +46,8 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("phys_flux", 3): 45,
     ("transform_flux", 2): 24,
     ("transform_flux", 3): 75,
-    ("own_trace", 2): 12,
-    ("own_trace", 3): 25,
+    ("own_trace", 2): 4,
+    ("own_trace", 3): 5,
     ("riemann_rusanov", 2): 105,
     ("riemann_rusanov", 3): 140,
     ("riemann_hllc", 2): 160,
@@ -70,6 +70,8 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("viscous_flux", 3): 150,
     ("viscous_interface", 2): 223,
     ("viscous_interface", 3): 391,
+    ("viscous_wall", 2): 115,
+    ("viscous_wall", 3): 200,
 }
 
 
@@ -114,13 +116,14 @@ class PerfLedger:
 
     def add_pointwise(self, name: str, dim: int, npoints: int,
                       bytes_read: int, bytes_written: int,
-                      members: Optional[Sequence[str]] = None):
+                      members: Optional[Sequence] = None):
+        """Charge each kernel of ``members`` (default: ``name``) on
+        ``npoints`` points; a member given as ``(kernel, n)`` is charged on
+        its own ``n`` points."""
         s = self.stat(name)
-        if members:
-            for m in members:
-                s.flops += flops_pointwise(m, dim, npoints)
-        else:
-            s.flops += flops_pointwise(name, dim, npoints)
+        for m in members or (name,):
+            kernel, n = (m, npoints) if isinstance(m, str) else m
+            s.flops += flops_pointwise(kernel, dim, n)
         s.bytes_read += bytes_read
         s.bytes_written += bytes_written
         s.invocations += 1
@@ -328,8 +331,9 @@ _CENSUS = {
     "phys_flux": (physics.inviscid_flux, lambda d, c: (_state(d, c), d, _GAS)),
     "transform_flux": (physics.transform, _transform_args),
     "grad_transform": (physics.transform, _transform_args),
-    "own_trace": (physics.dot, lambda d, c: (
-        list(_random((d, d + 2), c, 1)), list(counting_array(-np.eye(d)[0], c)))),
+    "own_trace": (physics.face_trace, lambda d, c: (
+        list(_random((d, d + 2, 1), c, 1)), [(slice(0, 1), d - 1, CountingFloat(-1.0, c))],
+        np.empty((d + 2, 1), dtype=object))),
     "riemann_rusanov": (physics.riemann_flux, lambda d, c: (
         *_pair(d, c), _normal(d, c), d, _GAS, "rusanov")),
     "riemann_hllc": (physics.riemann_flux, lambda d, c: (
@@ -347,6 +351,8 @@ _CENSUS = {
     "viscous_interface": (physics.ldg_interface, lambda d, c: (
         *_pair(d, c), _grad(d, c), _grad(d, c, seed=5), _normal(d, c), 0.5,
         CountingFloat(1.0, c), d, _GAS, CountingFloat(1.0, c))),
+    "viscous_wall": (physics.wall_flux, lambda d, c: (
+        *_pair(d, c), _grad(d, c), _normal(d, c), CountingFloat(1.0, c), d, _GAS)),
 }
 
 

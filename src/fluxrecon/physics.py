@@ -7,10 +7,11 @@ scalars.  The solver's passes call them, and the FLOP census
 (``perf.census_pointwise``) runs the same function for each ledger kernel:
 ``phys_flux`` :func:`inviscid_flux`, ``viscous_flux`` :func:`viscous_flux`,
 ``transform_flux`` and ``grad_transform`` :func:`transform`, ``own_trace``
-:func:`dot`, ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
-``viscous_interface`` :func:`ldg_interface`, ``common_solution``
-:func:`ldg_solution`, ``boundary_ghost`` :func:`apply_boundary` and
-``sponge_source`` :func:`sponge_sum`.  State vectors are ordered
+:func:`face_trace`, ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
+``viscous_interface`` :func:`ldg_interface`, ``viscous_wall``
+:func:`wall_flux`, ``common_solution`` :func:`ldg_solution`,
+``boundary_ghost`` :func:`apply_boundary` and ``sponge_source``
+:func:`sponge_sum`.  State vectors are ordered
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
@@ -22,9 +23,10 @@ does) each component is a contiguous row and no strided column or
 transposing copy is made.  Outputs follow the input's layout: a
 variable-major input gives a variable-major result (see ``_like``).
 ``inviscid_flux`` also takes ``out=``, a buffer of any strides to write
-the flux into.  The solver passes a view of its ``F_upts`` block (and then
-subtracts the viscous flux in place), so the volume flux is written where
-the next kernel reads it instead of being built C-ordered and copied back.  Component sums run in
+the flux into.  The solver passes a view of its block's ``Fhat_upts``
+scratch, subtracts the viscous flux there and transforms it in place, so
+the volume flux is written where the next kernel reads it instead of being
+built C-ordered and copied back.  Component sums run in
 index order (``(a0 + a1) + a2``), the order numpy's sum over a length-d
 axis uses, so results do not depend on the layout.
 """
@@ -108,6 +110,15 @@ def transform(M, v) -> list:
     is a sequence of rows of matrix entries and ``v`` a sequence of
     components (a Jacobian transform of the d flux or gradient rows)."""
     return [dot(row, v) for row in M]
+
+
+def face_trace(F, faces, out):
+    """Outward normal trace of a flux at face points: on each face
+    ``(points, axis, side)`` the flux row ``F[axis]`` of the face's normal
+    axis times its side (+-1), written into ``out[..., points]``."""
+    for points, axis, side in faces:
+        np.multiply(F[axis][..., points], side, out=out[..., points])
+    return out
 
 
 def normal_component(F: np.ndarray, n) -> np.ndarray:
@@ -368,6 +379,22 @@ def ldg_interface(QL, QR, grad_L, grad_R, n, beta: float, tau,
         Gstar[..., k] = (0.5 * (GLn[..., k] + GRn[..., k]) + bsw * (GRn[..., k] - GLn[..., k])
                          + taup * (QR[..., k] - QL[..., k]))
     return Gstar
+
+
+def wall_flux(Q, ghost, grad, n, tau, dim: int, gas: GasModel, adiabatic: bool = False):
+    """Viscous normal flux of a boundary pair (any kind but slip) from the
+    interior and ghost states: the physical flux at their mean (on
+    adiabatic walls the energy flux is the stress work alone), plus the
+    penalty tau*(ghost - Q)."""
+    Qb = 0.5 * (Q + ghost)
+    Gn = normal_component(viscous_flux(Qb, grad, dim, gas), components(n, dim))
+    if adiabatic:
+        _, vel, _ = split_state(Qb, dim)
+        Gn[..., 1 + dim] = dot(components(Gn[..., 1:], dim), vel)
+    taup = _per_point(tau, Q)
+    for k in range(dim + 2):
+        Gn[..., k] = Gn[..., k] + taup * (ghost[..., k] - Q[..., k])
+    return Gn
 
 
 @dataclass

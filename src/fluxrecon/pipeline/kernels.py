@@ -11,9 +11,11 @@ class BlockPlan:
 
     ``block_elements`` is the largest element count whose working set fits
     the budget; blocks never split an element.  The budget bounds the
-    numpy temporaries one pass allocates per block: too small, and the
-    per-call overhead of many short passes dominates; too large, and the
-    temporaries fall out of cache.  Blocking stays because the fused passes
+    volume passes' block scratch, which is allocated once at
+    ``block_elements`` deep, as well as the numpy temporaries one pass
+    allocates per block: too small, and the per-call overhead of many
+    short passes dominates; too large, and the scratch and the temporaries
+    fall out of cache.  Blocking stays because the fused passes
     run on one block at a time, which is what the ledger's fused traffic
     model describes; that model does not depend on the block size.
     Deterministic mode needs no fixed size: its GEMMs accumulate each row

@@ -25,32 +25,39 @@ the pair list that logs its own ledger entry: GEMM passes through
 point-wise passes through ``PerfLedger.add_pointwise``.  A point-wise
 pass's arithmetic is one :mod:`fluxrecon.physics` function, the one the
 FLOP census runs for its ledger kernel: ``physics.transform`` for
-``transform_flux`` and ``grad_transform``, ``physics.dot`` with the slots'
-``trace_sign`` rows for ``own_trace``, ``physics.sponge_sum`` on the
-build-time ``(-sigma, Q_ref)`` pairs for ``sponge_source``, and so on (see
-:mod:`fluxrecon.physics`).  ``flux_scale`` (common flux times signed area),
-``flux_jump`` and ``scale_residual`` are one operator each.  The volume
-flux and its transform run as one pass, and so do the face trace and the
-flux jump.
+``transform_flux`` and ``grad_transform``, ``physics.face_trace`` (one
+signed copy of the normal-axis flux row per face) for ``own_trace``,
+``physics.sponge_sum`` on the build-time ``(-sigma, Q_ref)`` pairs for
+``sponge_source``, and so on (see :mod:`fluxrecon.physics`).
+``flux_scale`` (common flux times signed area), ``flux_jump`` and
+``scale_residual`` are one operator each.  The volume flux and its
+transform run as one pass, and so do the face trace and the flux jump.
 ``SolverOptions.fusion`` only selects how the ledger books them: fused, as
 one entry each, ``phys_flux+transform_flux`` and ``own_trace+flux_jump``,
-whose intermediates ``F_upts`` and ``Fown_fpts`` are not charged as
-memory traffic; unfused, as their two member entries.  Results are
-therefore bitwise equal under both settings.  GEMMs are never fused, and
-fusion changes modelled bytes but never flops: a fused entry's flops are
-the sum of its members'.
+whose intermediates (the physical flux and the face trace) are not
+charged as memory traffic; unfused, as their two member entries.  Results
+are therefore bitwise equal under both settings.  GEMMs are never fused,
+and fusion changes modelled bytes but never flops: a fused entry's flops
+are the sum of its members'.
 
 Buffer layouts (C-ordered; every buffer has the point axis last and
-contiguous, so each variable is one contiguous row):
+contiguous, so each variable is one contiguous row).  Full-mesh buffers,
+which pair passes or later block loops read:
 
-* ``Q_upts``, ``divF_upts``, ``dQdt`` ``(ne, nv, Ns)``;
-  ``F_upts``, ``Fhat_upts``, ``grad_upts`` ``(ne, d, nv, Ns)``;
-* ``Q_fpts``, ``Fown_fpts``, ``Fc_fpts``, ``jump_fpts``, ``jumpQ_fpts``
-  ``(ne, nv, nf)``; ``Fhat_fpts``, ``grad_fpts`` ``(ne, d, nv, nf)``;
+* ``Q_upts`` ``(ne, nv, Ns)``; ``grad_upts`` ``(ne, d, nv, Ns)``;
+* ``Q_fpts``, ``Fc_fpts``, ``jumpQ_fpts`` ``(ne, nv, nf)``;
+  ``grad_fpts`` ``(ne, d, nv, nf)``;
 * per interface pair: ``ghost_Q (nv, npairs - nloc)`` (one column per
   halo point, then per boundary point), ``ghost_grad (d * nv, nhalo)``,
   ``iface_n (d, npairs)``, and ``iface_a``, ``iface_sw``, ``iface_tau``,
   ``iface_flip`` ``(npairs,)``.
+
+Block scratch, one element block deep (``nb = block_plan.block_elements``),
+which the volume passes use as views ``[:hi - lo]``: ``Fhat_upts``
+``(nb, d, nv, Ns)`` (the physical flux, transformed in place),
+``Fhat_fpts`` ``(nb, d, nv, nf)``, ``jump_fpts`` ``(nb, nv, nf)`` and
+``divF_upts`` ``(nb, nv, Ns)``.  ``compute_residual`` returns a new
+``(ne, nv, Ns)`` array on each call.
 
 Interface kernels gather states as ``(nv, m)`` with ``ndarray.take`` at
 flat offsets ``e * nv * nf + p + k * nf`` (variable k of a pair's own slot,
@@ -69,6 +76,7 @@ numbers bit-identical under any partitioning in deterministic mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -204,11 +212,11 @@ class SolverRank:
         self.gids = np.array(shard.cell_rows[:, 0])
         self.cell_coords = self._vertex_coords(shard.cell_rows[:, 1:])  # (ne, nverts, d)
 
-        self._build_geometry()
+        slot_normal, slot_area = self._build_geometry()
         self._build_sponges()
-        self._build_interfaces()
+        self._build_interfaces(slot_normal, slot_area)
+        self._build_operators()
         self._build_arrays()
-        self._build_passes()
 
     # ------------------------------------------------------------------
     # assembly
@@ -228,24 +236,26 @@ class SolverRank:
         e = np.repeat(_positions(self.gids, gids, "cell"), nfp)
         return PointList(e, (lfaces[:, None] * nfp + perm).reshape(-1))
 
-    def _set_face_geometry(self, corner_vids: np.ndarray, *sides: PointList):
-        """Overwrite the slots of both sides of faces with the normal and
-        area computed once from one corner order per face."""
+    def _set_face_geometry(self, normal, area, corner_vids: np.ndarray, *sides: PointList):
+        """Overwrite the slots of both sides of faces in the per-slot
+        ``normal`` and ``area`` with the values computed once from one
+        corner order per face."""
         _, n_c, a_c = face_geometry(self._vertex_coords(corner_vids), self.ref.points_1d)
         for q in sides:
-            self.slot_normal[q.e, q.p] = n_c.reshape(-1, self.dim)
-            self.slot_area[q.e, q.p] = a_c.reshape(-1)
+            normal[q.e, q.p] = n_c.reshape(-1, self.dim)
+            area[q.e, q.p] = a_c.reshape(-1)
 
     def _build_geometry(self):
+        """Element geometry; returns the per-slot face normals and areas,
+        which only the interface set-up reads."""
         g = compute_geometry(self.cell_coords, self.ref, self.gids)
         self.det_upts = g.det_upts
         self.adj_upts = g.adj_upts
         self.invT_upts = g.inv_t_upts
         self.x_upts = g.coords_upts
         self.x_fpts = g.coords_fpts
-        self.slot_normal = g.normals_fpts
-        self.slot_area = g.area_fpts
         self.h_min = g.h_min
+        return g.normals_fpts, g.area_fpts
 
     def _build_sponges(self):
         """Check the zones against the mesh, then keep per zone
@@ -269,7 +279,7 @@ class SolverRank:
              np.asarray(zone.reference_state, dtype=float)[:, None])
             for zone, s in zip(self.sponge_zones, neg)]
 
-    def _build_interfaces(self):
+    def _build_interfaces(self, slot_normal, slot_area):
         """One list of interface flux-point pairs: local, remote, boundary.
 
         Each pair is this rank's own slot (``iface``) plus the other side's
@@ -288,11 +298,12 @@ class SolverRank:
         loc = shard.internal_rows
         self.loc_l = self._slots(loc[:, 0], loc[:, 1], ident)
         self.loc_r = self._slots(loc[:, 2], loc[:, 3], perms[loc[:, 4]])
-        self._set_face_geometry(loc[:, 5:5 + ncorners], self.loc_l, self.loc_r)
+        self._set_face_geometry(slot_normal, slot_area, loc[:, 5:5 + ncorners],
+                                self.loc_l, self.loc_r)
 
         rem = shard.remote_rows
         rm = self._slots(rem[:, 0], rem[:, 1], perms[rem[:, 3]])
-        self._set_face_geometry(rem[:, 9:9 + ncorners], rm)
+        self._set_face_geometry(slot_normal, slot_area, rem[:, 9:9 + ncorners], rm)
         # halo order: per peer rank, faces by canonical key (owner gid,
         # owner local face)
         key = np.where(rem[:, 4:5] != 0, rem[:, 0:2], rem[:, 7:9])
@@ -337,48 +348,34 @@ class SolverRank:
 
         e, p = self.iface.e, self.iface.p
         self.nf = ref.num_faces * nfp
-        self.iface_n = np.ascontiguousarray(self.slot_normal[e, p].T)
-        area = self.slot_area[e, p]
+        self.iface_n = np.ascontiguousarray(slot_normal[e, p].T)
+        area = slot_area[e, p]
         self.iface_a = np.where(self.iface_flip, -area, area)
         self.iface_sw = physics.ldg_switch(self.iface_n.T)
         self.iface_sw[self.n_face_pairs:] = 0.0
-        area_face = face_integrals(self.slot_area, ref)
+        area_face = face_integrals(slot_area, ref)
         h_face = area_face if d == 2 else np.sqrt(area_face)
         tau = self.opt.ldg_tau_scale * (self.opt.p + 1) ** 2 / h_face
         self.iface_tau = tau[e, p // nfp]
 
     def _build_arrays(self):
-        ne, nv, d = self.ne, self.nv, self.dim
-        Ns = self.ref.num_solution_points
-        nf = self.ref.num_faces * self.ref.num_face_points
+        """Full-mesh buffers, which pair passes or later block loops read,
+        and the volume passes' scratch, one element block deep."""
+        ne, nv, d, Ns, nf = self.ne, self.nv, self.dim, self.Ns, self.nf
         self.Q_upts = np.zeros((ne, nv, Ns))
         self.Q_fpts = np.zeros((ne, nv, nf))
-        self.F_upts = np.zeros((ne, d, nv, Ns))
-        self.Fhat_upts = np.zeros((ne, d, nv, Ns))
-        self.Fhat_fpts = np.zeros((ne, d, nv, nf))
-        self.Fown_fpts = np.zeros((ne, nv, nf))
         self.Fc_fpts = np.zeros((ne, nv, nf))
-        self.jump_fpts = np.zeros((ne, nv, nf))
-        self.divF_upts = np.zeros((ne, nv, Ns))
-        self.dQdt = np.zeros((ne, nv, Ns))
         self.ghost_Q = np.zeros((nv, self.iface.size - self.loc_r.size))
         if self.opt.viscous:
             self.jumpQ_fpts = np.zeros((ne, nv, nf))
             self.grad_upts = np.zeros((ne, d, nv, Ns))
             self.grad_fpts = np.zeros((ne, d, nv, nf))
             self.ghost_grad = np.zeros((d * nv, self.halo.num_ghost_points))
-        ref = self.ref
-        self.gcorr = np.zeros((d, Ns, nf))
-        for f, info in enumerate(ref.face_info):
-            sl = ref.face_slice(f)
-            self.gcorr[info.normal_axis][:, sl] = ref.correction_matrix[:, sl] * info.side
-        # per axis, the reference outward normal's component at every
-        # flux-point slot: the face's side (+-1) where the face is normal to
-        # that axis, else 0
-        nfp = ref.num_face_points
-        axis = np.repeat([info.normal_axis for info in ref.face_info], nfp)
-        side = np.repeat([float(info.side) for info in ref.face_info], nfp)
-        self.trace_sign = [side * (axis == ax) for ax in range(d)]
+        nb = self.block_plan.block_elements
+        self.Fhat_upts = np.zeros((nb, d, nv, Ns))
+        self.Fhat_fpts = np.zeros((nb, d, nv, nf))
+        self.jump_fpts = np.zeros((nb, nv, nf))
+        self.divF_upts = np.zeros((nb, nv, Ns))
 
     # ------------------------------------------------------------------
     # passes over element blocks
@@ -421,16 +418,18 @@ class SolverRank:
                         [("interp_to_faces", self.Q_upts[lo:hi], self.interp_T)])
 
     def _volume_flux(self, lo, hi):
-        """Physical flux, then its transform to reference space.  Fused, the
-        ledger does not charge the intermediate F_upts."""
+        """Physical flux into the block's Fhat_upts, then its transform to
+        reference space in place.  Fused, the ledger does not charge the
+        physical flux as an intermediate."""
         d, nv = self.dim, self.nv
+        Fhat = self.Fhat_upts[:hi - lo]
         Q = self.Q_upts[lo:hi].transpose(0, 2, 1)          # (n, Ns, nv) view
-        F = self.F_upts[lo:hi].transpose(0, 3, 1, 2)       # (n, Ns, d, nv) view
+        F = Fhat.transpose(0, 3, 1, 2)                     # (n, Ns, d, nv) view
         physics.inviscid_flux(Q, d, self.gas, out=F)
         if self.opt.viscous:
             grad = self.grad_upts[lo:hi].transpose(0, 3, 1, 2)
             F -= physics.viscous_flux(Q, grad, d, self.gas)
-        self._transform(self.adj_upts[lo:hi], self.F_upts[lo:hi], self.Fhat_upts[lo:hi])
+        self._transform(self.adj_upts[lo:hi], Fhat, Fhat)
         if self.opt.fusion:
             self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
                             nv + d * d + self.grad_rows, d * nv,
@@ -441,19 +440,19 @@ class SolverRank:
             self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
     def _interp_flux(self, lo, hi):
+        n = hi - lo
         for ax in range(self.dim):
-            self._gemm_pass(self.Fhat_fpts[lo:hi, ax],
-                            [("interp_flux", self.Fhat_upts[lo:hi, ax], self.interp_T)])
+            self._gemm_pass(self.Fhat_fpts[:n, ax],
+                            [("interp_flux", self.Fhat_upts[:n, ax], self.interp_T)])
 
     def _trace_jump(self, lo, hi):
-        """Outward normal trace of the transformed flux polynomial, then its
-        jump against the common flux.  Fused, the ledger does not charge the
-        intermediate Fown_fpts."""
-        Ff = self.Fhat_fpts[lo:hi]
-        self.Fown_fpts[lo:hi] = physics.dot([Ff[:, ax] for ax in range(self.dim)],
-                                            self.trace_sign)
-        self.jump_fpts[lo:hi] = self.Fc_fpts[lo:hi] - self.Fown_fpts[lo:hi]
-        nv = self.nv
+        """Outward normal trace of the transformed flux polynomial, then the
+        common flux minus it, both into the block's jump_fpts.  Fused, the
+        ledger does not charge the trace as an intermediate."""
+        n, nv = hi - lo, self.nv
+        Ff, J = self.Fhat_fpts[:n], self.jump_fpts[:n]
+        physics.face_trace([Ff[:, ax] for ax in range(self.dim)], self.trace_faces, J)
+        np.subtract(self.Fc_fpts[lo:hi], J, out=J)
         if self.opt.fusion:
             self._log_block("own_trace+flux_jump", lo, hi, self.nf,
                             self.dim * nv + 1 + nv, nv, members=("own_trace", "flux_jump"))
@@ -462,16 +461,23 @@ class SolverRank:
             self._log_block("flux_jump", lo, hi, self.nf, 2 * nv, nv)
 
     def _divergence(self, lo, hi):
-        self._gemm_pass(self.divF_upts[lo:hi],
-                        [("divergence", self.Fhat_upts[lo:hi, ax], self.div_T[ax])
+        n = hi - lo
+        self._gemm_pass(self.divF_upts[:n],
+                        [("divergence", self.Fhat_upts[:n, ax], self.div_T[ax])
                          for ax in range(self.dim)])
 
     def _correction(self, lo, hi):
-        self._gemm_pass(self.divF_upts[lo:hi],
-                        [("correction", self.jump_fpts[lo:hi], self.corr_T)], add=True)
+        n = hi - lo
+        self._gemm_pass(self.divF_upts[:n],
+                        [("correction", self.jump_fpts[:n], self.corr_T)], add=True)
 
-    def _scale_residual(self, lo, hi):
-        out = -self.divF_upts[lo:hi] / self.det_upts[lo:hi][:, None, :]
+    def _scale_residual(self, dQdt, lo, hi):
+        """dQ/dt of elements [lo, hi) into ``dQdt[lo:hi]``: -div F / |J|
+        plus the sponge sources."""
+        out = dQdt[lo:hi]
+        divF = self.divF_upts[:hi - lo]
+        np.negative(divF, out=divF)
+        np.divide(divF, self.det_upts[lo:hi][:, None, :], out=out)
         nv = self.nv
         # S = -sigma (Q - Q_ref) summed over the zones in config order, on
         # the block's elements that some zone reaches; the ledger charges
@@ -482,7 +488,6 @@ class SolverRank:
             out[sel - lo] += physics.sponge_sum(
                 self.Q_upts[sel], [(s[a:b], ref) for s, ref in self.sponge_factors])
             self._log_block("sponge_source", a, b, self.Ns * len(self.sponge_factors), nv + 1, nv)
-        self.dQdt[lo:hi] = out
         self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv)
 
     # viscous gradient passes ----------------------------------------------
@@ -544,15 +549,20 @@ class SolverRank:
             return own, other
         return np.where(flip, other, own), np.where(flip, own, other)
 
+    def _canonical(self, lo, hi):
+        """Number of pairs in [lo, hi) whose own side is the canonical left
+        side.  The common values of a remote pair are computed on both
+        ranks; only the canonical side counts their flops, so totals stay
+        partition-invariant."""
+        return max(0, hi - lo) - int(np.count_nonzero(self.iface_flip[lo:hi]))
+
     def _log_pairs(self, name, lo, hi, doubles_read, members):
-        """Ledger entry of a pair pass over pairs [lo, hi).  The common
-        values of a remote pair are computed on both ranks; only the
-        canonical side counts their flops, so totals stay partition-invariant.
-        Each pair writes one value to its own slot, and a local pair one
-        more to its ``loc_r`` slot."""
-        n = hi - lo - int(np.count_nonzero(self.iface_flip[lo:hi]))
+        """Ledger entry of a pair pass over pairs [lo, hi), charging
+        ``members`` on its canonical pairs.  Each pair writes one value to
+        its own slot, and a local pair one more to its ``loc_r`` slot."""
         nloc = max(0, min(hi, self.loc_r.size) - lo)
-        self.ledger.add_pointwise(name, self.dim, n, (hi - lo) * doubles_read * ITEM,
+        self.ledger.add_pointwise(name, self.dim, self._canonical(lo, hi),
+                                  (hi - lo) * doubles_read * ITEM,
                                   (hi - lo + nloc) * self.nv * ITEM, members=members)
 
     def _boundary_ghosts(self):
@@ -576,19 +586,13 @@ class SolverRank:
         return grad.reshape(self.dim, self.nv, -1).transpose(2, 0, 1)
 
     def _wall_flux(self, spec, Q, ghost, lo, hi):
-        """Viscous normal flux (nv, hi - lo) of boundary pairs [lo, hi)
-        from interior and ghost states (nv, hi - lo): the physical flux at
-        their mean (on adiabatic walls the energy flux is the stress work
-        alone), plus the penalty."""
+        """Viscous normal flux (nv, hi - lo) of boundary pairs [lo, hi) from
+        interior and ghost states (nv, hi - lo) (see ``physics.wall_flux``)."""
         d = self.dim
         grad = self.grad_fpts.take(self._offsets(d * self.nv, lo, hi)[0])
-        Qb = (0.5 * (Q + ghost)).T
-        Fv = physics.viscous_flux(Qb, self._by_point(grad), d, self.gas)
-        Gn = physics.normal_component(Fv, list(self.iface_n[:, lo:hi]))
-        if spec.kind == "adiabatic":
-            _, vel, _ = physics.split_state(Qb, d)
-            Gn[..., 1 + d] = physics.dot(physics.components(Gn[..., 1:], d), vel)
-        return Gn.T + self.iface_tau[lo:hi] * (ghost - Q)
+        return physics.wall_flux(Q.T, ghost.T, self._by_point(grad), self.iface_n[:, lo:hi].T,
+                                 self.iface_tau[lo:hi], d, self.gas,
+                                 adiabatic=spec.kind == "adiabatic").T
 
     def _riemann_common(self, lo, hi):
         nv, d = self.nv, self.dim
@@ -599,8 +603,12 @@ class SolverRank:
         n = self.iface_n[:, lo:hi].T
         F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas,
                                  self.opt.riemann, self.riemann_diag).T
+        members = [f"riemann_{self.opt.riemann}", "flux_scale"]
         if visc:
+            # face pairs run the LDG flux, slip pairs no viscous flux, and
+            # the other boundary pairs the wall flux
             m = min(hi, self.n_face_pairs)
+            members.append(("viscous_interface", self._canonical(lo, m)))
             if m > lo:
                 k = m - lo
                 gL, gR = self._left_right(
@@ -615,12 +623,10 @@ class SolverRank:
                 if a < b and spec.kind != "slip":
                     F[:, a - lo:b - lo] -= self._wall_flux(
                         spec, QL[:, a - lo:b - lo], QR[:, a - lo:b - lo], a, b)
+                    members.append(("viscous_wall", b - a))
         out = F * self.iface_a[lo:hi]
         k = max(0, min(hi, self.loc_r.size) - lo)
         self._scatter(self.Fc_fpts, out, -out[:, :k], lo, hi)
-        members = (f"riemann_{self.opt.riemann}", "flux_scale")
-        if visc:
-            members += ("viscous_interface",)
         self._log_pairs("riemann_common", lo, hi,
                         2 * nv + d + 1 + (2 * d * nv + 2 if visc else 0), members)
 
@@ -633,10 +639,11 @@ class SolverRank:
         self._log_pairs("common_solution", lo, hi, 2 * self.nv + 1, ("common_solution",))
 
     # ------------------------------------------------------------------
-    # pass lists and execution
+    # operators and execution
     # ------------------------------------------------------------------
 
-    def _build_passes(self):
+    def _build_operators(self):
+        """Block plan, transposed operators and per-pass constants."""
         ref, nv, d, Ns, nf = self.ref, self.nv, self.dim, self.Ns, self.nf
         doubles_per_elem = (2 * nv * Ns + 2 * d * nv * Ns + 4 * nv * nf)
         self.block_plan = BlockPlan(
@@ -647,14 +654,17 @@ class SolverRank:
         self.interp_T = ref.interp_to_faces.T.copy()
         self.div_T = [ref.div_operators[ax].T.copy() for ax in range(d)]
         self.corr_T = ref.correction_matrix.T.copy()
-        self.gcorr_T = [self.gcorr[ax].T.copy() for ax in range(d)]
+        gcorr = np.zeros((d, Ns, nf))
+        # per face: its flux-point slots, normal axis and side (+-1)
+        self.trace_faces = []
+        for f, info in enumerate(ref.face_info):
+            sl = ref.face_slice(f)
+            gcorr[info.normal_axis][:, sl] = ref.correction_matrix[:, sl] * info.side
+            self.trace_faces.append((sl, info.normal_axis, float(info.side)))
+        self.gcorr_T = [gcorr[ax].T.copy() for ax in range(d)]
         # the volume flux reads the gradient too when viscous
         self.grad_rows = d * nv if self.opt.viscous else 0
         self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
-
-        self.volume_passes = [self._volume_flux, self._interp_flux, self._trace_jump,
-                              self._divergence, self._correction, self._scale_residual]
-        self.gradient_passes = [self._gradient, self._grad_transform, self._interp_grad]
         self.iface_chunk = 65536
 
     def _run_pairs(self, run):
@@ -662,7 +672,7 @@ class SolverRank:
         for lo in range(0, self.iface.size, self.iface_chunk):
             run(lo, min(lo + self.iface_chunk, self.iface.size))
 
-    def _run_blocks(self, passes):
+    def _run_blocks(self, *passes):
         """Element-block loop: every pass runs on one block before the next
         block starts."""
         for lo, hi in self.block_plan.blocks():
@@ -697,18 +707,21 @@ class SolverRank:
         """dQ/dt for the given state (halo exchanges included)."""
         self._check_positivity(Q)
         self.Q_upts = np.ascontiguousarray(Q)
-        self._run_blocks([self._interp_to_faces])
+        self._run_blocks(self._interp_to_faces)
         self.halo_exchange_q()
         self._boundary_ghosts()
 
         if self.opt.viscous:
             self._run_pairs(self._common_solution)
-            self._run_blocks(self.gradient_passes)
+            self._run_blocks(self._gradient, self._grad_transform, self._interp_grad)
             self.halo_exchange_grad()
 
         self._run_pairs(self._riemann_common)
-        self._run_blocks(self.volume_passes)
-        return self.dQdt.copy()
+        dQdt = np.empty_like(self.Q_upts)
+        self._run_blocks(self._volume_flux, self._interp_flux, self._trace_jump,
+                         self._divergence, self._correction,
+                         functools.partial(self._scale_residual, dQdt))
+        return dQdt
 
     def _check_positivity(self, Q: np.ndarray):
         Ns = self.ref.num_solution_points

@@ -83,12 +83,15 @@ class TestPointwiseCosts:
     @pytest.mark.parametrize("kernel, dim, count", [
         ("flux_scale", 2, 4), ("flux_scale", 3, 5),
         ("sponge_source", 2, 12), ("sponge_source", 3, 15),
-        ("boundary_ghost", 2, 28), ("boundary_ghost", 3, 39)])
+        ("boundary_ghost", 2, 28), ("boundary_ghost", 3, 39),
+        ("own_trace", 2, 4), ("own_trace", 3, 5)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
         """The common flux times the signed area (one mul per variable);
         one zone's precomputed -sigma (Q - Q_ref) added to the source (three
         ops per variable); the slip ghost including its conserved-state
-        assembly.  The table carries the same counts."""
+        assembly; the face trace as the normal-axis flux row times the
+        face's side (one mul per variable).  The table carries the same
+        counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
@@ -99,6 +102,33 @@ class TestLedger:
         led.add_pointwise("b", 2, 10, 64, 32, members=("flux_jump",))
         assert led.total_flops == 48 + 10 * POINTWISE_COSTS[("flux_jump", 2)]
         assert led.total_bytes == 100 + 50 + 64 + 32
+
+    def test_pair_pass_charges_viscous_flux_where_it_runs(self):
+        """On a viscous box, periodic in x, with a slip patch (ymin) and an
+        isothermal wall (ymax), p=1 (2 points per face): every pair gets
+        the Riemann flux and the area scaling, the 9 internal faces the LDG
+        flux, the 3 wall faces the wall flux and the 3 slip faces no
+        viscous flux."""
+        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.physics import BoundarySpec, conserved
+
+        gasv = GasModel(gamma=1.4, R=1.0, mu=1e-2)
+        mesh = box_mesh_2d(3, 2, periodic=(True, False))
+        bcs = {"ymin": BoundarySpec("ymin", "slip"),
+               "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.0)}
+        shards = prepare_shards(mesh, np.zeros(6, np.int64), 1)
+        s = SolverRank(shards[0], gasv, SolverOptions(p=1, viscous=True), boundary_specs=bcs)
+        s.set_state(lambda x: conserved(np.ones(len(x)), 0.1 * x, np.ones(len(x)), gasv))
+        s.compute_residual(s.Q_upts)
+        cost = {k: POINTWISE_COSTS[(k, 2)] for k in (
+            "riemann_rusanov", "flux_scale", "viscous_interface", "viscous_wall")}
+        face_pairs, wall_pairs, slip_pairs = 18, 6, 6
+        expect = ((face_pairs + wall_pairs + slip_pairs)
+                  * (cost["riemann_rusanov"] + cost["flux_scale"])
+                  + face_pairs * cost["viscous_interface"] + wall_pairs * cost["viscous_wall"])
+        assert expect == 7974
+        stat = s.ledger.kernels["riemann_common"]
+        assert stat.flops == expect and stat.invocations == 1
 
     def test_merge(self):
         a, b = PerfLedger(), PerfLedger()

@@ -282,8 +282,8 @@ class TestFusion:
         assert on.ledger.total_flops == off.ledger.total_flops
 
     def test_traffic_matches_analytic_model(self, gas):
-        """Fusing drops exactly the intermediate arrays' write+read: F_upts
-        in the volume group and Fown_fpts in the trace group."""
+        """Fusing drops exactly the intermediates' write+read: the physical
+        flux in the volume group and the face trace in the trace group."""
         on, off = self.build_pair(gas)
         Q = self.random_state(on, gas, 0)
         on.compute_residual(Q.copy())
@@ -317,13 +317,62 @@ class TestDoubleBuffering:
         assert blocks[0] == (0, 4) and blocks[-1][1] == 100
 
     def test_deterministic_mode_block_invariance(self, gas):
+        """Blocks of 12 and 1 elements, and 8-element blocks with a
+        partial last block (36 = 4 * 8 + 4), give the single-block bits."""
         mesh = vortex_mesh(6)
-        a = serial_solver(mesh, gas, SolverOptions(p=3, deterministic=True, block_kb=64))
-        b = serial_solver(mesh, gas, SolverOptions(p=3, deterministic=True, block_kb=8))
+        a = serial_solver(mesh, gas, SolverOptions(p=3, deterministic=True))
         a.set_state(lambda x: vortex_state(x, 0.0, gas))
-        b.set_state(lambda x: vortex_state(x, 0.0, gas))
-        assert np.array_equal(a.compute_residual(a.Q_upts),
-                              b.compute_residual(b.Q_upts))
+        assert a.block_plan.blocks() == [(0, 36)]
+        ref = a.compute_residual(a.Q_upts)
+        for block_kb, last in ((64, 12), (8, 1), (40, 4)):
+            b = serial_solver(mesh, gas, SolverOptions(p=3, deterministic=True,
+                                                       block_kb=block_kb))
+            b.set_state(lambda x: vortex_state(x, 0.0, gas))
+            lo, hi = b.block_plan.blocks()[-1]
+            assert hi - lo == last
+            assert np.array_equal(b.compute_residual(b.Q_upts), ref)
+
+
+class TestBlockScratch:
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_scratch_is_one_block_deep(self, viscous, gas):
+        s = serial_solver(vortex_mesh(6), gas,
+                          SolverOptions(p=3, viscous=viscous, block_kb=40))
+        nb = s.block_plan.block_elements
+        assert nb == 8 < s.ne
+        for name in ("Fhat_upts", "Fhat_fpts", "jump_fpts", "divF_upts"):
+            assert getattr(s, name).shape[0] == nb, name
+        for name in ("F_upts", "Fown_fpts", "dQdt", "slot_normal", "slot_area"):
+            assert not hasattr(s, name), name
+
+    def test_residual_is_a_new_array_each_call(self, gas):
+        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=40))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        Q = s.Q_upts.copy()
+        first = s.compute_residual(Q)
+        kept = first.copy()
+        second = s.compute_residual(1.01 * Q)
+        assert second is not first and not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_dropped_solver_is_freed_without_the_cycle_collector(self, viscous, gas):
+        """A solver holds no reference cycle, so deleting its last
+        reference frees it and its arrays at once."""
+        import gc
+        import weakref
+
+        s = serial_solver(vortex_mesh(4), gas, SolverOptions(p=2, viscous=viscous))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        gc.disable()
+        try:
+            s.run_steps(1)
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _sponge_state(x, gas):
