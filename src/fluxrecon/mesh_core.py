@@ -10,7 +10,10 @@ tables, never as one Python object per cell or face:
   corners), with ``L = 2`` (edge) or ``4`` (quad face);
 * internal faces (:func:`match_local_faces`) ``(n, 5 + 2L)``: left gid,
   left local face, right gid, right local face, orientation, left corners,
-  right corners.  The shard files store this layout (:mod:`fluxrecon.io.shards`).
+  right corners.  The shard files store this layout (:mod:`fluxrecon.io.shards`);
+* the dual graph (:func:`build_dual_graph`) in CSR form: ``ptr``
+  ``(ncells + 1,)`` and ``dst`` give each cell's neighbours, ``weight``
+  its partition weight.
 
 No ``Cell`` or ``Face`` object is built on the way from mesh import to the
 solver; the object views of a shard (:class:`fluxrecon.prep.matching.MeshShard`)
@@ -59,13 +62,30 @@ _FACE_TABLES = {4: np.array(QUAD_EDGES), 8: np.array(HEX_FACES)}
 
 @dataclass
 class DualGraph:
-    """Cell adjacency through shared faces plus partition weights."""
+    """Cell adjacency through shared faces, in CSR form, plus partition
+    weights.
 
-    adjacency: dict
-    weights: dict
+    The neighbours of cell ``c`` are ``dst[ptr[c]:ptr[c + 1]]``, ascending;
+    ``weight[c]`` is its partition weight.  ``adjacency`` and ``weights``
+    give the same content as dicts (cell -> neighbour list, cell ->
+    weight) for readers outside the package; they are built on access.
+    """
+
+    ptr: np.ndarray     # (ncells + 1,) int64
+    dst: np.ndarray     # (ptr[-1],) int64
+    weight: np.ndarray  # (ncells,) int64
+
+    @property
+    def adjacency(self) -> dict:
+        ptr, dst = self.ptr.tolist(), self.dst.tolist()
+        return {c: dst[ptr[c]:ptr[c + 1]] for c in range(len(ptr) - 1)}
+
+    @property
+    def weights(self) -> dict:
+        return dict(enumerate(self.weight.tolist()))
 
     def num_edges(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
+        return self.dst.size // 2
 
 
 @dataclass
@@ -248,13 +268,12 @@ def match_local_faces(faces: np.ndarray, alias: Optional[np.ndarray] = None):
 
 
 def build_dual_graph(cells: np.ndarray, internal: np.ndarray) -> DualGraph:
-    """Cell-cell adjacency through internal faces; every cell weighs 1."""
+    """Cell-cell adjacency (CSR) through internal faces; every cell weighs 1."""
     n = cells.shape[0]
     a, b = internal[:, 0], internal[:, 2]
     keep = a != b  # a self-periodic face makes no dual-graph self loop
     a, b = a[keep], b[keep]
-    edges = np.unique(np.concatenate([a * n + b, b * n + a]))
-    dst = (edges % n).tolist()
-    ptr = np.searchsorted(edges // n, np.arange(n + 1)).tolist()
-    adjacency = {c: dst[ptr[c]:ptr[c + 1]] for c in range(n)}
-    return DualGraph(adjacency=adjacency, weights=dict.fromkeys(range(n), 1))
+    edges = np.sort(np.concatenate([a * n + b, b * n + a]))
+    edges = edges[np.diff(edges, prepend=-1) != 0]  # two faces, one edge
+    ptr = np.searchsorted(edges // n, np.arange(n + 1))
+    return DualGraph(ptr=ptr, dst=edges % n, weight=np.ones(n, dtype=np.int64))

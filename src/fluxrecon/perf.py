@@ -56,8 +56,23 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("flux_scale", 3): 5,
     ("flux_jump", 2): 4,
     ("flux_jump", 3): 5,
-    ("boundary_ghost", 2): 28,
-    ("boundary_ghost", 3): 39,
+    # boundary ghost states, one entry per patch kind (physics.apply_boundary
+    # with the solver's diagnostics; a prescribed state function's own work
+    # is not modelled)
+    ("ghost_slip", 2): 28,
+    ("ghost_slip", 3): 39,
+    ("ghost_noslip-isothermal", 2): 27,
+    ("ghost_noslip-isothermal", 3): 35,
+    ("ghost_adiabatic", 2): 26,
+    ("ghost_adiabatic", 3): 34,
+    ("ghost_outflow", 2): 26,
+    ("ghost_outflow", 3): 35,
+    ("ghost_riemann-inflow", 2): 43,
+    ("ghost_riemann-inflow", 3): 53,
+    ("ghost_sponge-ref", 2): 11,
+    ("ghost_sponge-ref", 3): 15,
+    ("ghost_prescribed", 2): 11,
+    ("ghost_prescribed", 3): 15,
     ("scale_residual", 2): 4,
     ("scale_residual", 3): 5,
     ("sponge_source", 2): 12,
@@ -66,7 +81,7 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("common_solution", 3): 36,
     ("grad_transform", 2): 24,
     ("grad_transform", 3): 75,
-    ("viscous_flux", 2): 82,
+    ("viscous_flux", 2): 83,
     ("viscous_flux", 3): 150,
     ("viscous_interface", 2): 223,
     ("viscous_interface", 3): 391,
@@ -340,8 +355,6 @@ _CENSUS = {
         *_pair(d, c), _normal(d, c), d, _GAS, "hllc")),
     "flux_scale": (operator.mul, lambda d, c: (_state(d, c), CountingFloat(0.7, c))),
     "flux_jump": (operator.sub, _pair),
-    "boundary_ghost": (physics.apply_boundary, lambda d, c: (
-        physics.BoundarySpec("w", "slip"), _state(d, c), _normal(d, c), d, _GAS)),
     "scale_residual": (lambda r, det: -r / det,
                        lambda d, c: (_state(d, c), CountingFloat(0.5, c))),
     "sponge_source": (physics.sponge_sum, lambda d, c: (
@@ -354,6 +367,23 @@ _CENSUS = {
     "viscous_wall": (physics.wall_flux, lambda d, c: (
         *_pair(d, c), _grad(d, c), _normal(d, c), CountingFloat(1.0, c), d, _GAS)),
 }
+
+
+def _ghost(kind):
+    """``apply_boundary`` on one point of a ``kind`` patch, with a
+    diagnostics object as the solver passes; the spec holds plain floats."""
+    def build(d, c):
+        spec = physics.BoundarySpec(
+            "w", kind, total_temperature=1.2, total_pressure=1.5, direction=np.eye(d)[0],
+            static_pressure=0.8, wall_temperature=0.9, reference_state=np.ones(d + 2),
+            state_fn=lambda x: np.ones((len(x), d + 2)))
+        return (spec, _state(d, c), _normal(d, c), d, _GAS, np.zeros((1, d)),
+                physics.BoundaryDiagnostics())
+    return physics.apply_boundary, build
+
+
+_CENSUS.update({kernel: _ghost(kernel[len("ghost_"):])
+                for kernel, _ in POINTWISE_COSTS if kernel.startswith("ghost_")})
 
 
 def census_pointwise(kernel: str, dim: int) -> int:

@@ -10,7 +10,7 @@ scalars.  The solver's passes call them, and the FLOP census
 :func:`face_trace`, ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
 ``viscous_interface`` :func:`ldg_interface`, ``viscous_wall``
 :func:`wall_flux`, ``common_solution`` :func:`ldg_solution`,
-``boundary_ghost`` :func:`apply_boundary` and ``sponge_source``
+``ghost_<kind>`` :func:`apply_boundary` and ``sponge_source``
 :func:`sponge_sum`.  State vectors are ordered
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.
 

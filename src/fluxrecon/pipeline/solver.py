@@ -579,7 +579,9 @@ class SolverRank:
         if nb:
             self.ledger.add_pointwise("boundary_ghost", self.dim, nb,
                                       nb * (self.nv + self.dim) * ITEM,
-                                      nb * self.nv * ITEM)
+                                      nb * self.nv * ITEM,
+                                      [(f"ghost_{spec.kind}", hi - lo)
+                                       for spec, lo, hi in self.boundary_spans])
 
     def _by_point(self, grad):
         """(m, d, nv) view of variable-major gradient rows (d * nv, m)."""

@@ -1,11 +1,16 @@
-"""Weighted graph partitioner: deterministic greedy growing plus a
+"""Weighted graph partitioner: deterministic greedy graph growing plus a
 boundary-refinement pass.  Stands in for an external graph partitioner at
-desk scale."""
+desk scale.
+
+Parts grow breadth-first on the CSR dual graph (:class:`DualGraph`) from a
+``collections.deque`` frontier with a "queued" mask, as in greedy graph
+growing (Karypis & Kumar, SIAM J. Sci. Comput. 20, 1998); loads and the
+refinement's boundary list are whole-array operations."""
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from collections import deque
 
 import numpy as np
 
@@ -19,82 +24,81 @@ def partition_mesh(graph: DualGraph, nparts: int, seed: int = 0) -> np.ndarray:
     Grows connected parts from seeded frontiers, then moves boundary cells
     to trim the weighted imbalance.  Deterministic for a given seed.
     """
-    cells = sorted(graph.adjacency)
-    ncells = len(cells)
+    w = np.asarray(graph.weight).astype(np.int64)
+    ncells = w.size
     if nparts < 1:
         raise MeshError("nparts must be >= 1")
     if nparts > ncells:
         raise MeshError(f"nparts={nparts} exceeds {ncells} cells")
-    if any(graph.weights[c] <= 0 for c in cells):
+    if (w <= 0).any():
         raise MeshError("partition weights must be positive")
-    index = {c: i for i, c in enumerate(cells)}
-    w = np.array([graph.weights[c] for c in cells], dtype=np.int64)
-    total = int(w.sum())
+    if nparts == 1:
+        return np.zeros(ncells, dtype=np.int64)
 
-    rng = random.Random(seed)
-    part = np.full(ncells, -1, dtype=np.int64)
-    unassigned = set(range(ncells))
-    remaining_w = total
-
-    for p in range(nparts):
-        target = remaining_w / (nparts - p)
-        seed_cell = min(unassigned)
-        frontier = [seed_cell]
-        load = 0
-        while frontier and (load + w[frontier[0]] <= target or load == 0):
-            cur = frontier.pop(0)
-            if part[cur] != -1:
-                continue
-            part[cur] = p
-            load += int(w[cur])
-            unassigned.discard(cur)
-            for nb in graph.adjacency[cells[cur]]:
-                ni = index[nb]
-                if part[ni] == -1 and ni not in frontier:
-                    frontier.append(ni)
-            if load >= target and p < nparts - 1:
-                break
-        remaining_w -= load
-        if p == nparts - 1 and unassigned:
-            for i in sorted(unassigned):
-                part[i] = p
-            unassigned.clear()
-
-    # ensure nonempty parts: steal the heaviest movable cell for empty ones
-    loads = np.zeros(nparts, dtype=np.int64)
-    for i in range(ncells):
-        loads[part[i]] += w[i]
-    for p in range(nparts):
-        if loads[p] == 0:
-            donor = int(np.argmax(loads))
-            movable = [i for i in range(ncells) if part[i] == donor]
-            pick = movable[rng.randrange(len(movable))]
-            part[pick] = p
-            loads[donor] -= w[pick]
-            loads[p] += w[pick]
-
-    _refine(graph, cells, index, w, part, loads, nparts, rng)
+    part = _grow(graph.ptr.tolist(), graph.dst.tolist(), w.tolist(), nparts)
+    loads = np.bincount(part, weights=w, minlength=nparts).astype(np.int64)
+    _refine(graph, w, part, loads, nparts, random.Random(seed))
     return part
 
 
-def _refine(graph, cells, index, w, part, loads, nparts, rng, sweeps: int = 8):
+def _grow(ptr, dst, w, nparts):
+    """Parts 0..nparts-2 grow breadth-first from the lowest unassigned
+    cell until they reach the mean of the weight left; the last part takes
+    every cell that is left, and there must be one.  Every part grows at
+    least its first cell, so no part is empty."""
+    ncells = len(w)
+    part = np.full(ncells, nparts - 1, dtype=np.int64)
+    queued = [False] * ncells  # assigned, or in the current frontier
+    remaining = sum(w)
+    first = 0
+    for p in range(nparts - 1):
+        while first < ncells and queued[first]:
+            first += 1
+        if first == ncells:
+            break
+        target = remaining / (nparts - p)
+        frontier = deque([first])
+        queued[first] = True
+        grown = []
+        load = 0
+        while frontier and (load == 0 or load + w[frontier[0]] <= target):
+            cur = frontier.popleft()
+            grown.append(cur)
+            load += w[cur]
+            for nb in dst[ptr[cur]:ptr[cur + 1]]:
+                if not queued[nb]:
+                    queued[nb] = True
+                    frontier.append(nb)
+            if load >= target:
+                break
+        for c in frontier:  # left unassigned: free for the next part
+            queued[c] = False
+        part[grown] = p
+        remaining -= load
+    if all(queued):
+        raise MeshError(f"no cell is left for the last of {nparts} parts: "
+                        "the cell weights are too uneven")
+    return part
+
+
+def _refine(graph, w, part, loads, nparts, rng, sweeps: int = 8):
     """Greedy boundary moves lowering max(load)/mean(load)."""
     mean = loads.sum() / nparts
+    src = None
     for _ in range(sweeps):
         worst = int(np.argmax(loads))
         if loads[worst] / mean <= 1.05:
             return
-        moved = False
-        boundary = []
-        for i in range(len(cells)):
-            if part[i] != worst:
-                continue
-            neigh_parts = {int(part[index[nb]]) for nb in graph.adjacency[cells[i]]}
-            neigh_parts.discard(worst)
-            for q in sorted(neigh_parts):
-                boundary.append((i, q))
+        if src is None:
+            src = np.repeat(np.arange(w.size), np.diff(graph.ptr))
+        # (cell, neighbouring part) of the worst part's cells, ascending
+        q = part[graph.dst]
+        cross = (part[src] == worst) & (q != worst)
+        pairs = np.unique(src[cross] * nparts + q[cross])
+        boundary = list(zip((pairs // nparts).tolist(), (pairs % nparts).tolist()))
         rng.shuffle(boundary)
         boundary.sort(key=lambda iq: loads[iq[1]])
+        moved = False
         for i, q in boundary:
             if loads[worst] - w[i] < w[i]:
                 continue  # never empty a part

@@ -37,6 +37,60 @@ def random_partition(rng, ncells, nranks):
     return a
 
 
+def list_frontier_partition(adjacency, weights, nparts, seed=0):
+    """The greedy graph growing and boundary refinement that
+    ``partition_mesh`` implements, written on dicts with a list frontier
+    (``pop(0)``, a linear membership scan) and per-cell loops."""
+    import random
+
+    cells = sorted(adjacency)
+    n = len(cells)
+    w = [weights[c] for c in cells]
+    rng = random.Random(seed)
+    part = [-1] * n
+    unassigned = set(range(n))
+    remaining = sum(w)
+    for p in range(nparts):
+        target = remaining / (nparts - p)
+        frontier = [min(unassigned)]
+        load = 0
+        while frontier and (load + w[frontier[0]] <= target or load == 0):
+            cur = frontier.pop(0)
+            part[cur] = p
+            load += w[cur]
+            unassigned.discard(cur)
+            for nb in adjacency[cur]:
+                if part[nb] == -1 and nb not in frontier:
+                    frontier.append(nb)
+            if load >= target and p < nparts - 1:
+                break
+        remaining -= load
+        if p == nparts - 1:
+            for i in sorted(unassigned):
+                part[i] = p
+    loads = [0] * nparts
+    for i in range(n):
+        loads[part[i]] += w[i]
+    mean = sum(loads) / nparts
+    for _ in range(8):
+        worst = loads.index(max(loads))
+        if loads[worst] / mean <= 1.05:
+            break
+        boundary = [(i, q) for i in range(n) if part[i] == worst
+                    for q in sorted({part[nb] for nb in adjacency[i]} - {worst})]
+        rng.shuffle(boundary)
+        boundary.sort(key=lambda iq: loads[iq[1]])
+        for i, q in boundary:
+            if loads[worst] - w[i] >= w[i] and loads[q] + w[i] < loads[worst]:
+                part[i] = q
+                loads[worst] -= w[i]
+                loads[q] += w[i]
+                break
+        else:
+            break
+    return part
+
+
 def cube_rotations():
     """Vertex permutations of the 24 proper rotations of the reference hex:
     new vertex k is old vertex perm[k]."""

@@ -117,6 +117,119 @@ class TestGmsh:
         assert np.array_equal(paired.vertex_alias, builtin.vertex_alias)
         assert paired.boundary_sections == []
 
+    TWO_QUADS = """$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$PhysicalNames
+2
+1 1 "wall"
+2 2 "fluid"
+$EndPhysicalNames
+$Nodes
+6
+1 0 0 0
+2 1 0 0
+3 2 0 0
+4 0 1 0
+5 1 1 0
+6 2 1 0
+$EndNodes
+$Elements
+4
+1 1 2 1 1 1 2
+2 1 2 1 1 2 3
+3 3 2 2 2 1 2 5 4
+4 3 2 2 2 2 3 6 5
+$EndElements
+"""
+
+    def test_two_quads(self, tmp_path):
+        path = tmp_path / "two.msh"
+        path.write_text(self.TWO_QUADS.replace("4 0 1 0\n", "4\t0  1 0 \n"))
+        mesh = import_gmsh_ascii(str(path))
+        assert mesh.cells.tolist() == [[0, 1, 4, 3], [1, 2, 5, 4]]
+        assert mesh.vertices.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        assert [(s.patch_id, s.name, s.records) for s in mesh.boundary_sections] == \
+               [(0, "wall", [(0, 1), (1, 2)])]
+
+    @pytest.mark.parametrize("old, new, error, message", [
+        ("4 0 1 0\n", "4 0 1\n", FormatError, "14: malformed node record"),
+        ("$Nodes\n6\n", "$Nodes\n7\n", FormatError, "17: malformed node record"),
+        ("3 3 2 2 2 1 2 5 4\n", "3 3 2 2 2 1 2 5\n", FormatError,
+         "22: element type 3 expects 4 nodes"),
+        ("2 1 2 1 1 2 3\n", "2 2 2 1 1 2 3 5\n", FormatError,
+         "21: unsupported element type 2"),
+        ("2 1 2 1 1 2 3\n", "2 1\n", FormatError, "21: malformed element record"),
+        ("$Elements\n4\n", "$Elements\n6\n", FormatError, "24: malformed element record"),
+        ("$Elements\n4\n", "$Elements\nfour\n", FormatError,
+         "19: malformed $Elements count"),
+        ("$EndNodes", "$EndElements", FormatError, "17: missing $EndNodes"),
+        ("4 3 2 2 2 2 3 6 5", "4 3 2 2 2 2 3 9 5", MeshError,
+         " element names node 9, which $Nodes does not define"),
+        ("2 1 2 1 1 2 3\n", "2 1 2 1 1 2 7\n", MeshError,
+         " element names node 7, which $Nodes does not define"),
+        ("2 1 2 1 1 2 3\n", "2 5 2 1 1 1 2 3 4 5 6 1 2\n", FormatError,
+         " element type 1 has the wrong dimension for this mesh"),
+    ], ids=["short-node", "nodes-count-high", "node-count", "type-mid-block",
+            "short-element", "elements-count-high", "elements-count-text",
+            "missing-end", "undefined-node", "undefined-boundary-node", "wrong-dimension"])
+    def test_error_names_line(self, tmp_path, old, new, error, message):
+        """The error text and its line number; the undefined-node and
+        dimension errors name no line."""
+        assert old in self.TWO_QUADS
+        path = tmp_path / "bad.msh"
+        path.write_text(self.TWO_QUADS.replace(old, new, 1))
+        with pytest.raises(error) as excinfo:
+            import_gmsh_ascii(str(path))
+        assert excinfo.type is error
+        assert str(excinfo.value) == f"{path}:{message}"
+
+    def test_truncated_elements_count(self, tmp_path):
+        path = tmp_path / "cut.msh"
+        text = self.TWO_QUADS
+        path.write_text(text[:text.index("$Elements")] + "$Elements\n")
+        with pytest.raises(FormatError) as excinfo:
+            import_gmsh_ascii(str(path))
+        assert str(excinfo.value) == f"{path}:19: malformed $Elements count"
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("2 1 2 1 1 2 3\n", "2 1 2 1 1 2 x\n", 21),
+        ("4 0 1 0\n", "4 0 y 0\n", 14),
+        ("$Nodes\n6\n", "$Nodes\n-1\n", 10),
+    ], ids=["element-token", "node-token", "negative-count"])
+    def test_unparsable_record_names_line(self, tmp_path, old, new, line):
+        path = tmp_path / "bad.msh"
+        path.write_text(self.TWO_QUADS.replace(old, new, 1))
+        with pytest.raises(FormatError, match=f"^{path}:{line}: malformed"):
+            import_gmsh_ascii(str(path))
+
+    @pytest.mark.parametrize("case, golden", [
+        ("ls89-2d", (2, (225, 2),
+                     "e438a7c4abc3c1a049d4737c99699567f66987d09bd9e1b3878e7a7dfde8c0ca",
+                     "1c56d4703f95603d1694efc255070b06fe015d5c33ab033cf04338aea7b6f57a",
+                     "7a69221a27b08e00bf6c8e494409fe18180e494b4a8e24c0f9467da526491c94")),
+        ("tgv", (3, (125, 3),
+                 "0ab3db4d15d991a19f272f868e3b5f33f8ac7d906efb8ff74af6a515fca1fa11",
+                 "506749ba7be0e12acae91af0558ffd57813fc88b619b1bd69aea0c3f894aa650",
+                 "9508916dd4a62536745c70f133795500bf0a2ede09771337310981efbd96c313")),
+    ])
+    def test_fixture_import_golden(self, tmp_path, case, golden):
+        """Cells, vertex bytes and boundary sections of the default-size
+        fixture files, pinned from the line-by-line importer that the
+        block parser replaced."""
+        import hashlib
+
+        from fluxrecon import fixtures
+
+        mesh_path, _ = fixtures.make_fixture(case, str(tmp_path))
+        mesh = import_gmsh_ascii(mesh_path)
+        sections = repr([(s.patch_id, s.name, s.records) for s in mesh.boundary_sections])
+        got = (mesh.dim, mesh.vertices.shape,
+               hashlib.sha256(mesh.cells.astype(np.int64).tobytes()).hexdigest(),
+               hashlib.sha256(mesh.vertices.tobytes()).hexdigest(),
+               hashlib.sha256(sections.encode()).hexdigest())
+        assert got == golden
+
     def test_apply_periodic_unmatched_vertex(self):
         mesh = box_mesh_2d(3, 3)
         with pytest.raises(Exception):
@@ -426,6 +539,29 @@ class TestSolutionOutput:
         p_file = np.array([float(v) for v in lines[start:start + npts]])
         err_file = np.abs(p_file - p_exact).max()
         assert abs(err_file - err_mem) < 1e-12
+
+    @pytest.mark.parametrize("case, golden", [
+        ("vortex", "bdb524bc83b942fbd4bcc1a61ebf367a182c39bc30c04773e771a10242f4572b"),
+        ("tgv", "af3f440bf54040de07c2a7a1fcb4f2fba294d3a7a0e87c30893f47776379b95c"),
+    ])
+    def test_vtk_bytes_golden(self, tmp_path, gas, case, golden):
+        """The file bytes of vortex 5x5 and of Taylor-Green 3^3 with the
+        Q-criterion, p=3 initial states, pinned from the row-by-row
+        writer that the chunked one replaced."""
+        import hashlib
+
+        from fluxrecon.fixtures import taylor_green_mesh, taylor_green_state
+
+        if case == "vortex":
+            mesh, state = vortex_mesh(5), lambda x: vortex_state(x, 0.0, gas)
+        else:
+            mesh, state = taylor_green_mesh(3), lambda x: taylor_green_state(x, gas)
+        shard = prepare_shards(mesh, np.zeros(len(mesh.cells), np.int64), 1)[0]
+        s = SolverRank(shard, gas, SolverOptions(p=3))
+        s.set_state(state)
+        path = str(tmp_path / "out.vtk")
+        solution_io.write_vtk(path, s, q_criterion=case == "tgv")
+        assert hashlib.sha256(open(path, "rb").read()).hexdigest() == golden
 
     def test_surface_csv_isentropic_mach_identity(self, tmp_path):
         gash = GasModel(gamma=1.4, R=287.0)

@@ -83,15 +83,18 @@ class TestPointwiseCosts:
     @pytest.mark.parametrize("kernel, dim, count", [
         ("flux_scale", 2, 4), ("flux_scale", 3, 5),
         ("sponge_source", 2, 12), ("sponge_source", 3, 15),
-        ("boundary_ghost", 2, 28), ("boundary_ghost", 3, 39),
-        ("own_trace", 2, 4), ("own_trace", 3, 5)])
+        ("ghost_slip", 2, 28), ("ghost_slip", 3, 39),
+        ("ghost_riemann-inflow", 2, 43), ("ghost_riemann-inflow", 3, 53),
+        ("own_trace", 2, 4), ("own_trace", 3, 5),
+        ("viscous_flux", 2, 83)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
         """The common flux times the signed area (one mul per variable);
         one zone's precomputed -sigma (Q - Q_ref) added to the source (three
         ops per variable); the slip ghost including its conserved-state
-        assembly; the face trace as the normal-axis flux row times the
-        face's side (one mul per variable).  The table carries the same
-        counts."""
+        assembly; the Riemann-inflow ghost including the reversed-inflow
+        check that runs with the solver's diagnostics; the face trace as the
+        normal-axis flux row times the face's side (one mul per variable);
+        the 2-D viscous flux.  The table carries the same counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
@@ -128,6 +131,30 @@ class TestLedger:
                   + face_pairs * cost["viscous_interface"] + wall_pairs * cost["viscous_wall"])
         assert expect == 7974
         stat = s.ledger.kernels["riemann_common"]
+        assert stat.flops == expect and stat.invocations == 1
+
+    def test_boundary_ghost_charged_per_patch_kind(self, gas):
+        """A 3x2 box, p=1 (2 points per face): the 2 inflow and 2 outflow
+        faces of the x sides and the 3 slip and 3 isothermal-wall faces of
+        the y sides are each charged their kind's ghost census."""
+        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.physics import BoundarySpec, conserved
+
+        mesh = box_mesh_2d(3, 2)
+        bcs = {"xmin": BoundarySpec("xmin", "riemann-inflow", total_temperature=1.2,
+                                    total_pressure=1.5, direction=np.array([1.0, 0.0])),
+               "xmax": BoundarySpec("xmax", "outflow", static_pressure=0.9),
+               "ymin": BoundarySpec("ymin", "slip"),
+               "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.0)}
+        shards = prepare_shards(mesh, np.zeros(6, np.int64), 1)
+        s = SolverRank(shards[0], gas, SolverOptions(p=1), boundary_specs=bcs)
+        s.set_state(lambda x: conserved(np.ones(len(x)), 0.1 + 0 * x, np.ones(len(x)), gas))
+        s.compute_residual(s.Q_upts)
+        cost = {spec.kind: POINTWISE_COSTS[(f"ghost_{spec.kind}", 2)] for spec in bcs.values()}
+        expect = (4 * cost["riemann-inflow"] + 4 * cost["outflow"]
+                  + 6 * cost["slip"] + 6 * cost["noslip-isothermal"])
+        assert expect == 4 * 43 + 4 * 26 + 6 * 28 + 6 * 27
+        stat = s.ledger.kernels["boundary_ghost"]
         assert stat.flops == expect and stat.invocations == 1
 
     def test_merge(self):

@@ -338,7 +338,7 @@ class TestPartition:
         internal, _ = match_local_faces(build_face_list(mesh.cells))
         weights = {i: w for i, w in enumerate((2, 2, 2, 2, 1, 1, 1, 1))}
         g = build_dual_graph(mesh.cells, internal)
-        g.weights = weights
+        g.weight = np.array(list(weights.values()))
         part = partition_mesh(g, 2)
         loads = [sum(weights[i] for i in range(8) if part[i] == s) for s in (0, 1)]
         # exhaustive contiguous-split oracle: best achievable is 6/6
@@ -366,6 +366,84 @@ class TestPartition:
             partition_mesh(g, 3)
         with pytest.raises(MeshError):
             partition_mesh(g, 0)
+
+    # sha256 of the int64 bytes of partition_mesh's output, taken from the
+    # list-frontier partitioner that the CSR version replaced
+    GOLDEN = {
+        ("box", 2, 0): "7b0a2f92997a7cd172317f979b72c16428bd2a0bf1f7390c1c9d9138180a7f2d",
+        ("box", 3, 0): "aaa5e35396ee20154cd88e148983e0bf6414a94578818fbebaebf4e5320ec923",
+        ("box", 4, 0): "5144b23920ab2b7466138839f817fb3e3545572803e8d8cea24769da760d1e07",
+        ("box", 6, 0): "f31e719f5c31e661913606b03a88675152417c3df7cadddb4ed4a20cdfd1d5b3",
+        ("box", 8, 0): "6c0f0744ca044d0a6ab9df1b0e6293c441ffdb6827155ad03c382555742eb0d7",
+        ("refined", 6, 0): "60fb20a5cf8bb76c81754259365a6fe8a738f794c38536c5c29dbd9c8279c98f",
+        ("refined", 6, 1): "ffcdf50e283e04eb973d379baa23e63f8862a0e60063acb68ffd8e09ad6ef191",
+        ("ls89-2d", 2, 0): "f341dd9289ba094ea36e32723134891e6f42ea3477d9bc8062f72c12f94ef651",
+        ("vortex", 1, 0): "c35020473aed1b4642cd726cad727b63fff2824ad68cedd7ffb73c7cbd890479",
+    }
+
+    @staticmethod
+    def _sha(part):
+        import hashlib
+
+        return hashlib.sha256(np.ascontiguousarray(part, dtype=np.int64).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("case, nparts, seed", sorted(GOLDEN))
+    def test_golden_assignments(self, tmp_path, case, nparts, seed):
+        """box: box_mesh_3d(6, 6, 2); refined: box_mesh_3d(7, 3, 2), whose
+        6 grown parts need boundary moves that depend on the seed;
+        ls89-2d (size 1500, periodic) and vortex (64 x 64) through the
+        fixture files, as the benchmark reads them."""
+        from fluxrecon import driver, fixtures
+        from fluxrecon.io.config import RunConfig
+
+        if case in ("box", "refined"):
+            mesh = box_mesh_3d(6, 6, 2) if case == "box" else box_mesh_3d(7, 3, 2)
+        else:
+            size = 1500 if case == "ls89-2d" else 64
+            mesh_path, cfg_path = fixtures.make_fixture(case, str(tmp_path), size=size)
+            mesh = driver.load_mesh(mesh_path, RunConfig.load(cfg_path))
+        internal, _ = match_local_faces(build_face_list(mesh.cells, mesh.vertex_alias),
+                                        mesh.vertex_alias)
+        g = build_dual_graph(mesh.cells, internal)
+        part = partition_mesh(g, nparts, seed=seed)
+        assert self._sha(part) == self.GOLDEN[(case, nparts, seed)]
+
+    def test_matches_list_frontier_reference(self):
+        """Random boxes (2-D and 3-D, some periodic), random weights with a
+        heavy tail, 2-8 parts and several seeds: the same assignment as the
+        dict-and-list reference, refinement moves and part steals included.
+        Where the reference fails (``min`` of an empty set: every cell is
+        taken before the last part), partition_mesh raises MeshError."""
+        from oracles import list_frontier_partition
+
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(60):
+            if rng.random() < 0.5:
+                nx, ny = rng.integers(2, 9), rng.integers(1, 9)
+                mesh = box_mesh_2d(nx, ny, periodic=(nx >= 3 and rng.random() < 0.3, False))
+            else:
+                mesh = box_mesh_3d(rng.integers(2, 5), *rng.integers(1, 5, 2))
+            g = self.graph(mesh)
+            n = len(mesh.cells)
+            g.weight = np.where(rng.random(n) < 0.1, rng.integers(5, 30, n),
+                                rng.integers(1, 4, n))
+            nparts, seed = int(rng.integers(2, min(n, 8) + 1)), int(rng.integers(0, 5))
+            try:
+                want = list_frontier_partition(g.adjacency, g.weights, nparts, seed)
+            except ValueError:
+                with pytest.raises(MeshError, match="too uneven"):
+                    partition_mesh(g, nparts, seed=seed)
+                continue
+            assert partition_mesh(g, nparts, seed=seed).tolist() == want
+            compared += 1
+        assert compared >= 50
+
+    def test_golden_weighted_chain(self):
+        mesh = box_mesh_3d(8, 1, 1)
+        g = self.graph(mesh)
+        g.weight = np.array([2, 2, 2, 2, 1, 1, 1, 1])
+        assert partition_mesh(g, 2).tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
 
 
 class TestRankCountInvariance:
