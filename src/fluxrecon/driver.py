@@ -271,9 +271,9 @@ def bench_to_row(shards_dir: str, cfg: RunConfig, steps: int = 50,
     total_flops = sum(v["flops"] for v in results.values())
     total_bytes = sum(v["bytes"] for v in results.values())
     elements = sum(v["elements"] for v in results.values())
+    opts = cfg.solver_options()
     meta = {
         "ranks": nranks, "workers": nranks, "elements": elements,
-        "p": cfg.get_int("solver.p", 3),
-        "fusion": cfg.get_bool("solver.fusion", True),
+        "p": opts.p, "fusion": opts.fusion,
     }
     return bench_csv_row(meta, mean_step, total_flops, total_bytes, steps)

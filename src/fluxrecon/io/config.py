@@ -20,13 +20,11 @@ from ..pipeline.solver import SolverOptions
 
 logger = logging.getLogger(__name__)
 
-_EXACT_KEYS = {
-    "gas.gamma", "gas.R", "gas.Pr", "gas.mu", "gas.sutherland",
-    "gas.mu_ref", "gas.T_ref", "gas.S",
-    "solver.p", "solver.cfl", "solver.riemann", "solver.fusion",
-    "solver.block_kb", "solver.deterministic", "solver.viscous",
-    "solver.ldg_beta", "solver.ldg_tau_scale",
-    "solver.startup_steps", "solver.startup_p",
+# "gas.<field>" and "solver.<field>" for every GasModel and SolverOptions field
+_SECTIONS = {"gas": GasModel, "solver": SolverOptions}
+
+_EXACT_KEYS = {f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+               for f in fields(cls)} | {
     "prep.seed", "prep.routing",
     "bench.steps",
     "init.case",
@@ -82,10 +80,6 @@ class RunConfig:
 
     def serialize(self) -> str:
         return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
-
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
 
     # typed accessors ----------------------------------------------------
 
@@ -145,30 +139,20 @@ class RunConfig:
 
     # object builders -----------------------------------------------------
 
-    def gas_model(self) -> GasModel:
-        return GasModel(
-            gamma=self.get_float("gas.gamma", 1.4),
-            R=self.get_float("gas.R", 287.0),
-            Pr=self.get_float("gas.Pr", 0.72),
-            mu=self.get_float("gas.mu", 0.0),
-            sutherland=self.get_bool("gas.sutherland", False),
-            mu_ref=self.get_float("gas.mu_ref", 1.716e-5),
-            T_ref=self.get_float("gas.T_ref", 273.15),
-            S=self.get_float("gas.S", 110.4),
-        )
-
-    def solver_options(self) -> SolverOptions:
-        """``solver.<field>`` for every ``SolverOptions`` field, defaulting
-        to the field's default."""
-        import os
-
+    def _section(self, section: str):
+        """``<section>.<field>`` for every field of the section's dataclass,
+        defaulting to the field's default."""
         get = {bool: self.get_bool, int: self.get_int, float: self.get_float,
                str: self.get_str}
-        kw = {f.name: get[type(f.default)](f"solver.{f.name}", f.default)
-              for f in fields(SolverOptions)}
-        if os.environ.get("ZFR_DETERMINISTIC") == "1":
-            kw["deterministic"] = True
-        return SolverOptions(**kw)
+        cls = _SECTIONS[section]
+        return cls(**{f.name: get[type(f.default)](f"{section}.{f.name}", f.default)
+                      for f in fields(cls)})
+
+    def gas_model(self) -> GasModel:
+        return self._section("gas")
+
+    def solver_options(self) -> SolverOptions:
+        return self._section("solver")
 
     def boundary_specs(self) -> Dict[str, BoundarySpec]:
         out = {}

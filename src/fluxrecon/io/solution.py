@@ -122,16 +122,17 @@ def write_surface_csv(path: str, solver, patch: str, p0_ref: float):
     dim = solver.dim
     rows = []
     found = False
-    for spec, pl in solver.boundary_groups:
+    for spec, lo, hi in solver.boundary_spans:
         if spec.patch != patch:
             continue
         found = True
-        Q = solver.Q_fpts[pl.e, :, pl.p]
-        x = solver.x_fpts[pl.e, pl.p]
+        e, pt = solver.iface.e[lo:hi], solver.iface.p[lo:hi]
+        Q = solver.Q_fpts[e, :, pt]
+        x = solver.x_fpts[e, pt]
         p = physics.pressure(Q, dim, gas)
         T = p / (Q[..., 0] * gas.R)
         mis = physics.isentropic_mach(p, p0_ref, gas)
-        for i in range(pl.size):
+        for i in range(hi - lo):
             xyz = list(x[i]) + [0.0] * (3 - dim)
             rows.append([xyz[0], xyz[1], xyz[2], p[i], T[i], mis[i]])
     if not found:

@@ -69,10 +69,10 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("ghost_outflow", 3): 35,
     ("ghost_riemann-inflow", 2): 43,
     ("ghost_riemann-inflow", 3): 53,
-    ("ghost_sponge-ref", 2): 11,
-    ("ghost_sponge-ref", 3): 15,
-    ("ghost_prescribed", 2): 11,
-    ("ghost_prescribed", 3): 15,
+    ("ghost_sponge-ref", 2): 0,
+    ("ghost_sponge-ref", 3): 0,
+    ("ghost_prescribed", 2): 0,
+    ("ghost_prescribed", 3): 0,
     ("scale_residual", 2): 4,
     ("scale_residual", 3): 5,
     ("sponge_source", 2): 12,

@@ -1,5 +1,4 @@
 from .kernels import BlockPlan
-from .halo import HaloPlan
 from .solver import (
     RKScheme,
     SSP_RK3,
@@ -10,7 +9,6 @@ from .solver import (
 
 __all__ = [
     "BlockPlan",
-    "HaloPlan",
     "RKScheme",
     "SSP_RK3",
     "SolverOptions",

@@ -67,6 +67,17 @@ scatter with ``ndarray.put``; the volume kernels hand the physics
 ``(..., nv)`` and works per component, so every component it touches is a
 contiguous row (see :mod:`fluxrecon.physics`).
 
+The pair list ``iface`` is the one description of a rank's interfaces.
+Its local pairs ``[0, nl)`` (``nl = loc_r.size``) come first, then the
+remote pairs ``[nl, n_face_pairs)``, then the boundary pairs.  Remote pairs
+run by peer rank, then by their face's canonical key (owner gid, owner
+local face), each face's points in canonical point order, so each peer's
+halo is one span ``(rank, lo, hi)`` of ``halo_spans`` with ghost columns
+``[lo - nl, hi - nl)``.  Both sides of a coupling order their shared points
+this way, so a message unpacks positionally with no further permutation.
+Boundary pairs run by patch id, each patch one span ``(spec, lo, hi)`` of
+``boundary_spans``.
+
 The discontinuous interface flux comes from the same flux polynomial the
 divergence acts on, so interface corrections telescope and conservation
 holds to round-off.  Interface common fluxes are evaluated in the face's
@@ -94,7 +105,6 @@ from ..physics import BoundarySpec, GasModel, RiemannDiagnostics, SpongeZone
 from ..perf import PerfLedger, monotonic_time
 from ..prep.distribute import allreduce_min, allreduce_sum, nbx_exchange
 from ..prep.matching import MeshShard
-from .halo import HaloPlan
 from .kernels import BlockPlan
 
 ITEM = 8
@@ -167,6 +177,15 @@ def _positions(keys: np.ndarray, values, what: str) -> np.ndarray:
     if not np.array_equal(keys[pos], values):
         raise MeshError(f"shard references a {what} id it does not hold")
     return pos
+
+
+def _spans(keys: np.ndarray, start: int, width: int) -> list:
+    """``(key, lo, hi)`` per run of equal values of sorted ``keys``, whose
+    rows are ``width`` pairs each from pair ``start`` on."""
+    vals = np.unique(keys)
+    lo = start + width * np.searchsorted(keys, vals, "left")
+    hi = start + width * np.searchsorted(keys, vals, "right")
+    return [(int(v), int(a), int(b)) for v, a, b in zip(vals, lo, hi)]
 
 
 def _gemm(X: np.ndarray, M: np.ndarray, deterministic: bool) -> np.ndarray:
@@ -285,9 +304,12 @@ class SolverRank:
         Each pair is this rank's own slot (``iface``) plus the other side's
         state: the ``loc_r`` slot of a local pair, else column ``i - loc_r.size``
         of ``ghost_Q`` (halo values for remote pairs, ghost states for
-        boundary pairs).  Normal, signed area, LDG switch and penalty come
-        from the own slot; ``iface_flip`` marks remote pairs whose own side
-        is the right side of the canonical frame.
+        boundary pairs).  Remote pairs run by peer rank, then by canonical
+        key, so each peer's halo is one span of ``halo_spans``; boundary
+        pairs run by patch id, each patch one span of ``boundary_spans``.
+        Normal, signed area, LDG switch and penalty come from the own slot;
+        ``iface_flip`` marks remote pairs whose own side is the right side
+        of the canonical frame.
         """
         ref, d, shard = self.ref, self.dim, self.shard
         nfp, ncorners = ref.num_face_points, 2 ** (d - 1)
@@ -296,31 +318,32 @@ class SolverRank:
                           for o in range(2 if d == 2 else 8)])
 
         loc = shard.internal_rows
-        self.loc_l = self._slots(loc[:, 0], loc[:, 1], ident)
+        loc_l = self._slots(loc[:, 0], loc[:, 1], ident)
         self.loc_r = self._slots(loc[:, 2], loc[:, 3], perms[loc[:, 4]])
         self._set_face_geometry(slot_normal, slot_area, loc[:, 5:5 + ncorners],
-                                self.loc_l, self.loc_r)
+                                loc_l, self.loc_r)
 
+        # remote faces by peer rank, then canonical key (owner gid, owner
+        # local face), with their points in canonical point order
         rem = shard.remote_rows
+        key = np.where(rem[:, 4:5] != 0, rem[:, 0:2], rem[:, 7:9])
+        rem = rem[np.lexsort((key[:, 1], key[:, 0], rem[:, 2]))]
         rm = self._slots(rem[:, 0], rem[:, 1], perms[rem[:, 3]])
         self._set_face_geometry(slot_normal, slot_area, rem[:, 9:9 + ncorners], rm)
-        # halo order: per peer rank, faces by canonical key (owner gid,
-        # owner local face)
-        key = np.where(rem[:, 4:5] != 0, rem[:, 0:2], rem[:, 7:9])
-        order = np.lexsort((key[:, 1], key[:, 0], rem[:, 2]))
-        face_e, face_p = rm.e.reshape(-1, nfp), rm.p.reshape(-1, nfp)
-        face_rows = np.arange(rem.shape[0] * nfp).reshape(-1, nfp)
-        neighbors = [int(r) for r in np.unique(rem[:, 2])]
-        pack, rows = {}, {}
-        for rank in neighbors:
-            sel = order[rem[order, 2] == rank]
-            pack[rank] = (face_e[sel].reshape(-1), face_p[sel].reshape(-1))
-            rows[rank] = face_rows[sel].reshape(-1)
-        self.halo = HaloPlan(neighbors, pack, rows, rem.shape[0] * nfp)
 
         bnd = shard.boundary_rows
-        self.boundary_groups = []
-        for pid in (int(v) for v in np.unique(bnd[:, 2])):
+        bnd = bnd[np.argsort(bnd[:, 2], kind="stable")]
+        bd = self._slots(bnd[:, 0], bnd[:, 1], ident)
+
+        self.iface = PointList(np.concatenate([loc_l.e, rm.e, bd.e]),
+                               np.concatenate([loc_l.p, rm.p, bd.p]))
+        nl = self.loc_r.size
+        self.n_face_pairs = nl + rm.size
+        self.iface_flip = np.zeros(self.iface.size, dtype=bool)
+        self.iface_flip[nl:self.n_face_pairs] = np.repeat(rem[:, 4] == 0, nfp)
+        self.halo_spans = _spans(rem[:, 2], nl, nfp)
+        self.boundary_spans = []
+        for pid, lo, hi in _spans(bnd[:, 2], self.n_face_pairs, nfp):
             name = shard.patch_names.get(pid, str(pid))
             spec = self.boundary_specs.get(name)
             if spec is None:
@@ -330,21 +353,7 @@ class SolverRank:
                     f"patch {name!r} declared periodic but carries boundary faces; "
                     "periodic pairing happens during mesh import"
                 )
-            sel = bnd[:, 2] == pid
-            self.boundary_groups.append((spec, self._slots(bnd[sel, 0], bnd[sel, 1], ident)))
-
-        parts = [self.loc_l, rm] + [pl for _, pl in self.boundary_groups]
-        self.iface = PointList(np.concatenate([q.e for q in parts]),
-                               np.concatenate([q.p for q in parts]))
-        nl = self.loc_r.size
-        self.n_face_pairs = nl + self.halo.num_ghost_points
-        self.iface_flip = np.zeros(self.iface.size, dtype=bool)
-        self.iface_flip[nl:self.n_face_pairs] = np.repeat(rem[:, 4] == 0, nfp)
-        self.boundary_spans = []
-        lo = self.n_face_pairs
-        for spec, pl in self.boundary_groups:
-            self.boundary_spans.append((spec, lo, lo + pl.size))
-            lo += pl.size
+            self.boundary_spans.append((spec, lo, hi))
 
         e, p = self.iface.e, self.iface.p
         self.nf = ref.num_faces * nfp
@@ -370,7 +379,7 @@ class SolverRank:
             self.jumpQ_fpts = np.zeros((ne, nv, nf))
             self.grad_upts = np.zeros((ne, d, nv, Ns))
             self.grad_fpts = np.zeros((ne, d, nv, nf))
-            self.ghost_grad = np.zeros((d * nv, self.halo.num_ghost_points))
+            self.ghost_grad = np.zeros((d * nv, self.n_face_pairs - self.loc_r.size))
         nb = self.block_plan.block_elements
         self.Fhat_upts = np.zeros((nb, d, nv, Ns))
         self.Fhat_fpts = np.zeros((nb, d, nv, nf))
@@ -682,20 +691,19 @@ class SolverRank:
                 run(lo, hi)
 
     def _exchange(self, fpts: np.ndarray, ghost: np.ndarray):
-        """Send this rank's remote-face values of a flux-point field in
-        canonical order; unpack the peers' values into the ghost columns
-        (message bytes are point-major, one point's values after another)."""
-        if self.ctx is None or self.ctx.nranks == 1 or self.halo.empty():
+        """Send each peer the values of its span of a flux-point field;
+        unpack the peer's message into the span's ghost columns (message
+        bytes are point-major, one point's values after another).  The
+        exchange is collective: a rank without peers joins it too."""
+        if self.ctx is None or self.ctx.nranks == 1:
             return
-        width = ghost.shape[0]
-        sbuf = {}
-        for rank in self.halo.neighbors:
-            e, p = self.halo.pack[rank]
-            sbuf[rank] = np.ascontiguousarray(fpts[e, ..., p]).tobytes()
-        recv = nbx_exchange(self.ctx, sbuf)
-        for rank in self.halo.neighbors:
+        nl, width = self.loc_r.size, ghost.shape[0]
+        recv = nbx_exchange(self.ctx, {
+            rank: fpts.take(self._offsets(width, lo, hi)[0]).T.tobytes()
+            for rank, lo, hi in self.halo_spans})
+        for rank, lo, hi in self.halo_spans:
             vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, width)
-            ghost[:, self.halo.rows[rank]] = vals.T
+            ghost[:, lo - nl:hi - nl] = vals.T
 
     def halo_exchange_q(self):
         """Fill the halo columns of ghost_Q with the peers' face values."""

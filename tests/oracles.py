@@ -212,8 +212,9 @@ def geometry_one(coords, ref, cell_id):
 
 def interfaces_per_face(solver):
     """A solver's interface pair list, pair normals, signed areas, LDG
-    penalties, halo plan and boundary spans, rebuilt face by face from its
-    shard: one orientation permutation and one face geometry per face."""
+    penalties, per-peer halo packs and boundary spans, rebuilt face by face
+    from its shard: one orientation permutation and one face geometry per
+    face."""
     shard, ref, d = solver.shard, solver.ref, solver.dim
     nfp, pts = ref.num_face_points, ref.points_1d
     ident = np.arange(nfp)
@@ -241,20 +242,20 @@ def interfaces_per_face(solver):
         own += left
         loc_r += right
     halo = {}
-    for fi, (_, cpl) in enumerate(shard.remote_faces):
+    for _, cpl in shard.remote_faces:
         side = slots(cpl.local_gid, cpl.local_face,
                      orientation_permutation(d, cpl.orientation, pts))
         set_geometry(cpl.canonical_corners, side)
-        own += side
-        flip += [not cpl.canonical] * nfp
         key = ((cpl.local_gid, cpl.local_face) if cpl.canonical
                else (cpl.remote_tag[2], cpl.remote_tag[3]))
-        halo.setdefault(cpl.remote_rank, []).append((key, fi, side))
-    pack, rows = {}, {}
-    for rank, entries in halo.items():
-        entries.sort()
-        pack[rank] = [slot for _, _, side in entries for slot in side]
-        rows[rank] = [fi * nfp + k for _, fi, _ in entries for k in range(nfp)]
+        halo.setdefault(cpl.remote_rank, []).append((key, side, not cpl.canonical))
+    # remote entries by (peer rank, canonical key)
+    pack = {}
+    for rank in sorted(halo):
+        entries = sorted(halo[rank])
+        pack[rank] = [slot for _, side, _ in entries for slot in side]
+        own += pack[rank]
+        flip += [f for _, _, f in entries for _ in range(nfp)]
     spans, lo = [], len(own)
     for pid in sorted({f.patch_id for f in shard.boundary_faces}):
         faces = [f for f in shard.boundary_faces if f.patch_id == pid]
@@ -279,7 +280,6 @@ def interfaces_per_face(solver):
         "neighbors": sorted(halo),
         "pack": {r: tuple(np.array(v, dtype=np.int64).reshape(-1, 2).T)
                  for r, v in pack.items()},
-        "rows": rows,
         "spans": spans,
     }
 

@@ -467,16 +467,11 @@ class TestConfig:
         a, b, t = pairs[0]
         assert {a, b} == {"xmin", "xmax"}
 
-    def test_env_forces_deterministic(self, monkeypatch):
-        cfg = RunConfig.parse("solver.p = 1\n")
-        monkeypatch.setenv("ZFR_DETERMINISTIC", "1")
-        assert cfg.solver_options().deterministic is True
-        monkeypatch.delenv("ZFR_DETERMINISTIC")
-        assert cfg.solver_options().deterministic is False
-
-    def test_solver_defaults_are_the_dataclass_defaults(self, monkeypatch):
-        monkeypatch.delenv("ZFR_DETERMINISTIC", raising=False)
+    def test_solver_defaults_are_the_dataclass_defaults(self):
         assert RunConfig.parse("").solver_options() == SolverOptions()
+
+    def test_gas_defaults_are_the_dataclass_defaults(self):
+        assert RunConfig.parse("").gas_model() == GasModel()
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_block_kb_below_one_rejected(self, value):

@@ -85,6 +85,8 @@ class TestPointwiseCosts:
         ("sponge_source", 2, 12), ("sponge_source", 3, 15),
         ("ghost_slip", 2, 28), ("ghost_slip", 3, 39),
         ("ghost_riemann-inflow", 2, 43), ("ghost_riemann-inflow", 3, 53),
+        ("ghost_sponge-ref", 2, 0), ("ghost_sponge-ref", 3, 0),
+        ("ghost_prescribed", 2, 0), ("ghost_prescribed", 3, 0),
         ("own_trace", 2, 4), ("own_trace", 3, 5),
         ("viscous_flux", 2, 83)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
@@ -92,9 +94,11 @@ class TestPointwiseCosts:
         one zone's precomputed -sigma (Q - Q_ref) added to the source (three
         ops per variable); the slip ghost including its conserved-state
         assembly; the Riemann-inflow ghost including the reversed-inflow
-        check that runs with the solver's diagnostics; the face trace as the
-        normal-axis flux row times the face's side (one mul per variable);
-        the 2-D viscous flux.  The table carries the same counts."""
+        check that runs with the solver's diagnostics; the sponge-ref and
+        prescribed ghosts, which copy a state and never read the interior
+        one, at no flops; the face trace as the normal-axis flux row times
+        the face's side (one mul per variable); the 2-D viscous flux.  The
+        table carries the same counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 

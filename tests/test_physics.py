@@ -377,10 +377,11 @@ class TestBoundary:
 
         s.set_state(field)
         s.compute_residual(s.Q_upts)
-        pl, pr = s.loc_l, s.loc_r
-        QL = s.Q_fpts[pl.e, :, pl.p]
+        pr = s.loc_r
+        le, lp = s.iface.e[:pr.size], s.iface.p[:pr.size]
+        QL = s.Q_fpts[le, :, lp]
         QR = s.Q_fpts[pr.e, :, pr.p]
-        wrap = np.abs(s.x_fpts[pl.e, pl.p][:, 0] - s.x_fpts[pr.e, pr.p][:, 0]) > 0.5
+        wrap = np.abs(s.x_fpts[le, lp][:, 0] - s.x_fpts[pr.e, pr.p][:, 0]) > 0.5
         assert wrap.any()
         # the gathered partner values are exactly the partner's own
         # interpolated interior state (ghost = partner interior)

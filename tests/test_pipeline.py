@@ -520,11 +520,12 @@ class TestHaloAndRankInvariance:
                            boundary_specs=bcs, ctx=ctx)
             s.set_state(field)
             s.compute_residual(s.Q_upts)
-            ghost = {}
-            for fi, (face, cpl) in enumerate(s.shard.remote_faces):
-                nfp = s.ref.num_face_points
-                ghost[(cpl.local_gid, cpl.local_face)] = \
-                    s.ghost_Q[:, fi * nfp:(fi + 1) * nfp].T
+            # each remote face's ghost columns, keyed by the face that the
+            # pair list puts there
+            ghost, nl, nfp = {}, s.loc_r.size, s.ref.num_face_points
+            for i in range(nl, s.n_face_pairs, nfp):
+                key = (int(s.gids[s.iface.e[i]]), int(s.iface.p[i]) // nfp)
+                ghost[key] = s.ghost_Q[:, i - nl:i - nl + nfp].T
             return s.gids, s.Q_fpts, ghost, s.shard.remote_faces, s.ref
 
         for gids, qf, ghost, remotes, ref in SimCluster(2, seed=0).run(prog):
@@ -538,6 +539,26 @@ class TestHaloAndRankInvariance:
                 got_set = {tuple(np.round(row, 12)) for row in got}
                 exp_set = {tuple(np.round(row, 12)) for row in peer_vals.T}
                 assert got_set == exp_set
+
+    def test_rank_without_halo_joins_each_exchange(self, gas):
+        """Two disjoint periodic boxes on 3 ranks, rank 2 owning one whole
+        box: it has no peer, yet the halo exchange is collective, so it
+        must join every one for the others to finish; the step gives the
+        serial bits."""
+        from fluxrecon.mesh_core import SerialMesh
+
+        a = box_mesh_2d(4, 4, periodic=(True, True))
+        b = box_mesh_2d(4, 4, origin=(2.0, 0.0), periodic=(True, True))
+        nv = a.vertices.shape[0]
+        mesh = SerialMesh(2, np.concatenate([a.vertices, b.vertices]),
+                          np.concatenate([a.cells, b.cells + nv]), [],
+                          np.concatenate([a.vertex_alias, b.vertex_alias + nv]))
+        assignment = np.array([0] * 8 + [1] * 8 + [2] * 16)
+        assert not prepare_shards(mesh, assignment, 3)[2].remote_rows.size
+        [(gids, Q)] = self.run_case(mesh, 1, 1, gas, assignment=np.zeros(32, np.int64))
+        serial = {int(g): q for g, q in zip(gids, Q)}
+        for gids, Q in self.run_case(mesh, 3, 1, gas, assignment=assignment):
+            assert all(np.array_equal(q, serial[int(g)]) for g, q in zip(gids, Q))
 
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_rank_invariance_bitwise(self, nranks, gas):

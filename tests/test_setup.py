@@ -1,6 +1,6 @@
 """Batched solver set-up against the per-cell and per-face loops it
 replaced (kept in ``oracles``): element geometry, face geometry, interface
-pairs and the halo plan."""
+pairs and their per-peer halo spans."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from fluxrecon.errors import InvertedElementError
 from fluxrecon.fixtures import box_mesh_2d, box_mesh_3d
 from fluxrecon.mesh_core import HEX_FACES, QUAD_EDGES
 from fluxrecon.operators import build_reference_element, compute_geometry, face_geometry
-from fluxrecon.physics import BoundarySpec, GasModel
-from fluxrecon.pipeline import SolverOptions, SolverRank
-from fluxrecon.prep import prepare_shards
+from fluxrecon.physics import BoundarySpec, GasModel, conserved
+from fluxrecon.pipeline import SolverOptions, SolverRank, solver as solver_module
+from fluxrecon.prep import SimCluster, prepare_shards
 
 from oracles import (cube_rotations, face_geometry_one, geometry_one, interfaces_per_face,
                      random_partition)
@@ -112,12 +112,17 @@ def _assert_interfaces_match_loop(s):
     assert np.array_equal(s.iface_n.T, want["normal"])
     assert np.array_equal(s.iface_a, want["area"])
     assert np.array_equal(s.iface_tau, want["tau"])
-    assert s.halo.neighbors == want["neighbors"]
-    assert s.halo.num_ghost_points == len(s.shard.remote_faces) * s.ref.num_face_points
-    for rank in want["neighbors"]:
-        assert np.array_equal(s.halo.pack[rank][0], want["pack"][rank][0])
-        assert np.array_equal(s.halo.pack[rank][1], want["pack"][rank][1])
-        assert np.array_equal(s.halo.rows[rank], want["rows"][rank])
+    # each peer's halo is one span of the pair list, the spans back to back
+    # from the local pairs to the boundary pairs
+    assert [rank for rank, _, _ in s.halo_spans] == want["neighbors"]
+    ends = [s.loc_r.size] + [hi for _, _, hi in s.halo_spans]
+    assert [lo for _, lo, _ in s.halo_spans] == ends[:-1]
+    assert ends[-1] == s.n_face_pairs
+    assert s.n_face_pairs - s.loc_r.size == len(s.shard.remote_faces) * s.ref.num_face_points
+    assert s.ghost_Q.shape[1] == s.iface.size - s.loc_r.size
+    for rank, lo, hi in s.halo_spans:
+        assert np.array_equal(s.iface.e[lo:hi], want["pack"][rank][0])
+        assert np.array_equal(s.iface.p[lo:hi], want["pack"][rank][1])
     assert [(spec, lo, hi) for spec, lo, hi in s.boundary_spans] == want["spans"]
 
 
@@ -137,7 +142,7 @@ class TestBatchedInterfaces:
         for shard in shards:
             s = SolverRank(shard, self.GAS, SolverOptions(p=2, viscous=True),
                            boundary_specs=bcs)
-            assert s.halo.neighbors and s.boundary_spans
+            assert s.halo_spans and s.boundary_spans
             _assert_interfaces_match_loop(s)
 
     def test_hex_all_orientation_codes_two_ranks(self):
@@ -160,5 +165,44 @@ class TestBatchedInterfaces:
         for shard in shards:
             s = SolverRank(shard, self.GAS, SolverOptions(p=3, viscous=True),
                            boundary_specs=bcs)
-            assert s.halo.neighbors and s.boundary_spans
+            assert s.halo_spans and s.boundary_spans
             _assert_interfaces_match_loop(s)
+
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_halo_messages_are_canonical_point_major(self, viscous, monkeypatch):
+        """On 2 ranks, each halo message holds the sender's values at the
+        peer's shared slots in canonical order (faces by owner gid and
+        owner local face, points in canonical point order), one point's
+        values after another: for Q, and for the gradient when viscous."""
+        mesh = box_mesh_2d(6, 5, periodic=(True, False), perturb=0.2, seed=4)
+        bcs = {"ymin": BoundarySpec("ymin", "adiabatic"),
+               "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.05)}
+        shards = prepare_shards(mesh, random_partition(np.random.default_rng(5), 30, 2), 2)
+        sent = {0: [], 1: []}
+        real = solver_module.nbx_exchange
+
+        def record(ctx, sbuf):
+            sent[ctx.rank].append(dict(sbuf))
+            return real(ctx, sbuf)
+
+        monkeypatch.setattr(solver_module, "nbx_exchange", record)
+
+        def field(x):
+            rho = 1.0 + 0.1 * np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1])
+            vel = np.stack([0.3 + 0.1 * x[:, 1], 0.05 * np.sin(x[:, 0])], axis=1)
+            return conserved(rho, vel, 1.0 + 0.05 * x[:, 0] * x[:, 1], self.GAS)
+
+        def prog(ctx):
+            s = SolverRank(shards[ctx.rank], self.GAS, SolverOptions(p=2, viscous=viscous),
+                           boundary_specs=bcs, ctx=ctx)
+            s.set_state(field)
+            s.compute_residual(s.Q_upts)
+            pack = interfaces_per_face(s)["pack"]
+            fields = [s.Q_fpts] + ([s.grad_fpts] if viscous else [])
+            want = [{rank: np.ascontiguousarray(f[e, ..., p]).tobytes()
+                     for rank, (e, p) in pack.items()} for f in fields]
+            return sent[ctx.rank], want
+
+        for got, want in SimCluster(2, seed=0).run(prog):
+            assert want[0]
+            assert got == want
