@@ -102,13 +102,20 @@ def _plot_velocity_gradient(solver, k: int):
     n1 = k + 1
     pts, _ = tensor_rule(np.linspace(-1.0, 1.0, n1), np.ones(n1), dim)
     ref = solver.ref
+    # C-ordered operands: the einsums' summation order, and so the output
+    # bytes, do not depend on the solver's variable-major layout
+    Q = np.ascontiguousarray(solver.Q_upts)
+    # J^-T = adj^T / |J| as compute_geometry forms it (the solver keeps its
+    # rows only when viscous)
+    adj = solver.adj_rows.transpose(2, 3, 0, 1)  # (ne, Ns, d, d)
+    invT = np.ascontiguousarray(np.swapaxes(adj, -1, -2)) / solver.det_upts[..., None, None]
     grads_ref = np.empty((solver.ne, dim, dim + 2, ref.num_solution_points))
     for ax in range(dim):
-        grads_ref[:, ax] = np.einsum("ts,evs->evt", ref.div_operators[ax], solver.Q_upts)
-    phys = np.einsum("eskl,elvs->ekvs", solver.invT_upts, grads_ref)
+        grads_ref[:, ax] = np.einsum("ts,evs->evt", ref.div_operators[ax], Q)
+    phys = np.einsum("eskl,elvs->ekvs", invT, grads_ref)
     M = ref.basis_at(pts)
     gq = np.einsum("ms,ekvs->ekmv", M, phys)  # (ne, dim, m, nv)
-    vals = np.einsum("ms,evs->emv", M, solver.Q_upts)
+    vals = np.einsum("ms,evs->emv", M, Q)
     dudx = physics.velocity_gradient(
         vals.reshape(-1, dim + 2),
         np.moveaxis(gq, 1, 2).reshape(-1, dim, dim + 2), dim)
@@ -126,8 +133,8 @@ def write_surface_csv(path: str, solver, patch: str, p0_ref: float):
         if spec.patch != patch:
             continue
         found = True
-        e, pt = solver.iface.e[lo:hi], solver.iface.p[lo:hi]
-        Q = solver.Q_fpts[e, :, pt]
+        e, pt = np.divmod(solver.iface.slot[lo:hi], solver.nf)
+        Q = solver.Q_fpts[:, e, pt].T  # (m, nv)
         x = solver.x_fpts[e, pt]
         p = physics.pressure(Q, dim, gas)
         T = p / (Q[..., 0] * gas.R)

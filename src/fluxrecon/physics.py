@@ -15,20 +15,25 @@ scalars.  The solver's passes call them, and the FLOP census
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
-(fluxes ``(..., d, nv)``, normals ``(..., d)``) and accepts any strides.
-The bodies work one component at a time (``Q[..., k]``) and never on
-whole ``(..., nv)`` blocks, so when the caller passes a transposed view of
-a variable-major buffer (one contiguous row per variable, as the solver
-does) each component is a contiguous row and no strided column or
-transposing copy is made.  Outputs follow the input's layout: a
-variable-major input gives a variable-major result (see ``_like``).
-``inviscid_flux`` also takes ``out=``, a buffer of any strides to write
-the flux into.  The solver passes a view of its block's ``Fhat_upts``
-scratch, subtracts the viscous flux there and transforms it in place, so
-the volume flux is written where the next kernel reads it instead of being
-built C-ordered and copied back.  Component sums run in
-index order (``(a0 + a1) + a2``), the order numpy's sum over a length-d
-axis uses, so results do not depend on the layout.
+(fluxes and gradients ``(..., d, nv)``, normals ``(..., d)``) and accepts
+any strides.  The bodies work one component at a time (``Q[..., k]``) and
+never on whole ``(..., nv)`` blocks.  The solver keeps every buffer
+variable-major and passes transposed views of it: a volume pass hands
+``(n, Ns, nv)`` (flux and gradient ``(n, Ns, d, nv)``) views of an element
+block, whose components are contiguous ``(n, Ns)`` rows, and a pair pass
+hands ``(m, nv)`` views of gathered ``(nv, m)`` rows.  So each component
+is one contiguous row, and no strided column or transposing copy is made.
+:func:`transform` takes its matrix as rows of entries the same way: the
+solver passes its ``(d, d, n, Ns)`` metric rows, one contiguous row per
+entry.  Outputs follow the input's layout: a variable-major input gives a
+variable-major result (see ``_like``).  ``inviscid_flux`` also takes
+``out=``, a buffer of any strides to write the flux into.  The solver
+passes a view of its block's ``Fhat_upts`` scratch, subtracts the viscous
+flux there and transforms it in place, so the volume flux is written
+where the next kernel reads it instead of being built C-ordered and copied
+back.  Component sums run in index order (``(a0 + a1) + a2``), the order
+numpy's sum over a length-d axis uses, so results do not depend on the
+layout.
 """
 
 from __future__ import annotations

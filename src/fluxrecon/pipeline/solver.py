@@ -1,9 +1,9 @@
 """Per-rank execution engine: residual passes, halo exchange, time-step
 control, and SSP Runge-Kutta advance.
 
-State is physical conserved variables Q with layout
-``(elements, variables, points)``, point index contiguous.  One residual
-evaluation runs:
+State is physical conserved variables Q, indexed ``(elements, variables,
+points)`` and stored variable-major (see the buffer layouts below).  One
+residual evaluation runs:
 
 1. interpolate Q to flux points (GEMM), exchange halos;
 2. (viscous) common solutions, corrected gradients, gradient halos;
@@ -40,32 +40,43 @@ are therefore bitwise equal under both settings.  GEMMs are never fused,
 and fusion changes modelled bytes but never flops: a fused entry's flops
 are the sum of its members'.
 
-Buffer layouts (C-ordered; every buffer has the point axis last and
-contiguous, so each variable is one contiguous row).  Full-mesh buffers,
-which pair passes or later block loops read:
+Buffer layouts.  Every buffer is variable-major: C-ordered with the
+element axis just before the point axis, so each variable (and each flux
+or gradient axis of it) is one contiguous row over the mesh or a block.
+Full-mesh buffers, which pair passes or later block loops read:
 
-* ``Q_upts`` ``(ne, nv, Ns)``; ``grad_upts`` ``(ne, d, nv, Ns)``;
-* ``Q_fpts``, ``Fc_fpts``, ``jumpQ_fpts`` ``(ne, nv, nf)``;
-  ``grad_fpts`` ``(ne, d, nv, nf)``;
+* ``Q_upts`` ``(ne, nv, Ns)``, a ``transpose(1, 0, 2)`` view of
+  ``(nv, ne, Ns)`` memory, as are the residual and, being element-wise
+  combinations, the RK stages; ``compute_residual`` accepts a C-ordered
+  state too.  Output and diagnostic einsums read a C-ordered copy, so
+  their bits do not depend on the layout;
+* ``Q_fpts``, ``Fc_fpts``, ``jumpQ_fpts`` ``(nv, ne, nf)``; ``grad_upts``
+  ``(d, nv, ne, Ns)``, ``grad_fpts`` ``(d, nv, ne, nf)``;
+* the metric terms ``adj_rows`` (``|J| J^-1``) and, when viscous,
+  ``invT_rows`` (``J^-T``) ``(d, d, ne, Ns)``, one row per entry;
 * per interface pair: ``ghost_Q (nv, npairs - nloc)`` (one column per
   halo point, then per boundary point), ``ghost_grad (d * nv, nhalo)``,
   ``iface_n (d, npairs)``, and ``iface_a``, ``iface_sw``, ``iface_tau``,
   ``iface_flip`` ``(npairs,)``.
 
 Block scratch, one element block deep (``nb = block_plan.block_elements``),
-which the volume passes use as views ``[:hi - lo]``: ``Fhat_upts``
-``(nb, d, nv, Ns)`` (the physical flux, transformed in place),
-``Fhat_fpts`` ``(nb, d, nv, nf)``, ``jump_fpts`` ``(nb, nv, nf)`` and
-``divF_upts`` ``(nb, nv, Ns)``.  ``compute_residual`` returns a new
-``(ne, nv, Ns)`` array on each call.
+which the volume passes use as views ``[..., :hi - lo, :]``: ``Fhat_upts``
+``(d, nv, nb, Ns)`` (the physical flux, transformed in place),
+``Fhat_fpts`` ``(d, nv, nb, nf)``, ``jump_fpts`` ``(nv, nb, nf)`` and
+``divF_upts`` ``(nv, nb, Ns)``.  A GEMM takes a block's ``(..., n, k)``
+rows as one ``(rows, k)`` operand, copied when the block is a slice of a
+full-mesh buffer.
 
-Interface kernels gather states as ``(nv, m)`` with ``ndarray.take`` at
-flat offsets ``e * nv * nf + p + k * nf`` (variable k of a pair's own slot,
-or of a local pair's other slot, in an ``(ne, nv, nf)`` buffer) and
-scatter with ``ndarray.put``; the volume kernels hand the physics
-``transpose`` views of their block (``(n, Ns, nv)``).  The physics indexes
-``(..., nv)`` and works per component, so every component it touches is a
-contiguous row (see :mod:`fluxrecon.physics`).
+The volume kernels hand the physics ``(n, Ns, nv)`` views of a block,
+whose components are contiguous ``(n, Ns)`` rows.  The pair passes view a
+flux-point field as ``(rows, ne * nf)`` (``rows`` = nv, or d * nv for the
+gradient), one column per flux-point slot ``e * nf + p``.  The pair lists
+hold these columns (``iface.slot`` of each pair's own slot, ``loc_r.slot``
+of a local pair's other slot), so a pass gathers ``(rows, m)`` values with
+``take(slot, axis=1)``, scatters by assigning to ``row[slot]``, and hands
+the physics ``(m, nv)`` views of the gathered rows.  Either way every
+component the physics touches is one contiguous row (see
+:mod:`fluxrecon.physics`).
 
 The pair list ``iface`` is the one description of a rank's interfaces.
 Its local pairs ``[0, nl)`` (``nl = loc_r.size``) come first, then the
@@ -159,14 +170,24 @@ class SolverOptions:
 
 @dataclass
 class PointList:
-    """Flux-point index set as (element, point-slot) index pairs."""
+    """Flux-point index set: one flat slot ``e * nf + p`` per point, the
+    column of element e's point slot p in a ``(rows, ne * nf)`` view of a
+    flux-point field."""
 
-    e: np.ndarray
-    p: np.ndarray
+    slot: np.ndarray
+    nf: int
+
+    @property
+    def e(self) -> np.ndarray:
+        return self.slot // self.nf
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.slot % self.nf
 
     @property
     def size(self) -> int:
-        return self.e.size
+        return self.slot.size
 
 
 def _positions(keys: np.ndarray, values, what: str) -> np.ndarray:
@@ -252,8 +273,8 @@ class SolverRank:
         if lfaces.size and not 0 <= lfaces.min() <= lfaces.max() < self.ref.num_faces:
             raise MeshError(f"shard names local faces {lfaces.min()}..{lfaces.max()}; "
                             f"a {self.ref.kind} has {self.ref.num_faces}")
-        e = np.repeat(_positions(self.gids, gids, "cell"), nfp)
-        return PointList(e, (lfaces[:, None] * nfp + perm).reshape(-1))
+        e = _positions(self.gids, gids, "cell")[:, None] * self.nf
+        return PointList((e + lfaces[:, None] * nfp + perm).reshape(-1), self.nf)
 
     def _set_face_geometry(self, normal, area, corner_vids: np.ndarray, *sides: PointList):
         """Overwrite the slots of both sides of faces in the per-slot
@@ -261,16 +282,20 @@ class SolverRank:
         corner order per face."""
         _, n_c, a_c = face_geometry(self._vertex_coords(corner_vids), self.ref.points_1d)
         for q in sides:
-            normal[q.e, q.p] = n_c.reshape(-1, self.dim)
-            area[q.e, q.p] = a_c.reshape(-1)
+            e, p = q.e, q.p
+            normal[e, p] = n_c.reshape(-1, self.dim)
+            area[e, p] = a_c.reshape(-1)
 
     def _build_geometry(self):
         """Element geometry; returns the per-slot face normals and areas,
         which only the interface set-up reads."""
         g = compute_geometry(self.cell_coords, self.ref, self.gids)
         self.det_upts = g.det_upts
-        self.adj_upts = g.adj_upts
-        self.invT_upts = g.inv_t_upts
+        # (d, d, ne, Ns): each metric entry one row over the mesh; only the
+        # viscous gradient reads J^-T
+        self.adj_rows = np.ascontiguousarray(g.adj_upts.transpose(2, 3, 0, 1))
+        if self.opt.viscous:
+            self.invT_rows = np.ascontiguousarray(g.inv_t_upts.transpose(2, 3, 0, 1))
         self.x_upts = g.coords_upts
         self.x_fpts = g.coords_fpts
         self.h_min = g.h_min
@@ -278,9 +303,9 @@ class SolverRank:
 
     def _build_sponges(self):
         """Check the zones against the mesh, then keep per zone
-        ``(-sigma, Q_ref)``: ``-sigma`` ``(m, 1, Ns)`` at the solution points
+        ``(-sigma, Q_ref)``: ``-sigma`` ``(m, Ns)`` at the solution points
         of ``sponge_elems``, the sorted ids of the m elements where some zone
-        is non-zero, and the reference state as an ``(nv, 1)`` column."""
+        is non-zero, and the reference state as an ``(nv, 1, 1)`` column."""
         for zone in self.sponge_zones:
             if not 0 <= zone.axis < self.dim:
                 raise ConfigError(f"sponge zone axis {zone.axis} is not an axis of "
@@ -294,8 +319,8 @@ class SolverRank:
             reach |= (s != 0).any(axis=1)
         self.sponge_elems = np.flatnonzero(reach)
         self.sponge_factors = [
-            (s[self.sponge_elems][:, None, :],
-             np.asarray(zone.reference_state, dtype=float)[:, None])
+            (s[self.sponge_elems],
+             np.asarray(zone.reference_state, dtype=float)[:, None, None])
             for zone, s in zip(self.sponge_zones, neg)]
 
     def _build_interfaces(self, slot_normal, slot_area):
@@ -313,6 +338,7 @@ class SolverRank:
         """
         ref, d, shard = self.ref, self.dim, self.shard
         nfp, ncorners = ref.num_face_points, 2 ** (d - 1)
+        self.nf = ref.num_faces * nfp
         ident = np.arange(nfp)
         perms = np.stack([orientation_permutation(d, o, ref.points_1d)
                           for o in range(2 if d == 2 else 8)])
@@ -335,8 +361,7 @@ class SolverRank:
         bnd = bnd[np.argsort(bnd[:, 2], kind="stable")]
         bd = self._slots(bnd[:, 0], bnd[:, 1], ident)
 
-        self.iface = PointList(np.concatenate([loc_l.e, rm.e, bd.e]),
-                               np.concatenate([loc_l.p, rm.p, bd.p]))
+        self.iface = PointList(np.concatenate([loc_l.slot, rm.slot, bd.slot]), self.nf)
         nl = self.loc_r.size
         self.n_face_pairs = nl + rm.size
         self.iface_flip = np.zeros(self.iface.size, dtype=bool)
@@ -356,7 +381,6 @@ class SolverRank:
             self.boundary_spans.append((spec, lo, hi))
 
         e, p = self.iface.e, self.iface.p
-        self.nf = ref.num_faces * nfp
         self.iface_n = np.ascontiguousarray(slot_normal[e, p].T)
         area = slot_area[e, p]
         self.iface_a = np.where(self.iface_flip, -area, area)
@@ -371,20 +395,21 @@ class SolverRank:
         """Full-mesh buffers, which pair passes or later block loops read,
         and the volume passes' scratch, one element block deep."""
         ne, nv, d, Ns, nf = self.ne, self.nv, self.dim, self.Ns, self.nf
-        self.Q_upts = np.zeros((ne, nv, Ns))
-        self.Q_fpts = np.zeros((ne, nv, nf))
-        self.Fc_fpts = np.zeros((ne, nv, nf))
+        self.Q_upts = np.zeros((nv, ne, Ns)).transpose(1, 0, 2)
+        self.Q_fpts = np.zeros((nv, ne, nf))
+        self.Fc_fpts = np.zeros((nv, ne, nf))
         self.ghost_Q = np.zeros((nv, self.iface.size - self.loc_r.size))
         if self.opt.viscous:
-            self.jumpQ_fpts = np.zeros((ne, nv, nf))
-            self.grad_upts = np.zeros((ne, d, nv, Ns))
-            self.grad_fpts = np.zeros((ne, d, nv, nf))
+            self.jumpQ_fpts = np.zeros((nv, ne, nf))
+            self.grad_upts = np.zeros((d, nv, ne, Ns))
+            self.grad_fpts = np.zeros((d, nv, ne, nf))
             self.ghost_grad = np.zeros((d * nv, self.n_face_pairs - self.loc_r.size))
         nb = self.block_plan.block_elements
-        self.Fhat_upts = np.zeros((nb, d, nv, Ns))
-        self.Fhat_fpts = np.zeros((nb, d, nv, nf))
-        self.jump_fpts = np.zeros((nb, nv, nf))
-        self.divF_upts = np.zeros((nb, nv, Ns))
+        self.Fhat_upts = np.zeros((d, nv, nb, Ns))
+        self.Fhat_fpts = np.zeros((d, nv, nb, nf))
+        self.jump_fpts = np.zeros((nv, nb, nf))
+        self.divF_upts = np.zeros((nv, nb, Ns))
+        self._Qv = None  # the residual's input, (nv, ne, Ns), while it runs
 
     # ------------------------------------------------------------------
     # passes over element blocks
@@ -414,31 +439,29 @@ class SolverRank:
                                  X.nbytes, 0 if i else Y.nbytes)
 
     def _transform(self, M, X, out):
-        """``out[:, k] = sum_l M[..., k, l] X[:, l]``: point-wise matrices
-        ``M`` ``(n, Ns, d, d)`` times the d rows of ``X`` ``(n, d, nv, Ns)``;
+        """``out[k] = sum_l M[k, l] X[l]``: point-wise matrices ``M``
+        ``(d, d, n, Ns)`` times the d rows of ``X`` ``(d, nv, n, Ns)``;
         ``out`` may be ``X``."""
-        d = self.dim
-        rows = [[M[:, None, :, k, l] for l in range(d)] for k in range(d)]
-        for k, row in enumerate(physics.transform(rows, [X[:, l] for l in range(d)])):
-            out[:, k] = row
+        for k, row in enumerate(physics.transform(M, X)):
+            out[k] = row
 
     def _interp_to_faces(self, lo, hi):
-        self._gemm_pass(self.Q_fpts[lo:hi],
-                        [("interp_to_faces", self.Q_upts[lo:hi], self.interp_T)])
+        self._gemm_pass(self.Q_fpts[:, lo:hi],
+                        [("interp_to_faces", self._Qv[:, lo:hi], self.interp_T)])
 
     def _volume_flux(self, lo, hi):
         """Physical flux into the block's Fhat_upts, then its transform to
         reference space in place.  Fused, the ledger does not charge the
         physical flux as an intermediate."""
         d, nv = self.dim, self.nv
-        Fhat = self.Fhat_upts[:hi - lo]
-        Q = self.Q_upts[lo:hi].transpose(0, 2, 1)          # (n, Ns, nv) view
-        F = Fhat.transpose(0, 3, 1, 2)                     # (n, Ns, d, nv) view
+        Fhat = self.Fhat_upts[:, :, :hi - lo]
+        Q = self._Qv[:, lo:hi].transpose(1, 2, 0)          # (n, Ns, nv) view
+        F = Fhat.transpose(2, 3, 0, 1)                     # (n, Ns, d, nv) view
         physics.inviscid_flux(Q, d, self.gas, out=F)
         if self.opt.viscous:
-            grad = self.grad_upts[lo:hi].transpose(0, 3, 1, 2)
+            grad = self.grad_upts[:, :, lo:hi].transpose(2, 3, 0, 1)
             F -= physics.viscous_flux(Q, grad, d, self.gas)
-        self._transform(self.adj_upts[lo:hi], Fhat, Fhat)
+        self._transform(self.adj_rows[:, :, lo:hi], Fhat, Fhat)
         if self.opt.fusion:
             self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
                             nv + d * d + self.grad_rows, d * nv,
@@ -451,17 +474,17 @@ class SolverRank:
     def _interp_flux(self, lo, hi):
         n = hi - lo
         for ax in range(self.dim):
-            self._gemm_pass(self.Fhat_fpts[:n, ax],
-                            [("interp_flux", self.Fhat_upts[:n, ax], self.interp_T)])
+            self._gemm_pass(self.Fhat_fpts[ax, :, :n],
+                            [("interp_flux", self.Fhat_upts[ax, :, :n], self.interp_T)])
 
     def _trace_jump(self, lo, hi):
         """Outward normal trace of the transformed flux polynomial, then the
         common flux minus it, both into the block's jump_fpts.  Fused, the
         ledger does not charge the trace as an intermediate."""
         n, nv = hi - lo, self.nv
-        Ff, J = self.Fhat_fpts[:n], self.jump_fpts[:n]
-        physics.face_trace([Ff[:, ax] for ax in range(self.dim)], self.trace_faces, J)
-        np.subtract(self.Fc_fpts[lo:hi], J, out=J)
+        Ff, J = self.Fhat_fpts[:, :, :n], self.jump_fpts[:, :n]
+        physics.face_trace(Ff, self.trace_faces, J)
+        np.subtract(self.Fc_fpts[:, lo:hi], J, out=J)
         if self.opt.fusion:
             self._log_block("own_trace+flux_jump", lo, hi, self.nf,
                             self.dim * nv + 1 + nv, nv, members=("own_trace", "flux_jump"))
@@ -471,22 +494,22 @@ class SolverRank:
 
     def _divergence(self, lo, hi):
         n = hi - lo
-        self._gemm_pass(self.divF_upts[:n],
-                        [("divergence", self.Fhat_upts[:n, ax], self.div_T[ax])
+        self._gemm_pass(self.divF_upts[:, :n],
+                        [("divergence", self.Fhat_upts[ax, :, :n], self.div_T[ax])
                          for ax in range(self.dim)])
 
     def _correction(self, lo, hi):
         n = hi - lo
-        self._gemm_pass(self.divF_upts[:n],
-                        [("correction", self.jump_fpts[:n], self.corr_T)], add=True)
+        self._gemm_pass(self.divF_upts[:, :n],
+                        [("correction", self.jump_fpts[:, :n], self.corr_T)], add=True)
 
     def _scale_residual(self, dQdt, lo, hi):
         """dQ/dt of elements [lo, hi) into ``dQdt[lo:hi]``: -div F / |J|
         plus the sponge sources."""
-        out = dQdt[lo:hi]
-        divF = self.divF_upts[:hi - lo]
+        out = dQdt[lo:hi].transpose(1, 0, 2)                # (nv, n, Ns) view
+        divF = self.divF_upts[:, :hi - lo]
         np.negative(divF, out=divF)
-        np.divide(divF, self.det_upts[lo:hi][:, None, :], out=out)
+        np.divide(divF, self.det_upts[lo:hi], out=out)
         nv = self.nv
         # S = -sigma (Q - Q_ref) summed over the zones in config order, on
         # the block's elements that some zone reaches; the ledger charges
@@ -494,8 +517,8 @@ class SolverRank:
         a, b = np.searchsorted(self.sponge_elems, (lo, hi))
         if b > a:
             sel = self.sponge_elems[a:b]
-            out[sel - lo] += physics.sponge_sum(
-                self.Q_upts[sel], [(s[a:b], ref) for s, ref in self.sponge_factors])
+            out[:, sel - lo] += physics.sponge_sum(
+                self._Qv[:, sel], [(s[a:b], ref) for s, ref in self.sponge_factors])
             self._log_block("sponge_source", a, b, self.Ns * len(self.sponge_factors), nv + 1, nv)
         self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv)
 
@@ -503,42 +526,41 @@ class SolverRank:
 
     def _gradient(self, lo, hi):
         for ax in range(self.dim):
-            self._gemm_pass(self.grad_upts[lo:hi, ax],
-                            [("gradient", self.Q_upts[lo:hi], self.div_T[ax]),
-                             ("gradient_corr", self.jumpQ_fpts[lo:hi], self.gcorr_T[ax])])
+            self._gemm_pass(self.grad_upts[ax, :, lo:hi],
+                            [("gradient", self._Qv[:, lo:hi], self.div_T[ax]),
+                             ("gradient_corr", self.jumpQ_fpts[:, lo:hi], self.gcorr_T[ax])])
 
     def _grad_transform(self, lo, hi):
         d, nv = self.dim, self.nv
-        g = self.grad_upts[lo:hi]
-        self._transform(self.invT_upts[lo:hi], g, g)
+        g = self.grad_upts[:, :, lo:hi]
+        self._transform(self.invT_rows[:, :, lo:hi], g, g)
         self._log_block("grad_transform", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
     def _interp_grad(self, lo, hi):
         for ax in range(self.dim):
-            self._gemm_pass(self.grad_fpts[lo:hi, ax],
-                            [("interp_grad", self.grad_upts[lo:hi, ax], self.interp_T)])
+            self._gemm_pass(self.grad_fpts[ax, :, lo:hi],
+                            [("interp_grad", self.grad_upts[ax, :, lo:hi], self.interp_T)])
 
     # ------------------------------------------------------------------
     # passes over interface pairs
     # ------------------------------------------------------------------
 
-    def _offsets(self, rows, lo, hi):
-        """Flat indices ``(rows, .)`` of the own slots of pairs [lo, hi)
-        and of the other slots of its local pairs in a C-ordered flux-point
-        field with ``rows`` rows per element (nv, or d * nv for the
-        gradient)."""
-        m, s = min(hi, self.loc_r.size), rows * self.nf
-        own = self.iface.e[lo:hi] * s + self.iface.p[lo:hi]
-        loc = self.loc_r.e[lo:m] * s + self.loc_r.p[lo:m]
-        step = np.arange(rows)[:, None] * self.nf
-        return own + step, loc + step
+    def _rows(self, fpts):
+        """A flux-point field ``(..., ne, nf)`` as ``(rows, ne * nf)``, one
+        row per variable (and gradient axis), one column per slot."""
+        return fpts.reshape(-1, self.ne * self.nf)
+
+    def _own(self, fpts, lo, hi):
+        """Values ``(rows, hi - lo)`` of a flux-point field at the own slots
+        of pairs [lo, hi)."""
+        return self._rows(fpts).take(self.iface.slot[lo:hi], axis=1)
 
     def _own_other(self, fpts, ghost, lo, hi):
         """Own and other-side values, ``(rows, hi - lo)`` each, of pairs
         [lo, hi) of a flux-point field and its ghost columns."""
         nl = self.loc_r.size
-        own, loc = self._offsets(ghost.shape[0], lo, hi)
-        own, other = fpts.take(own), fpts.take(loc)
+        own = self._own(fpts, lo, hi)
+        other = self._rows(fpts).take(self.loc_r.slot[lo:hi], axis=1)
         if hi > nl:
             other = np.concatenate([other, ghost[:, max(lo, nl) - nl:hi - nl]], axis=1)
         return own, other
@@ -546,10 +568,13 @@ class SolverRank:
     def _scatter(self, fpts, own, other, lo, hi):
         """Write ``own`` (nv, hi - lo) to the own slots of pairs [lo, hi)
         and ``other`` to the other slots of its local pairs of an
-        (ne, nv, nf) field."""
-        own_i, loc_i = self._offsets(self.nv, lo, hi)
-        fpts.put(own_i, own)
-        fpts.put(loc_i, other)
+        (nv, ne, nf) field."""
+        own_i, loc_i = self.iface.slot[lo:hi], self.loc_r.slot[lo:hi]
+        # one variable row at a time: a 1-D indexed assignment is about
+        # twice as fast as the 2-D ``[:, slot]`` one
+        for row, a, b in zip(self._rows(fpts), own, other):
+            row[own_i] = a
+            row[loc_i] = b
 
     def _left_right(self, own, other, lo, hi):
         """Order (own, other) as (left, right) of the canonical frame."""
@@ -579,8 +604,8 @@ class SolverRank:
         runs once per residual, after the halo exchange of Q."""
         nl = self.loc_r.size
         for spec, lo, hi in self.boundary_spans:
-            e, p = self.iface.e[lo:hi], self.iface.p[lo:hi]
-            Q = self.Q_fpts.take(self._offsets(self.nv, lo, hi)[0])
+            e, p = np.divmod(self.iface.slot[lo:hi], self.nf)
+            Q = self._own(self.Q_fpts, lo, hi)
             self.ghost_Q[:, lo - nl:hi - nl] = physics.apply_boundary(
                 spec, Q.T, self.iface_n[:, lo:hi].T, self.dim,
                 self.gas, x=self.x_fpts[e, p], diag=self.boundary_diag).T
@@ -600,7 +625,7 @@ class SolverRank:
         """Viscous normal flux (nv, hi - lo) of boundary pairs [lo, hi) from
         interior and ghost states (nv, hi - lo) (see ``physics.wall_flux``)."""
         d = self.dim
-        grad = self.grad_fpts.take(self._offsets(d * self.nv, lo, hi)[0])
+        grad = self._own(self.grad_fpts, lo, hi)
         return physics.wall_flux(Q.T, ghost.T, self._by_point(grad), self.iface_n[:, lo:hi].T,
                                  self.iface_tau[lo:hi], d, self.gas,
                                  adiabatic=spec.kind == "adiabatic").T
@@ -635,9 +660,9 @@ class SolverRank:
                     F[:, a - lo:b - lo] -= self._wall_flux(
                         spec, QL[:, a - lo:b - lo], QR[:, a - lo:b - lo], a, b)
                     members.append(("viscous_wall", b - a))
-        out = F * self.iface_a[lo:hi]
+        F *= self.iface_a[lo:hi]
         k = max(0, min(hi, self.loc_r.size) - lo)
-        self._scatter(self.Fc_fpts, out, -out[:, :k], lo, hi)
+        self._scatter(self.Fc_fpts, F, -F[:, :k], lo, hi)
         self._log_pairs("riemann_common", lo, hi,
                         2 * nv + d + 1 + (2 * d * nv + 2 if visc else 0), members)
 
@@ -699,7 +724,7 @@ class SolverRank:
             return
         nl, width = self.loc_r.size, ghost.shape[0]
         recv = nbx_exchange(self.ctx, {
-            rank: fpts.take(self._offsets(width, lo, hi)[0]).T.tobytes()
+            rank: self._own(fpts, lo, hi).T.tobytes()
             for rank, lo, hi in self.halo_spans})
         for rank, lo, hi in self.halo_spans:
             vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, width)
@@ -714,23 +739,28 @@ class SolverRank:
         self._exchange(self.grad_fpts, self.ghost_grad)
 
     def compute_residual(self, Q: np.ndarray) -> np.ndarray:
-        """dQ/dt for the given state (halo exchanges included)."""
+        """dQ/dt ``(ne, nv, Ns)``, stored variable-major, for the state Q
+        ``(ne, nv, Ns)`` of either layout (halo exchanges included).  Q is
+        only read: ``Q_upts`` is left as it was."""
         self._check_positivity(Q)
-        self.Q_upts = np.ascontiguousarray(Q)
-        self._run_blocks(self._interp_to_faces)
-        self.halo_exchange_q()
-        self._boundary_ghosts()
+        self._Qv = Q.transpose(1, 0, 2)
+        try:
+            self._run_blocks(self._interp_to_faces)
+            self.halo_exchange_q()
+            self._boundary_ghosts()
 
-        if self.opt.viscous:
-            self._run_pairs(self._common_solution)
-            self._run_blocks(self._gradient, self._grad_transform, self._interp_grad)
-            self.halo_exchange_grad()
+            if self.opt.viscous:
+                self._run_pairs(self._common_solution)
+                self._run_blocks(self._gradient, self._grad_transform, self._interp_grad)
+                self.halo_exchange_grad()
 
-        self._run_pairs(self._riemann_common)
-        dQdt = np.empty_like(self.Q_upts)
-        self._run_blocks(self._volume_flux, self._interp_flux, self._trace_jump,
-                         self._divergence, self._correction,
-                         functools.partial(self._scale_residual, dQdt))
+            self._run_pairs(self._riemann_common)
+            dQdt = np.empty((self.nv, self.ne, self.Ns)).transpose(1, 0, 2)
+            self._run_blocks(self._volume_flux, self._interp_flux, self._trace_jump,
+                             self._divergence, self._correction,
+                             functools.partial(self._scale_residual, dQdt))
+        finally:
+            self._Qv = None
         return dQdt
 
     def _check_positivity(self, Q: np.ndarray):
@@ -767,14 +797,19 @@ class SolverRank:
         """One SSP-RK step (convex combination of Euler stages)."""
         if dt <= 0:
             raise ConfigError("dt must be positive")
+        stages = SSP_RK3.stages
         states = [Q]
-        for alphas, beta in SSP_RK3.stages:
-            r = self.compute_residual(states[-1])
-            new = beta * dt * r
-            for a, u in zip(alphas, states):
+        for i, (alphas, beta) in enumerate(stages):
+            # neither the residual, once scaled, nor a stage that no later
+            # stage combines stays alive through the next stage's residual
+            new = beta * dt * self.compute_residual(states[-1])
+            for j, a in enumerate(alphas):
                 if a:
-                    new += a * u
+                    new += a * states[j]
             states.append(new)
+            for j in range(len(states) - 1):
+                if not any(j < len(later) and later[j] for later, _ in stages[i + 1:]):
+                    states[j] = None
         return states[-1]
 
     def step_in_place(self, dt: float):
@@ -799,17 +834,17 @@ class SolverRank:
     def set_state(self, fn) -> None:
         """Initialize Q from fn(x) -> conserved rows; x is (npts, dim)."""
         ne, Ns = self.ne, self.ref.num_solution_points
-        vals = fn(self.x_upts.reshape(-1, self.dim))
+        vals = np.asarray(fn(self.x_upts.reshape(-1, self.dim)), dtype=float)
         self.Q_upts = np.ascontiguousarray(
-            np.moveaxis(np.asarray(vals, dtype=float).reshape(ne, Ns, self.nv), 1, 2)
-        )
+            vals.reshape(ne, Ns, self.nv).transpose(2, 0, 1)).transpose(1, 0, 2)
 
     def integrate_conserved(self, Q: Optional[np.ndarray] = None) -> np.ndarray:
         """Global integrals of the conserved variables (rank-ordered sum)."""
         if Q is None:
             Q = self.Q_upts
         w = self.ref.solution_weights
-        mass = np.einsum("s,es,evs->v", w, self.det_upts, Q)
+        # C-ordered, so the sum's order and bits do not depend on the layout
+        mass = np.einsum("s,es,evs->v", w, self.det_upts, np.ascontiguousarray(Q))
         if self.ctx is not None and self.ctx.nranks > 1:
             mass = allreduce_sum(self.ctx, mass)
         return np.asarray(mass)
@@ -823,7 +858,7 @@ class SolverRank:
         d, X = self.dim, self.cell_coords
         pts, wq = tensor_rule(*gauss_legendre_points(min(self.opt.p + 3, 12)), d)
         M = self.ref.basis_at(pts)  # (m, Ns)
-        Qq = np.einsum("ms,evs->emv", M, self.Q_upts)
+        Qq = np.einsum("ms,evs->emv", M, np.ascontiguousarray(self.Q_upts))
         xq = np.einsum("mi,eia->ema", _tensor_shape(self.ref.kind, pts), X)
         det = np.linalg.det(np.einsum("eia,mib->emab", X, _shape_gradients(self.ref.kind, pts)))
         exact = np.asarray(exact_fn(xq.reshape(-1, d))).reshape(Qq.shape)
@@ -843,7 +878,8 @@ class SolverRank:
         n1 = (self.opt.p if order is None else order) + 1
         lin = np.linspace(-1.0, 1.0, n1) if n1 > 1 else np.zeros(1)
         pts, _ = tensor_rule(lin, np.ones(n1), self.dim)
-        vals = np.einsum("ms,evs->emv", self.ref.basis_at(pts), self.Q_upts)
+        vals = np.einsum("ms,evs->emv", self.ref.basis_at(pts),
+                         np.ascontiguousarray(self.Q_upts))
         coords = np.einsum("mi,eia->ema", _tensor_shape(self.ref.kind, pts), self.cell_coords)
         return coords, vals
 
@@ -854,4 +890,4 @@ def interpolate_state(Q: np.ndarray, kind: str, p_from: int, p_to: int) -> np.nd
         return Q.copy()
     M = interpolation_matrix(build_reference_element(kind, p_from),
                              build_reference_element(kind, p_to))  # (Ns_to, Ns_from)
-    return np.einsum("ts,evs->evt", M, Q)
+    return np.einsum("ts,evs->evt", M, np.ascontiguousarray(Q))

@@ -379,13 +379,13 @@ class TestBoundary:
         s.compute_residual(s.Q_upts)
         pr = s.loc_r
         le, lp = s.iface.e[:pr.size], s.iface.p[:pr.size]
-        QL = s.Q_fpts[le, :, lp]
-        QR = s.Q_fpts[pr.e, :, pr.p]
+        QL = s.Q_fpts[:, le, lp].T
+        QR = s.Q_fpts[:, pr.e, pr.p].T
         wrap = np.abs(s.x_fpts[le, lp][:, 0] - s.x_fpts[pr.e, pr.p][:, 0]) > 0.5
         assert wrap.any()
         # the gathered partner values are exactly the partner's own
         # interpolated interior state (ghost = partner interior)
-        partner_vals = s.Q_fpts[pr.e[wrap], :, pr.p[wrap]]
+        partner_vals = s.Q_fpts[:, pr.e[wrap], pr.p[wrap]].T
         assert np.array_equal(QR[wrap], partner_vals)
         # and for a periodic-representable field the two sides coincide
         assert np.abs(QL[wrap] - QR[wrap]).max() < 1e-12

@@ -340,8 +340,9 @@ class TestBlockScratch:
                           SolverOptions(p=3, viscous=viscous, block_kb=40))
         nb = s.block_plan.block_elements
         assert nb == 8 < s.ne
+        # the block axis is the one before the point axis
         for name in ("Fhat_upts", "Fhat_fpts", "jump_fpts", "divF_upts"):
-            assert getattr(s, name).shape[0] == nb, name
+            assert getattr(s, name).shape[-2] == nb, name
         for name in ("F_upts", "Fown_fpts", "dQdt", "slot_normal", "slot_area"):
             assert not hasattr(s, name), name
 
@@ -373,6 +374,128 @@ class TestBlockScratch:
             assert ref() is None
         finally:
             gc.enable()
+
+
+# a perturbed 6x5 box with inflow, outflow and two kinds of wall
+WALL_GAS = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=1e-2)
+WALL_BCS = {
+    "xmin": BoundarySpec("xmin", "riemann-inflow", total_temperature=1.02,
+                         total_pressure=1.06, direction=np.array([1.0, 0.1])),
+    "xmax": BoundarySpec("xmax", "outflow", static_pressure=0.98),
+    "ymin": BoundarySpec("ymin", "adiabatic"),
+    "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.05),
+}
+
+
+def _wall_mesh():
+    return box_mesh_2d(6, 5, perturb=0.2, seed=4)
+
+
+def _wall_field(x):
+    rho = 1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+    vel = np.stack([0.3 + 0.05 * x[:, 1], 0.04 * np.sin(4.0 * x[:, 0])], axis=-1)
+    return conserved(rho, vel, 1.0 + 0.02 * x[:, 0], WALL_GAS)
+
+
+def _walled_solver(viscous, riemann="rusanov"):
+    """The wall box on one rank, in element blocks of 8 with a partial last
+    block (30 = 3 * 8 + 6)."""
+    s = serial_solver(_wall_mesh(), WALL_GAS,
+                      SolverOptions(p=2, viscous=viscous, riemann=riemann, block_kb=40),
+                      boundary_specs=WALL_BCS)
+    s.set_state(_wall_field)
+    return s
+
+
+class TestVariableMajor:
+    @staticmethod
+    def _is_variable_major(a):
+        return a.transpose(1, 0, 2).flags.c_contiguous
+
+    def test_state_and_residual_keep_the_layout(self):
+        s = _walled_solver(viscous=True)
+        assert s.Q_upts.shape == (s.ne, s.nv, s.Ns)
+        assert self._is_variable_major(s.Q_upts)
+        r = s.compute_residual(s.Q_upts)
+        assert r.shape == s.Q_upts.shape and self._is_variable_major(r)
+        s.step_in_place(1e-3)
+        assert self._is_variable_major(s.Q_upts)
+
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_c_ordered_state_gives_the_same_bits(self, viscous):
+        s = _walled_solver(viscous)
+        Q = s.Q_upts
+        C = np.ascontiguousarray(Q)
+        assert C.flags.c_contiguous and not Q.flags.c_contiguous
+        a = s.compute_residual(Q)
+        b = s.compute_residual(C)
+        assert np.array_equal(a, b)
+        assert self._is_variable_major(b)
+
+    def test_residual_leaves_the_state_alone(self):
+        s = _walled_solver(viscous=True)
+        Q = s.Q_upts
+        kept = Q.copy()
+        s.compute_residual(1.01 * Q)
+        assert s.Q_upts is Q
+        assert np.array_equal(s.Q_upts, kept)
+        # a step too long for this state fails in the third stage's
+        # residual, and the state is still the one before the step
+        residual, stages = s.compute_residual, []
+        s.compute_residual = lambda q: stages.append(q) or residual(q)
+        with pytest.raises(PositivityError), np.errstate(invalid="ignore"):
+            s.step_in_place(0.015)
+        assert len(stages) == 3
+        assert s.Q_upts is Q
+        assert np.array_equal(s.Q_upts, kept)
+
+    @pytest.mark.parametrize("riemann", ["rusanov", "hllc"])
+    def test_physics_kernels_get_contiguous_component_rows(self, riemann, monkeypatch):
+        """Every state, flux, gradient, normal and metric component that a
+        residual hands a physics kernel is one C-contiguous row."""
+        from fluxrecon import physics
+
+        def rows(a, axes):
+            """Components of ``a`` over its last ``axes`` axes."""
+            return [a[(...,) + i] for i in np.ndindex(*a.shape[a.ndim - axes:])]
+
+        # kernel -> [(argument index or name, number of component axes)]
+        specs = {
+            "inviscid_flux": [(0, 1), ("out", 2)],
+            "viscous_flux": [(0, 1), (1, 2)],
+            "riemann_flux": [(0, 1), (1, 1), (2, 1)],
+            "ldg_solution": [(0, 1), (1, 1)],
+            "ldg_interface": [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1)],
+            "wall_flux": [(0, 1), (1, 1), (2, 2), (3, 1)],
+            "apply_boundary": [(1, 1), (2, 1)],
+        }
+        seen = {name: 0 for name in [*specs, "transform"]}
+
+        def guard(name, fn):
+            def wrapper(*args, **kwargs):
+                for key, axes in specs[name]:
+                    arg = kwargs.get(key) if isinstance(key, str) else args[key]
+                    if arg is not None:
+                        assert all(r.flags.c_contiguous for r in rows(arg, axes)), (name, key)
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def guard_transform(fn):
+            def wrapper(M, v):
+                # matrix entries M[k][l] and vector components v[l][i]
+                assert all(entry.flags.c_contiguous for row in M for entry in row), "M"
+                assert all(c.flags.c_contiguous for x in v for c in x), "v"
+                seen["transform"] += 1
+                return fn(M, v)
+            return wrapper
+
+        for name in specs:
+            monkeypatch.setattr(physics, name, guard(name, getattr(physics, name)))
+        monkeypatch.setattr(physics, "transform", guard_transform(physics.transform))
+        s = _walled_solver(viscous=True, riemann=riemann)
+        s.compute_residual(s.Q_upts)
+        assert all(seen.values()), seen
 
 
 def _sponge_state(x, gas):
@@ -513,7 +636,7 @@ class TestHaloAndRankInvariance:
                             gas, SolverOptions(p=2), boundary_specs=bcs)
         serial.set_state(field)
         serial.compute_residual(serial.Q_upts)
-        serial_fpts = {int(g): serial.Q_fpts[i] for i, g in enumerate(serial.gids)}
+        serial_fpts = {int(g): serial.Q_fpts[:, i] for i, g in enumerate(serial.gids)}
 
         def prog(ctx):
             s = SolverRank(shards[ctx.rank], gas, SolverOptions(p=2),
@@ -579,29 +702,17 @@ class TestHaloAndRankInvariance:
         any random partition."""
         from oracles import random_partition
 
-        gasv = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=1e-2)
-        mesh = box_mesh_2d(6, 5, perturb=0.2, seed=4)
-        bcs = {
-            "xmin": BoundarySpec("xmin", "riemann-inflow", total_temperature=1.02,
-                                 total_pressure=1.06, direction=np.array([1.0, 0.1])),
-            "xmax": BoundarySpec("xmax", "outflow", static_pressure=0.98),
-            "ymin": BoundarySpec("ymin", "adiabatic"),
-            "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.05),
-        }
+        mesh = _wall_mesh()
         opts = SolverOptions(p=2, viscous=True, deterministic=True)
-
-        def field(x):
-            rho = 1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
-            vel = np.stack([0.3 + 0.05 * x[:, 1], 0.04 * np.sin(4.0 * x[:, 0])], axis=-1)
-            return conserved(rho, vel, 1.0 + 0.02 * x[:, 0], gasv)
 
         def states(nranks):
             assignment = random_partition(np.random.default_rng(nranks), 30, nranks)
             shards = prepare_shards(mesh, assignment, nranks)
 
             def prog(ctx):
-                s = SolverRank(shards[ctx.rank], gasv, opts, boundary_specs=bcs, ctx=ctx)
-                s.set_state(field)
+                s = SolverRank(shards[ctx.rank], WALL_GAS, opts, boundary_specs=WALL_BCS,
+                               ctx=ctx)
+                s.set_state(_wall_field)
                 for _ in range(3):
                     s.step_in_place(2e-3)
                 return {int(g): s.Q_upts[i] for i, g in enumerate(s.gids)}

@@ -199,7 +199,7 @@ class TestBatchedInterfaces:
             s.compute_residual(s.Q_upts)
             pack = interfaces_per_face(s)["pack"]
             fields = [s.Q_fpts] + ([s.grad_fpts] if viscous else [])
-            want = [{rank: np.ascontiguousarray(f[e, ..., p]).tobytes()
+            want = [{rank: np.ascontiguousarray(np.moveaxis(f[..., e, p], -1, 0)).tobytes()
                      for rank, (e, p) in pack.items()} for f in fields]
             return sent[ctx.rank], want
 
