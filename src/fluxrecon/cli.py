@@ -30,14 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--base-port", type=int, default=29400)
 
     b = sub.add_parser("bench", help="time steps and report FLOP rates")
     b.add_argument("--shards", required=True)
     b.add_argument("--config", required=True)
     b.add_argument("--steps", type=int, default=50)
     b.add_argument("--out", default=None, help="CSV to append the row to")
-    b.add_argument("--base-port", type=int, default=29400)
 
     r = sub.add_parser("report", help="strong/weak scaling report from bench CSVs")
     r.add_argument("--series", nargs="+", required=True)
@@ -75,16 +73,14 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         cfg = RunConfig.load(args.config)
-        driver.run_workers(args.shards, cfg, args.steps, "solve",
-                           outdir=args.out, base_port=args.base_port)
+        driver.run_workers(args.shards, cfg, args.steps, "solve", outdir=args.out)
         print(f"advanced {args.steps} steps"
               + (f"; output in {args.out}" if args.out else ""))
         return 0
 
     if args.command == "bench":
         cfg = RunConfig.load(args.config)
-        row = driver.bench_to_row(args.shards, cfg, steps=args.steps,
-                                  base_port=args.base_port)
+        row = driver.bench_to_row(args.shards, cfg, steps=args.steps)
         if args.out:
             new = not os.path.exists(args.out)
             with open(args.out, "a", newline="", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from .perf import PerfLedger, bench_csv_row, summarize_steps
 from .pipeline.solver import SolverOptions, SolverRank, interpolate_state
 from .prep.matching import prepare_shards
 from .prep.partition import partition_mesh
-from .prep.transport import RankContext, SocketTransport
+from .prep.transport import RankContext, SocketTransport, socket_links
 
 _POLL_S = 0.5               # how often the parent checks on its workers
 _RESULT_TIMEOUT_S = 600.0   # longest wait for the next worker result
@@ -118,17 +118,17 @@ def benchmark_step(solver: SolverRank, cfg: RunConfig, nsteps: int = 50,
 
 
 # ---------------------------------------------------------------------------
-# multi-process execution over local sockets
+# multi-process execution over socket pairs
 # ---------------------------------------------------------------------------
 
 
-def _worker(rank: int, nranks: int, base_port: int, shards_dir: str,
+def _worker(rank: int, nranks: int, links: dict, shards_dir: str,
             cfg_text: str, steps: int, mode: str, outdir: Optional[str],
             queue):
     try:
         cfg = RunConfig.parse(cfg_text)
         shard = read_shards(shards_dir, ranks=[rank])[0]
-        transport = SocketTransport(rank, nranks, base_port)
+        transport = SocketTransport(rank, nranks, links)
         ctx = RankContext(rank, nranks, transport)
         solver = build_solver(shard, cfg, ctx=ctx)
         if cfg.solver_options().startup_steps > 0:
@@ -160,8 +160,15 @@ def _worker(rank: int, nranks: int, base_port: int, shards_dir: str,
 
 
 def run_workers(shards_dir: str, cfg: RunConfig, steps: int, mode: str,
-                outdir: Optional[str] = None, base_port: int = 29400):
-    """Launch one OS process per shard rank; returns {rank: payload}."""
+                outdir: Optional[str] = None):
+    """Launch one OS process per shard rank; returns {rank: payload}.
+
+    The ranks talk over one socket pair per pair of ranks, made here and
+    handed to each worker as a ``Process`` argument, so no port is bound
+    and concurrent runs cannot collide.  The parent holds all n(n-1) ends
+    (56 at 8 ranks) only until it has started their workers: it closes
+    each worker's ends right after that worker starts, so a worker that
+    dies leaves its peers reading end-of-file."""
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     meta = read_shards(shards_dir, ranks=[0])[0]
@@ -172,27 +179,33 @@ def run_workers(shards_dir: str, cfg: RunConfig, steps: int, mode: str,
         # benches always spawn so every series point shares one BLAS
         # threading setup
         q = _InlineQueue()
-        _worker(0, 1, base_port, shards_dir, cfg_text, steps, mode, outdir, q)
+        _worker(0, 1, {}, shards_dir, cfg_text, steps, mode, outdir, q)
         results = dict(q.items)
         if "error" in results[0]:
             raise ConfigError(_failure_report(results, {}, 1))
         return results
     ctxmp = mp.get_context("spawn")
     queue = ctxmp.Queue()
+    links = socket_links(nranks)
     procs = []
-    for r in range(nranks):
-        p = ctxmp.Process(target=_worker, name=f"fluxrecon-rank-{r}", args=(
-            r, nranks, base_port, shards_dir, cfg_text, steps, mode, outdir,
-            queue))
-        p.start()
-        procs.append(p)
     try:
+        for r in range(nranks):
+            p = ctxmp.Process(target=_worker, name=f"fluxrecon-rank-{r}", args=(
+                r, nranks, links[r], shards_dir, cfg_text, steps, mode, outdir,
+                queue))
+            p.start()
+            procs.append(p)
+            for s in links[r].values():
+                s.close()
         return _collect(queue, procs)
-    except ConfigError:
+    except BaseException:
         for p in procs:
             p.terminate()
         raise
     finally:
+        for ends in links:
+            for s in ends.values():
+                s.close()
         for p in procs:
             p.join(timeout=60)
             if p.is_alive():
@@ -262,10 +275,9 @@ class _InlineQueue:
         self.items.append(item)
 
 
-def bench_to_row(shards_dir: str, cfg: RunConfig, steps: int = 50,
-                 base_port: int = 29400) -> list:
+def bench_to_row(shards_dir: str, cfg: RunConfig, steps: int = 50) -> list:
     """Benchmark all ranks; one CSV row in the bench schema."""
-    results = run_workers(shards_dir, cfg, steps, "bench", base_port=base_port)
+    results = run_workers(shards_dir, cfg, steps, "bench")
     nranks = len(results)
     mean_step = max(v["stats"]["mean"] for v in results.values())
     total_flops = sum(v["flops"] for v in results.values())

@@ -525,10 +525,14 @@ class SolverRank:
     # viscous gradient passes ----------------------------------------------
 
     def _gradient(self, lo, hi):
+        # the block's strided slices as (rows, k) copies, taken once for
+        # all d axes
+        Q = self._Qv[:, lo:hi].reshape(-1, self.Ns)
+        jump = self.jumpQ_fpts[:, lo:hi].reshape(-1, self.nf)
         for ax in range(self.dim):
             self._gemm_pass(self.grad_upts[ax, :, lo:hi],
-                            [("gradient", self._Qv[:, lo:hi], self.div_T[ax]),
-                             ("gradient_corr", self.jumpQ_fpts[:, lo:hi], self.gcorr_T[ax])])
+                            [("gradient", Q, self.div_T[ax]),
+                             ("gradient_corr", jump, self.gcorr_T[ax])])
 
     def _grad_transform(self, lo, hi):
         d, nv = self.dim, self.nv

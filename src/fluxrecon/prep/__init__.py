@@ -1,4 +1,4 @@
-from .transport import RankContext, SimCluster, SocketTransport
+from .transport import RankContext, SimCluster, SocketTransport, socket_links
 from .distribute import EntityRange, distribute_entities, nbx_exchange
 from .matching import (
     MeshShard,
@@ -12,6 +12,7 @@ __all__ = [
     "RankContext",
     "SimCluster",
     "SocketTransport",
+    "socket_links",
     "EntityRange",
     "distribute_entities",
     "nbx_exchange",

@@ -9,8 +9,9 @@ Two implementations of one contract:
   delayed by a seeded number of receiver probes (head-of-queue only, so
   pairwise FIFO holds).
 
-* :class:`SocketTransport` connects separate worker processes over local
-  TCP sockets and exhibits real asynchrony.
+* :class:`SocketTransport` connects separate worker processes over the
+  socket pairs their parent made (:func:`socket_links`) and exhibits real
+  asynchrony.
 
 The contract mirrors nonblocking synchronous sends, probe-for-any,
 receive, and a nonblocking barrier whose completion implies every send
@@ -249,132 +250,111 @@ _FIN_TIMEOUT = 60.0  # seconds close() waits for every peer's FIN
 _HEADER = struct.Struct("<BQQ")  # kind, seq, length
 
 
-class SocketTransport:
-    """Full-mesh TCP transport between local worker processes.
+def socket_links(nranks: int) -> List[Dict[int, socket.socket]]:
+    """One connected socket pair per pair of ranks: entry ``r`` maps each
+    peer of rank ``r`` to ``r``'s end of their pair."""
+    links: List[Dict[int, socket.socket]] = [{} for _ in range(nranks)]
+    for a in range(nranks):
+        for b in range(a + 1, nranks):
+            links[a][b], links[b][a] = socket.socketpair()
+    return links
 
-    Rank r listens on ``base_port + r``; every rank connects to all lower
-    ranks.  A data message completes its send handle when the receiver
-    calls ``recv`` for it (synchronous-send semantics, carried by an ACK).
-    The nonblocking barrier is a gather/broadcast through rank 0.
-    ``close`` is a handshake: a rank sends FIN to every peer and closes
-    only once every peer's FIN has arrived, so end-of-file from a peer is
-    an error unless that peer's FIN came first.
+
+class SocketTransport:
+    """Full-mesh transport between worker processes over the connected
+    stream sockets ``links`` (``{peer: socket}``, see :func:`socket_links`).
+
+    A data message completes its send handle when the receiver calls
+    ``recv`` for it (synchronous-send semantics, carried by an ACK).
+    Sends never block: a frame is queued on its peer's output buffer, and
+    ``_pump``, the only writer, writes what the socket takes while it
+    reads, so two ranks sending each other more than the kernel buffers
+    hold both make progress.  The nonblocking barrier is a
+    gather/broadcast through rank 0.  ``close`` is a handshake: a rank
+    sends FIN to every peer and closes only once its output is flushed
+    and every peer's FIN has arrived, so end-of-file from a peer is an
+    error unless that peer's FIN came first.
     """
 
-    def __init__(self, rank: int, nranks: int, base_port: int,
-                 host: str = "127.0.0.1", connect_timeout: float = 30.0):
+    def __init__(self, rank: int, nranks: int, links: Dict[int, socket.socket]):
         self.rank = rank
         self.nranks = nranks
-        self._peers: Dict[int, socket.socket] = {}
+        self._peers = dict(links)
         self._inbox: Dict[int, deque] = {rank: deque() for rank in range(nranks)}
         self._pending_send: Dict[int, SendHandle] = {}
         self._next_seq = 0
-        self._rxbuf: Dict[int, bytearray] = {}
+        self._rxbuf = {peer: bytearray() for peer in self._peers}
+        self._txbuf = {peer: bytearray() for peer in self._peers}
+        self._pumping = False
         self._barrier_entered: set = set()
         self._barrier_handle: Optional[BarrierHandle] = None
         self._fin_from: set = set()
-
-        if nranks == 1:
-            return
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, base_port + rank))
-        listener.listen(nranks)
-        # connect to lower ranks, accept from higher ranks; a failed
-        # connect poisons the socket, so retry with a fresh one
-        for peer in range(rank):
-            deadline = connect_timeout
-            while True:
-                s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                s.settimeout(connect_timeout)
-                try:
-                    s.connect((host, base_port + peer))
-                    break
-                except (ConnectionRefusedError, OSError):
-                    s.close()
-                    deadline -= 0.05
-                    if deadline <= 0:
-                        raise TransportError(f"rank {rank}: cannot reach rank {peer}")
-                    threading.Event().wait(0.05)
-            s.sendall(struct.pack("<Q", rank))
-            s.setblocking(True)
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._peers[peer] = s
-        listener.settimeout(connect_timeout)
-        for _ in range(nranks - 1 - rank):
-            try:
-                s, _addr = listener.accept()
-                s.settimeout(connect_timeout)
-                hello = self._read_exact(s, 8)
-            except socket.timeout:
-                missing = sorted(set(range(rank + 1, nranks)) - set(self._peers))
-                listener.close()
-                raise TransportError(f"rank {rank}: no connection from ranks {missing} "
-                                     f"within {connect_timeout:g} s") from None
-            peer = struct.unpack("<Q", hello)[0]
-            s.setblocking(True)
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._peers[peer] = s
-        listener.close()
         for s in self._peers.values():
             s.setblocking(False)
-            self._rxbuf[s.fileno()] = bytearray()
         self._sock_of = {s.fileno(): (p, s) for p, s in self._peers.items()}
 
-    @staticmethod
-    def _read_exact(sock: socket.socket, nbytes: int) -> bytes:
-        buf = b""
-        while len(buf) < nbytes:
-            chunk = sock.recv(nbytes - len(buf))
-            if not chunk:
-                raise TransportError("peer closed during handshake")
-            buf += chunk
-        return buf
-
     def _send_frame(self, peer: int, kind: int, seq: int, payload: bytes = b""):
-        frame = _HEADER.pack(kind, seq, len(payload)) + payload
-        sock = self._peers[peer]
-        sock.setblocking(True)
-        try:
-            sock.sendall(frame)
-        except OSError as exc:
-            raise TransportError(f"rank {self.rank}: cannot send to peer {peer}") from exc
-        finally:
-            sock.setblocking(False)
+        out = self._txbuf[peer]
+        out += _HEADER.pack(kind, seq, len(payload))
+        out += payload
+        self._pump()
 
     def _pump(self, wait: float = 0.0):
-        """Drain readable sockets into the inbox; handle control frames.
-        The first poll blocks for up to ``wait`` seconds."""
-        if self.nranks == 1:
+        """Write queued output that the sockets take and drain readable
+        sockets into the inbox; handle control frames.  The first poll
+        blocks for up to ``wait`` seconds.  A call made while a pump is
+        running (a dispatch that sends) returns at once; the running pump
+        writes the queued frame."""
+        if self._pumping or not self._sock_of:
             return
-        while True:
-            readable, _, _ = select.select(list(self._sock_of), [], [], wait)
-            wait = 0.0
-            if not readable:
-                return
-            for fd in readable:
-                peer, sock = self._sock_of[fd]
-                try:
-                    data = sock.recv(1 << 20)
-                except BlockingIOError:
-                    continue
-                except OSError as exc:
-                    raise TransportError(f"rank {self.rank}: peer {peer} closed") from exc
-                if not data:
-                    if peer not in self._fin_from:
-                        raise TransportError(f"rank {self.rank}: peer {peer} closed")
-                    del self._sock_of[fd]
-                    sock.close()
-                    continue
-                buf = self._rxbuf[fd]
-                buf.extend(data)
-                while len(buf) >= _HEADER.size:
-                    kind, seq, ln = _HEADER.unpack(bytes(buf[:_HEADER.size]))
-                    if len(buf) < _HEADER.size + ln:
-                        break
-                    payload = bytes(buf[_HEADER.size:_HEADER.size + ln])
-                    del buf[:_HEADER.size + ln]
-                    self._dispatch(peer, kind, seq, payload)
+        self._pumping = True
+        try:
+            while True:
+                pending = [fd for fd, (p, _) in self._sock_of.items() if self._txbuf[p]]
+                readable, writable, _ = select.select(list(self._sock_of), pending, [], wait)
+                wait = 0.0
+                if not readable and not writable:
+                    return
+                for fd in writable:
+                    self._write(*self._sock_of[fd])
+                for fd in readable:
+                    self._read(*self._sock_of[fd])
+        finally:
+            self._pumping = False
+
+    def _write(self, peer: int, sock: socket.socket):
+        out = self._txbuf[peer]
+        try:
+            sent = sock.send(out)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            raise TransportError(f"rank {self.rank}: cannot send to peer {peer}") from exc
+        del out[:sent]
+
+    def _read(self, peer: int, sock: socket.socket):
+        try:
+            data = sock.recv(1 << 20)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            raise TransportError(f"rank {self.rank}: peer {peer} closed") from exc
+        if not data:
+            if peer not in self._fin_from:
+                raise TransportError(f"rank {self.rank}: peer {peer} closed")
+            del self._sock_of[sock.fileno()]
+            self._txbuf[peer].clear()
+            sock.close()
+            return
+        buf = self._rxbuf[peer]
+        buf.extend(data)
+        while len(buf) >= _HEADER.size:
+            kind, seq, ln = _HEADER.unpack_from(buf)
+            if len(buf) < _HEADER.size + ln:
+                break
+            payload = bytes(buf[_HEADER.size:_HEADER.size + ln])
+            del buf[:_HEADER.size + ln]
+            self._dispatch(peer, kind, seq, payload)
 
     def _dispatch(self, peer: int, kind: int, seq: int, payload: bytes):
         if kind == _MSG_DATA:
@@ -426,11 +406,13 @@ class SocketTransport:
         return handle
 
     def iprobe(self) -> Optional[int]:
+        """The lowest rank with a message waiting, else None.  An empty
+        inbox after one pump waits up to a millisecond for data, so a
+        rank polling for a late peer does not spin a core."""
         self._pump()
-        for peer in range(self.nranks):
-            if self._inbox[peer]:
-                return peer
-        return None
+        if not any(self._inbox.values()):
+            self._pump(wait=0.001)
+        return next((peer for peer in range(self.nranks) if self._inbox[peer]), None)
 
     def recv(self, source: int) -> bytes:
         self._pump()
@@ -460,12 +442,14 @@ class SocketTransport:
         return handle.done
 
     def close(self):
-        """Send FIN to every peer, wait for every peer's FIN, then close."""
+        """Send FIN to every peer, flush the output, wait for every peer's
+        FIN, then close."""
         try:
             for peer in self._peers:
                 self._send_frame(peer, _MSG_FIN, 0)
             deadline = time.monotonic() + _FIN_TIMEOUT
-            while not self._fin_from.issuperset(self._peers):
+            while (not self._fin_from.issuperset(self._peers)
+                   or any(self._txbuf.values())):
                 if time.monotonic() > deadline:
                     missing = sorted(set(self._peers) - self._fin_from)
                     raise TransportError(

@@ -313,10 +313,10 @@ def test_criterion_09_desk_scale_strong_scaling(tmp_path):
     cfg = RunConfig.load(cfg_path)
     workers = [1, 2, 4, 8]
     times = []
-    for i, w in enumerate(workers):
+    for w in workers:
         shdir = str(tmp_path / f"s{w}")
         driver.partition_to_dir(mesh_path, w, cfg, shdir)
-        row = driver.bench_to_row(shdir, cfg, steps=12, base_port=29700 + 20 * i)
+        row = driver.bench_to_row(shdir, cfg, steps=12)
         times.append(float(row[5]))
         assert int(row[2]) == 181 * 181
     record = scaling_report(workers, times, mode="strong")

@@ -95,10 +95,13 @@ class TestPipelineCommands:
         assert run_cli("solve", "--shards", sh, "--config", cfg,
                        "--steps", "2") == 0
 
-    def test_unknown_flag_usage_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("solve", "--nonsense")
-        assert exc.value.code == 2
+    def test_unknown_flag_usage_exit_2(self, tmp_path, capsys):
+        # the second input pins that solve takes no port option
+        for extra in (["--nonsense"], ["--base-port", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("solve", "--shards", str(tmp_path / "s"),
+                        "--config", str(tmp_path / "c.cfg"), "--steps", "1", *extra)
+            assert exc.value.code == 2
 
     def test_machine_parsable_error_line(self, tmp_path, capsys):
         code = run_cli("solve", "--shards", str(tmp_path / "missing"),
@@ -151,7 +154,7 @@ class TestMultiRank:
 
         cfg = RunConfig.load(cfg_path)
         r1 = driver.run_workers(s1, cfg, 4, "solve")
-        r4 = driver.run_workers(s4, cfg, 4, "solve", base_port=29610)
+        r4 = driver.run_workers(s4, cfg, 4, "solve")
         ref = {}
         for v in r1.values():
             for g, q in zip(v["gids"], v["state"]):
@@ -159,6 +162,50 @@ class TestMultiRank:
         for v in r4.values():
             for g, q in zip(v["gids"], v["state"]):
                 assert np.array_equal(np.array(q), ref[g])
+
+    def test_concurrent_solves_agree_with_serial(self, tmp_path):
+        """Three 3-rank solves running at once share no resource: each
+        final state equals the 1-rank run bit for bit."""
+        import threading
+
+        from fluxrecon import driver
+        from fluxrecon.io.config import RunConfig
+
+        run_cli("make-fixture", "--case", "vortex", "--out", str(tmp_path),
+                "--size", "10")
+        mesh = str(tmp_path / "vortex.msh")
+        cfg_path = str(tmp_path / "vortex.cfg")
+        with open(cfg_path, "a") as fh:
+            fh.write("solver.deterministic = true\n")
+        cfg = RunConfig.load(cfg_path)
+        s1, s3 = str(tmp_path / "s1"), str(tmp_path / "s3")
+        driver.partition_to_dir(mesh, 1, cfg, s1)
+        driver.partition_to_dir(mesh, 3, cfg, s3)
+        ref = {}
+        for v in driver.run_workers(s1, cfg, 6, "solve").values():
+            for g, q in zip(v["gids"], v["state"]):
+                ref[g] = np.array(q)
+        outcomes = [None] * 3
+
+        def solve(i):
+            try:
+                outcomes[i] = driver.run_workers(s3, cfg, 6, "solve")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                outcomes[i] = exc
+
+        threads = [threading.Thread(target=solve, args=(i,), daemon=True)
+                   for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for res in outcomes:
+            assert isinstance(res, dict), res
+            got = {g: np.array(q) for v in res.values()
+                   for g, q in zip(v["gids"], v["state"])}
+            assert got.keys() == ref.keys()
+            assert all(np.array_equal(got[g], ref[g]) for g in ref)
 
 
 class TestWorkerFailure:
@@ -178,8 +225,8 @@ class TestWorkerFailure:
                        "--config", cfg, "--out", sh) == 0
         codes = []
         solve = threading.Thread(target=lambda: codes.append(run_cli(
-            "solve", "--shards", sh, "--config", cfg, "--steps", "100000",
-            "--base-port", "29710")), daemon=True)
+            "solve", "--shards", sh, "--config", cfg, "--steps", "100000")),
+            daemon=True)
         solve.start()
         try:
             victim = None
@@ -208,8 +255,8 @@ class TestWorkerFailure:
     def test_raising_worker_reported_first_within_seconds(self, tmp_path, capsys):
         """A worker that raises (rank 1 reads a truncated shard) ends a
         3-rank solve within seconds.  The error line names rank 1's
-        exception before any other rank; the other ranks, blocked in the
-        transport set-up waiting for rank 1, are stopped."""
+        exception before any other rank; the other ranks, blocked in their
+        first collective waiting for rank 1, are stopped."""
         import multiprocessing as mp
         import threading
         import time
@@ -225,8 +272,8 @@ class TestWorkerFailure:
         shard.write_bytes(data[:len(data) // 2])
         codes = []
         solve = threading.Thread(target=lambda: codes.append(run_cli(
-            "solve", "--shards", str(sh), "--config", cfg, "--steps", "2",
-            "--base-port", "29750")), daemon=True)
+            "solve", "--shards", str(sh), "--config", cfg, "--steps", "2")),
+            daemon=True)
         start = time.monotonic()
         solve.start()
         try:

@@ -466,14 +466,14 @@ class TestRankCountInvariance:
         assert nb == sum(len(s.records) for s in mesh.boundary_sections)
 
 
-def _exchange_then_close(rank, nranks, base_port, rounds, queue):
-    """Socket rank body: per round one all-to-all nbx exchange, then an
-    immediate close.  Posts (rank, error text or None)."""
+def _exchange_then_close(rank, nranks, links, queue):
+    """Socket rank body: per round (one links dict each) one all-to-all nbx
+    exchange, then an immediate close.  Posts (rank, error text or None)."""
     from fluxrecon.prep.transport import RankContext, SocketTransport
 
     try:
-        for r in range(rounds):
-            t = SocketTransport(rank, nranks, base_port + nranks * r)
+        for r, ends in enumerate(links):
+            t = SocketTransport(rank, nranks, ends)
             ctx = RankContext(rank, nranks, t)
             got = nbx_exchange(ctx, {d: bytes([rank, r]) for d in range(nranks)
                                      if d != rank})
@@ -486,20 +486,63 @@ def _exchange_then_close(rank, nranks, base_port, rounds, queue):
         queue.put((rank, f"{type(exc).__name__}: {exc}"))
 
 
+def _socket_ranks(nranks, body, timeout):
+    """Run ``body(ctx)`` for every rank on daemon threads over
+    ``socket_links(nranks)``; join each for at most ``timeout`` seconds.
+    Returns (results, alive): per-rank results (or the exception raised)
+    and whether any rank is still running."""
+    import threading
+
+    from fluxrecon.prep.transport import RankContext, SocketTransport, socket_links
+
+    links = socket_links(nranks)
+    results = [None] * nranks
+
+    def run(rank):
+        t = SocketTransport(rank, nranks, links[rank])
+        try:
+            results[rank] = body(RankContext(rank, nranks, t))
+            t.close()
+        except Exception as exc:  # noqa: BLE001 - reported to the test
+            results[rank] = exc
+
+    threads = [threading.Thread(target=run, args=(r,), daemon=True)
+               for r in range(nranks)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=timeout)
+    alive = any(th.is_alive() for th in threads)
+    if alive:
+        for ends in links:
+            for sock in ends.values():
+                sock.close()
+    return results, alive
+
+
 class TestSocketTransport:
     def test_ranks_closing_right_after_a_collective(self):
         """A rank that finishes its last collective and closes must not
         make a peer that is still reading that collective's frames fail."""
         import multiprocessing as mp
 
+        from fluxrecon.prep.transport import socket_links
+
         nranks, rounds = 3, 8
         ctx = mp.get_context("spawn")
         queue = ctx.Queue()
+        links = [socket_links(nranks) for _ in range(rounds)]
         procs = [ctx.Process(target=_exchange_then_close,
-                             args=(r, nranks, 29830, rounds, queue))
+                             args=(r, nranks, [ln[r] for ln in links], queue))
                  for r in range(nranks)]
-        for p in procs:
-            p.start()
+        try:
+            for p in procs:
+                p.start()
+        finally:
+            for ln in links:
+                for ends in ln:
+                    for sock in ends.values():
+                        sock.close()
         try:
             results = dict(queue.get(timeout=120) for _ in range(nranks))
         finally:
@@ -509,3 +552,42 @@ class TestSocketTransport:
                     p.terminate()
         assert results == {r: None for r in range(nranks)}
         assert all(p.exitcode == 0 for p in procs)
+
+    def test_mutual_sends_beyond_kernel_buffers(self):
+        """Two ranks sending each other 16 MB per round, more than a socket
+        pair holds in flight, both finish: sends never block."""
+        size, rounds = 16 << 20, 3
+
+        def body(ctx):
+            got = []
+            for r in range(rounds):
+                out = bytes([ctx.rank + 2 * r]) * size
+                got.append(nbx_exchange(ctx, {1 - ctx.rank: out}))
+            return got
+
+        results, alive = _socket_ranks(2, body, timeout=60)
+        assert not alive
+        for rank, got in enumerate(results):
+            assert isinstance(got, list), got
+            peer = 1 - rank
+            for r, msg in enumerate(got):
+                assert msg == {peer: bytes([peer + 2 * r]) * size}
+
+    def test_waiting_rank_does_not_spin(self):
+        """A rank waiting in a collective for a late peer sleeps in select:
+        its thread's CPU time stays below a quarter of its wait."""
+        import time
+
+        def body(ctx):
+            if ctx.rank == 1:
+                time.sleep(0.5)
+            wall, cpu = time.monotonic(), time.thread_time()
+            nbx_exchange(ctx, {1 - ctx.rank: b"x"})
+            return time.monotonic() - wall, time.thread_time() - cpu
+
+        results, alive = _socket_ranks(2, body, timeout=30)
+        assert not alive
+        assert all(isinstance(v, tuple) for v in results), results
+        wall, cpu = results[0]
+        assert wall >= 0.4
+        assert cpu < wall / 4
