@@ -148,8 +148,8 @@ def _worker(rank: int, nranks: int, links: dict, shards_dir: str,
             if outdir:
                 _write_outputs(solver, cfg, outdir, rank=rank)
             queue.put((rank, {
-                "gids": solver.gids.tolist(),
-                "state": solver.Q_upts.tolist(),
+                "gids": solver.gids,
+                "state": solver.Q_upts,
             }))
         transport.close()
     except Exception as exc:  # noqa: BLE001 - ship it to the parent

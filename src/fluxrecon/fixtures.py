@@ -1,9 +1,27 @@
-"""Built-in meshes, initial conditions, and shipped test-case fixtures."""
+"""Built-in meshes, initial conditions, and shipped test-case fixtures.
+
+Every built-in mesh is a structured box from :func:`box_mesh`: quads for
+two cell counts, hexes for three.  Its tables come in a fixed order:
+
+* vertex ids are mixed-radix indices over the vertex grid, x fastest;
+* cells follow the cell grid in the same order; each row is the cell's
+  base vertex plus the corner offsets (0,0), (1,0), (1,1), (0,1), then
+  the same four at z + 1 in 3-D;
+* each non-periodic axis gives a ``min`` then a ``max`` section (``xmin``,
+  ``xmax``, ``ymin``, ...), patch ids counting from 0 in that order; a
+  section's faces use the same corner table over the face's tangential
+  axes, with the last tangential axis outermost.
+
+A periodic axis aliases its max-side vertices onto the min side, so the
+wrap faces match like interior faces.  The cascade is a sheared box whose
+``ymin`` and ``ymax`` sections are split into blade and pitch-periodic
+parts.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +60,8 @@ def vortex_state(x: np.ndarray, t: float = 0.0, gas: Optional[GasModel] = None,
 
 
 def vortex_mesh(n: int, box: float = VORTEX_BOX) -> SerialMesh:
-    return box_mesh_2d(n, n, lengths=(box, box), origin=(-box / 2, -box / 2),
-                       periodic=(True, True))
+    return box_mesh(n, n, lengths=(box, box), origin=(-box / 2, -box / 2),
+                    periodic=(True, True))
 
 
 def taylor_green_state(x: np.ndarray, gas: Optional[GasModel] = None,
@@ -66,7 +84,7 @@ def taylor_green_state(x: np.ndarray, gas: Optional[GasModel] = None,
 
 def taylor_green_mesh(n: int) -> SerialMesh:
     L = 2.0 * np.pi
-    return box_mesh_3d(n, n, n, lengths=(L, L, L), periodic=(True, True, True))
+    return box_mesh(n, n, n, lengths=(L, L, L), periodic=(True, True, True))
 
 
 def sod_state(x: np.ndarray, gas: Optional[GasModel] = None) -> np.ndarray:
@@ -81,7 +99,7 @@ def sod_state(x: np.ndarray, gas: Optional[GasModel] = None) -> np.ndarray:
 
 def sod_mesh(nx: int = 200) -> SerialMesh:
     """Quasi-1-D strip: nx cells along x, one periodic cell across."""
-    return box_mesh_2d(nx, 1, lengths=(1.0, 1.0 / nx), periodic=(False, True))
+    return box_mesh(nx, 1, lengths=(1.0, 1.0 / nx), periodic=(False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -110,36 +128,20 @@ def cascade_mesh_2d(nx: int = 24, ny: int = 8) -> SerialMesh:
     pitch = LS89_TABLE["pitch_per_chord"] * chord
     cx = chord * math.cos(stagger)  # axial chord of the flat plate
     length = 3.0 * cx
-    base = box_mesh_2d(nx, ny, lengths=(length, pitch))
+    base = box_mesh(nx, ny, lengths=(length, pitch))
     # shear the frame so blade segments lie along the stagger direction
-    sheared = base.vertices.copy()
-    sheared[:, 1] += np.tan(stagger) * sheared[:, 0]
-
-    nvx = nx + 1
-
-    def vid(i, j):
-        return i + nvx * j
-
-    third = nx // 3
-    lower_per, lower_blade = [], []
-    upper_per, upper_blade = [], []
-    for i in range(nx):
-        lo = (vid(i, 0), vid(i + 1, 0))
-        hi = (vid(i, ny), vid(i + 1, ny))
-        if third <= i < 2 * third:
-            lower_blade.append(lo)
-            upper_blade.append(hi)
-        else:
-            lower_per.append(lo)
-            upper_per.append(hi)
+    verts = base.vertices
+    verts[:, 1] += np.tan(stagger) * verts[:, 0]
+    box = {s.name: s.records for s in base.boundary_sections}
+    lo, hi, third = box["ymin"], box["ymax"], nx // 3
     sections = [
-        BoundarySection(0, "inlet", [(vid(0, j), vid(0, j + 1)) for j in range(ny)]),
-        BoundarySection(1, "outlet", [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)]),
-        BoundarySection(2, "blade", lower_blade + upper_blade),
-        BoundarySection(3, "per_lo", lower_per),
-        BoundarySection(4, "per_hi", upper_per),
+        BoundarySection(0, "inlet", box["xmin"]),
+        BoundarySection(1, "outlet", box["xmax"]),
+        BoundarySection(2, "blade", lo[third:2 * third] + hi[third:2 * third]),
+        BoundarySection(3, "per_lo", lo[:third] + lo[2 * third:]),
+        BoundarySection(4, "per_hi", hi[:third] + hi[2 * third:]),
     ]
-    return SerialMesh(dim=2, vertices=sheared, cells=base.cells,
+    return SerialMesh(dim=2, vertices=verts, cells=base.cells,
                       boundary_sections=sections, vertex_alias=None)
 
 
@@ -147,10 +149,29 @@ def cascade_mesh_2d(nx: int = 24, ny: int = 8) -> SerialMesh:
 # shipped fixtures: mesh + config files
 # ---------------------------------------------------------------------------
 
-FIXTURE_CASES = ("vortex", "tgv", "sod", "ls89-2d")
+# default size of each fixture case: cells per axis (vortex, tgv), along
+# the strip (sod) or axially (ls89-2d)
+_FIXTURE_SIZES = {"vortex": 24, "tgv": 4, "sod": 200, "ls89-2d": 24}
+FIXTURE_CASES = tuple(_FIXTURE_SIZES)
 
 
-def _vortex_config(n: int) -> str:
+def _periodic_bcs(periods: Sequence[Optional[float]]) -> list:
+    """Config lines pairing the min and max patch of each periodic axis;
+    ``periods[a]`` is the period along axis ``a``, None where it is not
+    periodic."""
+    lines = []
+    for a, period in enumerate(periods):
+        if period is None:
+            continue
+        for side, partner, shift in (("min", "max", -period), ("max", "min", period)):
+            vec = " ".join(str(shift) if b == a else "0" for b in range(len(periods)))
+            lines += [f"bc.{_AXES[a]}{side}.kind = periodic",
+                      f"bc.{_AXES[a]}{side}.partner = {_AXES[a]}{partner}",
+                      f"bc.{_AXES[a]}{side}.translation = {vec}"]
+    return lines
+
+
+def _vortex_config() -> str:
     return "\n".join([
         "# convecting isentropic vortex on a doubly periodic box",
         "gas.gamma = 1.4",
@@ -161,18 +182,7 @@ def _vortex_config(n: int) -> str:
         "init.case = vortex",
         f"init.beta = {VORTEX_BETA}",
         f"init.box = {VORTEX_BOX}",
-        "bc.xmin.kind = periodic",
-        "bc.xmin.partner = xmax",
-        f"bc.xmin.translation = {-VORTEX_BOX} 0",
-        "bc.xmax.kind = periodic",
-        "bc.xmax.partner = xmin",
-        f"bc.xmax.translation = {VORTEX_BOX} 0",
-        "bc.ymin.kind = periodic",
-        "bc.ymin.partner = ymax",
-        f"bc.ymin.translation = 0 {-VORTEX_BOX}",
-        "bc.ymax.kind = periodic",
-        "bc.ymax.partner = ymin",
-        f"bc.ymax.translation = 0 {VORTEX_BOX}",
+        *_periodic_bcs((VORTEX_BOX, VORTEX_BOX)),
         "",
     ])
 
@@ -190,24 +200,7 @@ def _tgv_config() -> str:
         "solver.viscous = true",
         "init.case = tgv",
         "init.mach = 0.1",
-        "bc.xmin.kind = periodic",
-        "bc.xmin.partner = xmax",
-        f"bc.xmin.translation = {-L} 0 0",
-        "bc.xmax.kind = periodic",
-        "bc.xmax.partner = xmin",
-        f"bc.xmax.translation = {L} 0 0",
-        "bc.ymin.kind = periodic",
-        "bc.ymin.partner = ymax",
-        f"bc.ymin.translation = 0 {-L} 0",
-        "bc.ymax.kind = periodic",
-        "bc.ymax.partner = ymin",
-        f"bc.ymax.translation = 0 {L} 0",
-        "bc.zmin.kind = periodic",
-        "bc.zmin.partner = zmax",
-        f"bc.zmin.translation = 0 0 {-L}",
-        "bc.zmax.kind = periodic",
-        "bc.zmax.partner = zmin",
-        f"bc.zmax.translation = 0 0 {L}",
+        *_periodic_bcs((L, L, L)),
         "",
     ])
 
@@ -223,12 +216,7 @@ def _sod_config(nx: int) -> str:
         "init.case = sod",
         "bc.xmin.kind = slip",
         "bc.xmax.kind = slip",
-        "bc.ymin.kind = periodic",
-        "bc.ymin.partner = ymax",
-        f"bc.ymin.translation = 0 {-1.0 / nx}",
-        "bc.ymax.kind = periodic",
-        "bc.ymax.partner = ymin",
-        f"bc.ymax.translation = 0 {1.0 / nx}",
+        *_periodic_bcs((None, 1.0 / nx)),
         "",
     ])
 
@@ -319,30 +307,33 @@ def initial_state_fn(cfg, gas: GasModel):
 
 
 def make_fixture(case: str, outdir: str, size: Optional[int] = None):
-    """Write <case>.msh and <case>.cfg into outdir; returns both paths."""
+    """Write <case>.msh and <case>.cfg into outdir; returns both paths.
+
+    A size below 1, or of 2 across the periodic vortex and TGV boxes,
+    raises MeshError before any file is written."""
     import os
     from .io.gmsh import write_gmsh_ascii
 
-    os.makedirs(outdir, exist_ok=True)
+    if case not in _FIXTURE_SIZES:
+        raise MeshError(f"unknown fixture case {case!r} (pick from {FIXTURE_CASES})")
+    n = size if size is not None else _FIXTURE_SIZES[case]
+    # the vortex and TGV configs make every axis periodic on import
+    _check_cells((n,), (case in ("vortex", "tgv"),))
     if case == "vortex":
-        n = size or 24
-        mesh = box_mesh_2d(n, n, lengths=(VORTEX_BOX, VORTEX_BOX),
-                           origin=(-VORTEX_BOX / 2, -VORTEX_BOX / 2))
-        config = _vortex_config(n)
+        mesh = box_mesh(n, n, lengths=(VORTEX_BOX, VORTEX_BOX),
+                        origin=(-VORTEX_BOX / 2, -VORTEX_BOX / 2))
+        config = _vortex_config()
     elif case == "tgv":
-        n = size or 4
         L = 2.0 * math.pi
-        mesh = box_mesh_3d(n, n, n, lengths=(L, L, L))
+        mesh = box_mesh(n, n, n, lengths=(L, L, L))
         config = _tgv_config()
     elif case == "sod":
-        n = size or 200
-        mesh = box_mesh_2d(n, 1, lengths=(1.0, 1.0 / n))
+        mesh = box_mesh(n, 1, lengths=(1.0, 1.0 / n))
         config = _sod_config(n)
-    elif case == "ls89-2d":
-        mesh = cascade_mesh_2d(nx=size or 24)
-        config = _ls89_config()
     else:
-        raise MeshError(f"unknown fixture case {case!r} (pick from {FIXTURE_CASES})")
+        mesh = cascade_mesh_2d(nx=n)
+        config = _ls89_config()
+    os.makedirs(outdir, exist_ok=True)
     stem = case.replace("-", "_")
     mesh_path = os.path.join(outdir, f"{stem}.msh")
     cfg_path = os.path.join(outdir, f"{stem}.cfg")
@@ -360,173 +351,87 @@ def _close_alias(alias: np.ndarray) -> np.ndarray:
         alias = nxt
 
 
-def _check_periodic_counts(sizes, periodic):
-    # two cells across a periodic direction alias two distinct faces onto
-    # one vertex-set key, breaking key = geometric-coincidence
-    for n, per in zip(sizes, periodic):
-        if per and n == 2:
-            raise MeshError("periodic directions need 1 or >= 3 cells")
+def _check_cells(cells: Sequence[int], periodic: Sequence[bool]):
+    if any(n < 1 for n in cells):
+        raise MeshError(f"a box needs at least 1 cell per axis, got {[int(n) for n in cells]}")
+    # two cells across a periodic axis alias two distinct faces onto one
+    # vertex-set key, breaking key = geometric coincidence
+    if any(per and n == 2 for n, per in zip(cells, periodic)):
+        raise MeshError("periodic directions need 1 or >= 3 cells")
 
 
-def box_mesh_2d(
-    nx: int,
-    ny: int,
-    lengths: Sequence[float] = (1.0, 1.0),
-    origin: Sequence[float] = (0.0, 0.0),
-    periodic: Sequence[bool] = (False, False),
+# unit-cell corners in the mesh_core vertex order; a d-cube (or a face of
+# a (d+1)-cube, over its tangential axes) takes the first 2**d rows and d
+# columns
+_CORNERS = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
+_AXES = "xyz"
+
+
+def _grid(counts: Sequence[int]) -> np.ndarray:
+    """Mixed-radix indices of a grid, first axis fastest: row ``a`` holds
+    every point's index along axis ``a``."""
+    return np.indices(tuple(counts)[::-1]).reshape(len(counts), -1)[::-1]
+
+
+def box_mesh(
+    *cells: int,
+    lengths: Optional[Sequence[float]] = None,
+    origin: Optional[Sequence[float]] = None,
+    periodic: Optional[Sequence[bool]] = None,
     perturb: float = 0.0,
     seed: int = 0,
 ) -> SerialMesh:
-    """Structured quad mesh with optional periodic directions.
+    """Structured quad (two cell counts) or hex (three) mesh of a box.
 
-    Periodic directions are realized by aliasing the high-side boundary
-    vertices onto the low side; the wrap faces then match like any
-    interior face.
+    ``lengths`` default to 1, ``origin`` to 0 and ``periodic`` to False on
+    every axis.  ``perturb`` moves each interior vertex by up to
+    ``perturb / 2`` of the smallest cell width per axis, from one draw of
+    the generator seeded with ``seed``, in vertex-id order.  The table
+    orders are in the module docstring.
     """
-    _check_periodic_counts((nx, ny), periodic)
-    nvx, nvy = nx + 1, ny + 1
-    xs = origin[0] + lengths[0] * np.arange(nvx) / nx
-    ys = origin[1] + lengths[1] * np.arange(nvy) / ny
-    verts = np.empty((nvx * nvy, 2))
-    for j in range(nvy):
-        for i in range(nvx):
-            verts[i + nvx * j] = (xs[i], ys[j])
-
+    d = len(cells)
+    if d not in (2, 3):
+        raise MeshError(f"a box mesh takes 2 or 3 cell counts, got {d}")
+    lengths = (1.0,) * d if lengths is None else lengths
+    origin = (0.0,) * d if origin is None else origin
+    periodic = (False,) * d if periodic is None else periodic
+    _check_cells(cells, periodic)
+    nv = [n + 1 for n in cells]
+    idx = _grid(nv)
+    stride = np.cumprod([1] + nv[:-1])
+    verts = np.column_stack([(origin[a] + lengths[a] * np.arange(nv[a]) / cells[a])[idx[a]]
+                             for a in range(d)])
     if perturb > 0.0:
+        inner = np.all((idx > 0) & (idx < np.array(cells)[:, None]), axis=0)
+        h = min(length / n for length, n in zip(lengths, cells))
         rng = np.random.default_rng(seed)
-        h = min(lengths[0] / nx, lengths[1] / ny)
-        for j in range(1, ny):
-            for i in range(1, nx):
-                verts[i + nvx * j] += perturb * h * (rng.random(2) - 0.5)
+        verts[inner] += perturb * h * (rng.random((np.count_nonzero(inner), d)) - 0.5)
 
-    def vid(i, j):
-        return i + nvx * j
+    cell_table = (stride @ _grid(cells))[:, None] + _CORNERS[:2 ** d, :d] @ stride
 
-    j, i = np.divmod(np.arange(nx * ny), nx)
-    v0 = vid(i, j)
-    cells = np.column_stack([v0, v0 + 1, v0 + 1 + nvx, v0 + nvx])
-
-    alias = np.arange(nvx * nvy, dtype=np.int64)
-    if periodic[0]:
-        for j in range(nvy):
-            alias[vid(nx, j)] = vid(0, j)
-    if periodic[1]:
-        for i in range(nvx):
-            alias[vid(i, ny)] = vid(i, 0)
+    ids = np.arange(verts.shape[0], dtype=np.int64)
+    alias = ids.copy()
+    for a in np.flatnonzero(periodic):
+        top = idx[a] == cells[a]
+        alias[top] = ids[top] - cells[a] * stride[a]
     alias = _close_alias(alias)
-    has_alias = not np.array_equal(alias, np.arange(alias.size))
 
     sections = []
-    pid = 0
-    if not periodic[0]:
-        sections.append(BoundarySection(pid, "xmin", [(vid(0, j), vid(0, j + 1)) for j in range(ny)]))
-        sections.append(BoundarySection(pid + 1, "xmax", [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)]))
-        pid += 2
-    if not periodic[1]:
-        sections.append(BoundarySection(pid, "ymin", [(vid(i, 0), vid(i + 1, 0)) for i in range(nx)]))
-        sections.append(BoundarySection(pid + 1, "ymax", [(vid(i, ny), vid(i + 1, ny)) for i in range(nx)]))
-
-    return SerialMesh(
-        dim=2,
-        vertices=verts,
-        cells=cells,
-        boundary_sections=sections,
-        vertex_alias=alias if has_alias else None,
-    )
-
-
-def box_mesh_3d(
-    nx: int,
-    ny: int,
-    nz: int,
-    lengths: Sequence[float] = (1.0, 1.0, 1.0),
-    origin: Sequence[float] = (0.0, 0.0, 0.0),
-    periodic: Sequence[bool] = (False, False, False),
-    perturb: float = 0.0,
-    seed: int = 0,
-) -> SerialMesh:
-    """Structured hex mesh with optional periodic directions."""
-    _check_periodic_counts((nx, ny, nz), periodic)
-    nvx, nvy, nvz = nx + 1, ny + 1, nz + 1
-    xs = origin[0] + lengths[0] * np.arange(nvx) / nx
-    ys = origin[1] + lengths[1] * np.arange(nvy) / ny
-    zs = origin[2] + lengths[2] * np.arange(nvz) / nz
-    verts = np.empty((nvx * nvy * nvz, 3))
-
-    def vid(i, j, k):
-        return i + nvx * (j + nvy * k)
-
-    for k in range(nvz):
-        for j in range(nvy):
-            for i in range(nvx):
-                verts[vid(i, j, k)] = (xs[i], ys[j], zs[k])
-
-    if perturb > 0.0:
-        rng = np.random.default_rng(seed)
-        h = min(lengths[0] / nx, lengths[1] / ny, lengths[2] / nz)
-        for k in range(1, nz):
-            for j in range(1, ny):
-                for i in range(1, nx):
-                    verts[vid(i, j, k)] += perturb * h * (rng.random(3) - 0.5)
-
-    k, rest = np.divmod(np.arange(nx * ny * nz), nx * ny)
-    j, i = np.divmod(rest, nx)
-    v0 = vid(i, j, k)
-    corners = np.array([vid(0, 0, 0), vid(1, 0, 0), vid(1, 1, 0), vid(0, 1, 0),
-                        vid(0, 0, 1), vid(1, 0, 1), vid(1, 1, 1), vid(0, 1, 1)])
-    cells = v0[:, None] + corners
-
-    alias = np.arange(verts.shape[0], dtype=np.int64)
-    if periodic[0]:
-        for k in range(nvz):
-            for j in range(nvy):
-                alias[vid(nx, j, k)] = vid(0, j, k)
-    if periodic[1]:
-        for k in range(nvz):
-            for i in range(nvx):
-                alias[vid(i, ny, k)] = vid(i, 0, k)
-    if periodic[2]:
-        for j in range(nvy):
-            for i in range(nvx):
-                alias[vid(i, j, nz)] = vid(i, j, 0)
-    alias = _close_alias(alias)
-    has_alias = not np.array_equal(alias, np.arange(alias.size))
-
-    sections = []
-    pid = 0
-
-    def quad_records(fixed_axis, fixed_val):
-        recs = []
-        if fixed_axis == 0:
-            for k in range(nz):
-                for j in range(ny):
-                    recs.append((vid(fixed_val, j, k), vid(fixed_val, j + 1, k),
-                                 vid(fixed_val, j + 1, k + 1), vid(fixed_val, j, k + 1)))
-        elif fixed_axis == 1:
-            for k in range(nz):
-                for i in range(nx):
-                    recs.append((vid(i, fixed_val, k), vid(i + 1, fixed_val, k),
-                                 vid(i + 1, fixed_val, k + 1), vid(i, fixed_val, k + 1)))
-        else:
-            for j in range(ny):
-                for i in range(nx):
-                    recs.append((vid(i, j, fixed_val), vid(i + 1, j, fixed_val),
-                                 vid(i + 1, j + 1, fixed_val), vid(i, j + 1, fixed_val)))
-        return recs
-
-    names = (("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax"))
-    sizes = (nx, ny, nz)
-    for ax in range(3):
-        if periodic[ax]:
+    for a in range(d):
+        if periodic[a]:
             continue
-        sections.append(BoundarySection(pid, names[ax][0], quad_records(ax, 0)))
-        sections.append(BoundarySection(pid + 1, names[ax][1], quad_records(ax, sizes[ax])))
-        pid += 2
+        tang = [b for b in range(d) if b != a]
+        faces = ((stride[tang] @ _grid([cells[b] for b in tang]))[:, None]
+                 + _CORNERS[:2 ** (d - 1), :d - 1] @ stride[tang])
+        for side, at in (("min", 0), ("max", cells[a])):
+            records = list(map(tuple, (faces + at * stride[a]).tolist()))
+            sections.append(BoundarySection(len(sections), _AXES[a] + side, records))
 
     return SerialMesh(
-        dim=3,
+        dim=d,
         vertices=verts,
-        cells=cells,
+        cells=cell_table,
         boundary_sections=sections,
-        vertex_alias=alias if has_alias else None,
+        vertex_alias=None if np.array_equal(alias, ids) else alias,
     )

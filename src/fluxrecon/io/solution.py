@@ -124,15 +124,18 @@ def _plot_velocity_gradient(solver, k: int):
 
 
 def write_surface_csv(path: str, solver, patch: str, p0_ref: float):
-    """Boundary-surface rows (x, y, z, p, T, isentropic Mach) for one patch."""
+    """Boundary-surface rows (x, y, z, p, T, isentropic Mach) for one patch.
+
+    A patch of the mesh that has no face on this rank gives a file that
+    holds only the header; a name that is no patch of the mesh raises."""
+    if patch not in solver.shard.patch_names.values():
+        raise ConfigError(f"unknown patch {patch!r}")
     gas = solver.gas
     dim = solver.dim
     rows = []
-    found = False
     for spec, lo, hi in solver.boundary_spans:
         if spec.patch != patch:
             continue
-        found = True
         e, pt = np.divmod(solver.iface.slot[lo:hi], solver.nf)
         Q = solver.Q_fpts[:, e, pt].T  # (m, nv)
         x = solver.x_fpts[e, pt]
@@ -142,8 +145,6 @@ def write_surface_csv(path: str, solver, patch: str, p0_ref: float):
         for i in range(hi - lo):
             xyz = list(x[i]) + [0.0] * (3 - dim)
             rows.append([xyz[0], xyz[1], xyz[2], p[i], T[i], mis[i]])
-    if not found:
-        raise ConfigError(f"patch {patch!r} not on this rank / unknown")
     rows.sort()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

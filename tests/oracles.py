@@ -112,10 +112,10 @@ def twisted_hex_box(rotation):
     """A 3x2x2 hex box, periodic in x with the wrap mirrored in z
     (z -> nz - z), and the local numbering of hex ``g`` turned by the
     cube rotation ``rotation(g)``: its faces meet in all 8 orientations."""
-    from fluxrecon.fixtures import box_mesh_3d
+    from fluxrecon.fixtures import box_mesh
 
     nx, ny, nz = 3, 2, 2
-    mesh = box_mesh_3d(nx, ny, nz, periodic=(True, False, False), perturb=0.2, seed=3)
+    mesh = box_mesh(nx, ny, nz, periodic=(True, False, False), perturb=0.2, seed=3)
     nvx, nvy = nx + 1, ny + 1
     for k in range(nz + 1):
         for j in range(nvy):

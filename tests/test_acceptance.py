@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from fluxrecon.fixtures import (
-    box_mesh_2d,
-    box_mesh_3d,
+    box_mesh,
     sod_mesh,
     sod_state,
     taylor_green_mesh,
@@ -121,12 +120,12 @@ def test_criterion_05_distributed_matching_oracle():
             nx, ny = rng.integers(2, 15), rng.integers(2, 15)
             per = (bool(rng.random() < 0.3) and nx != 2,
                    bool(rng.random() < 0.3) and ny != 2)
-            mesh = box_mesh_2d(int(nx), int(ny), periodic=per,
-                               perturb=0.1 * rng.random(), seed=trial)
+            mesh = box_mesh(int(nx), int(ny), periodic=per,
+                            perturb=0.1 * rng.random(), seed=trial)
         else:
             nx, ny, nz = rng.integers(2, 7), rng.integers(2, 7), rng.integers(2, 7)
-            mesh = box_mesh_3d(int(nx), int(ny), int(nz),
-                               perturb=0.1 * rng.random(), seed=trial)
+            mesh = box_mesh(int(nx), int(ny), int(nz),
+                            perturb=0.1 * rng.random(), seed=trial)
         ncells = len(mesh.cells)
         nranks = min(int(rng.choice([2, 4, 8])), ncells)
         assignment = random_partition(rng, ncells, nranks)

@@ -26,6 +26,17 @@ class TestMakeFixture:
         RunConfig.load(str(tmp_path / f"{stem}.cfg"))
         import_gmsh_ascii(str(tmp_path / f"{stem}.msh"))
 
+    @pytest.mark.parametrize("case, size", [
+        ("vortex", "0"), ("tgv", "-2"), ("sod", "-3"), ("ls89-2d", "-6"),
+        ("vortex", "2"), ("tgv", "2"),
+    ])
+    def test_bad_size_exits_1(self, case, size, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("make-fixture", "--case", case, "--out", str(out),
+                       "--size", size) == 1
+        assert capsys.readouterr().err.startswith("error: MeshError: ")
+        assert not out.exists()
+
     def test_ls89_config_carries_published_table(self, tmp_path):
         run_cli("make-fixture", "--case", "ls89-2d", "--out", str(tmp_path))
         from fluxrecon.io.config import RunConfig

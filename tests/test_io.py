@@ -5,8 +5,7 @@ import pytest
 
 from fluxrecon.errors import ConfigError, FormatError, MeshError
 from fluxrecon.fixtures import (
-    box_mesh_2d,
-    box_mesh_3d,
+    box_mesh,
     cascade_mesh_2d,
     vortex_mesh,
     vortex_state,
@@ -87,7 +86,7 @@ class TestGmsh:
             import_gmsh_ascii(str(path))
 
     def test_box_roundtrip_counts(self, tmp_path):
-        mesh = box_mesh_3d(4, 4, 4)
+        mesh = box_mesh(4, 4, 4)
         path = tmp_path / "box.msh"
         write_gmsh_ascii(mesh, str(path))
         back = import_gmsh_ascii(str(path))
@@ -110,10 +109,10 @@ class TestGmsh:
                {"inlet", "outlet", "blade", "per_lo", "per_hi"}
 
     def test_apply_periodic_matches_builtin_alias(self, tmp_path):
-        named = box_mesh_2d(4, 3)
+        named = box_mesh(4, 3)
         paired = apply_periodic(named, [("xmin", "xmax", (1.0, 0.0)),
                                         ("ymin", "ymax", (0.0, 1.0))])
-        builtin = box_mesh_2d(4, 3, periodic=(True, True))
+        builtin = box_mesh(4, 3, periodic=(True, True))
         assert np.array_equal(paired.vertex_alias, builtin.vertex_alias)
         assert paired.boundary_sections == []
 
@@ -212,6 +211,14 @@ $EndElements
                  "0ab3db4d15d991a19f272f868e3b5f33f8ac7d906efb8ff74af6a515fca1fa11",
                  "506749ba7be0e12acae91af0558ffd57813fc88b619b1bd69aea0c3f894aa650",
                  "9508916dd4a62536745c70f133795500bf0a2ede09771337310981efbd96c313")),
+        ("vortex", (2, (625, 2),
+                    "88056adf87862e10fc0a21ef67b7aa5ab8d27bbb2181d9a24ea7d4dd2587e5d3",
+                    "29e5894eb9e508f85e954b97d50a2f0ea670ebe1c6c05bf68d3ba922db11a9cc",
+                    "acc782e5908ed8d18789b687a0e31321bd036f1e9abf4c26a761225d858ff1b8")),
+        ("sod", (2, (402, 2),
+                 "94bafea94bc7b0a254f1bcdd664115094cc0c76f23c005f568916767201dac21",
+                 "55c88469727d48aa7819760e9a61b6c1a5b41cad965e5463dbdc38e0feb4ba0f",
+                 "301fa27cc8a17e5b41b0d9b936968c019d8313695aa31a394cf101f8cc82d431")),
     ])
     def test_fixture_import_golden(self, tmp_path, case, golden):
         """Cells, vertex bytes and boundary sections of the default-size
@@ -231,7 +238,7 @@ $EndElements
         assert got == golden
 
     def test_apply_periodic_unmatched_vertex(self):
-        mesh = box_mesh_2d(3, 3)
+        mesh = box_mesh(3, 3)
         with pytest.raises(Exception):
             apply_periodic(mesh, [("xmin", "xmax", (0.5, 0.0))])
 
@@ -265,13 +272,13 @@ class TestShards:
         return shards, back
 
     def test_single_rank_equals_serial(self, tmp_path, rng):
-        mesh = box_mesh_3d(3, 2, 2)
+        mesh = box_mesh(3, 2, 2)
         shards, back = self.roundtrip(mesh, 1, tmp_path, rng)
         assert len(back[0].cells) == 12
         assert back[0].num_global_cells == 12
 
     def test_reassembly_covers_serial_mesh(self, tmp_path, rng):
-        mesh = box_mesh_2d(6, 5, periodic=(True, False), perturb=0.1, seed=3)
+        mesh = box_mesh(6, 5, periodic=(True, False), perturb=0.1, seed=3)
         shards, back = self.roundtrip(mesh, 4, tmp_path, rng)
         gids = sorted(c.id for sh in back for c in sh.cells)
         assert gids == list(range(30))
@@ -285,7 +292,7 @@ class TestShards:
     def test_periodic_face_keys_survive_round_trip(self, tmp_path):
         """Preparation keys faces by aliased corners; a shard read back from
         disk must carry the same keys."""
-        mesh = box_mesh_2d(4, 3, periodic=(True, False))
+        mesh = box_mesh(4, 3, periodic=(True, False))
         shards = prepare_shards(mesh, np.array([0, 0, 1, 1] * 3), 2)
         write_shards(shards, str(tmp_path / "s"))
         for a, b in zip(shards, read_shards(str(tmp_path / "s"))):
@@ -296,7 +303,7 @@ class TestShards:
             assert a.remote_faces
 
     def test_corrupt_magic_rejected_before_payload(self, tmp_path, rng):
-        mesh = box_mesh_3d(2, 2, 1)
+        mesh = box_mesh(2, 2, 1)
         shards = prepare_shards(mesh, np.zeros(4, np.int64), 1)
         path = str(tmp_path / "x.zfrm")
         write_shard(shards[0], path)
@@ -307,7 +314,7 @@ class TestShards:
             read_shard(path)
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
-        mesh = box_mesh_3d(2, 2, 1)
+        mesh = box_mesh(2, 2, 1)
         shards = prepare_shards(mesh, np.zeros(4, np.int64), 1)
         path = str(tmp_path / "t.zfrm")
         write_shard(shards[0], path)
@@ -317,7 +324,7 @@ class TestShards:
             read_shard(path)
 
     def test_version_mismatch(self, tmp_path):
-        mesh = box_mesh_3d(1, 1, 1)
+        mesh = box_mesh(1, 1, 1)
         shards = prepare_shards(mesh, np.zeros(1, np.int64), 1)
         path = str(tmp_path / "v.zfrm")
         write_shard(shards[0], path)
@@ -560,7 +567,7 @@ class TestSolutionOutput:
 
     def test_surface_csv_isentropic_mach_identity(self, tmp_path):
         gash = GasModel(gamma=1.4, R=287.0)
-        mesh = box_mesh_2d(4, 2, lengths=(2.0, 1.0))
+        mesh = box_mesh(4, 2, lengths=(2.0, 1.0))
         shards = prepare_shards(mesh, np.zeros(8, np.int64), 1)
         from fluxrecon.physics import BoundarySpec, conserved
 
@@ -587,3 +594,40 @@ class TestSolutionOutput:
             m = float(row["mach_is"])
             expect = np.sqrt(((p0 / p) ** (0.4 / 1.4) - 1) * 2 / 0.4)
             assert abs(m - expect) < 1e-9
+
+    def test_surface_csv_rank_without_patch_faces(self, tmp_path):
+        """On 4 ranks of the cascade, split into axial strips, the first and
+        last strips hold no blade face: they write a header-only CSV, and the
+        rows of all ranks are the 1-rank rows.  An unknown patch still
+        raises on every rank."""
+        from fluxrecon import driver, fixtures
+        from fluxrecon.prep import RankContext, SimCluster
+
+        mesh_path, cfg_path = fixtures.make_fixture("ls89-2d", str(tmp_path), size=24)
+        cfg = RunConfig.load(cfg_path)
+        mesh = driver.load_mesh(mesh_path, cfg)
+        strips = np.arange(len(mesh.cells)) % 24 * 4 // 24
+
+        def run(assignment, nranks):
+            shards = prepare_shards(mesh, assignment, nranks)
+
+            def prog(ctx):
+                s = driver.build_solver(shards[ctx.rank], cfg, ctx=ctx)
+                driver.initialize(s, cfg)
+                s.compute_residual(s.Q_upts)
+                path = str(tmp_path / f"blade_{nranks}_{ctx.rank}.csv")
+                solution_io.write_surface_csv(path, s, "blade", p0_ref=2e5)
+                with pytest.raises(ConfigError, match="nonesuch"):
+                    solution_io.write_surface_csv(path + ".x", s, "nonesuch", p0_ref=2e5)
+                return open(path).read().splitlines()
+
+            if nranks == 1:
+                return [prog(RankContext(0, 1, None))]
+            return SimCluster(nranks, seed=0).run(prog)
+
+        header = "x,y,z,p,T,mach_is"
+        (serial,) = run(np.zeros(len(mesh.cells), np.int64), 1)
+        parts = run(strips, 4)
+        assert [len(lines) == 1 for lines in parts] == [True, False, False, True]
+        assert all(lines[0] == header for lines in parts)
+        assert sorted(sum((lines[1:] for lines in parts), [])) == sorted(serial[1:])

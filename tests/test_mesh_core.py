@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxrecon.errors import MeshError, NonManifoldError
-from fluxrecon.fixtures import box_mesh_2d, box_mesh_3d
+from fluxrecon.fixtures import box_mesh
 from fluxrecon.mesh_core import (
     SerialMesh,
     build_dual_graph,
@@ -52,7 +52,7 @@ def test_canonical_face_key_sorts_arbitrary_ids():
 
 def test_invalid_local_face_rejected():
     gas = GasModel(gamma=1.4, R=1.0)
-    for mesh, bad in ((box_mesh_3d(2, 1, 1), 6), (box_mesh_2d(2, 1), 4)):
+    for mesh, bad in ((box_mesh(2, 1, 1), 6), (box_mesh(2, 1), 4)):
         shard = prepare_shards(mesh, np.zeros(2, np.int64), 1)[0]
         shard.internal_rows = shard.internal_rows.copy()
         shard.internal_rows[0, 1] = bad
@@ -94,7 +94,7 @@ def test_two_hexes_share_one_face():
 
 
 def test_box_4x4x4_counts():
-    mesh = box_mesh_3d(4, 4, 4)
+    mesh = box_mesh(4, 4, 4)
     faces = build_face_list(mesh.cells)
     assert len({tuple(k) for k in faces[:, 6:].tolist()}) == 240
     internal, uncoupled = match_local_faces(faces)
@@ -104,8 +104,8 @@ def test_box_4x4x4_counts():
 
 
 def test_match_equals_brute_force_oracle():
-    for mesh in (box_mesh_3d(3, 4, 2), box_mesh_2d(5, 3),
-                 box_mesh_3d(3, 3, 3, periodic=(True, False, True))):
+    for mesh in (box_mesh(3, 4, 2), box_mesh(5, 3),
+                 box_mesh(3, 3, 3, periodic=(True, False, True))):
         L = 2 ** (mesh.dim - 1)
         faces = build_face_list(mesh.cells, mesh.vertex_alias)
         internal, uncoupled = match_local_faces(faces, mesh.vertex_alias)
@@ -132,7 +132,7 @@ def test_non_manifold_detected():
 
 
 def test_determinism_byte_for_byte():
-    mesh = box_mesh_3d(3, 3, 3, perturb=0.2, seed=5)
+    mesh = box_mesh(3, 3, 3, perturb=0.2, seed=5)
     a = build_face_list(mesh.cells)
     b = build_face_list(mesh.cells)
     assert a.tobytes() == b.tobytes()
@@ -144,7 +144,7 @@ def test_determinism_byte_for_byte():
 def test_face_order_is_key_then_owner():
     """Rows sort by key, ties by (gid, local face), as a Python sort of
     (key, (gid, lf)) tuples would order them."""
-    mesh = box_mesh_3d(3, 3, 2, periodic=(True, True, False), perturb=0.1, seed=2)
+    mesh = box_mesh(3, 3, 2, periodic=(True, True, False), perturb=0.1, seed=2)
     faces = build_face_list(mesh.cells, mesh.vertex_alias)
     rows = [(tuple(f[6:]), tuple(f[:2])) for f in faces.tolist()]
     assert rows == sorted(rows)
@@ -159,14 +159,14 @@ def test_dual_graph_two_hexes():
 
 
 def test_dual_graph_chain_p4():
-    mesh = box_mesh_3d(4, 1, 1)
+    mesh = box_mesh(4, 1, 1)
     internal, _ = match_local_faces(build_face_list(mesh.cells))
     g = build_dual_graph(mesh.cells, internal)
     assert g.adjacency == {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
 
 
 def test_dual_graph_box_lattice():
-    mesh = box_mesh_3d(4, 4, 4)
+    mesh = box_mesh(4, 4, 4)
     internal, _ = match_local_faces(build_face_list(mesh.cells))
     g = build_dual_graph(mesh.cells, internal)
     assert g.num_edges() == 144
@@ -179,7 +179,7 @@ def test_dual_graph_box_lattice():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
 def test_face_census_roundtrip(nx, ny, nz):
-    mesh = box_mesh_3d(nx, ny, nz)
+    mesh = box_mesh(nx, ny, nz)
     internal, uncoupled = match_local_faces(build_face_list(mesh.cells))
     assert 2 * len(internal) + len(uncoupled) == 6 * mesh.num_cells
 
@@ -187,9 +187,9 @@ def test_face_census_roundtrip(nx, ny, nz):
 @pytest.mark.parametrize("dim,kind,p", [(3, "hex", 2), (3, "hex", 3), (2, "quad", 3)])
 def test_orientation_linear_field_continuity(dim, kind, p):
     if dim == 3:
-        mesh = box_mesh_3d(3, 3, 3, perturb=0.3, seed=1)
+        mesh = box_mesh(3, 3, 3, perturb=0.3, seed=1)
     else:
-        mesh = box_mesh_2d(4, 3, perturb=0.3, seed=2)
+        mesh = box_mesh(4, 3, perturb=0.3, seed=2)
     ref = build_reference_element(kind, p)
     internal, _ = match_local_faces(build_face_list(mesh.cells))
     coef = np.arange(1, dim + 1, dtype=float)

@@ -274,13 +274,13 @@ def test_interpolation_matrix_between_degrees(rng):
 def test_free_stream_on_perturbed_meshes(gas):
     import numpy as np
 
-    from fluxrecon.fixtures import box_mesh_2d, box_mesh_3d
+    from fluxrecon.fixtures import box_mesh
     from fluxrecon.physics import conserved
     from fluxrecon.pipeline import SolverOptions, SolverRank
     from fluxrecon.prep import prepare_shards
 
-    for mesh, p in ((box_mesh_2d(4, 4, periodic=(True, True), perturb=0.25, seed=3), 3),
-                    (box_mesh_3d(3, 3, 3, periodic=(True,) * 3, perturb=0.2, seed=5), 2)):
+    for mesh, p in ((box_mesh(4, 4, periodic=(True, True), perturb=0.25, seed=3), 3),
+                    (box_mesh(3, 3, 3, periodic=(True,) * 3, perturb=0.2, seed=5), 2)):
         shards = prepare_shards(mesh, np.zeros(len(mesh.cells), np.int64), 1)
         s = SolverRank(shards[0], gas, SolverOptions(p=p))
         d = mesh.dim

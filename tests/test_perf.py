@@ -116,11 +116,11 @@ class TestLedger:
         the Riemann flux and the area scaling, the 9 internal faces the LDG
         flux, the 3 wall faces the wall flux and the 3 slip faces no
         viscous flux."""
-        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.fixtures import box_mesh
         from fluxrecon.physics import BoundarySpec, conserved
 
         gasv = GasModel(gamma=1.4, R=1.0, mu=1e-2)
-        mesh = box_mesh_2d(3, 2, periodic=(True, False))
+        mesh = box_mesh(3, 2, periodic=(True, False))
         bcs = {"ymin": BoundarySpec("ymin", "slip"),
                "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.0)}
         shards = prepare_shards(mesh, np.zeros(6, np.int64), 1)
@@ -141,10 +141,10 @@ class TestLedger:
         """A 3x2 box, p=1 (2 points per face): the 2 inflow and 2 outflow
         faces of the x sides and the 3 slip and 3 isothermal-wall faces of
         the y sides are each charged their kind's ghost census."""
-        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.fixtures import box_mesh
         from fluxrecon.physics import BoundarySpec, conserved
 
-        mesh = box_mesh_2d(3, 2)
+        mesh = box_mesh(3, 2)
         bcs = {"xmin": BoundarySpec("xmin", "riemann-inflow", total_temperature=1.2,
                                     total_pressure=1.5, direction=np.array([1.0, 0.0])),
                "xmax": BoundarySpec("xmax", "outflow", static_pressure=0.9),

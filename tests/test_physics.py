@@ -258,12 +258,12 @@ class TestLDG:
         """1-D heat-equation patch: assemble the dense LDG update operator
         on a 4-quad strip and check its symmetric part is negative
         semi-definite (energy decays)."""
-        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.fixtures import box_mesh
         from fluxrecon.pipeline import SolverOptions, SolverRank
         from fluxrecon.prep import prepare_shards
 
         gasv = GasModel(gamma=1.4, R=1.0, Pr=1.0, mu=0.05)
-        mesh = box_mesh_2d(4, 1, lengths=(4.0, 1.0), periodic=(True, True))
+        mesh = box_mesh(4, 1, lengths=(4.0, 1.0), periodic=(True, True))
         shards = prepare_shards(mesh, np.zeros(4, np.int64), 1)
         opts = SolverOptions(p=2, viscous=True, fusion=False)
         s = SolverRank(shards[0], gasv, opts)
@@ -360,11 +360,11 @@ class TestBoundary:
     def test_periodic_ghost_equals_partner_interior(self, gas):
         """Through the aliased pairing, a periodic face exchanges the
         partner's interior values exactly."""
-        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.fixtures import box_mesh
         from fluxrecon.pipeline import SolverOptions, SolverRank
         from fluxrecon.prep import prepare_shards
 
-        mesh = box_mesh_2d(3, 3, periodic=(True, False))
+        mesh = box_mesh(3, 3, periodic=(True, False))
         shards = prepare_shards(mesh, np.zeros(9, np.int64), 1)
         bcs = {"ymin": BoundarySpec("ymin", "slip"),
                "ymax": BoundarySpec("ymax", "slip")}
@@ -430,11 +430,11 @@ class TestSponge:
                        reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
 
     def _solver(self, gas, zone):
-        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.fixtures import box_mesh
         from fluxrecon.pipeline import SolverOptions, SolverRank
         from fluxrecon.prep import prepare_shards
 
-        mesh = box_mesh_2d(3, 3, periodic=(True, True))
+        mesh = box_mesh(3, 3, periodic=(True, True))
         shards = prepare_shards(mesh, np.zeros(9, np.int64), 1)
         return SolverRank(shards[0], gas, SolverOptions(p=1), sponge_zones=[zone])
 
@@ -453,7 +453,7 @@ class TestSponge:
     def test_exponential_decay_matches_ode(self, gas):
         """A state fully inside the sponge at full strength decays like
         exp(-sigma t) through the RK integrator to its order."""
-        from fluxrecon.fixtures import box_mesh_2d
+        from fluxrecon.fixtures import box_mesh
         from fluxrecon.pipeline import SolverOptions, SolverRank
         from fluxrecon.prep import prepare_shards
 
@@ -462,7 +462,7 @@ class TestSponge:
                         np.array([1.0]), gas)[0]
         zone = SpongeZone(axis=0, lo=-10.0, hi=10.0, ramp_width=1e-6,
                           strength=sigma0, reference_state=ref)
-        mesh = box_mesh_2d(3, 3, lengths=(1.0, 1.0), periodic=(True, True))
+        mesh = box_mesh(3, 3, lengths=(1.0, 1.0), periodic=(True, True))
         shards = prepare_shards(mesh, np.zeros(9, np.int64), 1)
         s = SolverRank(shards[0], gas, SolverOptions(p=1), sponge_zones=[zone])
 

@@ -3,8 +3,7 @@ import pytest
 
 from fluxrecon.errors import ConfigError, PositivityError
 from fluxrecon.fixtures import (
-    box_mesh_2d,
-    box_mesh_3d,
+    box_mesh,
     sod_mesh,
     sod_state,
     taylor_green_mesh,
@@ -33,7 +32,7 @@ def serial_solver(mesh, gas, opts, **kw):
 
 class TestResidual:
     def test_uniform_flow_periodic_box(self, gas):
-        mesh = box_mesh_2d(4, 4, periodic=(True, True), perturb=0.2, seed=2)
+        mesh = box_mesh(4, 4, periodic=(True, True), perturb=0.2, seed=2)
         s = serial_solver(mesh, gas, SolverOptions(p=3))
 
         def uniform(x):
@@ -47,12 +46,12 @@ class TestResidual:
     @pytest.mark.parametrize("dim,p", [(2, 3), (2, 4), (3, 2)])
     def test_matches_dense_reference(self, dim, p, gas):
         if dim == 2:
-            mesh = box_mesh_2d(4, 4, lengths=(16.0, 16.0), origin=(-8, -8),
-                               periodic=(True, True), perturb=0.2, seed=1)
+            mesh = box_mesh(4, 4, lengths=(16.0, 16.0), origin=(-8, -8),
+                            periodic=(True, True), perturb=0.2, seed=1)
             init = lambda x: vortex_state(x, 0.0, gas)
         else:
-            mesh = box_mesh_3d(3, 3, 3, lengths=(2 * np.pi,) * 3,
-                               periodic=(True,) * 3, perturb=0.2, seed=7)
+            mesh = box_mesh(3, 3, 3, lengths=(2 * np.pi,) * 3,
+                            periodic=(True,) * 3, perturb=0.2, seed=7)
             init = lambda x: taylor_green_state(x, gas)
         s = serial_solver(mesh, gas, SolverOptions(p=p))
         s.set_state(init)
@@ -84,7 +83,7 @@ class TestResidual:
             return np.stack([f(pts[..., 0], pts[..., 1]) * np.ones(pts.shape[:-1])
                              for f in exact], axis=-1)
 
-        mesh = box_mesh_2d(1, 1)
+        mesh = box_mesh(1, 1)
         spec = BoundarySpec("d", "prescribed", state_fn=exact_fn)
         bcs = {name: BoundarySpec(name, "prescribed", state_fn=exact_fn)
                for name in ("xmin", "xmax", "ymin", "ymax")}
@@ -98,7 +97,7 @@ class TestResidual:
         assert np.abs(total).max() < 1e-10
 
     def test_positivity_failure_names_cell(self, gas):
-        mesh = box_mesh_2d(3, 3, periodic=(True, True))
+        mesh = box_mesh(3, 3, periodic=(True, True))
         s = serial_solver(mesh, gas, SolverOptions(p=1))
         s.set_state(lambda x: conserved(np.ones(x.shape[0]),
                                         np.zeros((x.shape[0], 2)),
@@ -111,7 +110,7 @@ class TestResidual:
 
 class TestTimeStepping:
     def test_zero_residual_keeps_state(self, gas):
-        mesh = box_mesh_2d(3, 3, periodic=(True, True))
+        mesh = box_mesh(3, 3, periodic=(True, True))
         s = serial_solver(mesh, gas, SolverOptions(p=2))
         s.set_state(lambda x: conserved(np.ones(x.shape[0]),
                                         np.zeros((x.shape[0], 2)),
@@ -140,7 +139,7 @@ class TestTimeStepping:
     def test_third_order_convergence_on_linear_system(self, gas):
         """Halving dt cuts the time-integration error by ~8; measured
         against a tiny-dt reference run so spatial error cancels."""
-        mesh = box_mesh_2d(6, 6, lengths=(2.0, 2.0), periodic=(True, True))
+        mesh = box_mesh(6, 6, lengths=(2.0, 2.0), periodic=(True, True))
         T = 0.2
 
         def march(dt):
@@ -166,7 +165,7 @@ class TestTimeStepping:
             RKScheme("bad", (((1.0,), -0.1),))
 
     def test_dt_formula_unit_cube(self, gas):
-        mesh = box_mesh_3d(1, 1, 1)
+        mesh = box_mesh(1, 1, 1)
         bcs = {n: BoundarySpec(n, "slip")
                for n in ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")}
         # stagnant state with c = 1: rho = 1.4, p = 1 under gamma = 1.4
@@ -179,7 +178,7 @@ class TestTimeStepping:
             assert s.compute_dt(s.Q_upts) == pytest.approx(expect, rel=1e-12)
 
     def test_dt_equals_bruteforce_reduction(self, gas, rng):
-        mesh = box_mesh_2d(5, 4, periodic=(True, True), perturb=0.2, seed=3)
+        mesh = box_mesh(5, 4, periodic=(True, True), perturb=0.2, seed=3)
         s = serial_solver(mesh, gas, SolverOptions(p=2, cfl=0.8))
         s.set_state(lambda x: vortex_state(x * 0.5, 0.0, gas))
         dt = s.compute_dt(s.Q_upts)
@@ -197,7 +196,7 @@ class TestTimeStepping:
         """A NaN on one rank fails compute_dt on both, after the reduction,
         so neither rank is left waiting in the collective; the rank holding
         the NaN names its cell."""
-        mesh = box_mesh_2d(4, 3, periodic=(True, True))
+        mesh = box_mesh(4, 3, periodic=(True, True))
         shards = prepare_shards(mesh, np.repeat(np.arange(2), 6), 2)
 
         def prog(ctx):
@@ -244,8 +243,8 @@ class TestConservation:
 
     def test_viscous_conservation(self):
         gasv = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=1e-3)
-        mesh = box_mesh_2d(6, 6, lengths=(16.0, 16.0), origin=(-8, -8),
-                           periodic=(True, True))
+        mesh = box_mesh(6, 6, lengths=(16.0, 16.0), origin=(-8, -8),
+                        periodic=(True, True))
         s = serial_solver(mesh, gasv, SolverOptions(p=2, cfl=0.3, viscous=True))
         s.set_state(lambda x: vortex_state(x, 0.0, gasv))
         m0 = s.integrate_conserved()
@@ -388,7 +387,7 @@ WALL_BCS = {
 
 
 def _wall_mesh():
-    return box_mesh_2d(6, 5, perturb=0.2, seed=4)
+    return box_mesh(6, 5, perturb=0.2, seed=4)
 
 
 def _wall_field(x):
@@ -511,7 +510,7 @@ class TestSpongeResidual:
     corner and a third beyond the box that reaches no element."""
 
     def mesh(self):
-        return box_mesh_2d(6, 6, periodic=(True, True), perturb=0.2, seed=3)
+        return box_mesh(6, 6, periodic=(True, True), perturb=0.2, seed=3)
 
     def zones(self, gas):
         ref_a = conserved(np.array([1.1]), np.array([[0.2, -0.1]]), np.array([0.9]), gas)[0]
@@ -624,7 +623,7 @@ class TestHaloAndRankInvariance:
         return SimCluster(nranks, seed=seed).run(prog)
 
     def test_halo_two_rank_strip_linear_field_bitwise(self, gas):
-        mesh = box_mesh_2d(4, 3, periodic=(True, False))
+        mesh = box_mesh(4, 3, periodic=(True, False))
         shards = prepare_shards(mesh, np.array([0, 0, 1, 1] * 3), 2)
         bcs = {"ymin": BoundarySpec("ymin", "slip"), "ymax": BoundarySpec("ymax", "slip")}
 
@@ -670,8 +669,8 @@ class TestHaloAndRankInvariance:
         serial bits."""
         from fluxrecon.mesh_core import SerialMesh
 
-        a = box_mesh_2d(4, 4, periodic=(True, True))
-        b = box_mesh_2d(4, 4, origin=(2.0, 0.0), periodic=(True, True))
+        a = box_mesh(4, 4, periodic=(True, True))
+        b = box_mesh(4, 4, origin=(2.0, 0.0), periodic=(True, True))
         nv = a.vertices.shape[0]
         mesh = SerialMesh(2, np.concatenate([a.vertices, b.vertices]),
                           np.concatenate([a.cells, b.cells + nv]), [],

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxrecon.errors import MeshError, NonManifoldError, TransportError
-from fluxrecon.fixtures import box_mesh_2d, box_mesh_3d
+from fluxrecon.fixtures import box_mesh
 from fluxrecon.mesh_core import build_dual_graph, build_face_list, match_local_faces
 from fluxrecon.prep import (
     SimCluster,
@@ -135,14 +135,14 @@ _random_partition = random_partition
 
 
 def _record_on_shared_face():
-    mesh = box_mesh_3d(2, 1, 1)
+    mesh = box_mesh(2, 1, 1)
     shared = set(mesh.cells[0].tolist()) & set(mesh.cells[1].tolist())
     mesh.boundary_sections[0].records.append(tuple(sorted(shared)))
     return mesh, [0, 1]
 
 
 def _face_on_two_patches():
-    mesh = box_mesh_3d(2, 1, 1)
+    mesh = box_mesh(2, 1, 1)
     mesh.boundary_sections[1].records.append(mesh.boundary_sections[0].records[0])
     return mesh, [0, 1]
 
@@ -162,7 +162,7 @@ def _edge_of_three_cells():
 
 class TestDistributedMatching:
     def test_two_hexes_two_ranks(self, gas):
-        mesh = box_mesh_3d(2, 1, 1)
+        mesh = box_mesh(2, 1, 1)
         shards = prepare_shards(mesh, np.array([0, 1]), 2)
         for sh in shards:
             assert len(sh.remote_faces) == 1
@@ -174,13 +174,13 @@ class TestDistributedMatching:
         assert a.canonical_corners == b.canonical_corners
 
     def test_single_rank_degenerate(self):
-        mesh = box_mesh_3d(2, 2, 2)
+        mesh = box_mesh(2, 2, 2)
         shards = prepare_shards(mesh, np.zeros(8, np.int64), 1)
         assert shards[0].remote_faces == []
         assert len(shards[0].boundary_faces) == 24
 
     def test_matches_serial_oracle_box(self, rng):
-        mesh = box_mesh_3d(4, 4, 4)
+        mesh = box_mesh(4, 4, 4)
         assignment = _random_partition(rng, 64, 4)
         shards = prepare_shards(mesh, assignment, 4)
         serial_internal, _ = match_local_faces(build_face_list(mesh.cells))
@@ -213,7 +213,7 @@ class TestDistributedMatching:
         assert names == {"inlet", "outlet", "blade"}
 
     def test_block_routing_matches_modulo(self, rng):
-        mesh = box_mesh_3d(3, 3, 3)
+        mesh = box_mesh(3, 3, 3)
         assignment = _random_partition(rng, 27, 3)
         a = prepare_shards(mesh, assignment, 3, routing="modulo")
         b = prepare_shards(mesh, assignment, 3, routing="block")
@@ -223,7 +223,7 @@ class TestDistributedMatching:
             assert ka == kb
 
     def test_coupling_involution(self, rng):
-        mesh = box_mesh_2d(6, 6, periodic=(True, True))
+        mesh = box_mesh(6, 6, periodic=(True, True))
         assignment = _random_partition(rng, 36, 4)
         shards = prepare_shards(mesh, assignment, 4)
         seen = {}
@@ -246,8 +246,8 @@ class TestDistributedMatching:
         uncoupled face at all) yet must decode its peers' 2-D records."""
         from fluxrecon.mesh_core import BoundarySection, SerialMesh
 
-        a = box_mesh_2d(4, 4, periodic=(periodic, periodic))
-        b = box_mesh_2d(4, 4, origin=(2.0, 0.0), periodic=(periodic, periodic))
+        a = box_mesh(4, 4, periodic=(periodic, periodic))
+        b = box_mesh(4, 4, origin=(2.0, 0.0), periodic=(periodic, periodic))
         nv = a.vertices.shape[0]
         cells = np.concatenate([a.cells, b.cells + nv])
         sections = [BoundarySection(sa.patch_id, sa.name,
@@ -267,7 +267,7 @@ class TestDistributedMatching:
 
     def test_hole_in_mesh_detected(self):
         # drop one boundary record: its face has no partner and no patch
-        mesh = box_mesh_3d(2, 2, 1)
+        mesh = box_mesh(2, 2, 1)
         del mesh.boundary_sections[0].records[0]
         from fluxrecon.errors import MeshHoleError
 
@@ -275,13 +275,13 @@ class TestDistributedMatching:
             prepare_shards(mesh, np.array([0, 1, 0, 1]), 2)
 
     def test_record_of_wrong_arity_rejected(self):
-        mesh = box_mesh_3d(2, 2, 1)
+        mesh = box_mesh(2, 2, 1)
         mesh.boundary_sections[0].records.append((0, 1))
         with pytest.raises(MeshError, match="arity 2 != face arity 4"):
             prepare_shards(mesh, np.array([0, 1, 0, 1]), 2)
 
     def test_dangling_boundary_detected(self):
-        mesh = box_mesh_3d(2, 2, 1)
+        mesh = box_mesh(2, 2, 1)
         # a record naming a vertex set that is no face of any cell
         mesh.boundary_sections[0].records.append((0, 1, 2, 4))
         from fluxrecon.errors import DanglingBoundaryError, MeshError
@@ -313,7 +313,7 @@ class TestDistributedMatching:
             return exchange(ctx, sbuffers)
 
         monkeypatch.setattr(matching, "nbx_exchange", counting)
-        mesh = box_mesh_2d(6, 6, periodic=(True, False))
+        mesh = box_mesh(6, 6, periodic=(True, False))
         prepare_shards(mesh, _random_partition(rng, 36, 3), 3)
         assert calls == {0: 3, 1: 3, 2: 3}
 
@@ -324,17 +324,17 @@ class TestPartition:
         return build_dual_graph(mesh.cells, internal)
 
     def test_single_part(self):
-        g = self.graph(box_mesh_3d(4, 4, 4))
+        g = self.graph(box_mesh(4, 4, 4))
         assert np.all(partition_mesh(g, 1) == 0)
 
     def test_box_into_four_balanced(self):
-        g = self.graph(box_mesh_3d(4, 4, 4))
+        g = self.graph(box_mesh(4, 4, 4))
         part = partition_mesh(g, 4)
         counts = np.bincount(part, minlength=4)
         assert counts.min() >= 15 and counts.max() <= 17
 
     def test_weighted_chain_exhaustive_oracle(self):
-        mesh = box_mesh_3d(8, 1, 1)
+        mesh = box_mesh(8, 1, 1)
         internal, _ = match_local_faces(build_face_list(mesh.cells))
         weights = {i: w for i, w in enumerate((2, 2, 2, 2, 1, 1, 1, 1))}
         g = build_dual_graph(mesh.cells, internal)
@@ -347,7 +347,7 @@ class TestPartition:
         assert max(loads) == best == 6
 
     def test_imbalance_bound(self):
-        g = self.graph(box_mesh_3d(6, 6, 2))
+        g = self.graph(box_mesh(6, 6, 2))
         for nparts in (2, 3, 4, 6, 8):
             part = partition_mesh(g, nparts)
             loads = np.bincount(part, minlength=nparts)
@@ -357,11 +357,11 @@ class TestPartition:
             assert imbalance <= max(1.10, ceil_bound) + 1e-12
 
     def test_deterministic_seeded(self):
-        g = self.graph(box_mesh_3d(5, 5, 1))
+        g = self.graph(box_mesh(5, 5, 1))
         assert np.array_equal(partition_mesh(g, 3, seed=7), partition_mesh(g, 3, seed=7))
 
     def test_errors(self):
-        g = self.graph(box_mesh_3d(2, 1, 1))
+        g = self.graph(box_mesh(2, 1, 1))
         with pytest.raises(MeshError):
             partition_mesh(g, 3)
         with pytest.raises(MeshError):
@@ -389,7 +389,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("case, nparts, seed", sorted(GOLDEN))
     def test_golden_assignments(self, tmp_path, case, nparts, seed):
-        """box: box_mesh_3d(6, 6, 2); refined: box_mesh_3d(7, 3, 2), whose
+        """box: box_mesh(6, 6, 2); refined: box_mesh(7, 3, 2), whose
         6 grown parts need boundary moves that depend on the seed;
         ls89-2d (size 1500, periodic) and vortex (64 x 64) through the
         fixture files, as the benchmark reads them."""
@@ -397,7 +397,7 @@ class TestPartition:
         from fluxrecon.io.config import RunConfig
 
         if case in ("box", "refined"):
-            mesh = box_mesh_3d(6, 6, 2) if case == "box" else box_mesh_3d(7, 3, 2)
+            mesh = box_mesh(6, 6, 2) if case == "box" else box_mesh(7, 3, 2)
         else:
             size = 1500 if case == "ls89-2d" else 64
             mesh_path, cfg_path = fixtures.make_fixture(case, str(tmp_path), size=size)
@@ -421,9 +421,9 @@ class TestPartition:
         for _ in range(60):
             if rng.random() < 0.5:
                 nx, ny = rng.integers(2, 9), rng.integers(1, 9)
-                mesh = box_mesh_2d(nx, ny, periodic=(nx >= 3 and rng.random() < 0.3, False))
+                mesh = box_mesh(nx, ny, periodic=(nx >= 3 and rng.random() < 0.3, False))
             else:
-                mesh = box_mesh_3d(rng.integers(2, 5), *rng.integers(1, 5, 2))
+                mesh = box_mesh(rng.integers(2, 5), *rng.integers(1, 5, 2))
             g = self.graph(mesh)
             n = len(mesh.cells)
             g.weight = np.where(rng.random(n) < 0.1, rng.integers(5, 30, n),
@@ -440,7 +440,7 @@ class TestPartition:
         assert compared >= 50
 
     def test_golden_weighted_chain(self):
-        mesh = box_mesh_3d(8, 1, 1)
+        mesh = box_mesh(8, 1, 1)
         g = self.graph(mesh)
         g.weight = np.array([2, 2, 2, 2, 1, 1, 1, 1])
         assert partition_mesh(g, 2).tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
@@ -449,7 +449,7 @@ class TestPartition:
 class TestRankCountInvariance:
     @pytest.mark.parametrize("nranks", [1, 2, 4, 8])
     def test_union_equals_serial(self, nranks, rng):
-        mesh = box_mesh_3d(4, 3, 2, periodic=(False, True, False))
+        mesh = box_mesh(4, 3, 2, periodic=(False, True, False))
         ncells = len(mesh.cells)
         assignment = (np.zeros(ncells, np.int64) if nranks == 1
                       else _random_partition(rng, ncells, nranks))

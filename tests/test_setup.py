@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fluxrecon.errors import InvertedElementError
-from fluxrecon.fixtures import box_mesh_2d, box_mesh_3d
+from fluxrecon.fixtures import box_mesh
 from fluxrecon.mesh_core import HEX_FACES, QUAD_EDGES
 from fluxrecon.operators import build_reference_element, compute_geometry, face_geometry
 from fluxrecon.physics import BoundarySpec, GasModel, conserved
@@ -35,9 +35,9 @@ def _renumber(mesh, rng):
 
 def _perturbed_meshes():
     rng = np.random.default_rng(11)
-    quad = box_mesh_2d(7, 5, perturb=0.3, seed=5)
+    quad = box_mesh(7, 5, perturb=0.3, seed=5)
     quad.vertices = quad.vertices + 0.02 * (rng.random(quad.vertices.shape) - 0.5)
-    hexm = _renumber(box_mesh_3d(3, 3, 2, perturb=0.3, seed=6), rng)
+    hexm = _renumber(box_mesh(3, 3, 2, perturb=0.3, seed=6), rng)
     hexm.vertices = hexm.vertices + 0.02 * (rng.random(hexm.vertices.shape) - 0.5)
     return {"quad": quad, "hex": hexm}
 
@@ -130,7 +130,7 @@ class TestBatchedInterfaces:
     GAS = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=1e-2)
 
     def test_walls_2d_three_ranks(self):
-        mesh = box_mesh_2d(6, 5, perturb=0.2, seed=4)
+        mesh = box_mesh(6, 5, perturb=0.2, seed=4)
         bcs = {
             "xmin": BoundarySpec("xmin", "riemann-inflow", total_temperature=1.02,
                                  total_pressure=1.06, direction=np.array([1.0, 0.1])),
@@ -151,7 +151,7 @@ class TestBatchedInterfaces:
         even ones."""
         rng = np.random.default_rng(4)
         nx, ny, nz = 3, 2, 2
-        mesh = box_mesh_3d(nx, ny, nz, periodic=(True, False, False), perturb=0.2, seed=3)
+        mesh = box_mesh(nx, ny, nz, periodic=(True, False, False), perturb=0.2, seed=3)
         nvx, nvy = nx + 1, ny + 1
         for k in range(nz + 1):
             for j in range(nvy):
@@ -174,7 +174,7 @@ class TestBatchedInterfaces:
         peer's shared slots in canonical order (faces by owner gid and
         owner local face, points in canonical point order), one point's
         values after another: for Q, and for the gradient when viscous."""
-        mesh = box_mesh_2d(6, 5, periodic=(True, False), perturb=0.2, seed=4)
+        mesh = box_mesh(6, 5, periodic=(True, False), perturb=0.2, seed=4)
         bcs = {"ymin": BoundarySpec("ymin", "adiabatic"),
                "ymax": BoundarySpec("ymax", "noslip-isothermal", wall_temperature=1.05)}
         shards = prepare_shards(mesh, random_partition(np.random.default_rng(5), 30, 2), 2)
