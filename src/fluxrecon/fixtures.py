@@ -99,6 +99,7 @@ def sod_state(x: np.ndarray, gas: Optional[GasModel] = None) -> np.ndarray:
 
 def sod_mesh(nx: int = 200) -> SerialMesh:
     """Quasi-1-D strip: nx cells along x, one periodic cell across."""
+    _check_cells((nx, 1), (False, True))  # before the strip height 1 / nx
     return box_mesh(nx, 1, lengths=(1.0, 1.0 / nx), periodic=(False, True))
 
 

@@ -116,9 +116,9 @@ def _plot_velocity_gradient(solver, k: int):
     M = ref.basis_at(pts)
     gq = np.einsum("ms,ekvs->ekmv", M, phys)  # (ne, dim, m, nv)
     vals = np.einsum("ms,evs->emv", M, Q)
+    rho, vel, _ = physics.split_state(vals.reshape(-1, dim + 2), dim)
     dudx = physics.velocity_gradient(
-        vals.reshape(-1, dim + 2),
-        np.moveaxis(gq, 1, 2).reshape(-1, dim, dim + 2), dim)
+        rho, vel, np.moveaxis(gq, 1, 2).reshape(-1, dim, dim + 2))
     q = physics.q_criterion(dudx, dim).reshape(solver.ne, n1 ** dim)
     return q
 

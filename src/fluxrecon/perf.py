@@ -42,20 +42,16 @@ def flops_gemm(m: int, n: int, k: int) -> int:
 # each entry by running its solver pass's own function and must agree
 # within 10%.
 POINTWISE_COSTS: Dict[tuple, int] = {
-    ("phys_flux", 2): 26,
-    ("phys_flux", 3): 45,
+    ("phys_flux", 2): 20,
+    ("phys_flux", 3): 31,
     ("transform_flux", 2): 24,
     ("transform_flux", 3): 75,
-    ("own_trace", 2): 4,
-    ("own_trace", 3): 5,
-    ("riemann_rusanov", 2): 105,
-    ("riemann_rusanov", 3): 140,
-    ("riemann_hllc", 2): 160,
-    ("riemann_hllc", 3): 205,
+    ("riemann_rusanov", 2): 71,
+    ("riemann_rusanov", 3): 92,
+    ("riemann_hllc", 2): 126,
+    ("riemann_hllc", 3): 156,
     ("flux_scale", 2): 4,
     ("flux_scale", 3): 5,
-    ("flux_jump", 2): 4,
-    ("flux_jump", 3): 5,
     # boundary ghost states, one entry per patch kind (physics.apply_boundary
     # with the solver's diagnostics; a prescribed state function's own work
     # is not modelled)
@@ -81,12 +77,12 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("common_solution", 3): 36,
     ("grad_transform", 2): 24,
     ("grad_transform", 3): 75,
-    ("viscous_flux", 2): 83,
-    ("viscous_flux", 3): 150,
-    ("viscous_interface", 2): 223,
-    ("viscous_interface", 3): 391,
-    ("viscous_wall", 2): 115,
-    ("viscous_wall", 3): 200,
+    ("viscous_flux", 2): 79,
+    ("viscous_flux", 3): 144,
+    ("viscous_interface", 2): 215,
+    ("viscous_interface", 3): 379,
+    ("viscous_wall", 2): 111,
+    ("viscous_wall", 3): 194,
 }
 
 
@@ -300,9 +296,10 @@ def counting_array(values: np.ndarray, counter: OpCounter) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Census: each kernel maps to the function its solver pass calls and to a
 # builder of that function's arguments at one point.  Kernels whose pass is
-# one operator (flux_scale, flux_jump, scale_residual) run the pass's own
-# expression, and common_solution adds the pass's two jump subtractions to
-# physics.ldg_solution.
+# one operator (flux_scale, scale_residual) run the pass's own expression,
+# and common_solution adds the pass's two jump subtractions to
+# physics.ldg_solution.  The face trace of the flux and its jump against the
+# common flux have no entry: the solver folds them into the divergence GEMM.
 # ---------------------------------------------------------------------------
 
 _GAS = physics.GasModel(gamma=1.4, R=1.0)
@@ -346,15 +343,11 @@ _CENSUS = {
     "phys_flux": (physics.inviscid_flux, lambda d, c: (_state(d, c), d, _GAS)),
     "transform_flux": (physics.transform, _transform_args),
     "grad_transform": (physics.transform, _transform_args),
-    "own_trace": (physics.face_trace, lambda d, c: (
-        list(_random((d, d + 2, 1), c, 1)), [(slice(0, 1), d - 1, CountingFloat(-1.0, c))],
-        np.empty((d + 2, 1), dtype=object))),
     "riemann_rusanov": (physics.riemann_flux, lambda d, c: (
         *_pair(d, c), _normal(d, c), d, _GAS, "rusanov")),
     "riemann_hllc": (physics.riemann_flux, lambda d, c: (
         *_pair(d, c), _normal(d, c), d, _GAS, "hllc")),
     "flux_scale": (operator.mul, lambda d, c: (_state(d, c), CountingFloat(0.7, c))),
-    "flux_jump": (operator.sub, _pair),
     "scale_residual": (lambda r, det: -r / det,
                        lambda d, c: (_state(d, c), CountingFloat(0.5, c))),
     "sponge_source": (physics.sponge_sum, lambda d, c: (

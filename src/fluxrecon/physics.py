@@ -6,13 +6,16 @@ All point-wise kernels are written with element-wise numpy operations only
 scalars.  The solver's passes call them, and the FLOP census
 (``perf.census_pointwise``) runs the same function for each ledger kernel:
 ``phys_flux`` :func:`inviscid_flux`, ``viscous_flux`` :func:`viscous_flux`,
-``transform_flux`` and ``grad_transform`` :func:`transform`, ``own_trace``
-:func:`face_trace`, ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
+``transform_flux`` and ``grad_transform`` :func:`transform`,
+``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
 ``viscous_interface`` :func:`ldg_interface`, ``viscous_wall``
 :func:`wall_flux`, ``common_solution`` :func:`ldg_solution`,
 ``ghost_<kind>`` :func:`apply_boundary` and ``sponge_source``
 :func:`sponge_sum`.  State vectors are ordered
-``[rho, rho*u_0 .. rho*u_{d-1}, E]``.
+``[rho, rho*u_0 .. rho*u_{d-1}, E]``.  The fluxes split a state once:
+:func:`primitives` gives rho, the velocity, E and the pressure together,
+and the Riemann solvers form each side's ``u.n``, sound speed and normal
+flux once from them.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
 (fluxes and gradients ``(..., d, nv)``, normals ``(..., d)``) and accepts
@@ -117,15 +120,6 @@ def transform(M, v) -> list:
     return [dot(row, v) for row in M]
 
 
-def face_trace(F, faces, out):
-    """Outward normal trace of a flux at face points: on each face
-    ``(points, axis, side)`` the flux row ``F[axis]`` of the face's normal
-    axis times its side (+-1), written into ``out[..., points]``."""
-    for points, axis, side in faces:
-        np.multiply(F[axis][..., points], side, out=out[..., points])
-    return out
-
-
 def normal_component(F: np.ndarray, n) -> np.ndarray:
     """``sum_j F[..., j, :] * n[j]`` of a flux ``(..., d, nv)`` and normal
     components ``n``; laid out like ``F[..., 0, :]``."""
@@ -142,10 +136,16 @@ def split_state(Q: np.ndarray, dim: int):
     return rho, [Q[..., 1 + i] / rho for i in range(dim)], Q[..., 1 + dim]
 
 
-def pressure(Q: np.ndarray, dim: int, gas: GasModel):
+def primitives(Q: np.ndarray, dim: int, gas: GasModel):
+    """rho, the velocity components ``[u_0 .. u_{d-1}]``, E and the
+    pressure from conserved variables, with one split of the state."""
     rho, vel, E = split_state(Q, dim)
     ke = 0.5 * rho * dot(vel, vel)
-    return (gas.gamma - 1.0) * (E - ke)
+    return rho, vel, E, (gas.gamma - 1.0) * (E - ke)
+
+
+def pressure(Q: np.ndarray, dim: int, gas: GasModel):
+    return primitives(Q, dim, gas)[3]
 
 
 def sound_speed(Q: np.ndarray, dim: int, gas: GasModel):
@@ -176,39 +176,37 @@ def conserved(rho, vel, p, gas: GasModel) -> np.ndarray:
 def inviscid_flux(Q: np.ndarray, dim: int, gas: GasModel,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Euler flux: shape (..., dim, nvars), written into ``out`` if given."""
-    rho, vel, E = split_state(Q, dim)
-    p = pressure(Q, dim, gas)
+    rho, vel, E, p = primitives(Q, dim, gas)
     F = _like(Q, dim, dim + 2) if out is None else out
+    Ep = E + p
     for k in range(dim):
         uk = vel[k]
-        F[..., k, 0] = rho * uk
+        ruk = rho * uk
+        F[..., k, 0] = ruk
         for i in range(dim):
-            m = rho * uk * vel[i]
+            m = ruk * vel[i]
             F[..., k, 1 + i] = m + p if i == k else m
-        F[..., k, 1 + dim] = uk * (E + p)
+        F[..., k, 1 + dim] = uk * Ep
     return F
 
 
-def normal_flux(Q: np.ndarray, n: np.ndarray, dim: int, gas: GasModel) -> np.ndarray:
-    """Euler flux dotted with a unit normal: shape (..., nvars)."""
-    rho, vel, E = split_state(Q, dim)
-    p = pressure(Q, dim, gas)
-    nc = components(n, dim)
-    un = dot(vel, nc)
-    out = np.empty_like(Q)
-    out[..., 0] = rho * un
+def _flux_along(rho, vel, E, p, un, nc, out):
+    """Euler flux along a unit normal (components ``nc``) from the
+    primitives and ``un = u.n``, written into ``out`` (..., nvars)."""
+    dim = len(vel)
+    run = rho * un
+    out[..., 0] = run
     for i in range(dim):
-        out[..., 1 + i] = rho * un * vel[i] + p * nc[i]
+        out[..., 1 + i] = run * vel[i] + p * nc[i]
     out[..., 1 + dim] = un * (E + p)
     return out
 
 
-def wave_speed(Q: np.ndarray, n: np.ndarray, dim: int, gas: GasModel):
-    """|u.n| + c, the rusanov/CFL signal speed."""
-    rho, vel, _ = split_state(Q, dim)
-    un = dot(vel, components(n, dim))
-    c = np.sqrt(gas.gamma * pressure(Q, dim, gas) / rho)
-    return np.abs(un) + c
+def normal_flux(Q: np.ndarray, n: np.ndarray, dim: int, gas: GasModel) -> np.ndarray:
+    """Euler flux dotted with a unit normal: shape (..., nvars)."""
+    rho, vel, E, p = primitives(Q, dim, gas)
+    nc = components(n, dim)
+    return _flux_along(rho, vel, E, p, dot(vel, nc), nc, np.empty_like(Q))
 
 
 class RiemannDiagnostics:
@@ -219,10 +217,17 @@ class RiemannDiagnostics:
 
 
 def rusanov_flux(QL, QR, n, dim: int, gas: GasModel):
-    lam = _vmax(wave_speed(QL, n, dim, gas), wave_speed(QR, n, dim, gas))
-    F = normal_flux(QL, n, dim, gas)  # overwritten by the common flux
-    FR = normal_flux(QR, n, dim, gas)
-    half_lam = 0.5 * lam
+    """Local Lax-Friedrichs flux: the mean normal flux minus half the larger
+    signal speed ``|u.n| + c`` of the two sides times the state jump."""
+    nc = components(n, dim)
+    lam, flux = [], []
+    for Q in (QL, QR):
+        rho, vel, E, p = primitives(Q, dim, gas)
+        un = dot(vel, nc)
+        lam.append(np.abs(un) + np.sqrt(gas.gamma * p / rho))
+        flux.append(_flux_along(rho, vel, E, p, un, nc, np.empty_like(Q)))
+    F, FR = flux  # F is overwritten by the common flux
+    half_lam = 0.5 * _vmax(*lam)
     for k in range(dim + 2):
         F[..., k] = 0.5 * (F[..., k] + FR[..., k]) - half_lam * (QR[..., k] - QL[..., k])
     return F
@@ -232,10 +237,8 @@ def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
               diag: Optional[RiemannDiagnostics] = None):
     """HLLC with Davis wave-speed estimates; falls back to rusanov where
     the star-region construction degenerates."""
-    rhoL, velL, EL = split_state(QL, dim)
-    rhoR, velR, ER = split_state(QR, dim)
-    pL = pressure(QL, dim, gas)
-    pR = pressure(QR, dim, gas)
+    rhoL, velL, EL, pL = primitives(QL, dim, gas)
+    rhoR, velR, ER, pR = primitives(QR, dim, gas)
     cL = np.sqrt(gas.gamma * pL / rhoL)
     cR = np.sqrt(gas.gamma * pR / rhoR)
     nc = components(n, dim)
@@ -251,8 +254,8 @@ def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
     safe = np.abs(denom) > 1e-12 * (np.abs(dL) + np.abs(dR) + tiny)
     Sstar = np.where(safe, (pR - pL + unL * dL - unR * dR) / np.where(safe, denom, 1.0), 0.0)
 
-    FL = normal_flux(QL, n, dim, gas)
-    FR = normal_flux(QR, n, dim, gas)
+    FL = _flux_along(rhoL, velL, EL, pL, unL, nc, np.empty_like(QL))
+    FR = _flux_along(rhoR, velR, ER, pR, unR, nc, np.empty_like(QR))
 
     def star_state(Q, rho, vel, E, p, un, S, d):
         fac = d / np.where(np.abs(S - Sstar) > tiny, S - Sstar, 1.0)
@@ -283,6 +286,9 @@ def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
     return F
 
 
+RIEMANN_SOLVERS = ("rusanov", "hllc")
+
+
 def riemann_flux(QL, QR, n, dim: int, gas: GasModel, solver: str = "rusanov",
                  diag: Optional[RiemannDiagnostics] = None):
     """Common normal flux from two interface states and a unit normal."""
@@ -293,10 +299,11 @@ def riemann_flux(QL, QR, n, dim: int, gas: GasModel, solver: str = "rusanov",
     raise ConfigError(f"unknown riemann solver {solver!r}")
 
 
-def velocity_gradient(Q: np.ndarray, grad_Q: np.ndarray, dim: int):
-    """du_i/dx_j from conserved gradients; grad_Q shape (..., dim, nvars)."""
-    rho, vel, _ = split_state(Q, dim)
-    dudx = _like(Q, dim, dim)
+def velocity_gradient(rho, vel, grad_Q: np.ndarray):
+    """du_i/dx_j from rho, the velocity components and the conserved
+    gradients grad_Q (..., dim, nvars); laid out like ``grad_Q[..., 0, :]``."""
+    dim = len(vel)
+    dudx = _like(grad_Q[..., 0, :], dim, dim)
     for i in range(dim):
         for j in range(dim):
             dudx[..., i, j] = (grad_Q[..., j, 1 + i] - vel[i] * grad_Q[..., j, 0]) / rho
@@ -310,13 +317,12 @@ def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel) -> 
     The residual subtracts it from the inviscid flux, so the momentum
     component here is the stress tensor tau itself.
     """
-    rho, vel, E = split_state(Q, dim)
-    p = pressure(Q, dim, gas)
+    rho, vel, E, p = primitives(Q, dim, gas)
     T = p / (rho * gas.R)
     mu = gas.viscosity(T)
     k_cond = mu * gas.cp / gas.Pr
 
-    dudx = velocity_gradient(Q, grad_Q, dim)
+    dudx = velocity_gradient(rho, vel, grad_Q)
     divu = dudx[..., 0, 0]
     for i in range(1, dim):
         divu = divu + dudx[..., i, i]

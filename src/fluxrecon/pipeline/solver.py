@@ -12,12 +12,15 @@ residual evaluation runs:
    then remote pairs against halo ghosts, then boundary pairs against
    boundary ghosts), scaled to outward transformed normal fluxes per
    flux-point slot;
-5. interpolate the transformed flux polynomial to faces and take its
-   outward normal trace (the discontinuous interface flux);
-6. divergence GEMM + correction GEMM on the flux jumps, scale by 1/|J|,
-   add sponge sources.  The sponge ramps do not change in time: each
-   zone's ``-sigma`` is evaluated once at build time on the elements some
-   zone reaches, and only those elements get a source.
+5. divergence GEMM with the face trace folded in, ``fold_T[ax] =
+   div_T[ax] - T_ax corr_T``: ``T_ax`` is the outward normal trace of flux
+   row ax (its interpolation to the flux points of the faces whose normal
+   axis is ax, times each face's side).  The FR correction is linear in
+   the flux jump, so the discontinuous interface flux is never formed;
+6. correction GEMM on the common interface fluxes, scale by -1/|J|, add
+   sponge sources.  The sponge ramps do not change in time: each zone's
+   ``-sigma`` is evaluated once at build time on the elements some zone
+   reaches, and only those elements get a source.
 
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
@@ -25,20 +28,16 @@ the pair list that logs its own ledger entry: GEMM passes through
 point-wise passes through ``PerfLedger.add_pointwise``.  A point-wise
 pass's arithmetic is one :mod:`fluxrecon.physics` function, the one the
 FLOP census runs for its ledger kernel: ``physics.transform`` for
-``transform_flux`` and ``grad_transform``, ``physics.face_trace`` (one
-signed copy of the normal-axis flux row per face) for ``own_trace``,
-``physics.sponge_sum`` on the build-time ``(-sigma, Q_ref)`` pairs for
-``sponge_source``, and so on (see :mod:`fluxrecon.physics`).
-``flux_scale`` (common flux times signed area), ``flux_jump`` and
-``scale_residual`` are one operator each.  The volume flux and its
-transform run as one pass, and so do the face trace and the flux jump.
-``SolverOptions.fusion`` only selects how the ledger books them: fused, as
-one entry each, ``phys_flux+transform_flux`` and ``own_trace+flux_jump``,
-whose intermediates (the physical flux and the face trace) are not
-charged as memory traffic; unfused, as their two member entries.  Results
-are therefore bitwise equal under both settings.  GEMMs are never fused,
-and fusion changes modelled bytes but never flops: a fused entry's flops
-are the sum of its members'.
+``transform_flux`` and ``grad_transform``, ``physics.sponge_sum`` on the
+build-time ``(-sigma, Q_ref)`` pairs for ``sponge_source``, and so on (see
+:mod:`fluxrecon.physics`).  ``flux_scale`` (common flux times signed area)
+and ``scale_residual`` are one operator each.  The volume flux and its
+transform run as one pass.  ``SolverOptions.fusion`` only selects how the
+ledger books it: fused, as one entry ``phys_flux+transform_flux``, whose
+intermediate (the physical flux) is not charged as memory traffic;
+unfused, as its two member entries.  Results are therefore bitwise equal
+under both settings.  GEMMs are never fused, and fusion changes modelled
+bytes but never flops: a fused entry's flops are the sum of its members'.
 
 Buffer layouts.  Every buffer is variable-major: C-ordered with the
 element axis just before the point axis, so each variable (and each flux
@@ -61,11 +60,10 @@ Full-mesh buffers, which pair passes or later block loops read:
 
 Block scratch, one element block deep (``nb = block_plan.block_elements``),
 which the volume passes use as views ``[..., :hi - lo, :]``: ``Fhat_upts``
-``(d, nv, nb, Ns)`` (the physical flux, transformed in place),
-``Fhat_fpts`` ``(d, nv, nb, nf)``, ``jump_fpts`` ``(nv, nb, nf)`` and
-``divF_upts`` ``(nv, nb, Ns)``.  A GEMM takes a block's ``(..., n, k)``
-rows as one ``(rows, k)`` operand, copied when the block is a slice of a
-full-mesh buffer.
+``(d, nv, nb, Ns)`` (the physical flux, transformed in place) and
+``divF_upts`` ``(nv, nb, Ns)``.  A GEMM reads a block's ``(..., n, k)``
+rows and writes its ``(..., n, m)`` rows in place as a stack of row blocks,
+whatever their strides, so no block of a full-mesh buffer is copied.
 
 The volume kernels hand the physics ``(n, Ns, nv)`` views of a block,
 whose components are contiguous ``(n, Ns)`` rows.  The pair passes view a
@@ -89,11 +87,12 @@ this way, so a message unpacks positionally with no further permutation.
 Boundary pairs run by patch id, each patch one span ``(spec, lo, hi)`` of
 ``boundary_spans``.
 
-The discontinuous interface flux comes from the same flux polynomial the
-divergence acts on, so interface corrections telescope and conservation
-holds to round-off.  Interface common fluxes are evaluated in the face's
-canonical frame (owner with the smaller global cell id), making interface
-numbers bit-identical under any partitioning in deterministic mode.
+The discontinuous interface flux is the trace of the same flux polynomial
+the divergence acts on (folded into ``fold_T``), so interface corrections
+telescope and conservation holds to round-off.  Interface common fluxes
+are evaluated in the face's canonical frame (owner with the smaller global
+cell id), making interface numbers bit-identical under any partitioning in
+deterministic mode.
 """
 
 from __future__ import annotations
@@ -166,6 +165,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.block_kb < 1:
             raise ConfigError(f"solver.block_kb must be at least 1, got {self.block_kb}")
+        if not (self.cfl > 0 and np.isfinite(self.cfl)):
+            raise ConfigError(f"solver.cfl must be finite and positive, got {self.cfl!r}")
+        if self.riemann not in physics.RIEMANN_SOLVERS:
+            raise ConfigError(f"solver.riemann must be one of {physics.RIEMANN_SOLVERS}, "
+                              f"got {self.riemann!r}")
 
 
 @dataclass
@@ -209,15 +213,18 @@ def _spans(keys: np.ndarray, start: int, width: int) -> list:
     return [(int(v), int(a), int(b)) for v, a, b in zip(vals, lo, hi)]
 
 
-def _gemm(X: np.ndarray, M: np.ndarray, deterministic: bool) -> np.ndarray:
-    """X @ M; deterministic mode uses a fixed-order k accumulation whose
-    result is independent of row blocking."""
+def _gemm(X: np.ndarray, M: np.ndarray, deterministic: bool, out=None) -> np.ndarray:
+    """X @ M over the last two axes of X (a stack of row blocks of any
+    strides), into ``out`` if given; deterministic mode uses a fixed-order k
+    accumulation whose result is independent of row blocking."""
     if not deterministic:
-        return X @ M
-    out = X[:, 0:1] * M[0:1, :]
+        return np.matmul(X, M, out=out)
+    Y = X[..., 0:1] * M[0:1, :]
     for k in range(1, M.shape[0]):
-        out += X[:, k:k + 1] * M[k:k + 1, :]
-    return out
+        Y += X[..., k:k + 1] * M[k:k + 1, :]
+    if out is not None:
+        out[...] = Y
+    return Y
 
 
 class SolverRank:
@@ -406,8 +413,6 @@ class SolverRank:
             self.ghost_grad = np.zeros((d * nv, self.n_face_pairs - self.loc_r.size))
         nb = self.block_plan.block_elements
         self.Fhat_upts = np.zeros((d, nv, nb, Ns))
-        self.Fhat_fpts = np.zeros((d, nv, nb, nf))
-        self.jump_fpts = np.zeros((nv, nb, nf))
         self.divF_upts = np.zeros((nv, nb, Ns))
         self._Qv = None  # the residual's input, (nv, ne, Ns), while it runs
 
@@ -425,18 +430,17 @@ class SolverRank:
 
     def _gemm_pass(self, dst, terms, add=False):
         """``dst = sum src @ M`` over ``terms`` ``[(name, src, M)]`` in order
-        (``dst +=`` when ``add``), with ``src`` a block's ``(..., k)`` buffer
-        taken as ``(rows, k)``.  Each GEMM logs its ledger entry; only the
+        (``dst +=`` when ``add``), with ``src`` a block's ``(..., n, k)`` rows
+        and ``dst`` its ``(..., n, m)`` rows, read and written in place
+        whatever their strides.  Each GEMM logs its ledger entry; only the
         first is charged for writing ``dst``, the others add to it."""
         for i, (name, src, M) in enumerate(terms):
-            X = src.reshape(-1, M.shape[0])
-            Y = _gemm(X, M, self.opt.deterministic).reshape(dst.shape)
             if add or i:
-                dst += Y
+                dst += _gemm(src, M, self.opt.deterministic)
             else:
-                dst[...] = Y
-            self.ledger.add_gemm(name, X.shape[0], M.shape[1], M.shape[0],
-                                 X.nbytes, 0 if i else Y.nbytes)
+                _gemm(src, M, self.opt.deterministic, out=dst)
+            self.ledger.add_gemm(name, src.size // M.shape[0], M.shape[1], M.shape[0],
+                                 src.nbytes, 0 if i else dst.nbytes)
 
     def _transform(self, M, X, out):
         """``out[k] = sum_l M[k, l] X[l]``: point-wise matrices ``M``
@@ -471,37 +475,18 @@ class SolverRank:
                             d * nv, members=self.flux_members)
             self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
-    def _interp_flux(self, lo, hi):
-        n = hi - lo
-        for ax in range(self.dim):
-            self._gemm_pass(self.Fhat_fpts[ax, :, :n],
-                            [("interp_flux", self.Fhat_upts[ax, :, :n], self.interp_T)])
-
-    def _trace_jump(self, lo, hi):
-        """Outward normal trace of the transformed flux polynomial, then the
-        common flux minus it, both into the block's jump_fpts.  Fused, the
-        ledger does not charge the trace as an intermediate."""
-        n, nv = hi - lo, self.nv
-        Ff, J = self.Fhat_fpts[:, :, :n], self.jump_fpts[:, :n]
-        physics.face_trace(Ff, self.trace_faces, J)
-        np.subtract(self.Fc_fpts[:, lo:hi], J, out=J)
-        if self.opt.fusion:
-            self._log_block("own_trace+flux_jump", lo, hi, self.nf,
-                            self.dim * nv + 1 + nv, nv, members=("own_trace", "flux_jump"))
-        else:
-            self._log_block("own_trace", lo, hi, self.nf, self.dim * nv + 1, nv)
-            self._log_block("flux_jump", lo, hi, self.nf, 2 * nv, nv)
-
     def _divergence(self, lo, hi):
+        """The flux divergence with the correction of the flux's own face
+        trace folded in (``fold_T``)."""
         n = hi - lo
         self._gemm_pass(self.divF_upts[:, :n],
-                        [("divergence", self.Fhat_upts[ax, :, :n], self.div_T[ax])
+                        [("divergence", self.Fhat_upts[ax, :, :n], self.fold_T[ax])
                          for ax in range(self.dim)])
 
     def _correction(self, lo, hi):
-        n = hi - lo
-        self._gemm_pass(self.divF_upts[:, :n],
-                        [("correction", self.jump_fpts[:, :n], self.corr_T)], add=True)
+        """The correction of the common interface flux."""
+        self._gemm_pass(self.divF_upts[:, :hi - lo],
+                        [("correction", self.Fc_fpts[:, lo:hi], self.corr_T)], add=True)
 
     def _scale_residual(self, dQdt, lo, hi):
         """dQ/dt of elements [lo, hi) into ``dQdt[lo:hi]``: -div F / |J|
@@ -525,10 +510,7 @@ class SolverRank:
     # viscous gradient passes ----------------------------------------------
 
     def _gradient(self, lo, hi):
-        # the block's strided slices as (rows, k) copies, taken once for
-        # all d axes
-        Q = self._Qv[:, lo:hi].reshape(-1, self.Ns)
-        jump = self.jumpQ_fpts[:, lo:hi].reshape(-1, self.nf)
+        Q, jump = self._Qv[:, lo:hi], self.jumpQ_fpts[:, lo:hi]
         for ax in range(self.dim):
             self._gemm_pass(self.grad_upts[ax, :, lo:hi],
                             [("gradient", Q, self.div_T[ax]),
@@ -694,14 +676,17 @@ class SolverRank:
         self.interp_T = ref.interp_to_faces.T.copy()
         self.div_T = [ref.div_operators[ax].T.copy() for ax in range(d)]
         self.corr_T = ref.correction_matrix.T.copy()
+        # gcorr[ax]: the correction columns of the faces whose normal axis
+        # is ax, times each face's side (+-1)
         gcorr = np.zeros((d, Ns, nf))
-        # per face: its flux-point slots, normal axis and side (+-1)
-        self.trace_faces = []
         for f, info in enumerate(ref.face_info):
             sl = ref.face_slice(f)
             gcorr[info.normal_axis][:, sl] = ref.correction_matrix[:, sl] * info.side
-            self.trace_faces.append((sl, info.normal_axis, float(info.side)))
         self.gcorr_T = [gcorr[ax].T.copy() for ax in range(d)]
+        # fold_T[ax] = div_T[ax] - T_ax corr_T with the trace T_ax =
+        # interp_T S_ax, S_ax the diagonal of sides that gcorr[ax] applies,
+        # so that S_ax corr_T = gcorr_T[ax]
+        self.fold_T = [self.div_T[ax] - self.interp_T @ self.gcorr_T[ax] for ax in range(d)]
         # the volume flux reads the gradient too when viscous
         self.grad_rows = d * nv if self.opt.viscous else 0
         self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
@@ -760,8 +745,7 @@ class SolverRank:
 
             self._run_pairs(self._riemann_common)
             dQdt = np.empty((self.nv, self.ne, self.Ns)).transpose(1, 0, 2)
-            self._run_blocks(self._volume_flux, self._interp_flux, self._trace_jump,
-                             self._divergence, self._correction,
+            self._run_blocks(self._volume_flux, self._divergence, self._correction,
                              functools.partial(self._scale_residual, dQdt))
         finally:
             self._Qv = None
@@ -782,9 +766,9 @@ class SolverRank:
         """CFL dt: min over elements of h_min / ((|u|+c)(2p+1))."""
         cfl = self.opt.cfl if cfl is None else cfl
         Qp = Q.transpose(0, 2, 1)  # (ne, Ns, nv) view
-        _, vel, _ = physics.split_state(Qp, self.dim)
+        rho, vel, _, p = physics.primitives(Qp, self.dim, self.gas)
         umag = np.sqrt(physics.dot(vel, vel))
-        c = physics.sound_speed(Qp, self.dim, self.gas)
+        c = np.sqrt(self.gas.gamma * p / rho)
         sig = (umag + c).max(axis=1)
         local = float(np.min(self.h_min / (sig * (2 * self.opt.p + 1))))
         if self.ctx is not None and self.ctx.nranks > 1:
@@ -799,14 +783,16 @@ class SolverRank:
 
     def advance_step(self, Q: np.ndarray, dt: float) -> np.ndarray:
         """One SSP-RK step (convex combination of Euler stages)."""
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not (dt > 0 and np.isfinite(dt)):
+            raise ConfigError(f"dt must be finite and positive, got {dt!r}")
         stages = SSP_RK3.stages
         states = [Q]
         for i, (alphas, beta) in enumerate(stages):
-            # neither the residual, once scaled, nor a stage that no later
-            # stage combines stays alive through the next stage's residual
-            new = beta * dt * self.compute_residual(states[-1])
+            # the fresh residual, scaled in place, becomes the stage; no
+            # stage that a later stage does not combine stays alive through
+            # the next stage's residual
+            new = self.compute_residual(states[-1])
+            new *= beta * dt
             for j, a in enumerate(alphas):
                 if a:
                     new += a * states[j]

@@ -351,6 +351,81 @@ def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
     return out
 
 
+def _dot_in_order(a, b):
+    s = a[0] * b[0]
+    for i in range(1, len(a)):
+        s = s + a[i] * b[i]
+    return s
+
+
+def wave_speed(Q, n, dim, gas):
+    """|u.n| + c of conserved states (..., nv) along normals (..., dim),
+    with u, p and c each computed from Q on their own."""
+    rho = Q[..., 0]
+    vel = [Q[..., 1 + i] / rho for i in range(dim)]
+    un = _dot_in_order(vel, [n[..., i] for i in range(dim)])
+    c = np.sqrt(gas.gamma * physics.pressure(Q, dim, gas) / rho)
+    return np.abs(un) + c
+
+
+def rusanov_flux(QL, QR, n, dim, gas):
+    """Local Lax-Friedrichs flux from two ``physics.normal_flux`` calls and
+    the larger of the two sides' wave speeds."""
+    half_lam = 0.5 * np.maximum(wave_speed(QL, n, dim, gas), wave_speed(QR, n, dim, gas))
+    FL = physics.normal_flux(QL, n, dim, gas)
+    FR = physics.normal_flux(QR, n, dim, gas)
+    return 0.5 * (FL + FR) - half_lam[..., None] * (QR - QL)
+
+
+def hllc_flux(QL, QR, n, dim, gas):
+    """HLLC with Davis wave speeds, written per side from the conserved
+    states, with ``physics.normal_flux`` as the side fluxes and this
+    module's :func:`rusanov_flux` where the star states degenerate.
+    Returns the flux and the number of fallback points."""
+    nc = [n[..., i] for i in range(dim)]
+    side = []
+    for Q in (QL, QR):
+        rho = Q[..., 0]
+        vel = [Q[..., 1 + i] / rho for i in range(dim)]
+        p = physics.pressure(Q, dim, gas)
+        side.append((rho, vel, Q[..., 1 + dim], p, np.sqrt(gas.gamma * p / rho),
+                     _dot_in_order(vel, nc)))
+    (rhoL, velL, EL, pL, cL, unL), (rhoR, velR, ER, pR, cR, unR) = side
+    SL = np.minimum(unL - cL, unR - cR)
+    SR = np.maximum(unL + cL, unR + cR)
+    dL = rhoL * (SL - unL)
+    dR = rhoR * (SR - unR)
+    denom = dL - dR
+    safe = np.abs(denom) > 1e-12 * (np.abs(dL) + np.abs(dR) + 1e-300)
+    Sstar = np.where(safe, (pR - pL + unL * dL - unR * dR) / np.where(safe, denom, 1.0), 0.0)
+
+    def star(Q, rho, vel, E, p, un, S, d):
+        fac = d / np.where(np.abs(S - Sstar) > 1e-300, S - Sstar, 1.0)
+        rows = [fac] + [fac * (vel[i] + (Sstar - un) * nc[i]) for i in range(dim)]
+        rows.append(fac * (E / rho + (Sstar - un) * (Sstar + p / d)))
+        return np.stack(rows, axis=-1)
+
+    QsL = star(QL, rhoL, velL, EL, pL, unL, SL, dL)
+    QsR = star(QR, rhoR, velR, ER, pR, unR, SR, dR)
+    FL = physics.normal_flux(QL, n, dim, gas)
+    FR = physics.normal_flux(QR, n, dim, gas)
+    F = np.where((SL >= 0.0)[..., None], FL,
+                 np.where((SR <= 0.0)[..., None], FR,
+                          np.where((Sstar >= 0.0)[..., None],
+                                   FL + SL[..., None] * (QsL - QL),
+                                   FR + SR[..., None] * (QsR - QR))))
+    bad = ~safe | (QsL[..., 0] <= 0.0) | (QsR[..., 0] <= 0.0)
+    F[bad] = rusanov_flux(QL, QR, n, dim, gas)[bad]
+    return F, int(bad.sum())
+
+
+def inviscid_flux(Q, dim, gas):
+    """Euler flux (..., dim, nv): row k is ``physics.normal_flux`` along
+    the k-th unit vector."""
+    return np.stack([physics.normal_flux(Q, np.eye(dim)[k], dim, gas) for k in range(dim)],
+                    axis=-2)
+
+
 def exact_riemann_sod(x, t, gas, left=(1.0, 0.0, 1.0), right=(0.125, 0.0, 0.1),
                       x0=0.5):
     """Exact solution of the Sod shock tube (classic pressure iteration).

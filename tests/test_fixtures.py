@@ -111,6 +111,12 @@ def test_box_mesh_rejects_bad_counts(cells, periodic, message):
         box_mesh(*cells, periodic=periodic)
 
 
+@pytest.mark.parametrize("nx", [0, -3])
+def test_sod_mesh_rejects_bad_count(nx):
+    with pytest.raises(MeshError, match="at least 1 cell"):
+        sod_mesh(nx)
+
+
 @pytest.mark.parametrize("case, size", [
     *[(case, size) for case in fixtures.FIXTURE_CASES for size in (0, -1, -6)],
     ("vortex", 2),

@@ -486,6 +486,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="block_kb"):
             cfg.solver_options()
 
+    @pytest.mark.parametrize("key, value", [
+        ("solver.cfl", "nan"), ("solver.cfl", "inf"), ("solver.cfl", "0"),
+        ("solver.riemann", "roe")])
+    def test_bad_solver_value_rejected_naming_the_key(self, key, value):
+        cfg = RunConfig.parse(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            cfg.solver_options()
+
     def test_sponges(self):
         cfg = RunConfig.parse(
             "sponge.out.axis = 0\nsponge.out.lo = 1\nsponge.out.hi = 2\n"

@@ -50,12 +50,10 @@ class TestFlopsGemm:
         for lo, hi in s.block_plan.blocks():
             rows = (hi - lo) * nv
             expect += 2 * rows * nf * Ns          # interp to faces
-            expect += d * (2 * rows * nf * Ns)    # flux interpolation per axis
-            expect += d * (2 * rows * Ns * Ns)    # divergence per axis
+            expect += d * (2 * rows * Ns * Ns)    # folded divergence per axis
             expect += 2 * rows * Ns * nf          # correction
         got = sum(stat.flops for name, stat in s.ledger.kernels.items()
-                  if name in ("interp_to_faces", "interp_flux", "divergence",
-                              "correction"))
+                  if name in ("interp_to_faces", "divergence", "correction"))
         assert got == expect
 
 
@@ -87,8 +85,7 @@ class TestPointwiseCosts:
         ("ghost_riemann-inflow", 2, 43), ("ghost_riemann-inflow", 3, 53),
         ("ghost_sponge-ref", 2, 0), ("ghost_sponge-ref", 3, 0),
         ("ghost_prescribed", 2, 0), ("ghost_prescribed", 3, 0),
-        ("own_trace", 2, 4), ("own_trace", 3, 5),
-        ("viscous_flux", 2, 83)])
+        ("viscous_flux", 2, 79)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
         """The common flux times the signed area (one mul per variable);
         one zone's precomputed -sigma (Q - Q_ref) added to the source (three
@@ -96,9 +93,8 @@ class TestPointwiseCosts:
         assembly; the Riemann-inflow ghost including the reversed-inflow
         check that runs with the solver's diagnostics; the sponge-ref and
         prescribed ghosts, which copy a state and never read the interior
-        one, at no flops; the face trace as the normal-axis flux row times
-        the face's side (one mul per variable); the 2-D viscous flux.  The
-        table carries the same counts."""
+        one, at no flops; the 2-D viscous flux.  The table carries the same
+        counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
@@ -106,8 +102,8 @@ class TestLedger:
     def test_aggregates_equal_sums(self):
         led = PerfLedger()
         led.add_gemm("a", 2, 3, 4, 100, 50)
-        led.add_pointwise("b", 2, 10, 64, 32, members=("flux_jump",))
-        assert led.total_flops == 48 + 10 * POINTWISE_COSTS[("flux_jump", 2)]
+        led.add_pointwise("b", 2, 10, 64, 32, members=("flux_scale",))
+        assert led.total_flops == 48 + 10 * POINTWISE_COSTS[("flux_scale", 2)]
         assert led.total_bytes == 100 + 50 + 64 + 32
 
     def test_pair_pass_charges_viscous_flux_where_it_runs(self):
@@ -133,7 +129,7 @@ class TestLedger:
         expect = ((face_pairs + wall_pairs + slip_pairs)
                   * (cost["riemann_rusanov"] + cost["flux_scale"])
                   + face_pairs * cost["viscous_interface"] + wall_pairs * cost["viscous_wall"])
-        assert expect == 7974
+        assert expect == 6786
         stat = s.ledger.kernels["riemann_common"]
         assert stat.flops == expect and stat.invocations == 1
 
@@ -250,18 +246,17 @@ class TestLedger:
             s.compute_residual(s.Q_upts)
             return s.ledger.kernels
 
-        common = {"interp_to_faces": 2, "riemann_common": 1, "interp_flux": 4,
+        common = {"interp_to_faces": 2, "riemann_common": 1,
                   "divergence": 4, "correction": 2, "scale_residual": 2}
         if viscous:
             common.update({"common_solution": 1, "gradient": 4, "gradient_corr": 4,
                            "grad_transform": 2, "interp_grad": 4})
-        fused_names = {"phys_flux+transform_flux": ("phys_flux", "transform_flux"),
-                       "own_trace+flux_jump": ("own_trace", "flux_jump")}
+        fused_names = {"phys_flux+transform_flux": ("phys_flux", "transform_flux")}
         on, off = table(True), table(False)
         assert {k: s.invocations for k, s in on.items()} == {
-            **common, "phys_flux+transform_flux": 2, "own_trace+flux_jump": 2}
+            **common, "phys_flux+transform_flux": 2}
         assert {k: s.invocations for k, s in off.items()} == {
-            **common, "phys_flux": 2, "transform_flux": 2, "own_trace": 2, "flux_jump": 2}
+            **common, "phys_flux": 2, "transform_flux": 2}
         for name in common:
             assert on[name].flops == off[name].flops
         for name, members in fused_names.items():
@@ -330,7 +325,7 @@ class TestFullStepCrossCheck:
         census_total = 0
         # replay the ledger's point-wise tallies against both tables
         for name, stat in s.ledger.kernels.items():
-            if name in ("interp_to_faces", "interp_flux", "divergence",
+            if name in ("interp_to_faces", "divergence",
                         "correction", "gradient", "gradient_corr", "interp_grad"):
                 continue
             scheme_total += stat.flops
@@ -346,7 +341,7 @@ class TestFullStepCrossCheck:
             s2.set_state(lambda x: vortex_state(x, 0.0, gas))
             s2.step_in_place(0.005)
             for name, stat in s2.ledger.kernels.items():
-                if name in ("interp_to_faces", "interp_flux", "divergence",
+                if name in ("interp_to_faces", "divergence",
                             "correction", "gradient", "gradient_corr", "interp_grad"):
                     continue
                 census_total += stat.flops

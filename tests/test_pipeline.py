@@ -108,6 +108,32 @@ class TestResidual:
         assert err.value.cell_id == 4
 
 
+class TestFoldedOperator:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_fold_equals_the_trace_sequence(self, gas, dim, p):
+        """The folded divergence ``sum_ax F[ax] fold_T[ax]`` plus the
+        correction of the common flux equals the unfolded sequence:
+        interpolate each flux row to the flux points, take the outward
+        normal trace (the row of each face's normal axis times its side),
+        subtract it from the common flux, then divergence plus correction
+        of that jump."""
+        s = serial_solver(box_mesh(*(3,) * dim, periodic=(True,) * dim), gas,
+                          SolverOptions(p=p))
+        ref = s.ref
+        rng = np.random.default_rng(10 * dim + p)
+        F = rng.standard_normal((dim, 12, s.Ns))
+        Fc = rng.standard_normal((12, s.nf))
+        trace = np.full((12, s.nf), np.nan)
+        for f, info in enumerate(ref.face_info):
+            sl = ref.face_slice(f)
+            trace[:, sl] = info.side * (F[info.normal_axis] @ ref.interp_to_faces.T)[:, sl]
+        expect = (sum(F[ax] @ ref.div_operators[ax].T for ax in range(dim))
+                  + (Fc - trace) @ ref.correction_matrix.T)
+        got = sum(F[ax] @ s.fold_T[ax] for ax in range(dim)) + Fc @ s.corr_T
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 class TestTimeStepping:
     def test_zero_residual_keeps_state(self, gas):
         mesh = box_mesh(3, 3, periodic=(True, True))
@@ -157,6 +183,37 @@ class TestTimeStepping:
         e2 = np.abs(march(2e-3) - ref).max()
         ratio = e1 / e2
         assert 8 * 0.8 < ratio < 8 * 1.25
+
+    def test_step_is_the_written_out_ssprk3_combination(self, gas):
+        """advance_step gives bitwise the SSP-RK3 stages written out:
+        u1 = dt R(u0) + u0, u2 = (dt/4) R(u1) + 3/4 u0 + 1/4 u1 and
+        u3 = (2 dt/3) R(u2) + 1/3 u0 + 2/3 u2, each summed left to right."""
+        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=40))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        u0, dt = s.Q_upts.copy(), 0.003
+        R = s.compute_residual
+        u1 = (1.0 * dt) * R(u0) + 1.0 * u0
+        u2 = (0.25 * dt) * R(u1) + 0.75 * u0 + 0.25 * u1
+        u3 = (2.0 / 3.0 * dt) * R(u2) + 1.0 / 3.0 * u0 + 2.0 / 3.0 * u2
+        got = s.advance_step(u0, dt)
+        assert np.array_equal(got, u3)
+        assert np.array_equal(s.Q_upts, u0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_step_rejects_dt_that_is_not_finite_and_positive(self, gas, dt):
+        s = serial_solver(vortex_mesh(3), gas, SolverOptions(p=1))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        with pytest.raises(ConfigError, match="dt must be finite and positive"):
+            s.advance_step(s.Q_upts, dt)
+
+    @pytest.mark.parametrize("cfl", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_options_reject_cfl_that_is_not_finite_and_positive(self, cfl):
+        with pytest.raises(ConfigError, match="solver.cfl"):
+            SolverOptions(cfl=cfl)
+
+    def test_options_reject_unknown_riemann_solver(self):
+        with pytest.raises(ConfigError, match="solver.riemann"):
+            SolverOptions(riemann="roe")
 
     def test_rk_scheme_validation(self):
         with pytest.raises(ConfigError):
@@ -281,16 +338,15 @@ class TestFusion:
         assert on.ledger.total_flops == off.ledger.total_flops
 
     def test_traffic_matches_analytic_model(self, gas):
-        """Fusing drops exactly the intermediates' write+read: the physical
-        flux in the volume group and the face trace in the trace group."""
+        """Fusing drops exactly the intermediate's write+read: the physical
+        flux in the volume group."""
         on, off = self.build_pair(gas)
         Q = self.random_state(on, gas, 0)
         on.compute_residual(Q.copy())
         off.compute_residual(Q.copy())
         d, nv = 2, 4
         Ns = on.ref.num_solution_points
-        nf = on.ref.num_faces * on.ref.num_face_points
-        per_elem = (d * nv * Ns) * 2 * 8 + (nv * nf) * 2 * 8
+        per_elem = (d * nv * Ns) * 2 * 8
         expect = off.ledger.total_bytes - on.ne * per_elem
         got = on.ledger.total_bytes
         assert abs(got - expect) / expect < 0.05
@@ -340,9 +396,10 @@ class TestBlockScratch:
         nb = s.block_plan.block_elements
         assert nb == 8 < s.ne
         # the block axis is the one before the point axis
-        for name in ("Fhat_upts", "Fhat_fpts", "jump_fpts", "divF_upts"):
+        for name in ("Fhat_upts", "divF_upts"):
             assert getattr(s, name).shape[-2] == nb, name
-        for name in ("F_upts", "Fown_fpts", "dQdt", "slot_normal", "slot_area"):
+        for name in ("F_upts", "Fown_fpts", "Fhat_fpts", "jump_fpts", "dQdt",
+                     "slot_normal", "slot_area"):
             assert not hasattr(s, name), name
 
     def test_residual_is_a_new_array_each_call(self, gas):
