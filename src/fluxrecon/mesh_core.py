@@ -216,19 +216,16 @@ def orientation_permutation(dim: int, orientation: int, points_1d: np.ndarray) -
     k, s = orientation // 2, 1 if orientation % 2 == 0 else -1
     sigma = [(k + s * m) % 4 for m in range(4)]
     corner_params = _SQUARE_CORNER_PARAMS[sigma]  # right corner m in left params
+    # right point jr * n + ir, at (pts[ir], pts[jr]), in left params, and
+    # the nearest left point (il, jl) along them
+    u, v = pts[np.arange(n * n) % n, None], pts[np.arange(n * n) // n, None]
+    su, sv = _SQUARE_CORNER_PARAMS.T
+    uv = (0.25 * (1 + su * u) * (1 + sv * v)) @ corner_params
+    near = np.abs(pts - uv[..., None]).argmin(axis=-1)
+    if (np.abs(pts[near] - uv) > 1e-9).any():
+        raise MeshError("face point set is not closed under the face symmetry")
     perm = np.empty(n * n, dtype=np.int64)
-    for jr in range(n):
-        for ir in range(n):
-            u, v = pts[ir], pts[jr]
-            w = 0.25 * np.array(
-                [(1 - u) * (1 - v), (1 + u) * (1 - v), (1 + u) * (1 + v), (1 - u) * (1 + v)]
-            )
-            ul, vl = w @ corner_params
-            il = int(np.argmin(np.abs(pts - ul)))
-            jl = int(np.argmin(np.abs(pts - vl)))
-            if abs(pts[il] - ul) > 1e-9 or abs(pts[jl] - vl) > 1e-9:
-                raise MeshError("face point set is not closed under the face symmetry")
-            perm[jl * n + il] = jr * n + ir
+    perm[near[:, 1] * n + near[:, 0]] = np.arange(n * n)
     return perm
 
 

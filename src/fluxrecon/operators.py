@@ -62,18 +62,13 @@ def lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
 def lagrange_diff_matrix(nodes: np.ndarray) -> np.ndarray:
     """D[a, b] = l_b'(nodes[a]), via barycentric weights."""
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    w = np.ones(n)
-    for b in range(n):
-        for m in range(n):
-            if m != b:
-                w[b] /= nodes[b] - nodes[m]
-    D = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                D[a, b] = (w[b] / w[a]) / (nodes[a] - nodes[b])
-        D[a, a] = -np.sum(D[a, :])
+    diff = nodes[:, None] - nodes + np.eye(nodes.size)  # 1 on the diagonal
+    w = np.ones(nodes.size)
+    for m in range(nodes.size):
+        w /= diff[:, m]
+    D = w / w[:, None] / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
     return D
 
 
@@ -147,17 +142,13 @@ def tensor_rule(x: np.ndarray, w: np.ndarray, dim: int):
 
 
 def _tensor_basis(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Tensor Lagrange basis values; solution index flattened x-fastest."""
-    dim = points.shape[1]
-    n = nodes.size
-    per_axis = [lagrange_eval(nodes, points[:, ax]) for ax in range(dim)]
-    out = np.ones((points.shape[0], n ** dim))
-    for s in range(n ** dim):
-        idx = [(s // n ** ax) % n for ax in range(dim)]
-        col = np.ones(points.shape[0])
-        for ax in range(dim):
-            col = col * per_axis[ax][:, idx[ax]]
-        out[:, s] = col
+    """Tensor Lagrange basis values; solution index flattened x-fastest.
+    Each column is the product of its per-axis factors in axis order."""
+    # the tensor points of the 1-D index set are the points' 1-D indices
+    idx = tensor_rule(np.arange(nodes.size), np.ones(nodes.size), points.shape[1])[0]
+    out = np.ones((points.shape[0], idx.shape[0]))
+    for ax in range(points.shape[1]):
+        out *= lagrange_eval(nodes, points[:, ax])[:, idx[:, ax]]
     return out
 
 
@@ -193,7 +184,7 @@ def build_reference_element(kind: str, p: int, correction: str = "dg") -> Refere
     faces = _KIND_FACES[kind]
     nfp = n ** (dim - 1)
     corners = _REF_CORNERS[kind][np.array(faces)]
-    fpts = face_geometry(corners, pts)[0].reshape(-1, dim)
+    fpts = np.ascontiguousarray(face_geometry(corners, pts)[0]).reshape(-1, dim)
     infos = [_derive_face_info(c) for c in corners]
 
     interp = _tensor_basis(pts, fpts)
@@ -209,24 +200,18 @@ def build_reference_element(kind: str, p: int, correction: str = "dg") -> Refere
             M = np.kron(M, m)
         div[ax] = M
 
+    # column f * nfp + fp: side * g' on the normal line of solution points
+    # through flux point fp of face f (u fastest, in each axis's direction)
     gL, gR = dg_correction_derivative(p, pts)
     corr = np.zeros((n ** dim, len(faces) * nfp))
+    fp = np.arange(nfp)
     for f, info in enumerate(infos):
-        gn = gR if info.side > 0 else gL
-        for fp in range(nfp):
-            # tangential 1-D indices of this flux point, honoring direction
-            tidx = {}
-            rem = fp
-            for (ax, sg) in zip(info.tan_axes, info.tan_signs):
-                i = rem % n
-                rem //= n
-                tidx[ax] = i if sg > 0 else n - 1 - i
-            col = f * nfp + fp
-            for s in range(n ** dim):
-                ok = all((s // n ** ax) % n == i for ax, i in tidx.items())
-                if ok:
-                    a = (s // n ** info.normal_axis) % n
-                    corr[s, col] = info.side * gn[a]
+        s = np.zeros(nfp, dtype=np.int64)
+        for k, (ax, sg) in enumerate(zip(info.tan_axes, info.tan_signs)):
+            i = fp // n ** k % n
+            s += (i if sg > 0 else n - 1 - i) * n ** ax
+        line = s[:, None] + np.arange(n) * n ** info.normal_axis
+        corr[line, f * nfp + fp[:, None]] = info.side * (gR if info.side > 0 else gL)
 
     face_wq = tensor_rule(pts, wts, dim - 1)[1]
 
@@ -254,22 +239,18 @@ def build_reference_element(kind: str, p: int, correction: str = "dg") -> Refere
 def _shape_gradients(kind: str, points: np.ndarray) -> np.ndarray:
     """d(shape_i)/d(xi_b) at reference points: (npts, nverts, dim)."""
     signs = _REF_CORNERS[kind]
-    npts, dim = points.shape[0], points.shape[1]
-    nverts = signs.shape[0]
-    out = np.empty((npts, nverts, dim))
-    for i in range(nverts):
-        factors = [(1.0 + signs[i, ax] * points[:, ax]) * 0.5 for ax in range(dim)]
-        for b in range(dim):
-            g = np.full(npts, 0.5 * signs[i, b])
-            for ax in range(dim):
-                if ax != b:
-                    g = g * factors[ax]
-            out[:, i, b] = g
+    factors = 0.5 * (1.0 + signs * points[:, None, :])  # (npts, nverts, dim)
+    out = np.empty(factors.shape)
+    for b in range(signs.shape[1]):
+        out[..., b] = 0.5 * signs[:, b]
+        for ax in range(signs.shape[1]):
+            if ax != b:
+                out[..., b] *= factors[..., ax]
     return out
 
 
 def _adjugate(J: np.ndarray) -> np.ndarray:
-    """Classical adjugate (= det(J) J^-1) for stacked 2x2 or 3x3 matrices."""
+    """Adjugate (= det(J) J^-1) of stacked 2x2 or 3x3 matrices, laid out as ``J``."""
     d = J.shape[-1]
     A = np.empty_like(J)
     if d == 2:
@@ -292,7 +273,10 @@ def _adjugate(J: np.ndarray) -> np.ndarray:
 class ElementGeometry:
     """Mapping data at the solution and flux points of a batch of elements.
 
-    Every array has a leading element axis of length ne.
+    Every array has a leading element axis of length ne.  The point fields
+    are views of C-contiguous component rows: ``(d, d, ne, N_s)`` for the
+    (d, d) tensors (``adj_upts.transpose(2, 3, 0, 1)`` is the rows) and
+    ``(d, ne, N_s | N_I*N_Fi)`` for the coordinates and normals.
     """
 
     jac_upts: np.ndarray       # (ne, N_s, d, d)
@@ -308,55 +292,59 @@ class ElementGeometry:
     h_min: np.ndarray          # (ne,)
 
 
+def _dot(a, b, out=None) -> np.ndarray:
+    """sum_k a[k] * b[k], accumulated in index order (into ``out`` if
+    given), so each result depends on its own entries alone."""
+    out = np.multiply(a[0], b[0], out=out)
+    term = np.empty_like(out)
+    for k in range(1, len(b)):
+        out += np.multiply(a[k], b[k], out=term)
+    return out
+
+
 def face_geometry(corner_coords: np.ndarray, points_1d: np.ndarray):
     """Unit outward normal, area scale, and coordinates of face points.
 
     ``corner_coords`` stacks faces as (..., ncorners, d); the results are
-    (..., nfp, d), (..., nfp, d) and (..., nfp).  Every value is an
-    elementwise expression of one face's corners, so both owners of an
-    interface compute bit-identical values when handed the same corner
-    order, whatever else is in their batches.
+    (..., nfp, d) views of ``(d, ..., nfp)`` rows, (..., nfp, d) likewise,
+    and (..., nfp).  Every value is an elementwise expression of one face's
+    corners, so both owners of an interface compute bit-identical values
+    when handed the same corner order, whatever else is in their batches.
+    A zero area gives a NaN normal, which :func:`compute_geometry` rejects.
     """
     corners = np.asarray(corner_coords, dtype=float)
     pts = np.asarray(points_1d, dtype=float)
-    c = [corners[..., k, None, :] for k in range(corners.shape[-2])]
-    if len(c) == 2:
-        u = pts[:, None]
-        x = 0.5 * (1 - u) * c[0] + 0.5 * (1 + u) * c[1]
-        t = np.broadcast_to(0.5 * (c[1] - c[0]), x.shape)
-        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    c = np.moveaxis(corners, (-1, -2), (0, 1))[..., None]  # c[a][k]: (..., 1)
+    if c.shape[1] == 2:
+        w = 0.5 * (1 + np.array([[-1.0], [1.0]]) * pts)
+        t = [0.5 * (ca[1] - ca[0]) for ca in c]
+        normal = [t[1], -t[0]]
     else:
-        uu, vv = np.meshgrid(pts, pts, indexing="xy")
-        u = uu.reshape(-1, 1)
-        v = vv.reshape(-1, 1)
-        x = (0.25 * (1 - u) * (1 - v) * c[0]
-             + 0.25 * (1 + u) * (1 - v) * c[1]
-             + 0.25 * (1 + u) * (1 + v) * c[2]
-             + 0.25 * (1 - u) * (1 + v) * c[3])
-        xu = (0.25 * (-(1 - v)) * c[0] + 0.25 * (1 - v) * c[1]
-              + 0.25 * (1 + v) * c[2] - 0.25 * (1 + v) * c[3])
-        xv = (0.25 * (-(1 - u)) * c[0] - 0.25 * (1 + u) * c[1]
-              + 0.25 * (1 + u) * c[2] + 0.25 * (1 - u) * c[3])
-        normal = np.cross(xu, xv)
-    area = np.linalg.norm(normal, axis=-1)
-    unit = normal / area[..., None]
-    return x, unit, area
-
-
-def _quadrature(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * vals[..., k], accumulated in index order, so each
-    result depends on its own row of ``vals`` alone."""
-    acc = weights[0] * vals[..., 0]
-    for k in range(1, weights.size):
-        acc = acc + weights[k] * vals[..., k]
-    return acc
+        su, sv = _REF_CORNERS["quad"].T[..., None]  # corner signs in (u, v)
+        u, v = (uv.reshape(-1) for uv in np.meshgrid(pts, pts, indexing="xy"))
+        w = 0.25 * (1 + su * u) * (1 + sv * v)
+        xu = [_dot(ca, 0.25 * (su * (1 + sv * v))) for ca in c]
+        xv = [_dot(ca, 0.25 * (sv * (1 + su * u))) for ca in c]
+        normal = [xu[1] * xv[2] - xu[2] * xv[1],
+                  xu[2] * xv[0] - xu[0] * xv[2],
+                  xu[0] * xv[1] - xu[1] * xv[0]]
+    x = np.empty((len(c),) + corners.shape[:-2] + (w[0].size,))
+    for a, ca in enumerate(c):
+        _dot(ca, w, out=x[a])
+    normal = np.broadcast_arrays(*normal, x[0])[:-1]
+    area = np.sqrt(_dot(normal, normal))
+    unit = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, nk in enumerate(normal):
+            np.divide(nk, area, out=unit[a])
+    return np.moveaxis(x, 0, -1), np.moveaxis(unit, 0, -1), area
 
 
 def face_integrals(area_fpts: np.ndarray, ref: ReferenceElement) -> np.ndarray:
     """Quadrature of a flux-point field over each face: (..., N_I*N_Fi)
     -> (..., N_I)."""
     per_face = area_fpts.reshape(area_fpts.shape[:-1] + (ref.num_faces, ref.num_face_points))
-    return _quadrature(ref.face_weights, per_face)
+    return _dot(ref.face_weights, np.moveaxis(per_face, -1, 0))
 
 
 def compute_geometry(
@@ -365,9 +353,11 @@ def compute_geometry(
     """Jacobians, adjugates, normals and length scales of a batch of cells.
 
     ``vertex_coords`` is (ne, nverts, d); ``cell_ids`` holds the cells'
-    global ids, used in error messages.  Reductions run over the small
-    per-element axes only, so a cell's numbers do not depend on which
-    other cells share its batch.
+    global ids, used in error messages.  Each Jacobian entry and coordinate
+    is one ``(ne, N_s)`` row (see :class:`ElementGeometry`) summed over the
+    corners in index order, so a cell's numbers do not depend on which
+    other cells share its batch.  A cell whose ``|J|`` is not > 0 at a
+    solution point or whose face area is not > 0 at a face point is named.
     """
     coords = np.asarray(vertex_coords, dtype=float)
     cell_ids = np.asarray(cell_ids)
@@ -379,32 +369,45 @@ def compute_geometry(
         )
     if cell_ids.shape != coords.shape[:1]:
         raise MeshError(f"{cell_ids.size} cell ids for {coords.shape[0]} cells")
+    ne, Ns, nf = coords.shape[0], ref.num_solution_points, ref.num_faces * ref.num_face_points
 
-    grads = _shape_gradients(ref.kind, ref.solution_points)
-    jac = np.einsum("eia,pib->epab", coords, grads)
-    det = np.linalg.det(jac)
-    bad = np.flatnonzero(np.any(det <= 0, axis=1))
+    corner = coords.transpose(2, 1, 0)[..., None]  # corner[a][i]: (ne, 1)
+    grads = _shape_gradients(ref.kind, ref.solution_points).T  # (d, nverts, Ns)
+    jac = np.empty((dim, dim, ne, Ns))
+    for a, b in np.ndindex(dim, dim):
+        _dot(corner[a], grads[b], out=jac[a, b])
+    jac_upts = jac.transpose(2, 3, 0, 1)
+    with np.errstate(invalid="ignore"):  # NaN coordinates, rejected next
+        det = np.linalg.det(jac_upts)
+    bad = np.flatnonzero(~(det > 0).all(axis=1))
     if bad.size:
         i = bad[0]
         raise InvertedElementError(int(cell_ids[i]), f"min |J| = {det[i].min():.3e}")
-    adj = _adjugate(jac)
-    inv_t = np.ascontiguousarray(np.swapaxes(adj, -1, -2)) / det[..., None, None]
+    adj = _adjugate(jac_upts)  # rows like jac's
+    inv_t = np.empty_like(jac)
+    np.divide(adj.transpose(3, 2, 0, 1), det, out=inv_t)
 
     faces = np.array(_KIND_FACES[ref.kind])
     coords_f, normals, areas = face_geometry(coords[:, faces], ref.points_1d)
-    ne, nf = coords.shape[0], ref.num_faces * ref.num_face_points
-    shape_vals = _tensor_shape(ref.kind, ref.solution_points)
-    volume = _quadrature(ref.solution_weights, det)
-    face_areas = face_integrals(areas.reshape(ne, nf), ref)
+    areas = areas.reshape(ne, nf)
+    bad = np.flatnonzero(~(areas > 0).all(axis=1))
+    if bad.size:
+        raise MeshError(f"cell {int(cell_ids[bad[0]])}: a face of zero area (collapsed edge)")
+    x = np.empty((dim, ne, Ns))
+    shape_vals = _tensor_shape(ref.kind, ref.solution_points).T  # (nverts, Ns)
+    for a in range(dim):
+        _dot(corner[a], shape_vals, out=x[a])
+    volume = _dot(ref.solution_weights, det.T)
+    face_areas = face_integrals(areas, ref)
 
     return ElementGeometry(
-        jac_upts=jac,
+        jac_upts=jac_upts,
         det_upts=det,
         adj_upts=adj,
-        inv_t_upts=inv_t,
+        inv_t_upts=inv_t.transpose(2, 3, 0, 1),
         normals_fpts=normals.reshape(ne, nf, dim),
-        area_fpts=areas.reshape(ne, nf),
-        coords_upts=np.einsum("pi,eia->epa", shape_vals, coords),
+        area_fpts=areas,
+        coords_upts=x.transpose(1, 2, 0),
         coords_fpts=coords_f.reshape(ne, nf, dim),
         volume=volume,
         face_areas=face_areas,
@@ -414,12 +417,10 @@ def compute_geometry(
 
 def _tensor_shape(kind: str, points: np.ndarray) -> np.ndarray:
     """Multilinear shape function values: (npts, nverts)."""
-    signs = _REF_CORNERS[kind]
-    npts, dim = points.shape
-    out = np.ones((npts, signs.shape[0]))
-    for i in range(signs.shape[0]):
-        for ax in range(dim):
-            out[:, i] *= 0.5 * (1.0 + signs[i, ax] * points[:, ax])
+    factors = 0.5 * (1.0 + _REF_CORNERS[kind] * points[:, None, :])
+    out = np.ones(factors.shape[:2])
+    for ax in range(factors.shape[2]):
+        out *= factors[..., ax]
     return out
 
 

@@ -282,7 +282,7 @@ def hllc_flux(QL, QR, n, dim: int, gas: GasModel,
     if degenerate.any():
         if diag is not None:
             diag.hllc_fallbacks += int(np.sum(degenerate))
-        F[degenerate] = rusanov_flux(QL, QR, n, dim, gas)[degenerate]
+        F[degenerate] = rusanov_flux(QL[degenerate], QR[degenerate], n[degenerate], dim, gas)
     return F
 
 

@@ -52,7 +52,8 @@ Full-mesh buffers, which pair passes or later block loops read:
 * ``Q_fpts``, ``Fc_fpts``, ``jumpQ_fpts`` ``(nv, ne, nf)``; ``grad_upts``
   ``(d, nv, ne, Ns)``, ``grad_fpts`` ``(d, nv, ne, nf)``;
 * the metric terms ``adj_rows`` (``|J| J^-1``) and, when viscous,
-  ``invT_rows`` (``J^-T``) ``(d, d, ne, Ns)``, one row per entry;
+  ``invT_rows`` (``J^-T``) ``(d, d, ne, Ns)``, one row per entry, as
+  :func:`~fluxrecon.operators.compute_geometry` forms them (no copy);
 * per interface pair: ``ghost_Q (nv, npairs - nloc)`` (one column per
   halo point, then per boundary point), ``ghost_grad (d * nv, nhalo)``,
   ``iface_n (d, npairs)``, and ``iface_a``, ``iface_sw``, ``iface_tau``,
@@ -285,28 +286,28 @@ class SolverRank:
 
     def _set_face_geometry(self, normal, area, corner_vids: np.ndarray, *sides: PointList):
         """Overwrite the slots of both sides of faces in the per-slot
-        ``normal`` and ``area`` with the values computed once from one
+        ``normal`` rows and ``area`` with the values computed once from one
         corner order per face."""
         _, n_c, a_c = face_geometry(self._vertex_coords(corner_vids), self.ref.points_1d)
+        n_c = np.moveaxis(n_c, -1, 0).reshape(self.dim, -1)
         for q in sides:
-            e, p = q.e, q.p
-            normal[e, p] = n_c.reshape(-1, self.dim)
-            area[e, p] = a_c.reshape(-1)
+            normal[:, q.slot] = n_c
+            area[q.slot] = a_c.reshape(-1)
 
     def _build_geometry(self):
-        """Element geometry; returns the per-slot face normals and areas,
-        which only the interface set-up reads."""
+        """Element geometry; returns the per-slot face normal rows (d, ne * nf)
+        and areas (ne * nf,), which only the interface set-up reads."""
         g = compute_geometry(self.cell_coords, self.ref, self.gids)
         self.det_upts = g.det_upts
-        # (d, d, ne, Ns): each metric entry one row over the mesh; only the
-        # viscous gradient reads J^-T
-        self.adj_rows = np.ascontiguousarray(g.adj_upts.transpose(2, 3, 0, 1))
+        # (d, d, ne, Ns): each metric entry one row over the mesh, the rows
+        # compute_geometry forms; only the viscous gradient reads J^-T
+        self.adj_rows = g.adj_upts.transpose(2, 3, 0, 1)
         if self.opt.viscous:
-            self.invT_rows = np.ascontiguousarray(g.inv_t_upts.transpose(2, 3, 0, 1))
+            self.invT_rows = g.inv_t_upts.transpose(2, 3, 0, 1)
         self.x_upts = g.coords_upts
         self.x_fpts = g.coords_fpts
         self.h_min = g.h_min
-        return g.normals_fpts, g.area_fpts
+        return np.moveaxis(g.normals_fpts, -1, 0).reshape(self.dim, -1), g.area_fpts.reshape(-1)
 
     def _build_sponges(self):
         """Check the zones against the mesh, then keep per zone
@@ -387,16 +388,15 @@ class SolverRank:
                 )
             self.boundary_spans.append((spec, lo, hi))
 
-        e, p = self.iface.e, self.iface.p
-        self.iface_n = np.ascontiguousarray(slot_normal[e, p].T)
-        area = slot_area[e, p]
+        self.iface_n = slot_normal.take(self.iface.slot, axis=1)
+        area = slot_area[self.iface.slot]
         self.iface_a = np.where(self.iface_flip, -area, area)
         self.iface_sw = physics.ldg_switch(self.iface_n.T)
         self.iface_sw[self.n_face_pairs:] = 0.0
-        area_face = face_integrals(slot_area, ref)
+        area_face = face_integrals(slot_area.reshape(self.ne, -1), ref)
         h_face = area_face if d == 2 else np.sqrt(area_face)
         tau = self.opt.ldg_tau_scale * (self.opt.p + 1) ** 2 / h_face
-        self.iface_tau = tau[e, p // nfp]
+        self.iface_tau = tau.reshape(-1)[self.iface.slot // nfp]
 
     def _build_arrays(self):
         """Full-mesh buffers, which pair passes or later block loops read,
@@ -690,7 +690,9 @@ class SolverRank:
         # the volume flux reads the gradient too when viscous
         self.grad_rows = d * nv if self.opt.viscous else 0
         self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
-        self.iface_chunk = 65536
+        # pair passes run in chunks small enough that their temporaries are
+        # reused from the heap rather than page-faulted in afresh each step
+        self.iface_chunk = 4096
 
     def _run_pairs(self, run):
         """Run one interface pass over the pair list in chunks."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from fluxrecon import physics
-from fluxrecon.errors import InvertedElementError
+from fluxrecon.errors import InvertedElementError, MeshError
 from fluxrecon.mesh_core import (
     HEX_FACES,
     QUAD_EDGES,
@@ -26,6 +26,8 @@ from fluxrecon.operators import (
     _shape_gradients,
     _tensor_shape,
     build_reference_element,
+    dg_correction_derivative,
+    lagrange_eval,
 )
 
 
@@ -151,6 +153,94 @@ def internal_keys(internal, alias=None):
     L = (internal.shape[1] - 5) // 2
     return {tuple(sorted(v if alias is None else int(alias[v]) for v in row[5:5 + L]))
             for row in internal.tolist()}
+
+
+def lagrange_diff_matrix_loop(nodes):
+    """D[a, b] = l_b'(nodes[a]) from barycentric weights, one entry at a
+    time."""
+    n = nodes.size
+    w = np.ones(n)
+    for b in range(n):
+        for m in range(n):
+            if m != b:
+                w[b] /= nodes[b] - nodes[m]
+    D = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                D[a, b] = (w[b] / w[a]) / (nodes[a] - nodes[b])
+        D[a, a] = -np.sum(D[a, :])
+    return D
+
+
+def tensor_basis_loop(nodes, points):
+    """Tensor Lagrange basis values at ``points`` (npts, dim), one solution
+    point (flattened x-fastest) at a time."""
+    dim = points.shape[1]
+    n = nodes.size
+    per_axis = [lagrange_eval(nodes, points[:, ax]) for ax in range(dim)]
+    out = np.ones((points.shape[0], n ** dim))
+    for s in range(n ** dim):
+        idx = [(s // n ** ax) % n for ax in range(dim)]
+        col = np.ones(points.shape[0])
+        for ax in range(dim):
+            col = col * per_axis[ax][:, idx[ax]]
+        out[:, s] = col
+    return out
+
+
+def correction_matrix_loop(ref):
+    """The DG correction matrix of a reference element, one (flux point,
+    solution point) pair at a time: a solution point on the normal line of
+    a flux point gets ``side * g'`` at its normal-axis index."""
+    n, dim = ref.n, ref.dim
+    nfp = ref.num_face_points
+    gL, gR = dg_correction_derivative(ref.p, ref.points_1d)
+    corr = np.zeros((n ** dim, ref.num_faces * nfp))
+    for f, info in enumerate(ref.face_info):
+        gn = gR if info.side > 0 else gL
+        for fp in range(nfp):
+            # tangential 1-D indices of this flux point, honoring direction
+            tidx = {}
+            rem = fp
+            for (ax, sg) in zip(info.tan_axes, info.tan_signs):
+                i = rem % n
+                rem //= n
+                tidx[ax] = i if sg > 0 else n - 1 - i
+            col = f * nfp + fp
+            for s in range(n ** dim):
+                ok = all((s // n ** ax) % n == i for ax, i in tidx.items())
+                if ok:
+                    a = (s // n ** info.normal_axis) % n
+                    corr[s, col] = info.side * gn[a]
+    return corr
+
+
+def orientation_permutation_loop(dim, orientation, points_1d):
+    """Face-point permutation of an orientation code, one right-side point
+    at a time: map it through the corner cycle into the left face's
+    parameters and look up the nearest left point."""
+    pts = np.asarray(points_1d, dtype=float)
+    n = pts.size
+    if dim == 2:
+        return np.arange(n) if orientation == 0 else np.arange(n)[::-1].copy()
+    k, s = orientation // 2, 1 if orientation % 2 == 0 else -1
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    corner_params = square[[(k + s * m) % 4 for m in range(4)]]
+    perm = np.empty(n * n, dtype=np.int64)
+    for jr in range(n):
+        for ir in range(n):
+            u, v = pts[ir], pts[jr]
+            w = 0.25 * np.array(
+                [(1 - u) * (1 - v), (1 + u) * (1 - v), (1 + u) * (1 + v), (1 - u) * (1 + v)]
+            )
+            ul, vl = w @ corner_params
+            il = int(np.argmin(np.abs(pts - ul)))
+            jl = int(np.argmin(np.abs(pts - vl)))
+            if abs(pts[il] - ul) > 1e-9 or abs(pts[jl] - vl) > 1e-9:
+                raise MeshError("face point set is not closed under the face symmetry")
+            perm[jl * n + il] = jr * n + ir
+    return perm
 
 
 def face_geometry_one(corners, points_1d):

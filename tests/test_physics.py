@@ -667,6 +667,21 @@ class TestFluxOracles:
         assert np.array_equal(inviscid_flux(QL, dim, gas), oracles.inviscid_flux(QL, dim, gas))
 
 
+def test_hllc_fallback_evaluates_only_degenerate_points(monkeypatch):
+    gas, QL, QR, n = TestFluxOracles()._states(2)
+    sizes = []
+
+    def rusanov(QL, QR, n, dim, gas):
+        sizes.append(QL.shape[0])
+        return rusanov_flux(QL, QR, n, dim, gas)
+
+    monkeypatch.setattr(physics, "rusanov_flux", rusanov)
+    diag = physics.RiemannDiagnostics()
+    with np.errstate(invalid="ignore"):
+        hllc_flux(QL, QR, n, 2, gas, diag)
+    assert sizes == [diag.hllc_fallbacks] and 0 < sizes[0] < QL.shape[0]
+
+
 def test_isentropic_mach_roundtrip(gas):
     p0 = 2.0
     M = 0.7

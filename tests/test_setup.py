@@ -2,19 +2,23 @@
 replaced (kept in ``oracles``): element geometry, face geometry, interface
 pairs and their per-peer halo spans."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fluxrecon.errors import InvertedElementError
+from fluxrecon.errors import InvertedElementError, MeshError
 from fluxrecon.fixtures import box_mesh
-from fluxrecon.mesh_core import HEX_FACES, QUAD_EDGES
-from fluxrecon.operators import build_reference_element, compute_geometry, face_geometry
+from fluxrecon.mesh_core import HEX_FACES, QUAD_EDGES, orientation_permutation
+from fluxrecon.operators import (_tensor_shape, build_reference_element, compute_geometry,
+                                 face_geometry, gauss_legendre_points, lagrange_diff_matrix)
 from fluxrecon.physics import BoundarySpec, GasModel, conserved
 from fluxrecon.pipeline import SolverOptions, SolverRank, solver as solver_module
 from fluxrecon.prep import SimCluster, prepare_shards
 
-from oracles import (cube_rotations, face_geometry_one, geometry_one, interfaces_per_face,
-                     random_partition)
+from oracles import (correction_matrix_loop, cube_rotations, face_geometry_one, geometry_one,
+                     interfaces_per_face, lagrange_diff_matrix_loop, orientation_permutation_loop,
+                     random_partition, tensor_basis_loop)
 
 # the sums behind coords_upts, volume, face_areas and h_min run in another
 # order than the loop's BLAS products
@@ -100,6 +104,71 @@ class TestBatchedGeometry:
         with pytest.raises(InvertedElementError) as err:
             compute_geometry(bad, ref, ids)
         assert err.value.cell_id == ids[5]
+
+
+class TestArrayForms:
+    """The whole-array reference element, geometry rows and face-point
+    permutations equal the loops they replaced (kept in ``oracles``) bit
+    for bit, and bad cells are named."""
+
+    @pytest.mark.parametrize("kind", ["quad", "hex"])
+    @pytest.mark.parametrize("p", range(7))
+    def test_reference_element_matches_loops(self, kind, p):
+        ref = build_reference_element(kind, p)
+        assert np.array_equal(ref.correction_matrix, correction_matrix_loop(ref))
+        assert np.array_equal(ref.interp_to_faces,
+                              tensor_basis_loop(ref.points_1d, ref.flux_points))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_diff_matrix_matches_loop(self, n):
+        pts = gauss_legendre_points(n)[0]
+        assert lagrange_diff_matrix(pts).tobytes() == lagrange_diff_matrix_loop(pts).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", range(7))
+    def test_orientation_permutation_matches_loop(self, dim, p):
+        pts = gauss_legendre_points(p + 1)[0]
+        for code in range(2 if dim == 2 else 8):
+            assert np.array_equal(orientation_permutation(dim, code, pts),
+                                  orientation_permutation_loop(dim, code, pts)), code
+
+    @pytest.mark.parametrize("kind", ["quad", "hex"])
+    def test_component_rows(self, kind):
+        """Metric terms and coordinates are views of C-contiguous component
+        rows, and the coordinates are the corner sums the batched
+        ``einsum`` gives."""
+        ref = build_reference_element(kind, 3)
+        coords, ids = _stack(MESHES[kind])
+        g = compute_geometry(coords, ref, ids)
+        for name in ("jac_upts", "adj_upts", "inv_t_upts"):
+            assert getattr(g, name).transpose(2, 3, 0, 1).flags.c_contiguous, name
+        for name in ("coords_upts", "normals_fpts", "coords_fpts"):
+            assert getattr(g, name).transpose(2, 0, 1).flags.c_contiguous, name
+        shape = _tensor_shape(kind, ref.solution_points)
+        assert np.array_equal(g.coords_upts, np.einsum("pi,eia->epa", shape, coords))
+
+    def test_nan_vertex_names_its_cell(self):
+        ref = build_reference_element("quad", 3)
+        mesh = box_mesh(3, 3)
+        coords = mesh.vertices[mesh.cells]
+        coords[4, 2, 0] = np.nan
+        with pytest.raises(InvertedElementError) as err:
+            compute_geometry(coords, ref, np.arange(mesh.num_cells))
+        assert err.value.cell_id == 4
+
+    def test_collapsed_edge_names_its_cell(self):
+        """|J| stays positive at every solution point, but the collapsed
+        edge has zero length: a MeshError naming the cell, not NaN normals
+        and a divide warning."""
+        ref = build_reference_element("quad", 3)
+        mesh = box_mesh(3, 3)
+        coords = mesh.vertices[mesh.cells]
+        coords[4, 1] = coords[4, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="cell 4") as err:
+                compute_geometry(coords, ref, np.arange(mesh.num_cells))
+        assert not isinstance(err.value, InvertedElementError)
 
 
 def _assert_interfaces_match_loop(s):
