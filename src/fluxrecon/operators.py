@@ -392,7 +392,7 @@ def compute_geometry(
     areas = areas.reshape(ne, nf)
     bad = np.flatnonzero(~(areas > 0).all(axis=1))
     if bad.size:
-        raise MeshError(f"cell {int(cell_ids[bad[0]])}: a face of zero area (collapsed edge)")
+        raise MeshError(f"cell {int(cell_ids[bad[0]])}: zero face area (a collapsed edge or face)")
     x = np.empty((dim, ne, Ns))
     shape_vals = _tensor_shape(ref.kind, ref.solution_points).T  # (nverts, Ns)
     for a in range(dim):
