@@ -73,16 +73,16 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("scale_residual", 3): 5,
     ("sponge_source", 2): 12,
     ("sponge_source", 3): 15,
-    ("common_solution", 2): 29,
-    ("common_solution", 3): 36,
+    ("common_solution", 2): 8,
+    ("common_solution", 3): 10,
     ("grad_transform", 2): 24,
     ("grad_transform", 3): 75,
-    ("viscous_flux", 2): 79,
-    ("viscous_flux", 3): 144,
-    ("viscous_interface", 2): 215,
-    ("viscous_interface", 3): 379,
-    ("viscous_wall", 2): 111,
-    ("viscous_wall", 3): 194,
+    ("viscous_flux", 2): 73,
+    ("viscous_flux", 3): 131,
+    ("viscous_interface", 2): 97,
+    ("viscous_interface", 3): 171,
+    ("viscous_wall", 2): 105,
+    ("viscous_wall", 3): 181,
 }
 
 
@@ -296,10 +296,13 @@ def counting_array(values: np.ndarray, counter: OpCounter) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Census: each kernel maps to the function its solver pass calls and to a
 # builder of that function's arguments at one point.  Kernels whose pass is
-# one operator (flux_scale, scale_residual) run the pass's own expression,
-# and common_solution adds the pass's two jump subtractions to
-# physics.ldg_solution.  The face trace of the flux and its jump against the
-# common flux have no entry: the solver folds them into the divergence GEMM.
+# one operator (flux_scale, scale_residual) run the pass's own expression.
+# So does common_solution, which the solver charges on boundary pairs only:
+# elsewhere the LDG common solution is one side's state, gathered at no
+# flops.  viscous_interface is the one-sided LDG flux: one side's viscous
+# flux and the penalty.  The face traces of the flux and of the state and
+# their jumps against the common values have no entry: the solver folds
+# them into the divergence and gradient GEMMs.
 # ---------------------------------------------------------------------------
 
 _GAS = physics.GasModel(gamma=1.4, R=1.0)
@@ -332,13 +335,6 @@ def _transform_args(dim, c):
     return _random((dim, dim), c, 0), list(_random((dim, dim + 2), c, 2))
 
 
-def _ldg_jumps(QL, QR, beta, switch):
-    """The common_solution pass: the LDG common solution and its jump
-    against each side."""
-    Qs = physics.ldg_solution(QL, QR, beta, switch)
-    return Qs - QL, Qs - QR
-
-
 _CENSUS = {
     "phys_flux": (physics.inviscid_flux, lambda d, c: (_state(d, c), d, _GAS)),
     "transform_flux": (physics.transform, _transform_args),
@@ -352,11 +348,11 @@ _CENSUS = {
                        lambda d, c: (_state(d, c), CountingFloat(0.5, c))),
     "sponge_source": (physics.sponge_sum, lambda d, c: (
         _state(d, c), [(CountingFloat(-2.0, c), counting_array(np.ones(d + 2), c))])),
-    "common_solution": (_ldg_jumps, lambda d, c: (*_pair(d, c), 0.5, counting_array([1.0], c))),
+    "common_solution": (lambda QL, QR: 0.5 * (QL + QR), _pair),
     "viscous_flux": (physics.viscous_flux, lambda d, c: (_state(d, c), _grad(d, c), d, _GAS)),
     "viscous_interface": (physics.ldg_interface, lambda d, c: (
-        *_pair(d, c), _grad(d, c), _grad(d, c, seed=5), _normal(d, c), 0.5,
-        CountingFloat(1.0, c), d, _GAS, CountingFloat(1.0, c))),
+        _state(d, c, shift=0.05), _grad(d, c), *_pair(d, c), _normal(d, c),
+        CountingFloat(1.0, c), d, _GAS)),
     "viscous_wall": (physics.wall_flux, lambda d, c: (
         *_pair(d, c), _grad(d, c), _normal(d, c), CountingFloat(1.0, c), d, _GAS)),
 }

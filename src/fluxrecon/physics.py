@@ -9,13 +9,14 @@ scalars.  The solver's passes call them, and the FLOP census
 ``transform_flux`` and ``grad_transform`` :func:`transform`,
 ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
 ``viscous_interface`` :func:`ldg_interface`, ``viscous_wall``
-:func:`wall_flux`, ``common_solution`` :func:`ldg_solution`,
-``ghost_<kind>`` :func:`apply_boundary` and ``sponge_source``
-:func:`sponge_sum`.  State vectors are ordered
+:func:`wall_flux`, ``ghost_<kind>`` :func:`apply_boundary` and
+``sponge_source`` :func:`sponge_sum`.  (The LDG common solution is a
+gather in the solver, not a kernel here.)  State vectors are ordered
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.  The fluxes split a state once:
 :func:`primitives` gives rho, the velocity, E and the pressure together,
-and the Riemann solvers form each side's ``u.n``, sound speed and normal
-flux once from them.
+which :func:`inviscid_flux` and :func:`viscous_flux` also accept from the
+caller, and the Riemann solvers form each side's ``u.n``, sound speed and
+normal flux once from them.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
 (fluxes and gradients ``(..., d, nv)``, normals ``(..., d)``) and accepts
@@ -174,9 +175,10 @@ def conserved(rho, vel, p, gas: GasModel) -> np.ndarray:
 
 
 def inviscid_flux(Q: np.ndarray, dim: int, gas: GasModel,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Euler flux: shape (..., dim, nvars), written into ``out`` if given."""
-    rho, vel, E, p = primitives(Q, dim, gas)
+                  out: Optional[np.ndarray] = None, prim=None) -> np.ndarray:
+    """Euler flux: shape (..., dim, nvars), written into ``out`` if given.
+    ``prim`` is Q's :func:`primitives`, if the caller has them."""
+    rho, vel, E, p = primitives(Q, dim, gas) if prim is None else prim
     F = _like(Q, dim, dim + 2) if out is None else out
     Ep = E + p
     for k in range(dim):
@@ -310,14 +312,16 @@ def velocity_gradient(rho, vel, grad_Q: np.ndarray):
     return dudx
 
 
-def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel) -> np.ndarray:
+def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
+                 prim=None) -> np.ndarray:
     """Physical viscous flux (Newtonian stress, Stokes hypothesis, Fourier
-    heat flux); shape (..., dim, nvars).
+    heat flux); shape (..., dim, nvars).  ``prim`` is Q's
+    :func:`primitives`, if the caller has them.
 
     The residual subtracts it from the inviscid flux, so the momentum
     component here is the stress tensor tau itself.
     """
-    rho, vel, E, p = primitives(Q, dim, gas)
+    rho, vel, E, p = primitives(Q, dim, gas) if prim is None else prim
     T = p / (rho * gas.R)
     mu = gas.viscosity(T)
     k_cond = mu * gas.cp / gas.Pr
@@ -326,25 +330,29 @@ def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel) -> 
     divu = dudx[..., 0, 0]
     for i in range(1, dim):
         divu = divu + dudx[..., i, i]
+    # the stress tensor is symmetric: form each entry once
+    tau = [[None] * dim for _ in range(dim)]
+    for k in range(dim):
+        for i in range(k, dim):
+            t = mu * (dudx[..., i, k] + dudx[..., k, i])
+            if i == k:
+                t = t - (2.0 / 3.0) * mu * divu
+            tau[k][i] = tau[i][k] = t
 
     u2 = dot(vel, vel)
+    rho2R = rho * rho * gas.R
     G = _like(Q, dim, dim + 2)
+    G[..., 0] = 0.0
     for kdir in range(dim):
         # dT/dx_k via chain rule on p = (gamma-1)(E - 0.5 rho |u|^2)
         ke_grad = -0.5 * u2 * grad_Q[..., kdir, 0]
         for i in range(dim):
             ke_grad = ke_grad + vel[i] * grad_Q[..., kdir, 1 + i]
         dp = (gas.gamma - 1.0) * (grad_Q[..., kdir, 1 + dim] - ke_grad)
-        dT = (dp * rho - p * grad_Q[..., kdir, 0]) / (rho * rho * gas.R)
-        G[..., kdir, 0] = 0.0 * rho
-        tau = []
+        dT = (dp * rho - p * grad_Q[..., kdir, 0]) / rho2R
         for i in range(dim):
-            t = mu * (dudx[..., i, kdir] + dudx[..., kdir, i])
-            if i == kdir:
-                t = t - (2.0 / 3.0) * mu * divu
-            G[..., kdir, 1 + i] = t
-            tau.append(t)
-        G[..., kdir, 1 + dim] = dot(tau, vel) + k_cond * dT
+            G[..., kdir, 1 + i] = tau[kdir][i]
+        G[..., kdir, 1 + dim] = dot(tau[kdir], vel) + k_cond * dT
     return G
 
 
@@ -355,41 +363,29 @@ def ldg_switch(n: np.ndarray) -> np.ndarray:
     return np.where(s >= 0.0, 1.0, -1.0)
 
 
-def _per_point(value, like: np.ndarray):
-    """Normalize a scalar / (n,) / (n,1) coefficient to broadcast with one
-    component ``like[..., k]`` of a (n, nvars) state array."""
-    v = np.asarray(value)
-    return v[..., 0] if v.ndim == like.ndim else v
+def _add_penalty(Gn, tau, QL, QR):
+    """``Gn += tau * (QR - QL)`` per component, with tau a scalar or one
+    value per point ((n,) or (n, 1)): the LDG penalty, dissipative with the
+    residual's sign convention."""
+    taup = np.asarray(tau)
+    taup = taup[..., 0] if taup.ndim == QL.ndim else taup
+    for k in range(Gn.shape[-1]):
+        Gn[..., k] = Gn[..., k] + taup * (QR[..., k] - QL[..., k])
+    return Gn
 
 
-def ldg_solution(QL, QR, beta: float, switch):
-    """LDG common solution: the mean state upwinded by beta toward the
-    switch side."""
-    bsw = np.asarray(beta * _per_point(switch, QL))
-    return 0.5 * (QL + QR) - bsw[..., None] * (QR - QL)
+def ldg_interface(Q, grad, QL, QR, n, tau, dim: int, gas: GasModel):
+    """LDG common normal viscous flux of an interface pair (QL, QR).
 
-
-def ldg_interface(QL, QR, grad_L, grad_R, n, beta: float, tau,
-                  dim: int, gas: GasModel, switch=None):
-    """LDG common normal viscous flux.
-
-    It downwinds by beta, against the common solution of
-    :func:`ldg_solution`, and adds the penalty tau*(QR - QL) (dissipative
-    with the residual's sign convention).
+    With the upwinding beta = 1/2 that the solver uses, the LDG flux of
+    Cockburn & Shu is one side's normal viscous flux: the state ``Q`` and
+    gradient ``grad`` are those of the side the switch selects (the right
+    side where :func:`ldg_switch` is positive, else the left), and the
+    common solution is the other side's state.  The penalty
+    tau*(QR - QL) is added.
     """
-    if switch is None:
-        switch = ldg_switch(n)
-    sw = _per_point(switch, QL)
-    taup = _per_point(tau, QL)
-    nc = components(n, dim)
-    GLn = normal_component(viscous_flux(QL, grad_L, dim, gas), nc)
-    GRn = normal_component(viscous_flux(QR, grad_R, dim, gas), nc)
-    Gstar = np.empty_like(QL)
-    bsw = beta * sw
-    for k in range(dim + 2):
-        Gstar[..., k] = (0.5 * (GLn[..., k] + GRn[..., k]) + bsw * (GRn[..., k] - GLn[..., k])
-                         + taup * (QR[..., k] - QL[..., k]))
-    return Gstar
+    Gn = normal_component(viscous_flux(Q, grad, dim, gas), components(n, dim))
+    return _add_penalty(Gn, tau, QL, QR)
 
 
 def wall_flux(Q, ghost, grad, n, tau, dim: int, gas: GasModel, adiabatic: bool = False):
@@ -402,10 +398,7 @@ def wall_flux(Q, ghost, grad, n, tau, dim: int, gas: GasModel, adiabatic: bool =
     if adiabatic:
         _, vel, _ = split_state(Qb, dim)
         Gn[..., 1 + dim] = dot(components(Gn[..., 1:], dim), vel)
-    taup = _per_point(tau, Q)
-    for k in range(dim + 2):
-        Gn[..., k] = Gn[..., k] + taup * (ghost[..., k] - Q[..., k])
-    return Gn
+    return _add_penalty(Gn, tau, Q, ghost)
 
 
 @dataclass

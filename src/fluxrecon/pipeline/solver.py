@@ -6,7 +6,8 @@ points)`` and stored variable-major (see the buffer layouts below).  One
 residual evaluation runs:
 
 1. interpolate Q to flux points (GEMM), exchange halos;
-2. (viscous) common solutions, corrected gradients, gradient halos;
+2. (viscous) LDG common solutions (one gather), gradients ``Q fold_T[ax] +
+   Qc gcorr_T[ax]`` (folded as in step 5), gradient halos;
 3. point-wise flux at solution points, transform to the reference frame;
 4. Riemann/LDG common interface fluxes over one pair list (local pairs,
    then remote pairs against halo ghosts, then boundary pairs against
@@ -49,8 +50,10 @@ Full-mesh buffers, which pair passes or later block loops read:
   combinations, the RK stages; ``compute_residual`` accepts a C-ordered
   state too.  Output and diagnostic einsums read a C-ordered copy, so
   their bits do not depend on the layout;
-* ``Q_fpts``, ``Fc_fpts``, ``jumpQ_fpts`` ``(nv, ne, nf)``; ``grad_upts``
-  ``(d, nv, ne, Ns)``, ``grad_fpts`` ``(d, nv, ne, nf)``;
+* ``Q_fpts``, ``Fc_fpts``, ``Qc_fpts`` ``(nv, ne, nf)``; ``grad_upts``
+  ``(d, nv, ne, Ns)``, ``grad_fpts`` ``(d, nv, ne, nf)``, the first
+  ``ne * nf`` columns of ``Q_cols`` and ``grad_cols``, whose other columns
+  are ``ghost_Q`` and ``ghost_grad``;
 * the metric terms ``adj_rows`` (``|J| J^-1``) and, when viscous,
   ``invT_rows`` (``J^-T``) ``(d, d, ne, Ns)``, one row per entry, as
   :func:`~fluxrecon.operators.compute_geometry` forms them (no copy);
@@ -86,7 +89,16 @@ halo is one span ``(rank, lo, hi)`` of ``halo_spans`` with ghost columns
 ``[lo - nl, hi - nl)``.  Both sides of a coupling order their shared points
 this way, so a message unpacks positionally with no further permutation.
 Boundary pairs run by patch id, each patch one span ``(spec, lo, hi)`` of
-``boundary_spans``.
+``boundary_spans``.  ``_sides`` gives each pair's left and right column of
+the canonical frame in ``Q_cols``: a slot, or ``ne * nf`` plus its ghost
+column, so one ``take`` gathers a side of pairs of any kind.
+
+LDG at beta = 1/2 is one-sided (Cockburn & Shu, SINUM 35, 1998): where the
+switch ``iface_sw`` of the canonical normal is positive, a face pair's
+viscous flux is the right side's and its common solution the left side's
+state, elsewhere the reverse, on every rank alike.  ``qc_col`` holds the
+common solution's column per slot; boundary slots take the mean of the
+interior and ghost states as their common solution.
 
 The discontinuous interface flux is the trace of the same flux polynomial
 the divergence acts on (folded into ``fold_T``), so interface corrections
@@ -158,12 +170,16 @@ class SolverOptions:
     block_kb: int = 1024
     deterministic: bool = False
     viscous: bool = False
-    ldg_beta: float = 0.5
     ldg_tau_scale: float = 0.1
     startup_steps: int = 0
     startup_p: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.p, int) and not isinstance(self.p, bool) and 0 <= self.p <= 8):
+            raise ConfigError(f"solver.p must be an integer in [0, 8], got {self.p!r}")
+        if not (self.ldg_tau_scale >= 0 and np.isfinite(self.ldg_tau_scale)):
+            raise ConfigError(f"solver.ldg_tau_scale must be finite and non-negative, "
+                              f"got {self.ldg_tau_scale!r}")
         if self.block_kb < 1:
             raise ConfigError(f"solver.block_kb must be at least 1, got {self.block_kb}")
         if not (self.cfl > 0 and np.isfinite(self.cfl)):
@@ -398,19 +414,29 @@ class SolverRank:
         tau = self.opt.ldg_tau_scale * (self.opt.p + 1) ** 2 / h_face
         self.iface_tau = tau.reshape(-1)[self.iface.slot // nfp]
 
+        if self.opt.viscous:
+            nfc = self.n_face_pairs
+            L, R = self._sides(0, nfc)
+            self.qc_col = np.arange(self.ne * self.nf)  # boundary slots: their own state
+            self.qc_col[self.iface.slot[:nfc]] = np.where(self.iface_sw[:nfc] > 0, L, R)
+            self.qc_col[self.loc_r.slot] = self.qc_col[loc_l.slot]
+
     def _build_arrays(self):
         """Full-mesh buffers, which pair passes or later block loops read,
         and the volume passes' scratch, one element block deep."""
         ne, nv, d, Ns, nf = self.ne, self.nv, self.dim, self.Ns, self.nf
+        nslot, nl = ne * nf, self.loc_r.size
         self.Q_upts = np.zeros((nv, ne, Ns)).transpose(1, 0, 2)
-        self.Q_fpts = np.zeros((nv, ne, nf))
+        self.Q_cols = np.zeros((nv, nslot + self.iface.size - nl))
+        self.Q_fpts = self.Q_cols[:, :nslot].reshape(nv, ne, nf)
+        self.ghost_Q = self.Q_cols[:, nslot:]
         self.Fc_fpts = np.zeros((nv, ne, nf))
-        self.ghost_Q = np.zeros((nv, self.iface.size - self.loc_r.size))
         if self.opt.viscous:
-            self.jumpQ_fpts = np.zeros((nv, ne, nf))
+            self.Qc_fpts = np.zeros((nv, ne, nf))
             self.grad_upts = np.zeros((d, nv, ne, Ns))
-            self.grad_fpts = np.zeros((d, nv, ne, nf))
-            self.ghost_grad = np.zeros((d * nv, self.n_face_pairs - self.loc_r.size))
+            self.grad_cols = np.zeros((d * nv, nslot + self.n_face_pairs - nl))
+            self.grad_fpts = self.grad_cols[:, :nslot].reshape(d, nv, ne, nf)
+            self.ghost_grad = self.grad_cols[:, nslot:]
         nb = self.block_plan.block_elements
         self.Fhat_upts = np.zeros((d, nv, nb, Ns))
         self.divF_upts = np.zeros((nv, nb, Ns))
@@ -461,10 +487,11 @@ class SolverRank:
         Fhat = self.Fhat_upts[:, :, :hi - lo]
         Q = self._Qv[:, lo:hi].transpose(1, 2, 0)          # (n, Ns, nv) view
         F = Fhat.transpose(2, 3, 0, 1)                     # (n, Ns, d, nv) view
-        physics.inviscid_flux(Q, d, self.gas, out=F)
+        prim = physics.primitives(Q, d, self.gas)
+        physics.inviscid_flux(Q, d, self.gas, out=F, prim=prim)
         if self.opt.viscous:
             grad = self.grad_upts[:, :, lo:hi].transpose(2, 3, 0, 1)
-            F -= physics.viscous_flux(Q, grad, d, self.gas)
+            F -= physics.viscous_flux(Q, grad, d, self.gas, prim=prim)
         self._transform(self.adj_rows[:, :, lo:hi], Fhat, Fhat)
         if self.opt.fusion:
             self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
@@ -510,11 +537,13 @@ class SolverRank:
     # viscous gradient passes ----------------------------------------------
 
     def _gradient(self, lo, hi):
-        Q, jump = self._Qv[:, lo:hi], self.jumpQ_fpts[:, lo:hi]
+        """The reference gradient with the correction of Q's own face trace
+        folded in: ``Q fold_T[ax] + Qc gcorr_T[ax]``."""
+        Q, Qc = self._Qv[:, lo:hi], self.Qc_fpts[:, lo:hi]
         for ax in range(self.dim):
             self._gemm_pass(self.grad_upts[ax, :, lo:hi],
-                            [("gradient", Q, self.div_T[ax]),
-                             ("gradient_corr", jump, self.gcorr_T[ax])])
+                            [("gradient", Q, self.fold_T[ax]),
+                             ("gradient_corr", Qc, self.gcorr_T[ax])])
 
     def _grad_transform(self, lo, hi):
         d, nv = self.dim, self.nv
@@ -536,38 +565,25 @@ class SolverRank:
         row per variable (and gradient axis), one column per slot."""
         return fpts.reshape(-1, self.ne * self.nf)
 
-    def _own(self, fpts, lo, hi):
-        """Values ``(rows, hi - lo)`` of a flux-point field at the own slots
-        of pairs [lo, hi)."""
-        return self._rows(fpts).take(self.iface.slot[lo:hi], axis=1)
-
-    def _own_other(self, fpts, ghost, lo, hi):
-        """Own and other-side values, ``(rows, hi - lo)`` each, of pairs
-        [lo, hi) of a flux-point field and its ghost columns."""
+    def _sides(self, lo, hi):
+        """Left and right columns in the ``*_cols`` buffers of pairs [lo, hi)
+        (a slot, or ``ne * nf`` plus the pair's ghost column)."""
         nl = self.loc_r.size
-        own = self._own(fpts, lo, hi)
-        other = self._rows(fpts).take(self.loc_r.slot[lo:hi], axis=1)
-        if hi > nl:
-            other = np.concatenate([other, ghost[:, max(lo, nl) - nl:hi - nl]], axis=1)
-        return own, other
+        own, flip = self.iface.slot[lo:hi], self.iface_flip[lo:hi]
+        other = np.concatenate([self.loc_r.slot[lo:hi],
+                                self.ne * self.nf - nl + np.arange(max(lo, nl), max(hi, nl))])
+        return np.where(flip, other, own), np.where(flip, own, other)
 
-    def _scatter(self, fpts, own, other, lo, hi):
-        """Write ``own`` (nv, hi - lo) to the own slots of pairs [lo, hi)
-        and ``other`` to the other slots of its local pairs of an
-        (nv, ne, nf) field."""
+    def _scatter(self, F, lo, hi):
+        """Write the common fluxes ``F`` (nv, hi - lo) of pairs [lo, hi) to
+        their own slots of ``Fc_fpts`` and ``-F`` to the other slots of the
+        local pairs among them."""
         own_i, loc_i = self.iface.slot[lo:hi], self.loc_r.slot[lo:hi]
         # one variable row at a time: a 1-D indexed assignment is about
         # twice as fast as the 2-D ``[:, slot]`` one
-        for row, a, b in zip(self._rows(fpts), own, other):
-            row[own_i] = a
-            row[loc_i] = b
-
-    def _left_right(self, own, other, lo, hi):
-        """Order (own, other) as (left, right) of the canonical frame."""
-        flip = self.iface_flip[lo:hi]
-        if not flip.any():
-            return own, other
-        return np.where(flip, other, own), np.where(flip, own, other)
+        for row, f, g in zip(self._rows(self.Fc_fpts), F, -F[:, :loc_i.size]):
+            row[own_i] = f
+            row[loc_i] = g
 
     def _canonical(self, lo, hi):
         """Number of pairs in [lo, hi) whose own side is the canonical left
@@ -591,7 +607,7 @@ class SolverRank:
         nl = self.loc_r.size
         for spec, lo, hi in self.boundary_spans:
             e, p = np.divmod(self.iface.slot[lo:hi], self.nf)
-            Q = self._own(self.Q_fpts, lo, hi)
+            Q = self.Q_cols.take(self.iface.slot[lo:hi], axis=1)
             self.ghost_Q[:, lo - nl:hi - nl] = physics.apply_boundary(
                 spec, Q.T, self.iface_n[:, lo:hi].T, self.dim,
                 self.gas, x=self.x_fpts[e, p], diag=self.boundary_diag).T
@@ -607,21 +623,12 @@ class SolverRank:
         """(m, d, nv) view of variable-major gradient rows (d * nv, m)."""
         return grad.reshape(self.dim, self.nv, -1).transpose(2, 0, 1)
 
-    def _wall_flux(self, spec, Q, ghost, lo, hi):
-        """Viscous normal flux (nv, hi - lo) of boundary pairs [lo, hi) from
-        interior and ghost states (nv, hi - lo) (see ``physics.wall_flux``)."""
-        d = self.dim
-        grad = self._own(self.grad_fpts, lo, hi)
-        return physics.wall_flux(Q.T, ghost.T, self._by_point(grad), self.iface_n[:, lo:hi].T,
-                                 self.iface_tau[lo:hi], d, self.gas,
-                                 adiabatic=spec.kind == "adiabatic").T
-
     def _riemann_common(self, lo, hi):
         nv, d = self.nv, self.dim
         visc = self.opt.viscous
         # states (nv, m); the physics sees (m, nv) views of them
-        QL, QR = self._left_right(
-            *self._own_other(self.Q_fpts, self.ghost_Q, lo, hi), lo, hi)
+        L, R = self._sides(lo, hi)
+        QL, QR = self.Q_cols.take(L, axis=1), self.Q_cols.take(R, axis=1)
         n = self.iface_n[:, lo:hi].T
         F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas,
                                  self.opt.riemann, self.riemann_diag).T
@@ -633,32 +640,36 @@ class SolverRank:
             members.append(("viscous_interface", self._canonical(lo, m)))
             if m > lo:
                 k = m - lo
-                gL, gR = self._left_right(
-                    *self._own_other(self.grad_fpts, self.ghost_grad, lo, m), lo, m)
+                col = np.where(self.iface_sw[lo:m] > 0, R[:k], L[:k])
                 Gn = physics.ldg_interface(
-                    QL[:, :k].T, QR[:, :k].T, self._by_point(gL), self._by_point(gR),
-                    n[:k], self.opt.ldg_beta, self.iface_tau[lo:m], d, self.gas,
-                    switch=self.iface_sw[lo:m])
+                    self.Q_cols.take(col, axis=1).T,
+                    self._by_point(self.grad_cols.take(col, axis=1)),
+                    QL[:, :k].T, QR[:, :k].T, n[:k], self.iface_tau[lo:m], d, self.gas)
                 F[:, :k] -= Gn.T
             for spec, blo, bhi in self.boundary_spans:
                 a, b = max(lo, blo), min(hi, bhi)
                 if a < b and spec.kind != "slip":
-                    F[:, a - lo:b - lo] -= self._wall_flux(
-                        spec, QL[:, a - lo:b - lo], QR[:, a - lo:b - lo], a, b)
+                    j = slice(a - lo, b - lo)
+                    grad = self._by_point(self.grad_cols.take(self.iface.slot[a:b], axis=1))
+                    F[:, j] -= physics.wall_flux(
+                        QL[:, j].T, QR[:, j].T, grad, n[j], self.iface_tau[a:b],
+                        d, self.gas, adiabatic=spec.kind == "adiabatic").T
                     members.append(("viscous_wall", b - a))
         F *= self.iface_a[lo:hi]
-        k = max(0, min(hi, self.loc_r.size) - lo)
-        self._scatter(self.Fc_fpts, F, -F[:, :k], lo, hi)
+        self._scatter(F, lo, hi)
         self._log_pairs("riemann_common", lo, hi,
-                        2 * nv + d + 1 + (2 * d * nv + 2 if visc else 0), members)
+                        2 * nv + d + 1 + (d * nv + 1 if visc else 0), members)
 
-    def _common_solution(self, lo, hi):
-        own, other = self._own_other(self.Q_fpts, self.ghost_Q, lo, hi)
-        QL, QR = self._left_right(own, other, lo, hi)
-        Qs = physics.ldg_solution(QL.T, QR.T, self.opt.ldg_beta, self.iface_sw[lo:hi]).T
-        k = max(0, min(hi, self.loc_r.size) - lo)
-        self._scatter(self.jumpQ_fpts, Qs - own, Qs[:, :k] - other[:, :k], lo, hi)
-        self._log_pairs("common_solution", lo, hi, 2 * self.nv + 1, ("common_solution",))
+    def _common_solution(self):
+        """The LDG common solution at every flux-point slot: the solution
+        side's state of each face pair (one static gather), and on boundary
+        slots the mean of the interior and ghost states."""
+        Qc = self._rows(self.Qc_fpts)
+        np.take(self.Q_cols, self.qc_col, axis=1, out=Qc, mode="clip")  # "raise" buffers out
+        b = self.iface.slot[self.n_face_pairs:]
+        Qc[:, b] = 0.5 * (Qc[:, b] + self.ghost_Q[:, self.n_face_pairs - self.loc_r.size:])
+        self.ledger.add_pointwise("common_solution", self.dim, b.size,
+                                  (Qc.size + b.size * self.nv) * ITEM, Qc.nbytes)
 
     # ------------------------------------------------------------------
     # operators and execution
@@ -674,7 +685,7 @@ class SolverRank:
             budget_bytes=self.opt.block_kb * 1024,
         )
         self.interp_T = ref.interp_to_faces.T.copy()
-        self.div_T = [ref.div_operators[ax].T.copy() for ax in range(d)]
+        div_T = [ref.div_operators[ax].T for ax in range(d)]
         self.corr_T = ref.correction_matrix.T.copy()
         # gcorr[ax]: the correction columns of the faces whose normal axis
         # is ax, times each face's side (+-1)
@@ -685,8 +696,8 @@ class SolverRank:
         self.gcorr_T = [gcorr[ax].T.copy() for ax in range(d)]
         # fold_T[ax] = div_T[ax] - T_ax corr_T with the trace T_ax =
         # interp_T S_ax, S_ax the diagonal of sides that gcorr[ax] applies,
-        # so that S_ax corr_T = gcorr_T[ax]
-        self.fold_T = [self.div_T[ax] - self.interp_T @ self.gcorr_T[ax] for ax in range(d)]
+        # so that S_ax corr_T = gcorr_T[ax]; the gradient uses it too
+        self.fold_T = [div_T[ax] - self.interp_T @ self.gcorr_T[ax] for ax in range(d)]
         # the volume flux reads the gradient too when viscous
         self.grad_rows = d * nv if self.opt.viscous else 0
         self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
@@ -706,8 +717,8 @@ class SolverRank:
             for run in passes:
                 run(lo, hi)
 
-    def _exchange(self, fpts: np.ndarray, ghost: np.ndarray):
-        """Send each peer the values of its span of a flux-point field;
+    def _exchange(self, cols: np.ndarray, ghost: np.ndarray):
+        """Send each peer the values of its span of a ``*_cols`` buffer;
         unpack the peer's message into the span's ghost columns (message
         bytes are point-major, one point's values after another).  The
         exchange is collective: a rank without peers joins it too."""
@@ -715,7 +726,7 @@ class SolverRank:
             return
         nl, width = self.loc_r.size, ghost.shape[0]
         recv = nbx_exchange(self.ctx, {
-            rank: self._own(fpts, lo, hi).T.tobytes()
+            rank: cols.take(self.iface.slot[lo:hi], axis=1).T.tobytes()
             for rank, lo, hi in self.halo_spans})
         for rank, lo, hi in self.halo_spans:
             vals = np.frombuffer(recv[rank], dtype=np.float64).reshape(-1, width)
@@ -723,11 +734,11 @@ class SolverRank:
 
     def halo_exchange_q(self):
         """Fill the halo columns of ghost_Q with the peers' face values."""
-        self._exchange(self.Q_fpts, self.ghost_Q)
+        self._exchange(self.Q_cols, self.ghost_Q)
 
     def halo_exchange_grad(self):
         """Fill ghost_grad with the peers' face gradients."""
-        self._exchange(self.grad_fpts, self.ghost_grad)
+        self._exchange(self.grad_cols, self.ghost_grad)
 
     def compute_residual(self, Q: np.ndarray) -> np.ndarray:
         """dQ/dt ``(ne, nv, Ns)``, stored variable-major, for the state Q
@@ -741,7 +752,7 @@ class SolverRank:
             self._boundary_ghosts()
 
             if self.opt.viscous:
-                self._run_pairs(self._common_solution)
+                self._common_solution()
                 self._run_blocks(self._gradient, self._grad_transform, self._interp_grad)
                 self.halo_exchange_grad()
 

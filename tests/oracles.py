@@ -19,6 +19,7 @@ from fluxrecon.mesh_core import (
     match_local_faces,
     orientation_permutation,
 )
+from fluxrecon.pipeline import SolverRank
 from fluxrecon.operators import (
     _REF_CORNERS,
     ElementGeometry,
@@ -374,9 +375,10 @@ def interfaces_per_face(solver):
     }
 
 
-def reference_residual(mesh, Q, p, gas, riemann="rusanov", viscous=False,
-                       ldg_beta=0.5, ldg_tau_scale=0.1, sponges=()):
-    """Plain dense evaluation of the corrected-divergence update.
+def reference_residual(mesh, Q, p, gas, riemann="rusanov", sponges=()):
+    """Plain dense evaluation of the corrected-divergence update of the
+    inviscid (Euler) equations; viscous terms are outside this oracle's
+    scope (see :class:`TwoSidedLDGSolver`).
 
     Q has layout (ne, nvars, Ns).  Periodic-only meshes (every face pairs
     up); boundary conditions are outside this oracle's scope.
@@ -611,3 +613,119 @@ def exact_riemann_sod(x, t, gas, left=(1.0, 0.0, 1.0), right=(0.125, 0.0, 0.1),
                     u[i] = uu
                     p[i] = pr * (cc / cr) ** (2 * g / (g - 1.0))
     return rho, u, p
+
+
+def viscous_flux(Q, grad_Q, dim, gas):
+    """Physical viscous flux (..., dim, nv), each stress entry formed per
+    use (``tau_ik`` and ``tau_ki`` separately) and the zero mass flux as
+    ``0.0 * rho``."""
+    rho, vel, E, p = physics.primitives(Q, dim, gas)
+    T = p / (rho * gas.R)
+    mu = gas.viscosity(T)
+    k_cond = mu * gas.cp / gas.Pr
+    dudx = physics.velocity_gradient(rho, vel, grad_Q)
+    divu = dudx[..., 0, 0]
+    for i in range(1, dim):
+        divu = divu + dudx[..., i, i]
+    u2 = _dot_in_order(vel, vel)
+    G = np.empty(Q.shape[:-1] + (dim, dim + 2))
+    for kdir in range(dim):
+        ke_grad = -0.5 * u2 * grad_Q[..., kdir, 0]
+        for i in range(dim):
+            ke_grad = ke_grad + vel[i] * grad_Q[..., kdir, 1 + i]
+        dp = (gas.gamma - 1.0) * (grad_Q[..., kdir, 1 + dim] - ke_grad)
+        dT = (dp * rho - p * grad_Q[..., kdir, 0]) / (rho * rho * gas.R)
+        G[..., kdir, 0] = 0.0 * rho
+        tau = []
+        for i in range(dim):
+            t = mu * (dudx[..., i, kdir] + dudx[..., kdir, i])
+            if i == kdir:
+                t = t - (2.0 / 3.0) * mu * divu
+            G[..., kdir, 1 + i] = t
+            tau.append(t)
+        G[..., kdir, 1 + dim] = _dot_in_order(tau, vel) + k_cond * dT
+    return G
+
+
+def ldg_solution(QL, QR, beta, switch):
+    """Two-sided LDG common solution of any beta: the mean state upwinded by
+    beta toward the switch side.  States (m, nv), switch (m,)."""
+    bsw = beta * np.asarray(switch, dtype=float)
+    return 0.5 * (QL + QR) - bsw[:, None] * (QR - QL)
+
+
+def ldg_interface(QL, QR, grad_L, grad_R, n, beta, tau, dim, gas, switch):
+    """Two-sided LDG common normal viscous flux of any beta: both sides'
+    normal viscous fluxes, downwinded by beta against :func:`ldg_solution`,
+    plus the penalty tau*(QR - QL).  States (m, nv), gradients
+    (m, dim, nv), normals (m, dim), tau and switch (m,) or scalars."""
+    GLn = np.einsum("mdv,md->mv", physics.viscous_flux(QL, grad_L, dim, gas), n)
+    GRn = np.einsum("mdv,md->mv", physics.viscous_flux(QR, grad_R, dim, gas), n)
+    bsw = beta * np.broadcast_to(np.asarray(switch, dtype=float), QL.shape[:1])[:, None]
+    taup = np.broadcast_to(np.asarray(tau, dtype=float), QL.shape[:1])[:, None]
+    return 0.5 * (GLn + GRn) + bsw * (GRn - GLn) + taup * (QR - QL)
+
+
+def pair_sides(solver, rows, ghost, lo, hi):
+    """Left and right values (rows, hi - lo) of a solver's pairs [lo, hi):
+    own slot and other side (a local pair's other slot, else its ghost
+    column), swapped where the own side is the canonical right side."""
+    nl = solver.loc_r.size
+    own = rows[:, solver.iface.slot[lo:hi]]
+    other = np.concatenate([rows[:, solver.loc_r.slot[lo:hi]],
+                            ghost[:, max(lo, nl) - nl:max(hi, nl) - nl]], axis=1)
+    flip = solver.iface_flip[lo:hi]
+    return np.where(flip, other, own), np.where(flip, own, other)
+
+
+class TwoSidedLDGSolver(SolverRank):
+    """The solver with the two-sided LDG of :func:`ldg_solution` and
+    :func:`ldg_interface` at a given beta (default 1/2): both sides' viscous
+    fluxes at every face pair, the common solution as a weighted mean, and
+    the gradient corrected by the jump of the common solution against each
+    slot's own state, ``Q div_T[ax] + (Qc - Q_f) gcorr_T[ax]``, with the
+    unfolded divergence operator.  Everything else is the solver's own."""
+
+    def __init__(self, *args, beta=0.5, **kwargs):
+        self.beta = beta
+        super().__init__(*args, **kwargs)
+
+    def _common_solution(self):
+        rows = self._rows(self.Q_fpts)
+        QL, QR = pair_sides(self, rows, self.ghost_Q, 0, self.iface.size)
+        Qs = ldg_solution(QL.T, QR.T, self.beta, self.iface_sw).T
+        own = self.iface.slot
+        jump = np.zeros_like(rows)
+        jump[:, own] = Qs - rows[:, own]
+        nl = self.loc_r.size
+        jump[:, self.loc_r.slot] = Qs[:, :nl] - rows[:, self.loc_r.slot]
+        self.jump_fpts = jump.reshape(self.Q_fpts.shape)
+
+    def _gradient(self, lo, hi):
+        for ax in range(self.dim):
+            self.grad_upts[ax, :, lo:hi] = (
+                self._Qv[:, lo:hi] @ self.ref.div_operators[ax].T
+                + self.jump_fpts[:, lo:hi] @ self.gcorr_T[ax])
+
+    def _riemann_common(self, lo, hi):
+        d, nfc = self.dim, self.n_face_pairs
+        QL, QR = pair_sides(self, self._rows(self.Q_fpts), self.ghost_Q, lo, hi)
+        n = self.iface_n[:, lo:hi].T
+        F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas, self.opt.riemann).T
+        m = min(hi, nfc)
+        if m > lo:
+            gL, gR = pair_sides(self, self._rows(self.grad_fpts), self.ghost_grad, lo, m)
+            F[:, :m - lo] -= ldg_interface(
+                QL[:, :m - lo].T, QR[:, :m - lo].T, self._by_point(gL), self._by_point(gR),
+                n[:m - lo], self.beta, self.iface_tau[lo:m], d, self.gas,
+                self.iface_sw[lo:m]).T
+        for spec, blo, bhi in self.boundary_spans:
+            a, b = max(lo, blo), min(hi, bhi)
+            if a < b and spec.kind != "slip":
+                grad = self._rows(self.grad_fpts)[:, self.iface.slot[a:b]]
+                F[:, a - lo:b - lo] -= physics.wall_flux(
+                    QL[:, a - lo:b - lo].T, QR[:, a - lo:b - lo].T, self._by_point(grad),
+                    n[a - lo:b - lo], self.iface_tau[a:b], d, self.gas,
+                    adiabatic=spec.kind == "adiabatic").T
+        F *= self.iface_a[lo:hi]
+        self._scatter(F, lo, hi)

@@ -488,11 +488,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("solver.cfl", "nan"), ("solver.cfl", "inf"), ("solver.cfl", "0"),
-        ("solver.riemann", "roe")])
+        ("solver.riemann", "roe"), ("solver.p", "-1"), ("solver.p", "9"),
+        ("solver.ldg_tau_scale", "nan"), ("solver.ldg_tau_scale", "-1")])
     def test_bad_solver_value_rejected_naming_the_key(self, key, value):
         cfg = RunConfig.parse(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             cfg.solver_options()
+
+    def test_ldg_beta_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'solver.ldg_beta'"):
+            RunConfig.parse("solver.ldg_beta = 0.5\n")
 
     def test_sponges(self):
         cfg = RunConfig.parse(

@@ -85,7 +85,8 @@ class TestPointwiseCosts:
         ("ghost_riemann-inflow", 2, 43), ("ghost_riemann-inflow", 3, 53),
         ("ghost_sponge-ref", 2, 0), ("ghost_sponge-ref", 3, 0),
         ("ghost_prescribed", 2, 0), ("ghost_prescribed", 3, 0),
-        ("viscous_flux", 2, 79)])
+        ("viscous_flux", 2, 73), ("viscous_interface", 2, 97),
+        ("common_solution", 2, 8), ("common_solution", 3, 10)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
         """The common flux times the signed area (one mul per variable);
         one zone's precomputed -sigma (Q - Q_ref) added to the source (three
@@ -93,8 +94,11 @@ class TestPointwiseCosts:
         assembly; the Riemann-inflow ghost including the reversed-inflow
         check that runs with the solver's diagnostics; the sponge-ref and
         prescribed ghosts, which copy a state and never read the interior
-        one, at no flops; the 2-D viscous flux.  The table carries the same
-        counts."""
+        one, at no flops; the 2-D viscous flux (each stress entry formed
+        once) and the one-sided LDG flux (that flux, its normal component
+        and the penalty: 73 + 12 + 12); the boundary common solution, the
+        mean of two states (two ops per variable).  The table carries the
+        same counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
@@ -129,7 +133,7 @@ class TestLedger:
         expect = ((face_pairs + wall_pairs + slip_pairs)
                   * (cost["riemann_rusanov"] + cost["flux_scale"])
                   + face_pairs * cost["viscous_interface"] + wall_pairs * cost["viscous_wall"])
-        assert expect == 6786
+        assert expect == 4626
         stat = s.ledger.kernels["riemann_common"]
         assert stat.flops == expect and stat.invocations == 1
 
@@ -261,6 +265,10 @@ class TestLedger:
             assert on[name].flops == off[name].flops
         for name, members in fused_names.items():
             assert on[name].flops == sum(off[m].flops for m in members) > 0
+        if viscous:
+            # a periodic mesh has no boundary pairs: its common solution is
+            # one gather, at no flops
+            assert on["common_solution"].flops == 0
 
     def test_step_summary_excludes_warmup(self):
         stats = summarize_steps([10.0, 9.0, 8.0, 1.0, 1.2, 0.8], warmup=3)

@@ -15,7 +15,6 @@ from fluxrecon.physics import (
     inviscid_flux,
     isentropic_mach,
     ldg_interface,
-    ldg_solution,
     normal_flux,
     pressure,
     riemann_flux,
@@ -235,11 +234,32 @@ class TestLDG:
         g = np.zeros((1, 2, 4))
         g[0, 0, 0] = 0.3
         n = np.array([[1.0, 0.0]])
-        Gs = ldg_interface(Q, Q, g, g, n, 0.5, 1.0, 2, gasv)
-        Qs = ldg_solution(Q, Q, 0.5, physics.ldg_switch(n))
-        assert np.abs(Qs - Q).max() < 1e-14
+        Gs = ldg_interface(Q, g, Q, Q, n, 1.0, 2, gasv)
         Gn = np.sum(viscous_flux(Q, g, 2, gasv) * n[..., None], axis=-2)
         assert np.abs(Gs - Gn).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("switch", ["positive", "negative", "by-normal"])
+    def test_one_sided_is_the_two_sided_ldg_at_half_beta(self, dim, switch):
+        """At beta = 1/2 the two-sided LDG flux is the normal viscous flux
+        of the right side where the switch is positive (else the left) plus
+        the penalty, and the two-sided common solution is the other side's
+        state, both to round-off."""
+        gas, data = TestLayoutIndependence()._case(dim)
+        QL, QR, gL, gR, n = (data[k] for k in ("QL", "QR", "gL", "gR", "n"))
+        m = QL.shape[0]
+        sw = {"positive": np.ones(m), "negative": -np.ones(m),
+              "by-normal": physics.ldg_switch(n)}[switch]
+        right = sw > 0
+        if switch == "by-normal":
+            assert right.any() and not right.all()
+        tau = np.linspace(0.5, 2.0, m)
+        got = ldg_interface(np.where(right[:, None], QR, QL),
+                            np.where(right[:, None, None], gR, gL), QL, QR, n, tau, dim, gas)
+        ref = oracles.ldg_interface(QL, QR, gL, gR, n, 0.5, tau, dim, gas, sw)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        Qs = oracles.ldg_solution(QL, QR, 0.5, sw)
+        assert np.abs(np.where(right[:, None], QL, QR) - Qs).max() <= 1e-14 * np.abs(Qs).max()
 
     def test_beta_zero_centers_both_stages(self, gas):
         gasv = GasModel(gamma=1.4, R=1.0, mu=0.1)
@@ -248,8 +268,8 @@ class TestLDG:
         gL = np.zeros((1, 2, 4))
         gR = np.ones((1, 2, 4)) * 0.1
         n = np.array([[0.0, 1.0]])
-        Gs = ldg_interface(QL, QR, gL, gR, n, 0.0, 0.0, 2, gasv)
-        Qs = ldg_solution(QL, QR, 0.0, physics.ldg_switch(n))
+        Gs = oracles.ldg_interface(QL, QR, gL, gR, n, 0.0, 0.0, 2, gasv, physics.ldg_switch(n))
+        Qs = oracles.ldg_solution(QL, QR, 0.0, physics.ldg_switch(n))
         assert np.abs(Qs - 0.5 * (QL + QR)).max() < 1e-14
         GLn = np.sum(viscous_flux(QL, gL, 2, gasv) * n[..., None], axis=-2)
         GRn = np.sum(viscous_flux(QR, gR, 2, gasv) * n[..., None], axis=-2)
@@ -565,10 +585,8 @@ class TestLayoutIndependence:
     def test_ldg_interface(self, dim):
         gas, data = self._case(dim)
         tau = np.linspace(0.5, 2.0, self.N)
-        sw = physics.ldg_switch(data["n"])
         self._assert_same(*self._both(data, lambda a: ldg_interface(
-            a["QL"], a["QR"], a["gL"], a["gR"], a["n"], 0.5, tau, dim, gas, switch=sw)))
-        self._assert_same(*self._both(data, lambda a: ldg_solution(a["QL"], a["QR"], 0.5, sw)))
+            a["QR"], a["gR"], a["QL"], a["QR"], a["n"], tau, dim, gas)))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["riemann-inflow", "outflow", "noslip-isothermal",
@@ -664,7 +682,23 @@ class TestFluxOracles:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_inviscid_flux(self, dim):
         gas, QL, _, _ = self._states(dim)
-        assert np.array_equal(inviscid_flux(QL, dim, gas), oracles.inviscid_flux(QL, dim, gas))
+        F = inviscid_flux(QL, dim, gas)
+        assert np.array_equal(F, oracles.inviscid_flux(QL, dim, gas))
+        assert np.array_equal(F, inviscid_flux(QL, dim, gas,
+                                               prim=physics.primitives(QL, dim, gas)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("sutherland", [False, True])
+    def test_viscous_flux(self, dim, sutherland):
+        """Each stress entry formed once, and the primitives passed in or
+        not, give the bits of the flux that forms every entry per use."""
+        _, QL, _, _ = self._states(dim)
+        gas = GasModel(gamma=1.4, R=1.0, mu=2e-2, sutherland=sutherland, mu_ref=2e-2, T_ref=1.0)
+        grad = 0.3 * np.random.default_rng(dim).standard_normal(QL.shape[:1] + (dim, dim + 2))
+        G = viscous_flux(QL, grad, dim, gas)
+        assert np.array_equal(G, oracles.viscous_flux(QL, grad, dim, gas))
+        assert np.array_equal(G, viscous_flux(QL, grad, dim, gas,
+                                              prim=physics.primitives(QL, dim, gas)))
 
 
 def test_hllc_fallback_evaluates_only_degenerate_points(monkeypatch):

@@ -211,6 +211,16 @@ class TestTimeStepping:
         with pytest.raises(ConfigError, match="solver.cfl"):
             SolverOptions(cfl=cfl)
 
+    @pytest.mark.parametrize("p", [-1, 9, 2.5, True, "3"])
+    def test_options_reject_p_that_is_not_an_integer_in_0_to_8(self, p):
+        with pytest.raises(ConfigError, match="solver.p"):
+            SolverOptions(p=p)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1])
+    def test_options_reject_ldg_tau_scale_that_is_not_finite_and_non_negative(self, tau):
+        with pytest.raises(ConfigError, match="solver.ldg_tau_scale"):
+            SolverOptions(ldg_tau_scale=tau)
+
     def test_options_reject_unknown_riemann_solver(self):
         with pytest.raises(ConfigError, match="solver.riemann"):
             SolverOptions(riemann="roe")
@@ -520,8 +530,7 @@ class TestVariableMajor:
             "inviscid_flux": [(0, 1), ("out", 2)],
             "viscous_flux": [(0, 1), (1, 2)],
             "riemann_flux": [(0, 1), (1, 1), (2, 1)],
-            "ldg_solution": [(0, 1), (1, 1)],
-            "ldg_interface": [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1)],
+            "ldg_interface": [(0, 1), (1, 2), (2, 1), (3, 1), (4, 1)],
             "wall_flux": [(0, 1), (1, 1), (2, 2), (3, 1)],
             "apply_boundary": [(1, 1), (2, 1)],
         }
@@ -552,6 +561,70 @@ class TestVariableMajor:
         s = _walled_solver(viscous=True, riemann=riemann)
         s.compute_residual(s.Q_upts)
         assert all(seen.values()), seen
+
+
+class TestOneSidedLDG:
+    """The one-sided LDG flux and the gathered common solution against the
+    two-sided formulas at beta = 1/2 (``oracles.TwoSidedLDGSolver``)."""
+
+    TGV_GAS = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=2e-2)
+
+    def _tgv(self, cls, **kw):
+        mesh = box_mesh(3, 3, 3, lengths=(2 * np.pi,) * 3, periodic=(True,) * 3,
+                        perturb=0.2, seed=7)
+        shards = prepare_shards(mesh, np.zeros(27, np.int64), 1)
+        s = cls(shards[0], self.TGV_GAS, SolverOptions(p=2, viscous=True), **kw)
+        s.set_state(lambda x: taylor_green_state(x, self.TGV_GAS))
+        return s
+
+    def _wall(self, cls, **kw):
+        shards = prepare_shards(_wall_mesh(), np.zeros(30, np.int64), 1)
+        s = cls(shards[0], WALL_GAS, SolverOptions(p=2, viscous=True),
+                boundary_specs=WALL_BCS, **kw)
+        s.set_state(_wall_field)
+        return s
+
+    @pytest.mark.parametrize("case", ["tgv", "wall"])
+    def test_residual_matches_the_two_sided_formula(self, case):
+        """The residual equals the two-sided one at beta = 1/2 to round-off,
+        while beta = -1/2, which takes the other side of every face pair,
+        is far from it."""
+        from oracles import TwoSidedLDGSolver
+
+        build = self._tgv if case == "tgv" else self._wall
+        s = build(SolverRank)
+        r = s.compute_residual(s.Q_upts)
+        ref = build(TwoSidedLDGSolver)
+        expect = ref.compute_residual(ref.Q_upts)
+        scale = np.abs(expect).max()
+        assert np.abs(r - expect).max() <= 1e-12 * scale
+        other = build(TwoSidedLDGSolver, beta=-0.5)
+        assert np.abs(other.compute_residual(other.Q_upts) - expect).max() > 1e-6 * scale
+
+    @pytest.mark.parametrize("case", ["tgv", "wall"])
+    def test_common_solution_is_the_two_sided_solution(self, case):
+        """``Qc_fpts`` holds, at both slots of each face pair, the beta = 1/2
+        common solution of its left and right states, and at boundary slots
+        the mean of the interior and ghost states.  The periodic box has
+        pairs of both switch signs (its wrap faces point against the switch
+        vector), the wall box boundary slots."""
+        from oracles import ldg_solution, pair_sides
+
+        s = (self._tgv if case == "tgv" else self._wall)(SolverRank)
+        s.compute_residual(s.Q_upts)
+        QL, QR = (q.T for q in pair_sides(s, s._rows(s.Q_fpts), s.ghost_Q, 0, s.iface.size))
+        nfc, nl = s.n_face_pairs, s.loc_r.size
+        sw = s.iface_sw[:nfc]
+        if case == "tgv":
+            assert (sw > 0).any() and (sw < 0).any() and nfc == s.iface.size
+        else:
+            assert nfc < s.iface.size
+        expect = np.concatenate([ldg_solution(QL[:nfc], QR[:nfc], 0.5, sw),
+                                 0.5 * (QL[nfc:] + QR[nfc:])])
+        Qc = s._rows(s.Qc_fpts)
+        scale = np.abs(expect).max()
+        assert np.abs(Qc[:, s.iface.slot].T - expect).max() <= 1e-14 * scale
+        assert np.abs(Qc[:, s.loc_r.slot].T - expect[:nl]).max() <= 1e-14 * scale
 
 
 def _sponge_state(x, gas):
