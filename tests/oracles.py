@@ -4,6 +4,9 @@ Everything here is deliberately written the slow, obvious way (per-element
 and per-face loops, no kernel machinery) so it exercises none of the
 production code paths it is checking.  Only ``interfaces_per_face`` uses
 canonical frames, because the halo order it reproduces is defined by them.
+``TwoSidedLDGSolver`` is the one exception to the rule: it is the solver
+with only its LDG passes replaced by the two-sided formulas, so that a test
+compares those passes and nothing else.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from fluxrecon.mesh_core import (
     match_local_faces,
     orientation_permutation,
 )
-from fluxrecon.pipeline import SolverRank
 from fluxrecon.operators import (
     _REF_CORNERS,
     ElementGeometry,
@@ -30,6 +32,7 @@ from fluxrecon.operators import (
     dg_correction_derivative,
     lagrange_eval,
 )
+from fluxrecon.pipeline import SolverRank
 
 
 def random_partition(rng, ncells, nranks):
