@@ -4,6 +4,7 @@ solves, and step benchmarking."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import multiprocessing as mp
 import os
@@ -70,43 +71,49 @@ def initialize(solver: SolverRank, cfg: RunConfig):
     solver.set_state(fixtures.initial_state_fn(cfg, solver.gas))
 
 
-def run_startup(solver: SolverRank, cfg: RunConfig, shard, ctx=None):
-    """Order-switching start-up: flush transients at a low degree, then
-    interpolate onto the target degree's points."""
-    opts = cfg.solver_options()
-    if opts.startup_steps <= 0:
-        return solver
-    low = cfg.solver_options()
-    low.p = opts.startup_p
-    s_low = build_solver(shard, cfg, ctx=ctx, options=low)
-    initialize(s_low, cfg)
-    s_low.run_steps(opts.startup_steps)
-    kind = "hex" if shard.dim == 3 else "quad"
-    solver.Q_upts = interpolate_state(s_low.Q_upts, kind, opts.startup_p, opts.p)
-    return solver
+def run_startup(solver: SolverRank, cfg: RunConfig):
+    """Order-switching start-up: ``startup_steps`` steps at degree
+    ``startup_p`` from the initial state, interpolated onto the solver's points."""
+    opts = solver.opt
+    if opts.startup_steps == 0:
+        return
+    low = build_solver(solver.shard, cfg, ctx=solver.ctx,
+                       options=dataclasses.replace(opts, p=opts.startup_p))
+    initialize(low, cfg)
+    low.run_steps(opts.startup_steps)
+    solver.Q_upts = interpolate_state(low.Q_upts, solver.ref.kind, opts.startup_p, opts.p)
+
+
+def _output_format(cfg: RunConfig, shard) -> str:
+    """``output.format``, checked, and for surface output its patch."""
+    fmt = cfg.get_str("output.format", "vtk-legacy")
+    if fmt not in ("vtk-legacy", "csv-surface"):
+        raise ConfigError(f"unknown output.format {fmt!r}")
+    if fmt == "csv-surface":
+        patch = cfg.get_str("output.patch", "blade")
+        if patch not in shard.patch_names.values():
+            raise ConfigError(f"output.patch {patch!r} names no patch of the mesh")
+    return fmt
 
 
 def _write_outputs(solver: SolverRank, cfg: RunConfig, outdir: str, rank: int):
+    fmt = _output_format(cfg, solver.shard)
     os.makedirs(outdir, exist_ok=True)
-    fmt = cfg.get_str("output.format", "vtk-legacy")
-    order = cfg.get_int("output.order", min(solver.opt.p, 4))
     if fmt == "vtk-legacy":
-        solution_io.write_vtk(os.path.join(outdir, f"solution_{rank:04d}.vtk"),
-                              solver, order=order)
-    elif fmt == "csv-surface":
-        patch = cfg.get_str("output.patch", "blade")
-        solution_io.write_surface_csv(
-            os.path.join(outdir, f"surface_{rank:04d}.csv"), solver, patch,
-            p0_ref=cfg.get_float("output.p0_ref", 1.0))
+        solution_io.write_vtk(os.path.join(outdir, f"solution_{rank:04d}.vtk"), solver,
+                              order=cfg.get_int("output.order", min(solver.opt.p, 4)))
     else:
-        raise ConfigError(f"unknown output.format {fmt!r}")
+        solution_io.write_surface_csv(
+            os.path.join(outdir, f"surface_{rank:04d}.csv"), solver,
+            cfg.get_str("output.patch", "blade"),
+            p0_ref=cfg.get_float("output.p0_ref", 1.0))
     if rank == 0:
         with open(os.path.join(outdir, "index.txt"), "w", encoding="utf-8") as fh:
             fh.write(f"files = {solver.shard.nranks}\n")
             fh.write(f"format = {fmt}\n")
 
 
-def benchmark_step(solver: SolverRank, cfg: RunConfig, nsteps: int = 50,
+def benchmark_step(solver: SolverRank, nsteps: int = 50,
                    warmup: int = 3) -> Tuple[dict, PerfLedger]:
     """Timed steps with I/O and statistics off; per-step means exclude the
     warm-up steps."""
@@ -130,13 +137,13 @@ def _worker(rank: int, nranks: int, links: dict, shards_dir: str,
         shard = read_shards(shards_dir, ranks=[rank])[0]
         transport = SocketTransport(rank, nranks, links)
         ctx = RankContext(rank, nranks, transport)
+        if outdir:
+            _output_format(cfg, shard)
         solver = build_solver(shard, cfg, ctx=ctx)
-        if cfg.solver_options().startup_steps > 0:
-            run_startup(solver, cfg, shard, ctx=ctx)
-        else:
-            initialize(solver, cfg)
+        initialize(solver, cfg)
+        run_startup(solver, cfg)
         if mode == "bench":
-            stats, ledger = benchmark_step(solver, cfg, nsteps=steps)
+            stats, ledger = benchmark_step(solver, nsteps=steps)
             queue.put((rank, {
                 "stats": stats,
                 "flops": ledger.total_flops,

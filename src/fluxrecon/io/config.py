@@ -26,7 +26,6 @@ _SECTIONS = {"gas": GasModel, "solver": SolverOptions}
 _EXACT_KEYS = {f"{section}.{f.name}" for section, cls in _SECTIONS.items()
                for f in fields(cls)} | {
     "prep.seed", "prep.routing",
-    "bench.steps",
     "init.case",
     "output.order", "output.format", "output.p0_ref", "output.patch",
 }
@@ -97,11 +96,11 @@ class RunConfig:
 
     def get_float(self, key: str, default=None) -> float:
         raw = self._get(key, default)
-        return float(default) if raw is None else float(raw)
+        return float(default) if raw is None else _parse(key, raw, float, "float")
 
     def get_int(self, key: str, default=None) -> int:
         raw = self._get(key, default)
-        return int(default) if raw is None else int(raw)
+        return int(default) if raw is None else _parse(key, raw, int, "integer")
 
     def get_bool(self, key: str, default=None) -> bool:
         raw = self._get(key, default)
@@ -119,7 +118,7 @@ class RunConfig:
         raw = self._get(key, default)
         if raw is None:
             return np.asarray(default, dtype=float)
-        return np.array([float(v) for v in raw.replace(",", " ").split()])
+        return _parse(key, raw, _vector, "vector")
 
     def patches_with_bc(self) -> List[str]:
         out = set()
@@ -204,6 +203,17 @@ class RunConfig:
                 from_side=self.get_str(f"sponge.{name}.side", "lo"),
             ))
         return zones
+
+
+def _vector(raw: str) -> np.ndarray:
+    return np.array([float(v) for v in raw.replace(",", " ").split()])
+
+
+def _parse(key: str, raw: str, convert, what: str):
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse {what} from {raw!r}") from None
 
 
 class _Required:

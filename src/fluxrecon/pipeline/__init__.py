@@ -1,7 +1,5 @@
 from .kernels import BlockPlan
 from .solver import (
-    RKScheme,
-    SSP_RK3,
     SolverOptions,
     SolverRank,
     interpolate_state,
@@ -9,8 +7,6 @@ from .solver import (
 
 __all__ = [
     "BlockPlan",
-    "RKScheme",
-    "SSP_RK3",
     "SolverOptions",
     "SolverRank",
     "interpolate_state",

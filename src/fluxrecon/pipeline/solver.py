@@ -1,5 +1,5 @@
 """Per-rank execution engine: residual passes, halo exchange, time-step
-control, and SSP Runge-Kutta advance.
+control, and the SSP-RK3 time step in Shu-Osher form.
 
 State is physical conserved variables Q, indexed ``(elements, variables,
 points)`` and stored variable-major (see the buffer layouts below).  One
@@ -133,32 +133,8 @@ from .kernels import BlockPlan
 ITEM = 8
 
 
-@dataclass(frozen=True)
-class RKScheme:
-    """Convex-combination SSP Runge-Kutta stage table.
-
-    Stage i computes u_i = sum_j alphas[j] u_j + beta dt L(u_{i-1}).
-    """
-
-    name: str
-    stages: tuple
-
-    def __post_init__(self):
-        for alphas, beta in self.stages:
-            if beta < 0 or any(a < 0 for a in alphas):
-                raise ConfigError("RK coefficients must be nonnegative")
-            if abs(sum(alphas) - 1.0) > 1e-14:
-                raise ConfigError("RK convex combination must sum to 1")
-
-
-SSP_RK3 = RKScheme(
-    "ssp3",
-    (
-        ((1.0,), 1.0),
-        ((0.75, 0.25), 0.25),
-        ((1.0 / 3.0, 0.0, 2.0 / 3.0), 2.0 / 3.0),
-    ),
-)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -175,8 +151,12 @@ class SolverOptions:
     startup_p: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and not isinstance(self.p, bool) and 0 <= self.p <= 8):
-            raise ConfigError(f"solver.p must be an integer in [0, 8], got {self.p!r}")
+        for key, p in (("p", self.p), ("startup_p", self.startup_p)):
+            if not (_is_int(p) and 0 <= p <= 8):
+                raise ConfigError(f"solver.{key} must be an integer in [0, 8], got {p!r}")
+        if not (_is_int(self.startup_steps) and self.startup_steps >= 0):
+            raise ConfigError(f"solver.startup_steps must be a non-negative integer, "
+                              f"got {self.startup_steps!r}")
         if not (self.ldg_tau_scale >= 0 and np.isfinite(self.ldg_tau_scale)):
             raise ConfigError(f"solver.ldg_tau_scale must be finite and non-negative, "
                               f"got {self.ldg_tau_scale!r}")
@@ -775,9 +755,8 @@ class SolverRank:
     # time stepping
     # ------------------------------------------------------------------
 
-    def compute_dt(self, Q: np.ndarray, cfl: Optional[float] = None) -> float:
-        """CFL dt: min over elements of h_min / ((|u|+c)(2p+1))."""
-        cfl = self.opt.cfl if cfl is None else cfl
+    def compute_dt(self, Q: np.ndarray) -> float:
+        """CFL dt: cfl times the min over elements of h_min / ((|u|+c)(2p+1))."""
         Qp = Q.transpose(0, 2, 1)  # (ne, Ns, nv) view
         rho, vel, _, p = physics.primitives(Qp, self.dim, self.gas)
         umag = np.sqrt(physics.dot(vel, vel))
@@ -792,28 +771,28 @@ class SolverRank:
         if not local > 0.0 or not np.isfinite(local):
             self._check_positivity(Q)
             raise PositivityError(-1, f"time step {local!r} is not finite and positive")
-        return cfl * local
+        return self.opt.cfl * local
 
     def advance_step(self, Q: np.ndarray, dt: float) -> np.ndarray:
-        """One SSP-RK step (convex combination of Euler stages)."""
+        """One SSP-RK3 step in Shu-Osher form (Shu & Osher, JCP 77, 1988):
+        u1 = Q + dt R(Q), u2 = 3/4 Q + 1/4 u1 + 1/4 dt R(u1) and
+        u3 = 1/3 Q + 2/3 u2 + 2/3 dt R(u2), each its residual scaled in place
+        plus the earlier stages in that order; u1 is freed before R(u2)."""
         if not (dt > 0 and np.isfinite(dt)):
             raise ConfigError(f"dt must be finite and positive, got {dt!r}")
-        stages = SSP_RK3.stages
-        states = [Q]
-        for i, (alphas, beta) in enumerate(stages):
-            # the fresh residual, scaled in place, becomes the stage; no
-            # stage that a later stage does not combine stays alive through
-            # the next stage's residual
-            new = self.compute_residual(states[-1])
-            new *= beta * dt
-            for j, a in enumerate(alphas):
-                if a:
-                    new += a * states[j]
-            states.append(new)
-            for j in range(len(states) - 1):
-                if not any(j < len(later) and later[j] for later, _ in stages[i + 1:]):
-                    states[j] = None
-        return states[-1]
+        u1 = self.compute_residual(Q)
+        u1 *= dt
+        u1 += Q
+        u2 = self.compute_residual(u1)
+        u2 *= 0.25 * dt
+        u2 += 0.75 * Q
+        u2 += 0.25 * u1
+        del u1
+        u3 = self.compute_residual(u2)
+        u3 *= 2.0 / 3.0 * dt
+        u3 += 1.0 / 3.0 * Q
+        u3 += 2.0 / 3.0 * u2
+        return u3
 
     def step_in_place(self, dt: float):
         self.Q_upts = self.advance_step(self.Q_upts, dt)

@@ -307,7 +307,7 @@ def test_criterion_09_desk_scale_strong_scaling(tmp_path):
     ncores = os.cpu_count() or 1
     mesh_path, cfg_path = make_fixture("vortex", str(tmp_path), size=181)
     with open(cfg_path, "a") as fh:
-        fh.write("solver.block_kb = 4096\nbench.steps = 12\n")
+        fh.write("solver.block_kb = 4096\n")
     cfg = RunConfig.load(cfg_path)
     workers = [1, 2, 4, 8]
     times = []

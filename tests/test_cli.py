@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fluxrecon.cli import main
+from fluxrecon.pipeline import SolverRank
 
 
 def run_cli(*args):
@@ -97,6 +99,13 @@ class TestPipelineCommands:
         assert len(lines) == 3
 
     def test_startup_order_switch_runs(self, tmp_path):
+        """At 1 rank the solved state is, bit for bit, a hand-run degree-0
+        solve, interpolated onto the p=3 points, then the same steps."""
+        from fluxrecon import driver
+        from fluxrecon.io.config import RunConfig
+        from fluxrecon.io.shards import read_shards
+        from fluxrecon.pipeline import interpolate_state
+
         mesh, cfg = self.make_vortex(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("solver.startup_steps = 2\nsolver.startup_p = 0\n")
@@ -105,6 +114,54 @@ class TestPipelineCommands:
                 "--config", cfg, "--out", sh)
         assert run_cli("solve", "--shards", sh, "--config", cfg,
                        "--steps", "2") == 0
+        conf = RunConfig.load(cfg)
+        got = driver.run_workers(sh, conf, 2, "solve")[0]["state"]
+
+        shard = read_shards(sh, ranks=[0])[0]
+        opts = conf.solver_options()
+        low = driver.build_solver(shard, conf, options=dataclasses.replace(opts, p=0))
+        driver.initialize(low, conf)
+        low.run_steps(2)
+        high = driver.build_solver(shard, conf)
+        high.Q_upts = interpolate_state(low.Q_upts, "quad", 0, 3)
+        high.run_steps(2)
+        assert opts.p == 3
+        assert np.array_equal(got, high.Q_upts)
+
+    def test_unparsable_config_value_exits_1_with_one_error_line(self, tmp_path, capsys):
+        mesh, cfg = self.make_vortex(tmp_path, size=3)
+        sh = str(tmp_path / "s1")
+        assert run_cli("partition", "--mesh", mesh, "--ranks", "1",
+                       "--config", cfg, "--out", sh) == 0
+        with open(cfg, "a") as fh:
+            fh.write("solver.p = 2.5\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--shards", sh, "--config", cfg, "--steps", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "solver.p: cannot parse integer from '2.5'" in err
+
+    @pytest.mark.parametrize("lines, match", [
+        ("output.format = vtk\n", "output.format"),
+        ("output.format = csv-surface\noutput.patch = blade\n", "output.patch"),
+    ])
+    def test_bad_output_config_fails_before_the_first_step(self, tmp_path, capsys,
+                                                            monkeypatch, lines, match):
+        mesh, cfg = self.make_vortex(tmp_path, size=3)
+        with open(cfg, "a") as fh:
+            fh.write(lines)
+        sh = str(tmp_path / "s1")
+        run_cli("partition", "--mesh", mesh, "--ranks", "1",
+                "--config", cfg, "--out", sh)
+        steps = []
+        monkeypatch.setattr(SolverRank, "advance_step",
+                            lambda self, Q, dt: steps.append(dt) or Q)
+        capsys.readouterr()
+        assert run_cli("solve", "--shards", sh, "--config", cfg, "--steps", "20",
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and match in err
+        assert steps == []
 
     def test_unknown_flag_usage_exit_2(self, tmp_path, capsys):
         # the second input pins that solve takes no port option

@@ -431,7 +431,7 @@ class TestConfig:
             RunConfig.parse("solver.warp_drive = on\n")
 
     @pytest.mark.parametrize("key", ["solver.rk", "output.cadence", "output.mean_start",
-                                     "mesh.file", "bench.warmup"])
+                                     "mesh.file", "bench.warmup", "bench.steps"])
     def test_removed_key_rejected(self, key):
         with pytest.raises(ConfigError):
             RunConfig.parse(f"{key} = 1\n")
@@ -494,6 +494,16 @@ class TestConfig:
         cfg = RunConfig.parse(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             cfg.solver_options()
+
+    @pytest.mark.parametrize("text, read", [
+        ("solver.p = 2.5", lambda c: c.solver_options()),
+        ("solver.ldg_tau_scale = abc", lambda c: c.solver_options()),
+        ("bc.w.kind = sponge-ref\nbc.w.state = 1 0 x 2.5", lambda c: c.boundary_specs()),
+    ], ids=["int", "float", "vector"])
+    def test_unparsable_value_is_a_config_error_naming_key_and_value(self, text, read):
+        key, value = text.splitlines()[-1].split(" = ")
+        with pytest.raises(ConfigError, match=f"{key}: cannot parse .* from '{value}'"):
+            read(RunConfig.parse(text + "\n"))
 
     def test_ldg_beta_is_an_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'solver.ldg_beta'"):

@@ -14,7 +14,6 @@ from fluxrecon.fixtures import (
 from fluxrecon.perf import POINTWISE_COSTS
 from fluxrecon.physics import BoundarySpec, GasModel, SpongeZone, conserved, sponge_source
 from fluxrecon.pipeline import (
-    RKScheme,
     SolverOptions,
     SolverRank,
     interpolate_state,
@@ -149,15 +148,11 @@ class TestTimeStepping:
         """One step of dy/dt = -y matches the stability polynomial
         1 - z + z^2/2 - z^3/6 exactly; its distance to exp(-z) is the
         scheme's own O(z^4) truncation (4.09e-6 at z = 0.1)."""
-        from fluxrecon.pipeline.solver import SSP_RK3
+        from types import SimpleNamespace
 
-        dt, y = 0.1, 1.0
-        states = [y]
-        for alphas, beta in SSP_RK3.stages:
-            r = -states[-1]
-            new = beta * dt * r + sum(a * u for a, u in zip(alphas, states))
-            states.append(new)
-        y1 = states[-1]
+        dt = 0.1
+        decay = SimpleNamespace(compute_residual=lambda u: -u)
+        y1 = SolverRank.advance_step(decay, np.array([1.0]), dt)[0]
         poly = 1 - dt + dt ** 2 / 2 - dt ** 3 / 6
         assert abs(y1 - poly) < 1e-15
         assert abs(y1 - np.exp(-dt)) < 5e-6  # oracle value 4.0873e-06
@@ -216,6 +211,16 @@ class TestTimeStepping:
         with pytest.raises(ConfigError, match="solver.p"):
             SolverOptions(p=p)
 
+    @pytest.mark.parametrize("p", [-1, 9, 2.5, True, "3"])
+    def test_options_reject_startup_p_that_is_not_an_integer_in_0_to_8(self, p):
+        with pytest.raises(ConfigError, match="solver.startup_p"):
+            SolverOptions(startup_p=p)
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, True])
+    def test_options_reject_startup_steps_that_is_not_a_non_negative_integer(self, steps):
+        with pytest.raises(ConfigError, match="solver.startup_steps"):
+            SolverOptions(startup_steps=steps)
+
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1])
     def test_options_reject_ldg_tau_scale_that_is_not_finite_and_non_negative(self, tau):
         with pytest.raises(ConfigError, match="solver.ldg_tau_scale"):
@@ -224,12 +229,6 @@ class TestTimeStepping:
     def test_options_reject_unknown_riemann_solver(self):
         with pytest.raises(ConfigError, match="solver.riemann"):
             SolverOptions(riemann="roe")
-
-    def test_rk_scheme_validation(self):
-        with pytest.raises(ConfigError):
-            RKScheme("bad", (((0.5, 0.4), 1.0),))
-        with pytest.raises(ConfigError):
-            RKScheme("bad", (((1.0,), -0.1),))
 
     def test_dt_formula_unit_cube(self, gas):
         mesh = box_mesh(1, 1, 1)
