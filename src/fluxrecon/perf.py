@@ -42,6 +42,8 @@ def flops_gemm(m: int, n: int, k: int) -> int:
 # each entry by running its solver pass's own function and must agree
 # within 10%.
 POINTWISE_COSTS: Dict[tuple, int] = {
+    ("transformed_flux", 2): 32,
+    ("transformed_flux", 3): 61,
     ("phys_flux", 2): 20,
     ("phys_flux", 3): 31,
     ("transform_flux", 2): 24,
@@ -128,11 +130,11 @@ class PerfLedger:
     def add_pointwise(self, name: str, dim: int, npoints: int,
                       bytes_read: int, bytes_written: int,
                       members: Optional[Sequence] = None):
-        """Charge each kernel of ``members`` (default: ``name``) on
-        ``npoints`` points; a member given as ``(kernel, n)`` is charged on
-        its own ``n`` points."""
+        """Charge each kernel of ``members`` (default: ``name``; none if
+        empty) on ``npoints`` points; a member given as ``(kernel, n)`` is
+        charged on its own ``n`` points."""
         s = self.stat(name)
-        for m in members or (name,):
+        for m in (name,) if members is None else members:
             kernel, n = (m, npoints) if isinstance(m, str) else m
             s.flops += flops_pointwise(kernel, dim, n)
         s.bytes_read += bytes_read
@@ -336,6 +338,8 @@ def _transform_args(dim, c):
 
 
 _CENSUS = {
+    "transformed_flux": (physics.transformed_flux, lambda d, c: (
+        _state(d, c), _random((d, d), c, 0), d, _GAS)),
     "phys_flux": (physics.inviscid_flux, lambda d, c: (_state(d, c), d, _GAS)),
     "transform_flux": (physics.transform, _transform_args),
     "grad_transform": (physics.transform, _transform_args),

@@ -5,7 +5,8 @@ All point-wise kernels are written with element-wise numpy operations only
 (no BLAS/einsum), so they run unchanged on object arrays of instrumented
 scalars.  The solver's passes call them, and the FLOP census
 (``perf.census_pointwise``) runs the same function for each ledger kernel:
-``phys_flux`` :func:`inviscid_flux`, ``viscous_flux`` :func:`viscous_flux`,
+``transformed_flux`` :func:`transformed_flux`, ``phys_flux``
+:func:`inviscid_flux`, ``viscous_flux`` :func:`viscous_flux`,
 ``transform_flux`` and ``grad_transform`` :func:`transform`,
 ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
 ``viscous_interface`` :func:`ldg_interface`, ``viscous_wall``
@@ -14,9 +15,12 @@ scalars.  The solver's passes call them, and the FLOP census
 gather in the solver, not a kernel here.)  State vectors are ordered
 ``[rho, rho*u_0 .. rho*u_{d-1}, E]``.  The fluxes split a state once:
 :func:`primitives` gives rho, the velocity, E and the pressure together,
-which :func:`inviscid_flux` and :func:`viscous_flux` also accept from the
-caller, and the Riemann solvers form each side's ``u.n``, sound speed and
-normal flux once from them.
+which :func:`transformed_flux`, :func:`inviscid_flux`,
+:func:`viscous_flux` and :func:`check_positivity` also accept from the
+caller (so the solver's inviscid volume pass splits each block once for
+its flux, its positivity check and its signal speeds
+:func:`signal_speed`), and the Riemann solvers form each side's ``u.n``,
+sound speed and normal flux once from them.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
 (fluxes and gradients ``(..., d, nv)``, normals ``(..., d)``) and accepts
@@ -27,17 +31,20 @@ variable-major and passes transposed views of it: a volume pass hands
 block, whose components are contiguous ``(n, Ns)`` rows, and a pair pass
 hands ``(m, nv)`` views of gathered ``(nv, m)`` rows.  So each component
 is one contiguous row, and no strided column or transposing copy is made.
-:func:`transform` takes its matrix as rows of entries the same way: the
-solver passes its ``(d, d, n, Ns)`` metric rows, one contiguous row per
-entry.  Outputs follow the input's layout: a variable-major input gives a
-variable-major result (see ``_like``).  ``inviscid_flux`` also takes
+:func:`transform` and :func:`transformed_flux` take their matrix as rows
+of entries the same way: the solver passes its ``(d, d, n, Ns)`` metric
+rows, one contiguous row per entry.  Outputs follow the input's layout: a
+variable-major input gives a variable-major result (see ``_like``).
+``transformed_flux``, ``inviscid_flux`` and ``viscous_flux`` also take
 ``out=``, a buffer of any strides to write the flux into.  The solver
-passes a view of its block's ``Fhat_upts`` scratch, subtracts the viscous
-flux there and transforms it in place, so the volume flux is written
-where the next kernel reads it instead of being built C-ordered and copied
-back.  Component sums run in index order (``(a0 + a1) + a2``), the order
-numpy's sum over a length-d axis uses, so results do not depend on the
-layout.
+passes views of its block scratch: the inviscid volume flux is written
+into ``Fhat_upts`` in reference space at once; the viscous one is the
+physical flux there, less the viscous flux written into ``G_upts``, and is
+then transformed in place.
+Either way the volume flux is written where the next kernel reads it
+instead of being built C-ordered and copied back.  Component sums run in
+index order (``(a0 + a1) + a2``), the order numpy's sum over a length-d
+axis uses, so results do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -75,8 +82,10 @@ class GasModel:
         return self.gamma * self.R / (self.gamma - 1.0)
 
     def viscosity(self, T):
+        """mu at temperature T: the constant ``mu`` as a scalar unless
+        ``sutherland``, else Sutherland's law point by point."""
         if not self.sutherland:
-            return self.mu if np.isscalar(T) else np.full_like(T, self.mu)
+            return self.mu
         return self.mu_ref * (T / self.T_ref) ** 1.5 * (self.T_ref + self.S) / (T + self.S)
 
 
@@ -153,13 +162,22 @@ def sound_speed(Q: np.ndarray, dim: int, gas: GasModel):
     return np.sqrt(gas.gamma * pressure(Q, dim, gas) / Q[..., 0])
 
 
-def check_positivity(Q: np.ndarray, dim: int, gas: GasModel, cell_of_point=None):
-    """Raise PositivityError naming the first offending cell, if any."""
-    rho = Q[..., 0]
-    p = pressure(Q, dim, gas)
-    bad = np.asarray(~(rho > 0.0) | ~(p > 0.0))
-    if bad.any():
-        idx = int(np.argmax(bad.reshape(-1)))
+def signal_speed(prim, gas: GasModel):
+    """``|u| + c`` from a state's :func:`primitives`."""
+    rho, vel, _, p = prim
+    return np.sqrt(dot(vel, vel)) + np.sqrt(gas.gamma * p / rho)
+
+
+def check_positivity(Q: np.ndarray, dim: int, gas: GasModel, cell_of_point=None,
+                     prim=None):
+    """Raise PositivityError naming the first offending cell, if any: a
+    point whose rho or p is not positive (NaN included), the point index
+    counted over Q's leading axes.  ``prim`` is Q's :func:`primitives`, if
+    the caller has them."""
+    rho, _, _, p = primitives(Q, dim, gas) if prim is None else prim
+    ok = np.asarray((rho > 0.0) & (p > 0.0))
+    if not ok.all():
+        idx = int(np.argmin(ok.reshape(-1)))
         cell = -1 if cell_of_point is None else int(cell_of_point(idx))
         raise PositivityError(cell, f"rho or p non-positive at point {idx}")
 
@@ -189,6 +207,27 @@ def inviscid_flux(Q: np.ndarray, dim: int, gas: GasModel,
             m = ruk * vel[i]
             F[..., k, 1 + i] = m + p if i == k else m
         F[..., k, 1 + dim] = uk * Ep
+    return F
+
+
+def transformed_flux(Q: np.ndarray, M, dim: int, gas: GasModel,
+                     out: Optional[np.ndarray] = None, prim=None) -> np.ndarray:
+    """Euler flux in reference space, ``Fhat[k] = sum_l M[k][l] F[l]``, in
+    one pass: with the contravariant velocity ``U_k = sum_l M[k][l] u_l``,
+    ``Fhat_k = [rho U_k, rho u_i U_k + p M[k][i], U_k (E + p)]`` (Witherden,
+    Farrington & Vincent, CPC 185, 2014).  ``M`` is a sequence of rows of
+    matrix entries, as :func:`transform` takes it.  Shape (..., dim, nvars),
+    written into ``out`` if given; ``prim`` is Q's :func:`primitives`, if
+    the caller has them."""
+    rho, vel, E, p = primitives(Q, dim, gas) if prim is None else prim
+    F = _like(Q, dim, dim + 2) if out is None else out
+    Ep = E + p
+    for k in range(dim):
+        Uk = dot(M[k], vel)
+        F[..., k, 0] = rho * Uk
+        for i in range(dim):
+            F[..., k, 1 + i] = Q[..., 1 + i] * Uk + p * M[k][i]
+        F[..., k, 1 + dim] = Uk * Ep
     return F
 
 
@@ -313,10 +352,10 @@ def velocity_gradient(rho, vel, grad_Q: np.ndarray):
 
 
 def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
-                 prim=None) -> np.ndarray:
+                 out: Optional[np.ndarray] = None, prim=None) -> np.ndarray:
     """Physical viscous flux (Newtonian stress, Stokes hypothesis, Fourier
-    heat flux); shape (..., dim, nvars).  ``prim`` is Q's
-    :func:`primitives`, if the caller has them.
+    heat flux); shape (..., dim, nvars), written into ``out`` if given.
+    ``prim`` is Q's :func:`primitives`, if the caller has them.
 
     The residual subtracts it from the inviscid flux, so the momentum
     component here is the stress tensor tau itself.
@@ -341,7 +380,7 @@ def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
 
     u2 = dot(vel, vel)
     rho2R = rho * rho * gas.R
-    G = _like(Q, dim, dim + 2)
+    G = _like(Q, dim, dim + 2) if out is None else out
     G[..., 0] = 0.0
     for kdir in range(dim):
         # dT/dx_k via chain rule on p = (gamma-1)(E - 0.5 rho |u|^2)

@@ -9,17 +9,20 @@ from dataclasses import dataclass
 class BlockPlan:
     """Element blocking driven by a memory budget.
 
-    ``block_elements`` is the largest element count whose working set fits
-    the budget; blocks never split an element.  The budget bounds the
-    volume passes' block scratch, which is allocated once at
-    ``block_elements`` deep, as well as the numpy temporaries one pass
-    allocates per block: too small, and the per-call overhead of many
-    short passes dominates; too large, and the scratch and the temporaries
-    fall out of cache.  Blocking stays because the fused passes
-    run on one block at a time, which is what the ledger's fused traffic
-    model describes; that model does not depend on the block size.
-    Deterministic mode needs no fixed size: its GEMMs accumulate each row
-    in a fixed order, so results do not depend on the blocking.
+    ``block_elements`` is the largest element count whose block scratch
+    fits the budget; blocks never split an element.  The budget counts
+    exactly the scratch the solver allocates ``block_elements`` deep, which
+    ``bytes_per_element`` gives per element (the transformed flux,
+    ``d * nv * Ns`` doubles, and as many again for the viscous flux when
+    viscous); the numpy temporaries a pass makes per block scale with the
+    block too but are not counted.  Too small a block, and
+    the per-call overhead of many short passes dominates; too large, and
+    the scratch and the temporaries fall out of cache.  Blocking stays
+    because the fused passes run on one block at a time, which is what the
+    ledger's fused traffic model describes; that model does not depend on
+    the block size.  Deterministic mode needs no fixed size: its GEMMs
+    accumulate each row in a fixed order, so results do not depend on the
+    blocking.
     """
 
     num_elements: int

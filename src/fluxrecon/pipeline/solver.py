@@ -2,43 +2,65 @@
 control, and the SSP-RK3 time step in Shu-Osher form.
 
 State is physical conserved variables Q, indexed ``(elements, variables,
-points)`` and stored variable-major (see the buffer layouts below).  One
-residual evaluation runs:
+points)`` and stored variable-major (see the buffer layouts below).  An
+inviscid residual evaluation runs three sweeps:
 
-1. interpolate Q to flux points (GEMM), exchange halos;
-2. (viscous) LDG common solutions (one gather), gradients ``Q fold_T[ax] +
-   Qc gcorr_T[ax]`` (folded as in step 5), gradient halos;
-3. point-wise flux at solution points, transform to the reference frame;
-4. Riemann/LDG common interface fluxes over one pair list (local pairs,
-   then remote pairs against halo ghosts, then boundary pairs against
-   boundary ghosts), scaled to outward transformed normal fluxes per
-   flux-point slot;
-5. divergence GEMM with the face trace folded in, ``fold_T[ax] =
-   div_T[ax] - T_ax corr_T``: ``T_ax`` is the outward normal trace of flux
-   row ax (its interpolation to the flux points of the faces whose normal
-   axis is ax, times each face's side).  The FR correction is linear in
-   the flux jump, so the discontinuous interface flux is never formed;
-6. correction GEMM on the common interface fluxes, scale by -1/|J|, add
-   sponge sources.  The sponge ramps do not change in time: each zone's
-   ``-sigma`` is evaluated once at build time on the elements some zone
-   reaches, and only those elements get a source.
+1. the volume sweep, one block loop: interpolate Q to the flux points
+   (GEMM); split the block's state once (``physics.primitives``), check
+   its positivity and, in the first stage of a CFL step, take each
+   element's signal speed max(|u| + c); form the transformed flux in one
+   kernel (``physics.transformed_flux``) and write its divergence into the
+   residual.  The divergence GEMM has the face trace folded in,
+   ``fold_T[ax] = div_T[ax] - T_ax corr_T``, with ``T_ax`` the outward
+   normal trace of flux row ax (its interpolation to the flux points of
+   the faces whose normal axis is ax, times each face's side).  The FR
+   correction is linear in the flux jump, so the discontinuous interface
+   flux is never formed.  A first stage then reduces the CFL dt over the
+   ranks;
+2. the halo exchange of Q, the boundary ghosts, and the Riemann common
+   fluxes over one pair list (local pairs, then remote pairs against halo
+   ghosts, then boundary pairs against boundary ghosts), scaled to outward
+   transformed normal fluxes per flux-point slot;
+3. one block loop: the correction GEMM on the common fluxes, added to the
+   residual, the scale by -1/|J| and the sponge sources.  The sponge ramps
+   do not change in time: each zone's ``-sigma`` is evaluated once at
+   build time on the elements it reaches, and an element sums the zones
+   that reach it in config order.
+
+A viscous residual's first block loop only interpolates and checks (and
+takes the signal speeds).  The halo and the ghosts are followed by the LDG
+common solutions (one gather), the gradients ``Q fold_T[ax] + Qc
+gcorr_T[ax]`` (folded like the divergence) with their transform and
+interpolation, and the gradient halos.  After the pair pass (Riemann and
+LDG fluxes), the last block loop forms the volume flux (the physical flux
+less the viscous flux, transformed), its divergence, the correction and
+the scale.  Either way a bad state fails in the first block loop, before
+any ghost, Riemann or dt kernel sees it, and a step's CFL dt is bitwise
+that of :meth:`SolverRank.compute_dt`, which runs the same sweep alone.
 
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
 ``_gemm_pass`` and ``PerfLedger.add_gemm`` with their exact shapes,
 point-wise passes through ``PerfLedger.add_pointwise``.  A point-wise
 pass's arithmetic is one :mod:`fluxrecon.physics` function, the one the
-FLOP census runs for its ledger kernel: ``physics.transform`` for
-``transform_flux`` and ``grad_transform``, ``physics.sponge_sum`` on the
-build-time ``(-sigma, Q_ref)`` pairs for ``sponge_source``, and so on (see
+FLOP census runs for its ledger kernel: ``physics.transformed_flux`` for
+``transformed_flux``, ``physics.transform`` for ``transform_flux`` and
+``grad_transform``, ``physics.sponge_sum`` on the build-time ``(-sigma,
+Q_ref)`` pairs for ``sponge_source``, and so on (see
 :mod:`fluxrecon.physics`).  ``flux_scale`` (common flux times signed area)
-and ``scale_residual`` are one operator each.  The volume flux and its
-transform run as one pass.  ``SolverOptions.fusion`` only selects how the
-ledger books it: fused, as one entry ``phys_flux+transform_flux``, whose
-intermediate (the physical flux) is not charged as memory traffic;
-unfused, as its two member entries.  Results are therefore bitwise equal
-under both settings.  GEMMs are never fused, and fusion changes modelled
-bytes but never flops: a fused entry's flops are the sum of its members'.
+and ``scale_residual`` are one operator each; the positivity check and the
+signal speeds are not booked.  The volume flux and its transform run as
+one pass.  ``SolverOptions.fusion`` only selects how the ledger books it:
+fused, as one entry ``phys_flux+transform_flux``, whose intermediate (the
+physical flux) is not charged as memory traffic; unfused, as its two
+member entries ``phys_flux`` and ``transform_flux``, which charge that
+intermediate's write and read.  The inviscid pass is one kernel, so its
+unfused booking puts all of ``transformed_flux``'s flops on ``phys_flux``
+and none on ``transform_flux``; the viscous pass charges ``phys_flux``
+and ``viscous_flux``, then ``transform_flux``.  Results are therefore
+bitwise equal under both settings.  GEMMs are never fused, and fusion
+changes modelled bytes but never flops: a fused entry's flops are the sum
+of its members'.
 
 Buffer layouts.  Every buffer is variable-major: C-ordered with the
 element axis just before the point axis, so each variable (and each flux
@@ -64,10 +86,14 @@ Full-mesh buffers, which pair passes or later block loops read:
 
 Block scratch, one element block deep (``nb = block_plan.block_elements``),
 which the volume passes use as views ``[..., :hi - lo, :]``: ``Fhat_upts``
-``(d, nv, nb, Ns)`` (the physical flux, transformed in place) and
-``divF_upts`` ``(nv, nb, Ns)``.  A GEMM reads a block's ``(..., n, k)``
-rows and writes its ``(..., n, m)`` rows in place as a stack of row blocks,
-whatever their strides, so no block of a full-mesh buffer is copied.
+``(d, nv, nb, Ns)``, the transformed flux (viscous: the physical flux,
+transformed in place), and when viscous ``G_upts`` ``(d, nv, nb, Ns)``,
+the viscous flux.  The block plan's ``bytes_per_element`` is their size
+per element.  The divergence and the correction write the residual's own
+rows.  A GEMM reads a block's
+``(..., n, k)`` rows and writes its ``(..., n, m)`` rows in place as a
+stack of row blocks, whatever their strides, so no block of a full-mesh
+buffer is copied.
 
 The volume kernels hand the physics ``(n, Ns, nv)`` views of a block,
 whose components are contiguous ``(n, Ns)`` rows.  The pair passes view a
@@ -110,7 +136,6 @@ deterministic mode.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -247,6 +272,7 @@ class SolverRank:
         self.ref = build_reference_element(kind, options.p)
         self.Ns = self.ref.num_solution_points
         self.ledger = ledger if ledger is not None else PerfLedger()
+        self.last_dt: Optional[float] = None  # the dt of the last step
         self.riemann_diag = RiemannDiagnostics()
         self.boundary_diag = physics.BoundaryDiagnostics()
         self.sponge_zones = list(sponge_zones or [])
@@ -306,10 +332,14 @@ class SolverRank:
         return np.moveaxis(g.normals_fpts, -1, 0).reshape(self.dim, -1), g.area_fpts.reshape(-1)
 
     def _build_sponges(self):
-        """Check the zones against the mesh, then keep per zone
-        ``(-sigma, Q_ref)``: ``-sigma`` ``(m, Ns)`` at the solution points
-        of ``sponge_elems``, the sorted ids of the m elements where some zone
-        is non-zero, and the reference state as an ``(nv, 1, 1)`` column."""
+        """Check the zones against the mesh, then group the elements some
+        zone reaches by the set of zones that reach them.  Each group is
+        ``(elems, factors)``: the sorted ids of its elements and, per zone
+        of the set in config order, ``(-sigma, Q_ref)`` with ``-sigma``
+        ``(m, Ns)`` at the solution points of ``elems`` and the reference
+        state an ``(nv, 1, 1)`` column.  So a zone's source is evaluated
+        only where it reaches, and each element sums its zones in config
+        order."""
         for zone in self.sponge_zones:
             if not 0 <= zone.axis < self.dim:
                 raise ConfigError(f"sponge zone axis {zone.axis} is not an axis of "
@@ -318,14 +348,22 @@ class SolverRank:
                 raise ConfigError(f"sponge reference state has shape "
                                   f"{np.shape(zone.reference_state)}, expected ({self.nv},)")
         neg = [-zone.sigma(self.x_upts) for zone in self.sponge_zones]  # (ne, Ns)
-        reach = np.zeros(self.ne, dtype=bool)
-        for s in neg:
-            reach |= (s != 0).any(axis=1)
-        self.sponge_elems = np.flatnonzero(reach)
-        self.sponge_factors = [
-            (s[self.sponge_elems],
-             np.asarray(zone.reference_state, dtype=float)[:, None, None])
-            for zone, s in zip(self.sponge_zones, neg)]
+        refs = [np.asarray(zone.reference_state, dtype=float)[:, None, None]
+                for zone in self.sponge_zones]
+        self.sponge_groups = []
+        if not neg or self.ne == 0:
+            return
+        reach = np.array([(s != 0).any(axis=1) for s in neg])  # (zones, ne)
+        # elements ordered by the set of zones that reach them (a stable
+        # sort, so each set's elements stay in element order), cut where
+        # the set changes
+        order = np.lexsort(reach)
+        cuts = np.flatnonzero((reach[:, order[1:]] != reach[:, order[:-1]]).any(axis=0)) + 1
+        for elems in np.split(order, cuts):
+            zset = np.flatnonzero(reach[:, elems[0]])
+            if zset.size:
+                self.sponge_groups.append(
+                    (elems, [(neg[z][elems], refs[z]) for z in zset]))
 
     def _build_interfaces(self, slot_normal, slot_area):
         """One list of interface flux-point pairs: local, remote, boundary.
@@ -419,8 +457,11 @@ class SolverRank:
             self.ghost_grad = self.grad_cols[:, nslot:]
         nb = self.block_plan.block_elements
         self.Fhat_upts = np.zeros((d, nv, nb, Ns))
-        self.divF_upts = np.zeros((nv, nb, Ns))
-        self._Qv = None  # the residual's input, (nv, ne, Ns), while it runs
+        if self.opt.viscous:
+            self.G_upts = np.zeros((d, nv, nb, Ns))
+        # while a residual runs: its input and output as (nv, ne, Ns) views;
+        # while a dt is formed, each element's max(|u| + c)
+        self._Qv = self._dQv = self._sig = None
 
     # ------------------------------------------------------------------
     # passes over element blocks
@@ -459,59 +500,85 @@ class SolverRank:
         self._gemm_pass(self.Q_fpts[:, lo:hi],
                         [("interp_to_faces", self._Qv[:, lo:hi], self.interp_T)])
 
+    def _primitives(self, lo, hi):
+        """The state of elements [lo, hi) as an ``(n, Ns, nv)`` view and its
+        primitives, once its positivity is checked; while a dt is formed,
+        each element's max(|u| + c) goes to ``_sig[lo:hi]``."""
+        Q = self._Qv[:, lo:hi].transpose(1, 2, 0)
+        prim = physics.primitives(Q, self.dim, self.gas)
+        Ns = self.Ns
+        physics.check_positivity(Q, self.dim, self.gas, prim=prim,
+                                 cell_of_point=lambda i: self.gids[lo + i // Ns])
+        if self._sig is not None:
+            self._sig[lo:hi] = physics.signal_speed(prim, self.gas).max(axis=1)
+        return Q, prim
+
     def _volume_flux(self, lo, hi):
-        """Physical flux into the block's Fhat_upts, then its transform to
-        reference space in place.  Fused, the ledger does not charge the
-        physical flux as an intermediate."""
+        """The transformed flux of elements [lo, hi) into the block's
+        Fhat_upts: inviscid, one kernel on the primitives that the
+        positivity check and the signal speeds share; viscous, the physical
+        flux less the viscous flux, transformed in place.  The module
+        docstring says how the ledger books it."""
         d, nv = self.dim, self.nv
         Fhat = self.Fhat_upts[:, :, :hi - lo]
-        Q = self._Qv[:, lo:hi].transpose(1, 2, 0)          # (n, Ns, nv) view
         F = Fhat.transpose(2, 3, 0, 1)                     # (n, Ns, d, nv) view
-        prim = physics.primitives(Q, d, self.gas)
-        physics.inviscid_flux(Q, d, self.gas, out=F, prim=prim)
         if self.opt.viscous:
+            Q = self._Qv[:, lo:hi].transpose(1, 2, 0)      # (n, Ns, nv) view
+            prim = physics.primitives(Q, d, self.gas)
+            physics.inviscid_flux(Q, d, self.gas, out=F, prim=prim)
             grad = self.grad_upts[:, :, lo:hi].transpose(2, 3, 0, 1)
-            F -= physics.viscous_flux(Q, grad, d, self.gas, prim=prim)
-        self._transform(self.adj_rows[:, :, lo:hi], Fhat, Fhat)
+            G = self.G_upts[:, :, :hi - lo].transpose(2, 3, 0, 1)
+            F -= physics.viscous_flux(Q, grad, d, self.gas, out=G, prim=prim)
+            self._transform(self.adj_rows[:, :, lo:hi], Fhat, Fhat)
+            flux, transform = ("phys_flux", "viscous_flux"), ("transform_flux",)
+        else:
+            Q, prim = self._primitives(lo, hi)
+            physics.transformed_flux(Q, self.adj_rows[:, :, lo:hi], d, self.gas,
+                                     out=F, prim=prim)
+            flux, transform = ("transformed_flux",), ()
         if self.opt.fusion:
             self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
-                            nv + d * d + self.grad_rows, d * nv,
-                            members=self.flux_members + ("transform_flux",))
+                            nv + d * d + self.grad_rows, d * nv, members=flux + transform)
         else:
             self._log_block("phys_flux", lo, hi, self.Ns, nv + self.grad_rows,
-                            d * nv, members=self.flux_members)
-            self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv)
+                            d * nv, members=flux)
+            self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv,
+                            members=transform)
 
     def _divergence(self, lo, hi):
         """The flux divergence with the correction of the flux's own face
-        trace folded in (``fold_T``)."""
+        trace folded in (``fold_T``), into the residual's rows."""
         n = hi - lo
-        self._gemm_pass(self.divF_upts[:, :n],
+        self._gemm_pass(self._dQv[:, lo:hi],
                         [("divergence", self.Fhat_upts[ax, :, :n], self.fold_T[ax])
                          for ax in range(self.dim)])
 
     def _correction(self, lo, hi):
-        """The correction of the common interface flux."""
-        self._gemm_pass(self.divF_upts[:, :hi - lo],
+        """The correction of the common interface flux, added to the
+        residual's rows."""
+        self._gemm_pass(self._dQv[:, lo:hi],
                         [("correction", self.Fc_fpts[:, lo:hi], self.corr_T)], add=True)
 
-    def _scale_residual(self, dQdt, lo, hi):
-        """dQ/dt of elements [lo, hi) into ``dQdt[lo:hi]``: -div F / |J|
-        plus the sponge sources."""
-        out = dQdt[lo:hi].transpose(1, 0, 2)                # (nv, n, Ns) view
-        divF = self.divF_upts[:, :hi - lo]
-        np.negative(divF, out=divF)
-        np.divide(divF, self.det_upts[lo:hi], out=out)
+    def _scale_residual(self, lo, hi):
+        """dQ/dt of elements [lo, hi) in place: -div F / |J| plus the
+        sponge sources."""
         nv = self.nv
-        # S = -sigma (Q - Q_ref) summed over the zones in config order, on
-        # the block's elements that some zone reaches; the ledger charges
-        # one sponge_source per zone and point there
-        a, b = np.searchsorted(self.sponge_elems, (lo, hi))
-        if b > a:
-            sel = self.sponge_elems[a:b]
-            out[:, sel - lo] += physics.sponge_sum(
-                self._Qv[:, sel], [(s[a:b], ref) for s, ref in self.sponge_factors])
-            self._log_block("sponge_source", a, b, self.Ns * len(self.sponge_factors), nv + 1, nv)
+        out = self._dQv[:, lo:hi]                          # (nv, n, Ns) view
+        np.negative(out, out=out)
+        np.divide(out, self.det_upts[lo:hi], out=out)
+        # S = -sigma (Q - Q_ref) summed over the zones that reach an
+        # element, in config order; the ledger charges one sponge_source
+        # per zone on each point it reaches
+        reached = 0
+        for elems, factors in self.sponge_groups:
+            a, b = np.searchsorted(elems, (lo, hi))
+            if b > a:
+                sel = elems[a:b]
+                out[:, sel - lo] += physics.sponge_sum(
+                    self._Qv[:, sel], [(s[a:b], ref) for s, ref in factors])
+                reached += (b - a) * len(factors)
+        if reached:
+            self._log_block("sponge_source", 0, reached, self.Ns, nv + 1, nv)
         self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv)
 
     # viscous gradient passes ----------------------------------------------
@@ -658,10 +725,11 @@ class SolverRank:
     def _build_operators(self):
         """Block plan, transposed operators and per-pass constants."""
         ref, nv, d, Ns, nf = self.ref, self.nv, self.dim, self.Ns, self.nf
-        doubles_per_elem = (2 * nv * Ns + 2 * d * nv * Ns + 4 * nv * nf)
+        # the block scratch that _build_arrays allocates: Fhat_upts, and
+        # G_upts when viscous
         self.block_plan = BlockPlan(
             num_elements=self.ne,
-            bytes_per_element=doubles_per_elem * ITEM,
+            bytes_per_element=(2 if self.opt.viscous else 1) * d * nv * Ns * ITEM,
             budget_bytes=self.opt.block_kb * 1024,
         )
         self.interp_T = ref.interp_to_faces.T.copy()
@@ -680,7 +748,6 @@ class SolverRank:
         self.fold_T = [div_T[ax] - self.interp_T @ self.gcorr_T[ax] for ax in range(d)]
         # the volume flux reads the gradient too when viscous
         self.grad_rows = d * nv if self.opt.viscous else 0
-        self.flux_members = ("phys_flux", "viscous_flux") if self.opt.viscous else ("phys_flux",)
         # pair passes run in chunks small enough that their temporaries are
         # reused from the heap rather than page-faulted in afresh each step
         self.iface_chunk = 4096
@@ -724,63 +791,103 @@ class SolverRank:
         """dQ/dt ``(ne, nv, Ns)``, stored variable-major, for the state Q
         ``(ne, nv, Ns)`` of either layout (halo exchanges included).  Q is
         only read: ``Q_upts`` is left as it was."""
-        self._check_positivity(Q)
+        return self._residual(Q, cfl_dt=False)[0]
+
+    def _residual(self, Q: np.ndarray, cfl_dt: bool):
+        """``(dQ/dt, dt)``: the residual of Q and, when ``cfl_dt``, the CFL
+        dt that :meth:`compute_dt` gives for Q, formed from the primitives
+        of the residual's first block loop (else None).  That loop checks
+        positivity, so a bad state fails before any ghost, Riemann or dt
+        kernel sees it.  Inviscid, it also forms the volume flux and its
+        divergence; viscous, those wait for the gradients, and dQ/dt is
+        allocated only then."""
         self._Qv = Q.transpose(1, 0, 2)
         try:
-            self._run_blocks(self._interp_to_faces)
-            self.halo_exchange_q()
-            self._boundary_ghosts()
-
             if self.opt.viscous:
+                dt = self._sweep([self._interp_to_faces, self._primitives], cfl_dt)
+                self.halo_exchange_q()
+                self._boundary_ghosts()
                 self._common_solution()
                 self._run_blocks(self._gradient, self._grad_transform, self._interp_grad)
                 self.halo_exchange_grad()
-
-            self._run_pairs(self._riemann_common)
-            dQdt = np.empty((self.nv, self.ne, self.Ns)).transpose(1, 0, 2)
-            self._run_blocks(self._volume_flux, self._divergence, self._correction,
-                             functools.partial(self._scale_residual, dQdt))
+                self._run_pairs(self._riemann_common)
+                dQdt = self._new_residual()
+                self._run_blocks(self._volume_flux, self._divergence, self._correction,
+                                 self._scale_residual)
+            else:
+                dQdt = self._new_residual()
+                dt = self._sweep([self._interp_to_faces, self._volume_flux,
+                                  self._divergence], cfl_dt)
+                self.halo_exchange_q()
+                self._boundary_ghosts()
+                self._run_pairs(self._riemann_common)
+                self._run_blocks(self._correction, self._scale_residual)
         finally:
-            self._Qv = None
-        return dQdt
+            self._Qv = self._dQv = None
+        return dQdt, dt
 
-    def _check_positivity(self, Q: np.ndarray):
-        Ns = self.ref.num_solution_points
-        physics.check_positivity(
-            Q.transpose(0, 2, 1), self.dim, self.gas,
-            cell_of_point=lambda i: self.gids[i // Ns],
-        )
+    def _new_residual(self) -> np.ndarray:
+        """A fresh ``(ne, nv, Ns)`` residual, stored variable-major, whose
+        ``(nv, ne, Ns)`` view the passes write."""
+        dQdt = np.empty((self.nv, self.ne, self.Ns)).transpose(1, 0, 2)
+        self._dQv = dQdt.transpose(1, 0, 2)
+        return dQdt
 
     # ------------------------------------------------------------------
     # time stepping
     # ------------------------------------------------------------------
 
-    def compute_dt(self, Q: np.ndarray) -> float:
-        """CFL dt: cfl times the min over elements of h_min / ((|u|+c)(2p+1))."""
-        Qp = Q.transpose(0, 2, 1)  # (ne, Ns, nv) view
-        rho, vel, _, p = physics.primitives(Qp, self.dim, self.gas)
-        umag = np.sqrt(physics.dot(vel, vel))
-        c = np.sqrt(self.gas.gamma * p / rho)
-        sig = (umag + c).max(axis=1)
-        local = float(np.min(self.h_min / (sig * (2 * self.opt.p + 1))))
+    def _sweep(self, passes, cfl_dt: bool):
+        """The block loop of ``passes``, one of which checks positivity
+        (``_primitives``).  With ``cfl_dt`` it also forms each element's
+        signal speed and returns the CFL dt, reduced over the ranks.  Every
+        rank enters that reduction, one whose state failed the check too:
+        the reduction propagates its NaN, so all ranks raise together, the
+        failing rank naming its cell and the others cell -1."""
+        if not cfl_dt:
+            self._run_blocks(*passes)
+            return None
+        failure = None
+        self._sig = np.empty(self.ne)
+        try:
+            self._run_blocks(*passes)
+            local = float(np.min(self.h_min / (self._sig * (2 * self.opt.p + 1))))
+        except PositivityError as exc:
+            failure, local = exc, np.nan
+        finally:
+            self._sig = None
         if self.ctx is not None and self.ctx.nranks > 1:
             local = allreduce_min(self.ctx, local)
-        # after the collective: the reduction propagates NaN, so every rank
-        # sees the same value and raises together; a rank holding a bad
-        # point names its cell, the others report cell -1
         if not local > 0.0 or not np.isfinite(local):
-            self._check_positivity(Q)
-            raise PositivityError(-1, f"time step {local!r} is not finite and positive")
+            raise failure or PositivityError(
+                -1, f"time step {local!r} is not finite and positive")
         return self.opt.cfl * local
 
-    def advance_step(self, Q: np.ndarray, dt: float) -> np.ndarray:
+    def compute_dt(self, Q: np.ndarray) -> float:
+        """CFL dt: cfl times the min over elements of h_min / ((|u|+c)(2p+1)),
+        bit for bit the dt that a step of :meth:`run_steps` takes from its
+        first residual."""
+        self._Qv = Q.transpose(1, 0, 2)
+        try:
+            return self._sweep([self._primitives], cfl_dt=True)
+        finally:
+            self._Qv = None
+
+    def advance_step(self, Q: np.ndarray, dt: Optional[float]) -> np.ndarray:
         """One SSP-RK3 step in Shu-Osher form (Shu & Osher, JCP 77, 1988):
         u1 = Q + dt R(Q), u2 = 3/4 Q + 1/4 u1 + 1/4 dt R(u1) and
         u3 = 1/3 Q + 2/3 u2 + 2/3 dt R(u2), each its residual scaled in place
-        plus the earlier stages in that order; u1 is freed before R(u2)."""
-        if not (dt > 0 and np.isfinite(dt)):
+        plus the earlier stages in that order; u1 is freed before R(u2).
+        With ``dt`` None the step takes the CFL dt of Q (:meth:`compute_dt`),
+        formed in R(Q) from its primitives.  The dt taken is kept as
+        ``last_dt``."""
+        if dt is None:
+            u1, dt = self._residual(Q, cfl_dt=True)
+        elif not (dt > 0 and np.isfinite(dt)):
             raise ConfigError(f"dt must be finite and positive, got {dt!r}")
-        u1 = self.compute_residual(Q)
+        else:
+            u1 = self.compute_residual(Q)
+        self.last_dt = dt
         u1 *= dt
         u1 += Q
         u2 = self.compute_residual(u1)
@@ -802,11 +909,10 @@ class SolverRank:
         time covered."""
         t = 0.0
         for _ in range(nsteps):
-            step_dt = dt if dt is not None else self.compute_dt(self.Q_upts)
             t0 = monotonic_time()
-            self.step_in_place(step_dt)
+            self.Q_upts = self.advance_step(self.Q_upts, dt)
             self.ledger.step_times.append(monotonic_time() - t0)
-            t += step_dt
+            t += self.last_dt
         return t
 
     # ------------------------------------------------------------------

@@ -220,6 +220,34 @@ class TestViscous:
         assert abs(G[0, 1] - float(tau_xx.subs(pt))) < 1e-10
         assert abs(G[1, 1] - float(tau_xy.subs(pt))) < 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_constant_viscosity_is_a_scalar_and_keeps_the_bits(self, dim, monkeypatch):
+        """Without Sutherland's law the viscosity is the scalar mu, and the
+        viscous, LDG and wall fluxes are bitwise those of a per-point array
+        filled with mu."""
+        rng = np.random.default_rng(dim)
+        gasv = GasModel(gamma=1.4, R=1.0, Pr=0.72, mu=2e-2)
+        n = 50
+        QL, QR = (conserved(1.0 + 0.3 * rng.random(n), 0.5 * rng.standard_normal((n, dim)),
+                            0.8 + 0.3 * rng.random(n), gasv) for _ in range(2))
+        grad = 0.3 * rng.standard_normal((n, dim, dim + 2))
+        nrm = rng.standard_normal((n, dim))
+        nrm /= np.sqrt(np.sum(nrm * nrm, axis=-1))[:, None]
+        tau = np.linspace(0.5, 2.0, n)
+        T = physics.pressure(QL, dim, gasv) / QL[:, 0]
+        assert gasv.viscosity(T) == 2e-2 and np.ndim(gasv.viscosity(T)) == 0
+
+        def fluxes():
+            return [viscous_flux(QL, grad, dim, gasv),
+                    ldg_interface(QR, grad, QL, QR, nrm, tau, dim, gasv),
+                    physics.wall_flux(QL, QR, grad, nrm, tau, dim, gasv),
+                    physics.wall_flux(QL, QR, grad, nrm, tau, dim, gasv, adiabatic=True)]
+
+        scalar = fluxes()
+        monkeypatch.setattr(GasModel, "viscosity", lambda self, T: np.full_like(T, self.mu))
+        for a, b in zip(scalar, fluxes()):
+            assert np.array_equal(a, b)
+
     def test_sutherland_law(self):
         gasv = GasModel(gamma=1.4, R=287.0, mu=0.0, sutherland=True,
                         mu_ref=1.716e-5, T_ref=273.15, S=110.4)
@@ -563,6 +591,25 @@ class TestLayoutIndependence:
             assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_transformed_flux(self, dim):
+        """Layout-independent, and the metric times the physical flux to
+        round-off; written into ``out`` of either layout."""
+        gas, data = self._case(dim)
+        M = np.random.default_rng(dim).standard_normal((dim, dim, self.N))
+        rows = [list(r) for r in M]
+        self._assert_same(*self._both(
+            data, lambda a: physics.transformed_flux(a["QL"], rows, dim, gas)))
+        ref = physics.transformed_flux(data["QL"], rows, dim, gas)
+        F = inviscid_flux(data["QL"], dim, gas)
+        expect = np.stack(physics.transform(
+            [[m[:, None] for m in r] for r in rows], [F[:, ax] for ax in range(dim)]), axis=1)
+        assert np.abs(ref - expect).max() <= 1e-14 * np.abs(expect).max()
+        for out in (np.full(ref.shape, np.nan), _point_last(np.full(ref.shape, np.nan))):
+            Q = _point_last(data["QL"]) if _is_point_last(out) else data["QL"]
+            assert physics.transformed_flux(Q, rows, dim, gas, out=out) is out
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("solver", ["rusanov", "hllc"])
     def test_riemann_flux(self, dim, solver):
         gas, data = self._case(dim)
@@ -580,6 +627,12 @@ class TestLayoutIndependence:
         gas, data = self._case(dim)
         self._assert_same(*self._both(
             data, lambda a: viscous_flux(a["QL"], a["gL"], dim, gas)))
+        ref = viscous_flux(data["QL"], data["gL"], dim, gas)
+        for out in (np.full(ref.shape, np.nan), _point_last(np.full(ref.shape, np.nan))):
+            Q, g = ((_point_last(data["QL"]), _point_last(data["gL"])) if _is_point_last(out)
+                    else (data["QL"], data["gL"]))
+            assert viscous_flux(Q, g, dim, gas, out=out) is out
+            assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_ldg_interface(self, dim):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,15 +98,123 @@ class TestResidual:
         assert np.abs(total).max() < 1e-10
 
     def test_positivity_failure_names_cell(self, gas):
+        """A negative density fails the residual before any kernel takes
+        the square root of its negative gamma p / rho: no warning is
+        raised on the way."""
         mesh = box_mesh(3, 3, periodic=(True, True))
         s = serial_solver(mesh, gas, SolverOptions(p=1))
         s.set_state(lambda x: conserved(np.ones(x.shape[0]),
                                         np.zeros((x.shape[0], 2)),
                                         np.ones(x.shape[0]), gas))
         s.Q_upts[4, 0, :] = -1.0
-        with pytest.raises(PositivityError) as err:
+        with pytest.raises(PositivityError) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")
             s.compute_residual(s.Q_upts)
         assert err.value.cell_id == 4
+
+
+class TestVolumeSweep:
+    """The inviscid residual forms each block's primitives once, in the
+    volume pass, for the flux, the positivity check and, in the first
+    stage of a step, the signal speeds of the CFL dt."""
+
+    @pytest.mark.parametrize("dim, block_kb", [(2, 4), (3, 35)])
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_block_plan_counts_the_block_scratch(self, dim, block_kb, viscous):
+        """``bytes_per_element`` is the per-element size of every buffer
+        the solver allocates one block deep (block axis before the point
+        axis), quad and hex, inviscid and viscous (which holds the viscous
+        flux too, so twice the budget gives the same blocks)."""
+        gasv = GasModel(gamma=1.4, R=1.0, mu=1e-3 if viscous else 0.0)
+        s = serial_solver(box_mesh(*(5,) * dim, periodic=(True,) * dim), gasv,
+                          SolverOptions(p=2, viscous=viscous, block_kb=block_kb * (1 + viscous)))
+        nb = s.block_plan.block_elements
+        assert nb == (7 if dim == 2 else 11) < s.ne
+        scratch = {name: a for name, a in vars(s).items()
+                   if isinstance(a, np.ndarray) and a.ndim >= 2 and a.shape[-2] == nb}
+        assert list(scratch) == ["Fhat_upts", "G_upts"][:1 + viscous]
+        assert sum(a.nbytes for a in scratch.values()) == nb * s.block_plan.bytes_per_element
+
+    def test_primitives_once_per_block_and_never_on_the_full_state(self, gas, monkeypatch):
+        """One step of run_steps (its CFL dt included) calls
+        ``physics.primitives`` on solution-point states once per block in
+        each of its three residuals, and never on the whole state."""
+        from fluxrecon import physics
+
+        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=8))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        blocks = [hi - lo for lo, hi in s.block_plan.blocks()]
+        assert blocks == [8, 8, 8, 8, 4]
+        rows = []
+        primitives = physics.primitives
+
+        def spy(Q, dim, gas):
+            if Q.shape[-2:] == (s.Ns, s.nv):  # solution points (n, Ns, nv)
+                rows.append(Q.shape[0])
+            return primitives(Q, dim, gas)
+
+        monkeypatch.setattr(physics, "primitives", spy)
+        s.run_steps(1)
+        assert rows == blocks * 3
+
+    def test_run_steps_takes_the_dt_of_compute_dt(self, gas, tmp_path):
+        """The dt a step of run_steps forms from its first residual is
+        compute_dt's, bit for bit: vortex, viscous TGV and the cascade on
+        two ranks, with its sponges and boundaries."""
+        from fluxrecon import driver
+        from fluxrecon.fixtures import make_fixture
+        from fluxrecon.io.config import RunConfig
+
+        def dts(s):
+            out = []
+            for _ in range(2):
+                expect = s.compute_dt(s.Q_upts)
+                out.append((s.run_steps(1), expect))
+            return out
+
+        def build(case, size, nranks):
+            mesh_path, cfg_path = make_fixture(case, str(tmp_path / case), size=size)
+            cfg = RunConfig.load(cfg_path)
+            mesh = driver.load_mesh(mesh_path, cfg)
+            shards = prepare_shards(mesh, np.repeat(np.arange(nranks), len(mesh.cells)
+                                                    // nranks), nranks)
+
+            def prog(ctx):
+                s = driver.build_solver(shards[ctx.rank], cfg, ctx=ctx)
+                driver.initialize(s, cfg)
+                return dts(s)
+            if nranks == 1:
+                return [prog(RankContext(0, 1, None))]
+            return SimCluster(nranks, seed=0).run(prog)
+
+        got = build("vortex", 6, 1) + build("tgv", 3, 1) + build("ls89-2d", 24, 2)
+        assert all(a == b and b > 0 for rank in got for a, b in rank)
+
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_first_stage_failure_fails_every_rank_without_warnings(self, viscous):
+        """A negative density on rank 1 fails run_steps on both ranks with
+        warnings as errors: every rank enters the dt reduction, rank 1
+        names the cell and rank 0 reports cell -1."""
+        gasv = GasModel(gamma=1.4, R=1.0, mu=1e-3 if viscous else 0.0)
+        mesh = box_mesh(4, 3, periodic=(True, True))
+        shards = prepare_shards(mesh, np.repeat(np.arange(2), 6), 2)
+
+        def prog(ctx):
+            s = SolverRank(shards[ctx.rank], gasv, SolverOptions(p=1, viscous=viscous),
+                           ctx=ctx)
+            s.set_state(lambda x: vortex_state(x, 0.0, gasv))
+            if ctx.rank == 1:
+                s.Q_upts[2, 0, :] = -1.0
+            try:
+                s.run_steps(1)
+            except PositivityError as exc:
+                return exc.cell_id, int(s.gids[2])
+            return None
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (cell0, _), (cell1, gid) = SimCluster(2, seed=0).run(prog)
+        assert cell0 == -1 and cell1 == gid
 
 
 class TestFoldedOperator:
@@ -183,7 +293,7 @@ class TestTimeStepping:
         """advance_step gives bitwise the SSP-RK3 stages written out:
         u1 = dt R(u0) + u0, u2 = (dt/4) R(u1) + 3/4 u0 + 1/4 u1 and
         u3 = (2 dt/3) R(u2) + 1/3 u0 + 2/3 u2, each summed left to right."""
-        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=40))
+        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=8))
         s.set_state(lambda x: vortex_state(x, 0.0, gas))
         u0, dt = s.Q_upts.copy(), 0.003
         R = s.compute_residual
@@ -388,7 +498,7 @@ class TestDoubleBuffering:
         a.set_state(lambda x: vortex_state(x, 0.0, gas))
         assert a.block_plan.blocks() == [(0, 36)]
         ref = a.compute_residual(a.Q_upts)
-        for block_kb, last in ((64, 12), (8, 1), (40, 4)):
+        for block_kb, last in ((12, 12), (1, 1), (8, 4)):
             b = serial_solver(mesh, gas, SolverOptions(p=3, deterministic=True,
                                                        block_kb=block_kb))
             b.set_state(lambda x: vortex_state(x, 0.0, gas))
@@ -401,18 +511,18 @@ class TestBlockScratch:
     @pytest.mark.parametrize("viscous", [False, True])
     def test_scratch_is_one_block_deep(self, viscous, gas):
         s = serial_solver(vortex_mesh(6), gas,
-                          SolverOptions(p=3, viscous=viscous, block_kb=40))
+                          SolverOptions(p=3, viscous=viscous, block_kb=16 if viscous else 8))
         nb = s.block_plan.block_elements
         assert nb == 8 < s.ne
         # the block axis is the one before the point axis
-        for name in ("Fhat_upts", "divF_upts"):
+        for name in ("Fhat_upts", "G_upts")[:1 + viscous]:
             assert getattr(s, name).shape[-2] == nb, name
         for name in ("F_upts", "Fown_fpts", "Fhat_fpts", "jump_fpts", "dQdt",
-                     "slot_normal", "slot_area"):
+                     "divF_upts", "slot_normal", "slot_area"):
             assert not hasattr(s, name), name
 
     def test_residual_is_a_new_array_each_call(self, gas):
-        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=40))
+        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=8))
         s.set_state(lambda x: vortex_state(x, 0.0, gas))
         Q = s.Q_upts.copy()
         first = s.compute_residual(Q)
@@ -463,10 +573,11 @@ def _wall_field(x):
 
 
 def _walled_solver(viscous, riemann="rusanov"):
-    """The wall box on one rank, in element blocks of 8 with a partial last
-    block (30 = 3 * 8 + 6)."""
+    """The wall box on one rank, in element blocks of 12 with a partial last
+    block (30 = 2 * 12 + 6)."""
     s = serial_solver(_wall_mesh(), WALL_GAS,
-                      SolverOptions(p=2, viscous=viscous, riemann=riemann, block_kb=40),
+                      SolverOptions(p=2, viscous=viscous, riemann=riemann,
+                                    block_kb=14 if viscous else 7),
                       boundary_specs=WALL_BCS)
     s.set_state(_wall_field)
     return s
@@ -526,8 +637,9 @@ class TestVariableMajor:
 
         # kernel -> [(argument index or name, number of component axes)]
         specs = {
+            "transformed_flux": [(0, 1), ("out", 2)],
             "inviscid_flux": [(0, 1), ("out", 2)],
-            "viscous_flux": [(0, 1), (1, 2)],
+            "viscous_flux": [(0, 1), (1, 2), ("out", 2)],
             "riemann_flux": [(0, 1), (1, 1), (2, 1)],
             "ldg_interface": [(0, 1), (1, 2), (2, 1), (3, 1), (4, 1)],
             "wall_flux": [(0, 1), (1, 1), (2, 2), (3, 1)],
@@ -541,6 +653,9 @@ class TestVariableMajor:
                     arg = kwargs.get(key) if isinstance(key, str) else args[key]
                     if arg is not None:
                         assert all(r.flags.c_contiguous for r in rows(arg, axes)), (name, key)
+                if name == "transformed_flux":
+                    # metric entries M[k][l]
+                    assert all(entry.flags.c_contiguous for row in args[1] for entry in row)
                 seen[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
@@ -557,8 +672,9 @@ class TestVariableMajor:
         for name in specs:
             monkeypatch.setattr(physics, name, guard(name, getattr(physics, name)))
         monkeypatch.setattr(physics, "transform", guard_transform(physics.transform))
-        s = _walled_solver(viscous=True, riemann=riemann)
-        s.compute_residual(s.Q_upts)
+        for viscous in (False, True):
+            s = _walled_solver(viscous=viscous, riemann=riemann)
+            s.compute_residual(s.Q_upts)
         assert all(seen.values()), seen
 
 
@@ -679,27 +795,29 @@ class TestSpongeResidual:
         assert np.abs(got - dense).max() / np.abs(dense).max() < 1e-12
 
     def test_ledger_charges_each_zone_on_sponge_points(self, gas):
-        """One sponge_source per zone on each point of a block's sponge
-        elements: nothing on a block no zone reaches, part of a partly
-        covered block, and scale_residual alone on every point."""
+        """One sponge_source per zone on each point of the elements it
+        reaches, and only there: a block no zone reaches gets no entry, and
+        scale_residual alone runs on every point."""
         mesh, zones = self.mesh(), self.zones(gas)
-        s = serial_solver(mesh, gas, SolverOptions(p=3, block_kb=12), sponge_zones=zones)
+        s = serial_solver(mesh, gas, SolverOptions(p=3, block_kb=2), sponge_zones=zones)
         s.set_state(lambda x: _sponge_state(x, gas))
         s.ledger.reset_counters()
         s.compute_residual(s.Q_upts)
-        covered = [np.count_nonzero((s.sponge_elems >= lo) & (s.sponge_elems < hi))
-                   for lo, hi in s.block_plan.blocks()]
-        sizes = [hi - lo for lo, hi in s.block_plan.blocks()]
-        assert 0 in covered
-        assert any(0 < c < n for c, n in zip(covered, sizes))
+        reach = [(z.sigma(s.x_upts) != 0).any(axis=1) for z in zones]
+        blocks = s.block_plan.blocks()
+        assert [hi - lo for lo, hi in blocks] == [2] * 18
+        touched = [any(r[lo:hi].any() for r in reach) for lo, hi in blocks]
+        assert not all(touched)
         sponge = s.ledger.kernels["sponge_source"]
-        assert sponge.invocations == sum(c > 0 for c in covered)
-        assert sponge.flops == (POINTWISE_COSTS[("sponge_source", 2)] * len(zones)
-                                * s.Ns * sum(covered))
+        assert sponge.invocations == sum(touched)
+        per_zone = sum(int(r.sum()) for r in reach)
+        assert sponge.flops == POINTWISE_COSTS[("sponge_source", 2)] * s.Ns * per_zone
+        # each zone on its own elements, not on every element some zone reaches
+        assert per_zone < len(zones) * int(np.logical_or.reduce(reach).sum())
         scale = s.ledger.kernels["scale_residual"]
         assert scale.flops == POINTWISE_COSTS[("scale_residual", 2)] * s.ne * s.Ns
 
-        plain = serial_solver(mesh, gas, SolverOptions(p=3, block_kb=12))
+        plain = serial_solver(mesh, gas, SolverOptions(p=3, block_kb=2))
         plain.compute_residual(s.Q_upts)
         assert "sponge_source" not in plain.ledger.kernels
 
