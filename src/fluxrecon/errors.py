@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check of
+configuration values."""
+
+import math
 
 
 class FluxReconError(Exception):
@@ -53,3 +56,11 @@ class ConfigError(FluxReconError):
 
 class FormatError(FluxReconError):
     """Malformed mesh/shard/solution file."""
+
+
+def check_range(key: str, value, lo: float = 0.0, strict: bool = True):
+    """Raise ConfigError naming ``key`` and ``value`` unless the value is
+    finite and above ``lo`` (at least ``lo`` unless ``strict``)."""
+    if not (math.isfinite(value) and (value > lo if strict else value >= lo)):
+        raise ConfigError(f"{key} must be finite and {'above' if strict else 'at least'} "
+                          f"{lo}, got {value!r}")

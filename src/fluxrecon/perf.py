@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import operator
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -44,10 +43,8 @@ def flops_gemm(m: int, n: int, k: int) -> int:
 POINTWISE_COSTS: Dict[tuple, int] = {
     ("transformed_flux", 2): 32,
     ("transformed_flux", 3): 61,
-    ("phys_flux", 2): 20,
-    ("phys_flux", 3): 31,
-    ("transform_flux", 2): 24,
-    ("transform_flux", 3): 75,
+    ("transformed_ns_flux", 2): 120,
+    ("transformed_ns_flux", 3): 252,
     ("riemann_rusanov", 2): 71,
     ("riemann_rusanov", 3): 92,
     ("riemann_hllc", 2): 126,
@@ -79,8 +76,6 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("common_solution", 3): 10,
     ("grad_transform", 2): 24,
     ("grad_transform", 3): 75,
-    ("viscous_flux", 2): 73,
-    ("viscous_flux", 3): 131,
     ("viscous_interface", 2): 97,
     ("viscous_interface", 3): 171,
     ("viscous_wall", 2): 105,
@@ -170,16 +165,11 @@ class PerfLedger:
 
 
 class OpCounter:
-    def __init__(self):
-        self.adds = 0
-        self.muls = 0
-        self.divs = 0
-        self.sqrts = 0
-        self.pows = 0
+    """Operations counted so far, each add, sub, mul, div, sqrt or pow
+    one."""
 
-    @property
-    def total(self) -> int:
-        return self.adds + self.muls + self.divs + self.sqrts + self.pows
+    def __init__(self):
+        self.total = 0
 
 
 class CountingFloat:
@@ -206,7 +196,7 @@ class CountingFloat:
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.adds += 1
+        self.c.total += 1
         return CountingFloat(self.v + v, self.c)
 
     __radd__ = __add__
@@ -215,21 +205,21 @@ class CountingFloat:
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.adds += 1
+        self.c.total += 1
         return CountingFloat(self.v - v, self.c)
 
     def __rsub__(self, o):
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.adds += 1
+        self.c.total += 1
         return CountingFloat(v - self.v, self.c)
 
     def __mul__(self, o):
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.muls += 1
+        self.c.total += 1
         return CountingFloat(self.v * v, self.c)
 
     __rmul__ = __mul__
@@ -238,21 +228,21 @@ class CountingFloat:
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.divs += 1
+        self.c.total += 1
         return CountingFloat(self.v / v, self.c)
 
     def __rtruediv__(self, o):
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.divs += 1
+        self.c.total += 1
         return CountingFloat(v / self.v, self.c)
 
     def __pow__(self, o):
         v = self._lift(o)
         if v is None:
             return NotImplemented
-        self.c.pows += 1
+        self.c.total += 1
         return CountingFloat(self.v ** v, self.c)
 
     def __neg__(self):
@@ -262,7 +252,7 @@ class CountingFloat:
         return CountingFloat(abs(self.v), self.c)
 
     def sqrt(self):
-        self.c.sqrts += 1
+        self.c.total += 1
         return CountingFloat(self.v ** 0.5, self.c)
 
     def __lt__(self, o):
@@ -333,16 +323,13 @@ def _grad(dim, c, seed=3):
     return _random((1, dim, dim + 2), c, seed, scale=0.1)
 
 
-def _transform_args(dim, c):
-    return _random((dim, dim), c, 0), list(_random((dim, dim + 2), c, 2))
-
-
 _CENSUS = {
     "transformed_flux": (physics.transformed_flux, lambda d, c: (
         _state(d, c), _random((d, d), c, 0), d, _GAS)),
-    "phys_flux": (physics.inviscid_flux, lambda d, c: (_state(d, c), d, _GAS)),
-    "transform_flux": (physics.transform, _transform_args),
-    "grad_transform": (physics.transform, _transform_args),
+    "transformed_ns_flux": (physics.transformed_flux, lambda d, c: (
+        _state(d, c), _random((d, d), c, 0), d, _GAS, None, None, _grad(d, c))),
+    "grad_transform": (physics.transform, lambda d, c: (
+        _random((d, d), c, 0), list(_random((d, d + 2), c, 2)))),
     "riemann_rusanov": (physics.riemann_flux, lambda d, c: (
         *_pair(d, c), _normal(d, c), d, _GAS, "rusanov")),
     "riemann_hllc": (physics.riemann_flux, lambda d, c: (
@@ -353,7 +340,6 @@ _CENSUS = {
     "sponge_source": (physics.sponge_sum, lambda d, c: (
         _state(d, c), [(CountingFloat(-2.0, c), counting_array(np.ones(d + 2), c))])),
     "common_solution": (lambda QL, QR: 0.5 * (QL + QR), _pair),
-    "viscous_flux": (physics.viscous_flux, lambda d, c: (_state(d, c), _grad(d, c), d, _GAS)),
     "viscous_interface": (physics.ldg_interface, lambda d, c: (
         _state(d, c, shift=0.05), _grad(d, c), *_pair(d, c), _normal(d, c),
         CountingFloat(1.0, c), d, _GAS)),
@@ -490,7 +476,3 @@ def summarize_steps(step_times: Sequence[float], warmup: int = 3) -> dict:
         "min": float(body.min()),
         "steps": len(body),
     }
-
-
-def monotonic_time() -> float:
-    return time.perf_counter()

@@ -5,9 +5,8 @@ All point-wise kernels are written with element-wise numpy operations only
 (no BLAS/einsum), so they run unchanged on object arrays of instrumented
 scalars.  The solver's passes call them, and the FLOP census
 (``perf.census_pointwise``) runs the same function for each ledger kernel:
-``transformed_flux`` :func:`transformed_flux`, ``phys_flux``
-:func:`inviscid_flux`, ``viscous_flux`` :func:`viscous_flux`,
-``transform_flux`` and ``grad_transform`` :func:`transform`,
+``transformed_flux`` :func:`transformed_flux`, ``transformed_ns_flux`` the
+same with the gradients, ``grad_transform`` :func:`transform`,
 ``riemann_rusanov``/``riemann_hllc`` :func:`riemann_flux`,
 ``viscous_interface`` :func:`ldg_interface`, ``viscous_wall``
 :func:`wall_flux`, ``ghost_<kind>`` :func:`apply_boundary` and
@@ -17,10 +16,11 @@ gather in the solver, not a kernel here.)  State vectors are ordered
 :func:`primitives` gives rho, the velocity, E and the pressure together,
 which :func:`transformed_flux`, :func:`inviscid_flux`,
 :func:`viscous_flux` and :func:`check_positivity` also accept from the
-caller (so the solver's inviscid volume pass splits each block once for
-its flux, its positivity check and its signal speeds
-:func:`signal_speed`), and the Riemann solvers form each side's ``u.n``,
-sound speed and normal flux once from them.
+caller (so the solver's volume pass splits each block once for its flux,
+its positivity check and its signal speeds :func:`signal_speed`), and the
+Riemann solvers form each side's ``u.n``, sound speed and normal flux once
+from them.  One helper forms the viscous stress and heat flux for
+:func:`viscous_flux` and :func:`transformed_flux` alike.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
 (fluxes and gradients ``(..., d, nv)``, normals ``(..., d)``) and accepts
@@ -37,14 +37,11 @@ rows, one contiguous row per entry.  Outputs follow the input's layout: a
 variable-major input gives a variable-major result (see ``_like``).
 ``transformed_flux``, ``inviscid_flux`` and ``viscous_flux`` also take
 ``out=``, a buffer of any strides to write the flux into.  The solver
-passes views of its block scratch: the inviscid volume flux is written
-into ``Fhat_upts`` in reference space at once; the viscous one is the
-physical flux there, less the viscous flux written into ``G_upts``, and is
-then transformed in place.
-Either way the volume flux is written where the next kernel reads it
-instead of being built C-ordered and copied back.  Component sums run in
-index order (``(a0 + a1) + a2``), the order numpy's sum over a length-d
-axis uses, so results do not depend on the layout.
+passes a view of its block scratch ``Fhat_upts``, so the volume flux,
+inviscid or viscous, is written in reference space where the divergence
+reads it instead of being built C-ordered and copied back.  Component sums
+run in index order (``(a0 + a1) + a2``), the order numpy's sum over a
+length-d axis uses, so results do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError, PositivityError, check_range
 
 # fixed LDG side-switch direction; any vector not orthogonal to mesh faces
 LDG_SWITCH_VECTOR = np.array([1.0, 0.7071067811865476, 0.5773502691896258])
@@ -74,8 +71,11 @@ class GasModel:
     S: float = 110.4
 
     def __post_init__(self):
-        if self.gamma <= 1.0 or self.Pr <= 0.0 or self.mu < 0.0:
-            raise ConfigError("gas model requires gamma > 1, Pr > 0, mu >= 0")
+        rules = [("gamma", 1.0, True), ("R", 0.0, True), ("Pr", 0.0, True), ("mu", 0.0, False)]
+        if self.sutherland:
+            rules += [("mu_ref", 0.0, True), ("T_ref", 0.0, True), ("S", 0.0, False)]
+        for name, lo, strict in rules:
+            check_range(f"gas.{name}", getattr(self, name), lo, strict)
 
     @property
     def cp(self) -> float:
@@ -211,23 +211,30 @@ def inviscid_flux(Q: np.ndarray, dim: int, gas: GasModel,
 
 
 def transformed_flux(Q: np.ndarray, M, dim: int, gas: GasModel,
-                     out: Optional[np.ndarray] = None, prim=None) -> np.ndarray:
+                     out: Optional[np.ndarray] = None, prim=None,
+                     grad: Optional[np.ndarray] = None) -> np.ndarray:
     """Euler flux in reference space, ``Fhat[k] = sum_l M[k][l] F[l]``, in
     one pass: with the contravariant velocity ``U_k = sum_l M[k][l] u_l``,
     ``Fhat_k = [rho U_k, rho u_i U_k + p M[k][i], U_k (E + p)]`` (Witherden,
-    Farrington & Vincent, CPC 185, 2014).  ``M`` is a sequence of rows of
-    matrix entries, as :func:`transform` takes it.  Shape (..., dim, nvars),
-    written into ``out`` if given; ``prim`` is Q's :func:`primitives`, if
-    the caller has them."""
+    Farrington & Vincent, CPC 185, 2014).  With the conserved gradients
+    ``grad`` (..., dim, nvars), the Navier-Stokes flux: each row also
+    subtracts ``sum_l M[k][l] G_l`` of the viscous flux G (see
+    :func:`viscous_flux`).  ``M`` is a sequence of rows of matrix entries,
+    as :func:`transform` takes it.  Shape (..., dim, nvars), written into
+    ``out`` if given; ``prim`` is Q's :func:`primitives`, if the caller has
+    them."""
     rho, vel, E, p = primitives(Q, dim, gas) if prim is None else prim
     F = _like(Q, dim, dim + 2) if out is None else out
     Ep = E + p
+    if grad is not None:
+        tau, q = _stress_and_heat_flux(rho, vel, p, grad, gas)
     for k in range(dim):
         Uk = dot(M[k], vel)
         F[..., k, 0] = rho * Uk
         for i in range(dim):
-            F[..., k, 1 + i] = Q[..., 1 + i] * Uk + p * M[k][i]
-        F[..., k, 1 + dim] = Uk * Ep
+            f = Q[..., 1 + i] * Uk + p * M[k][i]
+            F[..., k, 1 + i] = f if grad is None else f - dot(M[k], [t[i] for t in tau])
+        F[..., k, 1 + dim] = Uk * Ep if grad is None else Uk * Ep - dot(M[k], q)
     return F
 
 
@@ -351,16 +358,13 @@ def velocity_gradient(rho, vel, grad_Q: np.ndarray):
     return dudx
 
 
-def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
-                 out: Optional[np.ndarray] = None, prim=None) -> np.ndarray:
-    """Physical viscous flux (Newtonian stress, Stokes hypothesis, Fourier
-    heat flux); shape (..., dim, nvars), written into ``out`` if given.
-    ``prim`` is Q's :func:`primitives`, if the caller has them.
-
-    The residual subtracts it from the inviscid flux, so the momentum
-    component here is the stress tensor tau itself.
-    """
-    rho, vel, E, p = primitives(Q, dim, gas) if prim is None else prim
+def _stress_and_heat_flux(rho, vel, p, grad_Q: np.ndarray, gas: GasModel):
+    """The viscous stress tensor ``tau[l][i]`` (Newtonian, Stokes
+    hypothesis) and the energy component of the viscous flux along each
+    axis, ``q[l] = tau[l] . u + kappa dT/dx_l`` (stress work and Fourier
+    heat flux), from the primitives and the conserved gradients grad_Q
+    (..., dim, nvars)."""
+    dim = len(vel)
     T = p / (rho * gas.R)
     mu = gas.viscosity(T)
     k_cond = mu * gas.cp / gas.Pr
@@ -380,8 +384,7 @@ def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
 
     u2 = dot(vel, vel)
     rho2R = rho * rho * gas.R
-    G = _like(Q, dim, dim + 2) if out is None else out
-    G[..., 0] = 0.0
+    q = []
     for kdir in range(dim):
         # dT/dx_k via chain rule on p = (gamma-1)(E - 0.5 rho |u|^2)
         ke_grad = -0.5 * u2 * grad_Q[..., kdir, 0]
@@ -389,9 +392,27 @@ def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
             ke_grad = ke_grad + vel[i] * grad_Q[..., kdir, 1 + i]
         dp = (gas.gamma - 1.0) * (grad_Q[..., kdir, 1 + dim] - ke_grad)
         dT = (dp * rho - p * grad_Q[..., kdir, 0]) / rho2R
+        q.append(dot(tau[kdir], vel) + k_cond * dT)
+    return tau, q
+
+
+def viscous_flux(Q: np.ndarray, grad_Q: np.ndarray, dim: int, gas: GasModel,
+                 out: Optional[np.ndarray] = None, prim=None) -> np.ndarray:
+    """Physical viscous flux (Newtonian stress, Stokes hypothesis, Fourier
+    heat flux); shape (..., dim, nvars), written into ``out`` if given.
+    ``prim`` is Q's :func:`primitives`, if the caller has them.
+
+    The residual subtracts it from the inviscid flux, so the momentum
+    component here is the stress tensor tau itself.
+    """
+    rho, vel, E, p = primitives(Q, dim, gas) if prim is None else prim
+    tau, q = _stress_and_heat_flux(rho, vel, p, grad_Q, gas)
+    G = _like(Q, dim, dim + 2) if out is None else out
+    G[..., 0] = 0.0
+    for kdir in range(dim):
         for i in range(dim):
             G[..., kdir, 1 + i] = tau[kdir][i]
-        G[..., kdir, 1 + dim] = dot(tau[kdir], vel) + k_cond * dT
+        G[..., kdir, 1 + dim] = q[kdir]
     return G
 
 
@@ -462,6 +483,20 @@ class BoundarySpec:
                  "slip", "periodic", "sponge-ref", "prescribed"}
         if self.kind not in kinds:
             raise ConfigError(f"unknown boundary kind {self.kind!r}")
+        # only the fields that the kind's ghost state reads, named by their
+        # config keys
+        key = f"bc.{self.patch}."
+        if self.kind == "riemann-inflow":
+            check_range(key + "p0", self.total_pressure)
+            check_range(key + "t0", self.total_temperature)
+            d = np.asarray(self.direction, dtype=float)
+            if not (np.isfinite(d).all() and (d != 0.0).any()):
+                raise ConfigError(f"{key}direction must be finite and non-zero, "
+                                  f"got {self.direction!r}")
+        elif self.kind == "outflow":
+            check_range(key + "p_out", self.static_pressure)
+        elif self.kind == "noslip-isothermal":
+            check_range(key + "t_wall", self.wall_temperature)
 
 
 class BoundaryDiagnostics:
@@ -552,8 +587,10 @@ class SpongeZone:
     def __post_init__(self):
         if self.from_side not in ("lo", "hi"):
             raise ConfigError(f"sponge side must be 'lo' or 'hi', got {self.from_side!r}")
-        if not self.ramp_width > 0:
-            raise ConfigError(f"sponge ramp width must be positive, got {self.ramp_width!r}")
+        check_range("sponge ramp width", self.ramp_width)
+        check_range("sponge strength", self.strength, strict=False)
+        if not self.lo < self.hi:
+            raise ConfigError(f"sponge lo must be below hi, got lo={self.lo!r}, hi={self.hi!r}")
 
     def sigma(self, x: np.ndarray) -> np.ndarray:
         """Smooth quintic ramp, zero outside the slab, sigma0 deep inside."""

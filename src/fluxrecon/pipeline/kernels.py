@@ -12,10 +12,10 @@ class BlockPlan:
     ``block_elements`` is the largest element count whose block scratch
     fits the budget; blocks never split an element.  The budget counts
     exactly the scratch the solver allocates ``block_elements`` deep, which
-    ``bytes_per_element`` gives per element (the transformed flux,
-    ``d * nv * Ns`` doubles, and as many again for the viscous flux when
-    viscous); the numpy temporaries a pass makes per block scale with the
-    block too but are not counted.  Too small a block, and
+    ``bytes_per_element`` gives per element (the one block buffer, the
+    transformed flux: ``d * nv * Ns`` doubles, inviscid or viscous); the
+    numpy temporaries a pass makes per block scale with the block too but
+    are not counted.  Too small a block, and
     the per-call overhead of many short passes dominates; too large, and
     the scratch and the temporaries fall out of cache.  Blocking stays
     because the fused passes run on one block at a time, which is what the

@@ -32,11 +32,12 @@ takes the signal speeds).  The halo and the ghosts are followed by the LDG
 common solutions (one gather), the gradients ``Q fold_T[ax] + Qc
 gcorr_T[ax]`` (folded like the divergence) with their transform and
 interpolation, and the gradient halos.  After the pair pass (Riemann and
-LDG fluxes), the last block loop forms the volume flux (the physical flux
-less the viscous flux, transformed), its divergence, the correction and
-the scale.  Either way a bad state fails in the first block loop, before
-any ghost, Riemann or dt kernel sees it, and a step's CFL dt is bitwise
-that of :meth:`SolverRank.compute_dt`, which runs the same sweep alone.
+LDG fluxes), the last block loop forms the volume flux (the same kernel,
+which also subtracts the transformed viscous flux of the gradients), its
+divergence, the correction and the scale.  Either way a bad state fails
+in the first block loop, before any ghost, Riemann or dt kernel sees it,
+and a step's CFL dt is bitwise that of :meth:`SolverRank.compute_dt`,
+which runs the same sweep alone.
 
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
@@ -44,23 +45,22 @@ the pair list that logs its own ledger entry: GEMM passes through
 point-wise passes through ``PerfLedger.add_pointwise``.  A point-wise
 pass's arithmetic is one :mod:`fluxrecon.physics` function, the one the
 FLOP census runs for its ledger kernel: ``physics.transformed_flux`` for
-``transformed_flux``, ``physics.transform`` for ``transform_flux`` and
-``grad_transform``, ``physics.sponge_sum`` on the build-time ``(-sigma,
-Q_ref)`` pairs for ``sponge_source``, and so on (see
-:mod:`fluxrecon.physics`).  ``flux_scale`` (common flux times signed area)
-and ``scale_residual`` are one operator each; the positivity check and the
-signal speeds are not booked.  The volume flux and its transform run as
-one pass.  ``SolverOptions.fusion`` only selects how the ledger books it:
-fused, as one entry ``phys_flux+transform_flux``, whose intermediate (the
-physical flux) is not charged as memory traffic; unfused, as its two
-member entries ``phys_flux`` and ``transform_flux``, which charge that
-intermediate's write and read.  The inviscid pass is one kernel, so its
-unfused booking puts all of ``transformed_flux``'s flops on ``phys_flux``
-and none on ``transform_flux``; the viscous pass charges ``phys_flux``
-and ``viscous_flux``, then ``transform_flux``.  Results are therefore
-bitwise equal under both settings.  GEMMs are never fused, and fusion
-changes modelled bytes but never flops: a fused entry's flops are the sum
-of its members'.
+``transformed_flux`` and, with the gradients, ``transformed_ns_flux``,
+``physics.transform`` for ``grad_transform``, ``physics.sponge_sum`` on
+the build-time ``(-sigma, Q_ref)`` pairs for ``sponge_source``, and so on
+(see :mod:`fluxrecon.physics`).  ``flux_scale`` (common flux times signed
+area) and ``scale_residual`` are one operator each; the positivity check
+and the signal speeds are not booked.  The volume flux and its transform
+run as one kernel.  ``SolverOptions.fusion`` only selects how the ledger
+books it: fused, as one entry ``phys_flux+transform_flux``, whose
+intermediate (the physical flux) is not charged as memory traffic;
+unfused, as its two member entries ``phys_flux`` and ``transform_flux``,
+which charge that intermediate's write and read.  The unfused booking puts
+all of the kernel's flops (``transformed_flux``, or ``transformed_ns_flux``
+when viscous) on ``phys_flux`` and none on ``transform_flux``.  Results
+are therefore bitwise equal under both settings.  GEMMs are never fused,
+and fusion changes modelled bytes but never flops: a fused entry's flops
+are the sum of its members'.
 
 Buffer layouts.  Every buffer is variable-major: C-ordered with the
 element axis just before the point axis, so each variable (and each flux
@@ -85,12 +85,11 @@ Full-mesh buffers, which pair passes or later block loops read:
   ``iface_flip`` ``(npairs,)``.
 
 Block scratch, one element block deep (``nb = block_plan.block_elements``),
-which the volume passes use as views ``[..., :hi - lo, :]``: ``Fhat_upts``
-``(d, nv, nb, Ns)``, the transformed flux (viscous: the physical flux,
-transformed in place), and when viscous ``G_upts`` ``(d, nv, nb, Ns)``,
-the viscous flux.  The block plan's ``bytes_per_element`` is their size
-per element.  The divergence and the correction write the residual's own
-rows.  A GEMM reads a block's
+which the volume pass uses as a view ``[..., :hi - lo, :]``: ``Fhat_upts``
+``(d, nv, nb, Ns)``, the transformed flux, inviscid or viscous.  The
+block plan's ``bytes_per_element`` is its size per element.  The
+divergence and the correction write the residual's own rows.  A GEMM
+reads a block's
 ``(..., n, k)`` rows and writes its ``(..., n, m)`` rows in place as a
 stack of row blocks, whatever their strides, so no block of a full-mesh
 buffer is copied.
@@ -136,12 +135,13 @@ deterministic mode.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, MeshError, PositivityError
+from ..errors import ConfigError, MeshError, PositivityError, check_range
 from ..mesh_core import orientation_permutation
 from ..operators import (
     _shape_gradients, _tensor_shape, build_reference_element, compute_geometry,
@@ -150,7 +150,7 @@ from ..operators import (
 )
 from .. import physics
 from ..physics import BoundarySpec, GasModel, RiemannDiagnostics, SpongeZone
-from ..perf import PerfLedger, monotonic_time
+from ..perf import PerfLedger
 from ..prep.distribute import allreduce_min, allreduce_sum, nbx_exchange
 from ..prep.matching import MeshShard
 from .kernels import BlockPlan
@@ -182,13 +182,9 @@ class SolverOptions:
         if not (_is_int(self.startup_steps) and self.startup_steps >= 0):
             raise ConfigError(f"solver.startup_steps must be a non-negative integer, "
                               f"got {self.startup_steps!r}")
-        if not (self.ldg_tau_scale >= 0 and np.isfinite(self.ldg_tau_scale)):
-            raise ConfigError(f"solver.ldg_tau_scale must be finite and non-negative, "
-                              f"got {self.ldg_tau_scale!r}")
-        if self.block_kb < 1:
-            raise ConfigError(f"solver.block_kb must be at least 1, got {self.block_kb}")
-        if not (self.cfl > 0 and np.isfinite(self.cfl)):
-            raise ConfigError(f"solver.cfl must be finite and positive, got {self.cfl!r}")
+        check_range("solver.ldg_tau_scale", self.ldg_tau_scale, strict=False)
+        check_range("solver.block_kb", self.block_kb, 1, strict=False)
+        check_range("solver.cfl", self.cfl)
         if self.riemann not in physics.RIEMANN_SOLVERS:
             raise ConfigError(f"solver.riemann must be one of {physics.RIEMANN_SOLVERS}, "
                               f"got {self.riemann!r}")
@@ -455,10 +451,7 @@ class SolverRank:
             self.grad_cols = np.zeros((d * nv, nslot + self.n_face_pairs - nl))
             self.grad_fpts = self.grad_cols[:, :nslot].reshape(d, nv, ne, nf)
             self.ghost_grad = self.grad_cols[:, nslot:]
-        nb = self.block_plan.block_elements
-        self.Fhat_upts = np.zeros((d, nv, nb, Ns))
-        if self.opt.viscous:
-            self.G_upts = np.zeros((d, nv, nb, Ns))
+        self.Fhat_upts = np.zeros((d, nv, self.block_plan.block_elements, Ns))
         # while a residual runs: its input and output as (nv, ne, Ns) views;
         # while a dt is formed, each element's max(|u| + c)
         self._Qv = self._dQv = self._sig = None
@@ -489,13 +482,6 @@ class SolverRank:
             self.ledger.add_gemm(name, src.size // M.shape[0], M.shape[1], M.shape[0],
                                  src.nbytes, 0 if i else dst.nbytes)
 
-    def _transform(self, M, X, out):
-        """``out[k] = sum_l M[k, l] X[l]``: point-wise matrices ``M``
-        ``(d, d, n, Ns)`` times the d rows of ``X`` ``(d, nv, n, Ns)``;
-        ``out`` may be ``X``."""
-        for k, row in enumerate(physics.transform(M, X)):
-            out[k] = row
-
     def _interp_to_faces(self, lo, hi):
         self._gemm_pass(self.Q_fpts[:, lo:hi],
                         [("interp_to_faces", self._Qv[:, lo:hi], self.interp_T)])
@@ -515,35 +501,24 @@ class SolverRank:
 
     def _volume_flux(self, lo, hi):
         """The transformed flux of elements [lo, hi) into the block's
-        Fhat_upts: inviscid, one kernel on the primitives that the
-        positivity check and the signal speeds share; viscous, the physical
-        flux less the viscous flux, transformed in place.  The module
-        docstring says how the ledger books it."""
+        Fhat_upts, one kernel on the primitives that the positivity check
+        and the signal speeds share; when viscous it reads the gradients
+        too.  The module docstring says how the ledger books it."""
         d, nv = self.dim, self.nv
-        Fhat = self.Fhat_upts[:, :, :hi - lo]
-        F = Fhat.transpose(2, 3, 0, 1)                     # (n, Ns, d, nv) view
-        if self.opt.viscous:
-            Q = self._Qv[:, lo:hi].transpose(1, 2, 0)      # (n, Ns, nv) view
-            prim = physics.primitives(Q, d, self.gas)
-            physics.inviscid_flux(Q, d, self.gas, out=F, prim=prim)
-            grad = self.grad_upts[:, :, lo:hi].transpose(2, 3, 0, 1)
-            G = self.G_upts[:, :, :hi - lo].transpose(2, 3, 0, 1)
-            F -= physics.viscous_flux(Q, grad, d, self.gas, out=G, prim=prim)
-            self._transform(self.adj_rows[:, :, lo:hi], Fhat, Fhat)
-            flux, transform = ("phys_flux", "viscous_flux"), ("transform_flux",)
-        else:
-            Q, prim = self._primitives(lo, hi)
-            physics.transformed_flux(Q, self.adj_rows[:, :, lo:hi], d, self.gas,
-                                     out=F, prim=prim)
-            flux, transform = ("transformed_flux",), ()
+        Q, prim = self._primitives(lo, hi)
+        grad = self.grad_upts[:, :, lo:hi].transpose(2, 3, 0, 1) if self.opt.viscous else None
+        physics.transformed_flux(Q, self.adj_rows[:, :, lo:hi], d, self.gas,
+                                 out=self.Fhat_upts[:, :, :hi - lo].transpose(2, 3, 0, 1),
+                                 prim=prim, grad=grad)
+        kernel = ("transformed_ns_flux" if self.opt.viscous else "transformed_flux",)
         if self.opt.fusion:
             self._log_block("phys_flux+transform_flux", lo, hi, self.Ns,
-                            nv + d * d + self.grad_rows, d * nv, members=flux + transform)
+                            nv + d * d + self.grad_rows, d * nv, members=kernel)
         else:
             self._log_block("phys_flux", lo, hi, self.Ns, nv + self.grad_rows,
-                            d * nv, members=flux)
+                            d * nv, members=kernel)
             self._log_block("transform_flux", lo, hi, self.Ns, d * nv + d * d, d * nv,
-                            members=transform)
+                            members=())
 
     def _divergence(self, lo, hi):
         """The flux divergence with the correction of the flux's own face
@@ -593,9 +568,12 @@ class SolverRank:
                              ("gradient_corr", Qc, self.gcorr_T[ax])])
 
     def _grad_transform(self, lo, hi):
+        """The reference gradients of elements [lo, hi) times ``J^-T``, in
+        place."""
         d, nv = self.dim, self.nv
         g = self.grad_upts[:, :, lo:hi]
-        self._transform(self.invT_rows[:, :, lo:hi], g, g)
+        for k, row in enumerate(physics.transform(self.invT_rows[:, :, lo:hi], g)):
+            g[k] = row
         self._log_block("grad_transform", lo, hi, self.Ns, d * nv + d * d, d * nv)
 
     def _interp_grad(self, lo, hi):
@@ -725,11 +703,10 @@ class SolverRank:
     def _build_operators(self):
         """Block plan, transposed operators and per-pass constants."""
         ref, nv, d, Ns, nf = self.ref, self.nv, self.dim, self.Ns, self.nf
-        # the block scratch that _build_arrays allocates: Fhat_upts, and
-        # G_upts when viscous
+        # the block scratch that _build_arrays allocates: Fhat_upts
         self.block_plan = BlockPlan(
             num_elements=self.ne,
-            bytes_per_element=(2 if self.opt.viscous else 1) * d * nv * Ns * ITEM,
+            bytes_per_element=d * nv * Ns * ITEM,
             budget_bytes=self.opt.block_kb * 1024,
         )
         self.interp_T = ref.interp_to_faces.T.copy()
@@ -909,9 +886,9 @@ class SolverRank:
         time covered."""
         t = 0.0
         for _ in range(nsteps):
-            t0 = monotonic_time()
+            t0 = time.perf_counter()
             self.Q_upts = self.advance_step(self.Q_upts, dt)
-            self.ledger.step_times.append(monotonic_time() - t0)
+            self.ledger.step_times.append(time.perf_counter() - t0)
             t += self.last_dt
         return t
 

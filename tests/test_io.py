@@ -489,11 +489,46 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("solver.cfl", "nan"), ("solver.cfl", "inf"), ("solver.cfl", "0"),
         ("solver.riemann", "roe"), ("solver.p", "-1"), ("solver.p", "9"),
-        ("solver.ldg_tau_scale", "nan"), ("solver.ldg_tau_scale", "-1")])
+        ("solver.ldg_tau_scale", "nan"), ("solver.ldg_tau_scale", "-1"),
+        ("gas.R", "0"), ("gas.R", "-1"), ("gas.gamma", "nan"), ("gas.gamma", "1"),
+        ("gas.mu", "inf"), ("gas.mu", "-0.001"), ("gas.Pr", "inf"), ("gas.Pr", "0")])
     def test_bad_solver_value_rejected_naming_the_key(self, key, value):
+        """A bad solver or gas value raises a ConfigError naming the key and
+        the value."""
         cfg = RunConfig.parse(f"{key} = {value}\n")
-        with pytest.raises(ConfigError, match=key):
-            cfg.solver_options()
+        read = cfg.gas_model if key.startswith("gas.") else cfg.solver_options
+        with pytest.raises(ConfigError, match=key) as err:
+            read()
+        assert value in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gas.T_ref", "0"), ("gas.mu_ref", "0"), ("gas.mu_ref", "nan"), ("gas.S", "-1")])
+    def test_bad_sutherland_constant_rejected_naming_the_key(self, key, value):
+        """Sutherland's constants are checked when the law is on, and only
+        then."""
+        with pytest.raises(ConfigError, match=f"{key} .* got {value}"):
+            RunConfig.parse(f"gas.sutherland = on\n{key} = {value}\n").gas_model()
+        assert not RunConfig.parse(f"{key} = {value}\n").gas_model().sutherland
+
+    _INFLOW = "bc.in.kind = riemann-inflow\nbc.in.p0 = 1.5\nbc.in.t0 = 1.1\n"
+
+    @pytest.mark.parametrize("text, key", [
+        (_INFLOW + "bc.in.direction = 1 0\nbc.in.p0 = 0", "bc.in.p0"),
+        (_INFLOW + "bc.in.direction = 1 0\nbc.in.p0 = inf", "bc.in.p0"),
+        (_INFLOW + "bc.in.direction = 1 0\nbc.in.t0 = -1", "bc.in.t0"),
+        (_INFLOW + "bc.in.direction = 0 0", "bc.in.direction"),
+        (_INFLOW + "bc.in.direction = nan 1", "bc.in.direction"),
+        ("bc.out.kind = outflow\nbc.out.p_out = 0", "bc.out.p_out"),
+        ("bc.w.kind = noslip-isothermal\nbc.w.t_wall = 0", "bc.w.t_wall"),
+    ], ids=["inflow-p0", "inflow-p0-inf", "inflow-t0", "inflow-zero-direction",
+            "inflow-nan-direction", "outflow-p_out", "isothermal-t_wall"])
+    def test_bad_boundary_value_rejected_naming_the_key(self, text, key):
+        """A boundary value that would make a NaN or inf ghost state fails
+        when the config is read, naming its key and value."""
+        value = text.splitlines()[-1].split(" = ")[1]
+        with pytest.raises(ConfigError, match=key) as err:
+            RunConfig.parse(text + "\n").boundary_specs()
+        assert all(v in str(err.value) for v in value.split())
 
     @pytest.mark.parametrize("text, read", [
         ("solver.p = 2.5", lambda c: c.solver_options()),

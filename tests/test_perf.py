@@ -85,8 +85,9 @@ class TestPointwiseCosts:
         ("ghost_riemann-inflow", 2, 43), ("ghost_riemann-inflow", 3, 53),
         ("ghost_sponge-ref", 2, 0), ("ghost_sponge-ref", 3, 0),
         ("ghost_prescribed", 2, 0), ("ghost_prescribed", 3, 0),
-        ("viscous_flux", 2, 73), ("viscous_interface", 2, 97),
+        ("viscous_interface", 2, 97),
         ("transformed_flux", 2, 32), ("transformed_flux", 3, 61),
+        ("transformed_ns_flux", 2, 120), ("transformed_ns_flux", 3, 252),
         ("common_solution", 2, 8), ("common_solution", 3, 10)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
         """The common flux times the signed area (one mul per variable);
@@ -95,14 +96,18 @@ class TestPointwiseCosts:
         assembly; the Riemann-inflow ghost including the reversed-inflow
         check that runs with the solver's diagnostics; the sponge-ref and
         prescribed ghosts, which copy a state and never read the interior
-        one, at no flops; the 2-D viscous flux (each stress entry formed
-        once) and the one-sided LDG flux (that flux, its normal component
-        and the penalty: 73 + 12 + 12); the boundary common solution, the
-        mean of two states (two ops per variable); the inviscid flux in
-        reference space in one kernel (the primitives, 9 or 12 ops, E + p,
-        and per reference axis the contravariant velocity, its mass flux,
-        a multiply-add per momentum row and the energy flux: 11 or 16).
-        The table carries the same counts."""
+        one, at no flops; the one-sided LDG flux (the 2-D viscous flux with
+        each stress entry formed once, its normal component and the
+        penalty: 73 + 12 + 12); the boundary common solution, the mean of
+        two states (two ops per variable); the inviscid flux in reference
+        space in one kernel (the primitives, 9 or 12 ops, E + p, and per
+        reference axis the contravariant velocity, its mass flux, a
+        multiply-add per momentum row and the energy flux: 11 or 16); the
+        Navier-Stokes flux in the same kernel (that count, the stress and
+        the viscous energy flux on the shared primitives, 64 or 119 ops,
+        and per reference axis the transformed viscous momentum and energy
+        rows subtracted: 32 + 64 + 24 and 61 + 119 + 72).  The table
+        carries the same counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
@@ -242,7 +247,7 @@ class TestLedger:
     @pytest.mark.parametrize("viscous", [False, True])
     def test_residual_ledger_table(self, viscous):
         """One residual on vortex 8x8, p=3 (element blocks of 51 and 13
-        under a 51 KB budget, 102 KB when viscous, one pair chunk): the
+        under a 51 KB budget, inviscid or viscous, one pair chunk): the
         passes that run, how often, and fused flops equal to the sum of
         their members'."""
         gas = GasModel(gamma=1.4, R=1.0, mu=1e-3 if viscous else 0.0)
@@ -250,7 +255,7 @@ class TestLedger:
 
         def table(fusion):
             s = SolverRank(shards[0], gas, SolverOptions(p=3, fusion=fusion, viscous=viscous,
-                                                         block_kb=102 if viscous else 51))
+                                                         block_kb=51))
             assert [hi - lo for lo, hi in s.block_plan.blocks()] == [51, 13]
             s.set_state(lambda x: vortex_state(x, 0.0, gas))
             s.compute_residual(s.Q_upts)
@@ -275,12 +280,11 @@ class TestLedger:
             # a periodic mesh has no boundary pairs: its common solution is
             # one gather, at no flops
             assert on["common_solution"].flops == 0
-        else:
-            # one kernel forms the transformed flux: the unfused booking's
-            # transform only moves the physical flux
-            assert off["transform_flux"].flops == 0
-            assert on["phys_flux+transform_flux"].flops == \
-                POINTWISE_COSTS[("transformed_flux", 2)] * 64 * 16
+        # one kernel forms the transformed flux: the unfused booking's
+        # transform only moves the physical flux
+        kernel = "transformed_ns_flux" if viscous else "transformed_flux"
+        assert off["transform_flux"].flops == 0
+        assert on["phys_flux+transform_flux"].flops == POINTWISE_COSTS[(kernel, 2)] * 64 * 16
 
     def test_step_summary_excludes_warmup(self):
         stats = summarize_steps([10.0, 9.0, 8.0, 1.0, 1.2, 0.8], warmup=3)

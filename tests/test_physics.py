@@ -406,6 +406,13 @@ class TestBoundary:
         with pytest.raises(ConfigError):
             BoundarySpec("w", "mystery")
 
+    @pytest.mark.parametrize("kind", ["adiabatic", "slip", "periodic", "sponge-ref",
+                                      "prescribed"])
+    def test_kinds_check_only_the_fields_they_read(self, kind):
+        """A kind that reads no pressure, temperature or direction builds
+        with their 0.0 and None defaults."""
+        assert BoundarySpec("w", kind).wall_temperature == 0.0
+
     def test_periodic_ghost_equals_partner_interior(self, gas):
         """Through the aliased pairing, a periodic face exchanges the
         partner's interior values exactly."""
@@ -477,6 +484,23 @@ class TestSponge:
         with pytest.raises(ConfigError, match="ramp width"):
             SpongeZone(axis=0, lo=1.0, hi=2.0, ramp_width=width, strength=3.0,
                        reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
+
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -1.0])
+    def test_bad_strength_rejected(self, strength):
+        with pytest.raises(ConfigError, match=f"sponge strength .* got {strength!r}"):
+            SpongeZone(axis=0, lo=1.0, hi=2.0, ramp_width=0.5, strength=strength,
+                       reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (1.0, 1.0), (np.nan, 1.0)])
+    def test_empty_slab_rejected(self, lo, hi):
+        with pytest.raises(ConfigError, match="sponge lo must be below hi"):
+            SpongeZone(axis=0, lo=lo, hi=hi, ramp_width=0.5, strength=3.0,
+                       reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
+
+    def test_zero_strength_accepted(self):
+        zone = SpongeZone(axis=0, lo=1.0, hi=2.0, ramp_width=0.5, strength=0.0,
+                          reference_state=np.array([1.0, 0.0, 0.0, 2.5]))
+        assert np.all(zone.sigma(np.array([[1.5, 0.0]])) == 0.0)
 
     def _solver(self, gas, zone):
         from fluxrecon.fixtures import box_mesh
@@ -607,6 +631,32 @@ class TestLayoutIndependence:
         for out in (np.full(ref.shape, np.nan), _point_last(np.full(ref.shape, np.nan))):
             Q = _point_last(data["QL"]) if _is_point_last(out) else data["QL"]
             assert physics.transformed_flux(Q, rows, dim, gas, out=out) is out
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_transformed_flux_with_gradients(self, dim):
+        """With ``grad=``, the metric times the inviscid less the viscous
+        flux to round-off; layout-independent, and written into ``out`` of
+        either layout."""
+        gas, data = self._case(dim)
+        M = np.random.default_rng(dim).standard_normal((dim, dim, self.N))
+        rows = [list(r) for r in M]
+        self._assert_same(*self._both(data, lambda a: physics.transformed_flux(
+            a["QL"], rows, dim, gas, grad=a["gL"])))
+        ref = physics.transformed_flux(data["QL"], rows, dim, gas, grad=data["gL"])
+        F = inviscid_flux(data["QL"], dim, gas) - viscous_flux(data["QL"], data["gL"], dim, gas)
+        expect = np.stack(physics.transform(
+            [[m[:, None] for m in r] for r in rows], [F[:, ax] for ax in range(dim)]), axis=1)
+        scale = np.abs(expect).max()
+        assert np.abs(ref - expect).max() <= 1e-13 * scale
+        # the viscous rows are not lost in the round-off
+        euler = physics.transformed_flux(data["QL"], rows, dim, gas)
+        assert np.abs(ref - euler).max() > 1e-5 * scale
+        for out in (np.full(ref.shape, np.nan), _point_last(np.full(ref.shape, np.nan))):
+            Q, g = data["QL"], data["gL"]
+            if _is_point_last(out):
+                Q, g = _point_last(Q), _point_last(g)
+            assert physics.transformed_flux(Q, rows, dim, gas, out=out, grad=g) is out
             assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("dim", [2, 3])

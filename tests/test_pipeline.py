@@ -123,17 +123,18 @@ class TestVolumeSweep:
     def test_block_plan_counts_the_block_scratch(self, dim, block_kb, viscous):
         """``bytes_per_element`` is the per-element size of every buffer
         the solver allocates one block deep (block axis before the point
-        axis), quad and hex, inviscid and viscous (which holds the viscous
-        flux too, so twice the budget gives the same blocks)."""
+        axis), quad and hex, inviscid and viscous: one transformed-flux
+        buffer either way, so the same budget gives the same blocks."""
         gasv = GasModel(gamma=1.4, R=1.0, mu=1e-3 if viscous else 0.0)
         s = serial_solver(box_mesh(*(5,) * dim, periodic=(True,) * dim), gasv,
-                          SolverOptions(p=2, viscous=viscous, block_kb=block_kb * (1 + viscous)))
+                          SolverOptions(p=2, viscous=viscous, block_kb=block_kb))
         nb = s.block_plan.block_elements
         assert nb == (7 if dim == 2 else 11) < s.ne
         scratch = {name: a for name, a in vars(s).items()
                    if isinstance(a, np.ndarray) and a.ndim >= 2 and a.shape[-2] == nb}
-        assert list(scratch) == ["Fhat_upts", "G_upts"][:1 + viscous]
+        assert list(scratch) == ["Fhat_upts"]
         assert sum(a.nbytes for a in scratch.values()) == nb * s.block_plan.bytes_per_element
+        assert s.block_plan.bytes_per_element == s.dim * s.nv * s.Ns * 8
 
     def test_primitives_once_per_block_and_never_on_the_full_state(self, gas, monkeypatch):
         """One step of run_steps (its CFL dt included) calls
@@ -511,14 +512,13 @@ class TestBlockScratch:
     @pytest.mark.parametrize("viscous", [False, True])
     def test_scratch_is_one_block_deep(self, viscous, gas):
         s = serial_solver(vortex_mesh(6), gas,
-                          SolverOptions(p=3, viscous=viscous, block_kb=16 if viscous else 8))
+                          SolverOptions(p=3, viscous=viscous, block_kb=8))
         nb = s.block_plan.block_elements
         assert nb == 8 < s.ne
         # the block axis is the one before the point axis
-        for name in ("Fhat_upts", "G_upts")[:1 + viscous]:
-            assert getattr(s, name).shape[-2] == nb, name
+        assert s.Fhat_upts.shape[-2] == nb
         for name in ("F_upts", "Fown_fpts", "Fhat_fpts", "jump_fpts", "dQdt",
-                     "divF_upts", "slot_normal", "slot_area"):
+                     "divF_upts", "G_upts", "slot_normal", "slot_area"):
             assert not hasattr(s, name), name
 
     def test_residual_is_a_new_array_each_call(self, gas):
@@ -577,7 +577,7 @@ def _walled_solver(viscous, riemann="rusanov"):
     block (30 = 2 * 12 + 6)."""
     s = serial_solver(_wall_mesh(), WALL_GAS,
                       SolverOptions(p=2, viscous=viscous, riemann=riemann,
-                                    block_kb=14 if viscous else 7),
+                                    block_kb=7),
                       boundary_specs=WALL_BCS)
     s.set_state(_wall_field)
     return s
@@ -637,8 +637,7 @@ class TestVariableMajor:
 
         # kernel -> [(argument index or name, number of component axes)]
         specs = {
-            "transformed_flux": [(0, 1), ("out", 2)],
-            "inviscid_flux": [(0, 1), ("out", 2)],
+            "transformed_flux": [(0, 1), ("out", 2), ("grad", 2)],
             "viscous_flux": [(0, 1), (1, 2), ("out", 2)],
             "riemann_flux": [(0, 1), (1, 1), (2, 1)],
             "ldg_interface": [(0, 1), (1, 2), (2, 1), (3, 1), (4, 1)],
