@@ -45,8 +45,8 @@ POINTWISE_COSTS: Dict[tuple, int] = {
     ("transformed_flux", 3): 61,
     ("transformed_ns_flux", 2): 120,
     ("transformed_ns_flux", 3): 252,
-    ("riemann_rusanov", 2): 71,
-    ("riemann_rusanov", 3): 92,
+    ("riemann_rusanov", 2): 57,
+    ("riemann_rusanov", 3): 70,
     ("riemann_hllc", 2): 126,
     ("riemann_hllc", 3): 156,
     ("flux_scale", 2): 4,

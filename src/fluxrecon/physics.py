@@ -17,10 +17,12 @@ gather in the solver, not a kernel here.)  State vectors are ordered
 which :func:`transformed_flux`, :func:`inviscid_flux`,
 :func:`viscous_flux` and :func:`check_positivity` also accept from the
 caller (so the solver's volume pass splits each block once for its flux,
-its positivity check and its signal speeds :func:`signal_speed`), and the
-Riemann solvers form each side's ``u.n``, sound speed and normal flux once
-from them.  One helper forms the viscous stress and heat flux for
-:func:`viscous_flux` and :func:`transformed_flux` alike.
+its positivity check and its signal speeds :func:`signal_speed`).  HLLC
+forms each side's ``u.n``, sound speed and normal flux once from them;
+Rusanov forms its common flux per variable in one pass from the states,
+without either side's flux vector.  One helper forms the viscous stress
+and heat flux for :func:`viscous_flux` and :func:`transformed_flux`
+alike.
 
 Layout contract.  Every function indexes its arrays as ``(..., nv)``
 (fluxes and gradients ``(..., d, nv)``, normals ``(..., d)``) and accepts
@@ -265,19 +267,50 @@ class RiemannDiagnostics:
 
 
 def rusanov_flux(QL, QR, n, dim: int, gas: GasModel):
-    """Local Lax-Friedrichs flux: the mean normal flux minus half the larger
-    signal speed ``|u.n| + c`` of the two sides times the state jump."""
+    """Local Lax-Friedrichs flux, the mean normal flux minus ``h``, half the
+    larger signal speed ``|u.n| + c`` of the two sides, times the state
+    jump, formed per variable in one pass: ``F_k = (u_n^L/2 + h) Q_k^L +
+    (u_n^R/2 - h) Q_k^R``, plus ``(p^L + p^R)/2 n_i`` on momentum i and
+    ``u_n^L/2 p^L + u_n^R/2 p^R`` on energy.  Each side's ``u.n`` is
+    ``(m.n)/rho`` and its pressure takes ``|u|^2`` as ``|m|^2/rho``, so
+    neither side's flux vector is formed (the point-wise form of Witherden,
+    Farrington & Vincent, CPC 185, 2014)."""
     nc = components(n, dim)
-    lam, flux = [], []
+    half_un, lam, p = [], [], []
     for Q in (QL, QR):
-        rho, vel, E, p = primitives(Q, dim, gas)
-        un = dot(vel, nc)
-        lam.append(np.abs(un) + np.sqrt(gas.gamma * p / rho))
-        flux.append(_flux_along(rho, vel, E, p, un, nc, np.empty_like(Q)))
-    F, FR = flux  # F is overwritten by the common flux
-    half_lam = 0.5 * _vmax(*lam)
+        rho = Q[..., 0]
+        mom = [Q[..., 1 + i] for i in range(dim)]
+        un = dot(mom, nc)
+        un /= rho
+        pk = dot(mom, mom)                    # |m|^2 / 2 / rho, then p
+        pk *= 0.5
+        pk /= rho
+        np.subtract(Q[..., 1 + dim], pk, out=pk)
+        pk *= gas.gamma - 1.0
+        c = gas.gamma * pk                    # c, then |u.n| + c
+        c /= rho
+        np.sqrt(c, out=c)
+        c += np.abs(un)
+        un *= 0.5
+        half_un.append(un)
+        lam.append(c)
+        p.append(pk)
+    h = _vmax(*lam)
+    h *= 0.5
+    wL = half_un[0] + h
+    wR = np.subtract(half_un[1], h, out=h)
+    F = np.empty_like(QL)
     for k in range(dim + 2):
-        F[..., k] = 0.5 * (F[..., k] + FR[..., k]) - half_lam * (QR[..., k] - QL[..., k])
+        f = F[..., k]
+        np.multiply(wL, QL[..., k], out=f)
+        f += wR * QR[..., k]
+    p_mean = p[0] + p[1]
+    p_mean *= 0.5
+    for i in range(dim):
+        F[..., 1 + i] += p_mean * nc[i]
+    e = half_un[0] * p[0]
+    e += half_un[1] * p[1]
+    F[..., 1 + dim] += e
     return F
 
 

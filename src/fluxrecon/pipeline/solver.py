@@ -20,12 +20,16 @@ inviscid residual evaluation runs three sweeps:
 2. the halo exchange of Q, the boundary ghosts, and the Riemann common
    fluxes over one pair list (local pairs, then remote pairs against halo
    ghosts, then boundary pairs against boundary ghosts), scaled to outward
-   transformed normal fluxes per flux-point slot;
+   transformed normal fluxes per flux-point slot.  Rusanov forms each
+   common flux per variable from the two gathered states in one pass,
+   without either side's flux vector (``physics.rusanov_flux``);
 3. one block loop: the correction GEMM on the common fluxes, added to the
-   residual, the scale by -1/|J| and the sponge sources.  The sponge ramps
+   residual, the scale by -1/|J| and the sponge sources and, when the
+   residual forms an RK stage, the stage (see below).  The sponge ramps
    do not change in time: each zone's ``-sigma`` is evaluated once at
-   build time on the elements it reaches, and an element sums the zones
-   that reach it in config order.
+   build time on the elements it reaches, kept on runs of consecutive
+   elements that the same zones reach (so a block adds slices, not
+   gathers), and an element sums the zones that reach it in config order.
 
 A viscous residual's first block loop only interpolates and checks (and
 takes the signal speeds).  The halo and the ghosts are followed by the LDG
@@ -38,6 +42,15 @@ divergence, the correction and the scale.  Either way a bad state fails
 in the first block loop, before any ghost, Riemann or dt kernel sees it,
 and a step's CFL dt is bitwise that of :meth:`SolverRank.compute_dt`,
 which runs the same sweep alone.
+
+A time step hands each stage's Shu-Osher coefficients (``SSPRK3``) to its
+residual, ``compute_residual(U, (Q, dt, coeffs))``: the last block loop
+turns each block's residual rows into the stage in place,
+``R *= c dt; R += a Q; R += b U``, right after their scale
+(:func:`shu_osher_stage`).  So a step makes no full-state pass or
+temporary of its own beyond its three stage registers, and its bits are
+those of the combinations formed after each residual.  Without a stage,
+:meth:`SolverRank.compute_residual` returns the bare residual.
 
 Each step is a pass ``run(lo, hi)`` over an element block or a chunk of
 the pair list that logs its own ledger entry: GEMM passes through
@@ -68,10 +81,10 @@ or gradient axis of it) is one contiguous row over the mesh or a block.
 Full-mesh buffers, which pair passes or later block loops read:
 
 * ``Q_upts`` ``(ne, nv, Ns)``, a ``transpose(1, 0, 2)`` view of
-  ``(nv, ne, Ns)`` memory, as are the residual and, being element-wise
-  combinations, the RK stages; ``compute_residual`` accepts a C-ordered
-  state too.  Output and diagnostic einsums read a C-ordered copy, so
-  their bits do not depend on the layout;
+  ``(nv, ne, Ns)`` memory, as are the residual and the RK stages formed
+  in its rows; ``compute_residual`` accepts a C-ordered state too.
+  Output and diagnostic einsums read a C-ordered copy, so their bits do
+  not depend on the layout;
 * ``Q_fpts``, ``Fc_fpts``, ``Qc_fpts`` ``(nv, ne, nf)``; ``grad_upts``
   ``(d, nv, ne, Ns)``, ``grad_fpts`` ``(d, nv, ne, nf)``, the first
   ``ne * nf`` columns of ``Q_cols`` and ``grad_cols``, whose other columns
@@ -82,7 +95,8 @@ Full-mesh buffers, which pair passes or later block loops read:
 * per interface pair: ``ghost_Q (nv, npairs - nloc)`` (one column per
   halo point, then per boundary point), ``ghost_grad (d * nv, nhalo)``,
   ``iface_n (d, npairs)``, and ``iface_a``, ``iface_sw``, ``iface_tau``,
-  ``iface_flip`` ``(npairs,)``.
+  ``iface_flip``, ``iface_L``, ``iface_R`` ``(npairs,)``; when viscous,
+  ``ldg_col`` ``(n_face_pairs,)`` and ``qc_col`` ``(ne * nf,)``.
 
 Block scratch, one element block deep (``nb = block_plan.block_elements``),
 which the volume pass uses as a view ``[..., :hi - lo, :]``: ``Fhat_upts``
@@ -114,16 +128,18 @@ halo is one span ``(rank, lo, hi)`` of ``halo_spans`` with ghost columns
 ``[lo - nl, hi - nl)``.  Both sides of a coupling order their shared points
 this way, so a message unpacks positionally with no further permutation.
 Boundary pairs run by patch id, each patch one span ``(spec, lo, hi)`` of
-``boundary_spans``.  ``_sides`` gives each pair's left and right column of
-the canonical frame in ``Q_cols``: a slot, or ``ne * nf`` plus its ghost
-column, so one ``take`` gathers a side of pairs of any kind.
+``boundary_spans``.  The sides are static: ``iface_L`` and ``iface_R``,
+built once, hold each pair's left and right column of the canonical frame
+in ``Q_cols`` (a slot, or ``ne * nf`` plus its ghost column), so one
+``take`` of a chunk of them gathers a side of pairs of any kind.
 
 LDG at beta = 1/2 is one-sided (Cockburn & Shu, SINUM 35, 1998): where the
 switch ``iface_sw`` of the canonical normal is positive, a face pair's
 viscous flux is the right side's and its common solution the left side's
-state, elsewhere the reverse, on every rank alike.  ``qc_col`` holds the
-common solution's column per slot; boundary slots take the mean of the
-interior and ghost states as their common solution.
+state, elsewhere the reverse, on every rank alike.  ``ldg_col`` holds the
+viscous flux side's column per face pair and ``qc_col`` the common
+solution's column per slot; boundary slots take the mean of the interior
+and ghost states as their common solution.
 
 The discontinuous interface flux is the trace of the same flux polynomial
 the divergence acts on (folded into ``fold_T``), so interface corrections
@@ -245,6 +261,25 @@ def _gemm(X: np.ndarray, M: np.ndarray, deterministic: bool, out=None) -> np.nda
     return Y
 
 
+# SSP-RK3 in Shu-Osher form: stage k is c dt R(U) + a Q + b U, with Q the
+# state at the start of the step and U the stage before (Q in the first),
+# as (c, a, b)
+SSPRK3 = ((1.0, 1.0, 0.0), (0.25, 0.75, 0.25), (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0))
+
+
+def shu_osher_stage(R, Q, U, dt, coeffs):
+    """The stage ``c dt R + a Q + b U`` in place of the residual R, summed
+    in that order (the b term only where b is not 0): ``R *= c dt``,
+    ``R += a Q``, ``R += b U``.  Element-wise, so a block of rows gives
+    the bits of the whole state."""
+    c, a, b = coeffs
+    R *= c * dt
+    R += a * Q
+    if b:
+        R += b * U
+    return R
+
+
 class SolverRank:
     """Solver state and kernels for one mesh shard."""
 
@@ -268,7 +303,7 @@ class SolverRank:
         self.ref = build_reference_element(kind, options.p)
         self.Ns = self.ref.num_solution_points
         self.ledger = ledger if ledger is not None else PerfLedger()
-        self.last_dt: Optional[float] = None  # the dt of the last step
+        self.last_dt: Optional[float] = None  # the dt of the last step or stage
         self.riemann_diag = RiemannDiagnostics()
         self.boundary_diag = physics.BoundaryDiagnostics()
         self.sponge_zones = list(sponge_zones or [])
@@ -328,14 +363,14 @@ class SolverRank:
         return np.moveaxis(g.normals_fpts, -1, 0).reshape(self.dim, -1), g.area_fpts.reshape(-1)
 
     def _build_sponges(self):
-        """Check the zones against the mesh, then group the elements some
-        zone reaches by the set of zones that reach them.  Each group is
-        ``(elems, factors)``: the sorted ids of its elements and, per zone
-        of the set in config order, ``(-sigma, Q_ref)`` with ``-sigma``
-        ``(m, Ns)`` at the solution points of ``elems`` and the reference
-        state an ``(nv, 1, 1)`` column.  So a zone's source is evaluated
-        only where it reaches, and each element sums its zones in config
-        order."""
+        """Check the zones against the mesh, then cut the elements some
+        zone reaches into runs of consecutive elements that the same set of
+        zones reaches.  Each run is ``(e0, e1, factors)``: elements
+        ``[e0, e1)`` and, per zone of the set in config order,
+        ``(-sigma, Q_ref)`` with ``-sigma`` ``(e1 - e0, Ns)`` at their
+        solution points and the reference state an ``(nv, 1, 1)`` column.
+        So a zone's source is evaluated only where it reaches, on slices of
+        the state, and each element sums its zones in config order."""
         for zone in self.sponge_zones:
             if not 0 <= zone.axis < self.dim:
                 raise ConfigError(f"sponge zone axis {zone.axis} is not an axis of "
@@ -346,20 +381,16 @@ class SolverRank:
         neg = [-zone.sigma(self.x_upts) for zone in self.sponge_zones]  # (ne, Ns)
         refs = [np.asarray(zone.reference_state, dtype=float)[:, None, None]
                 for zone in self.sponge_zones]
-        self.sponge_groups = []
+        self.sponge_runs = []
         if not neg or self.ne == 0:
             return
         reach = np.array([(s != 0).any(axis=1) for s in neg])  # (zones, ne)
-        # elements ordered by the set of zones that reach them (a stable
-        # sort, so each set's elements stay in element order), cut where
-        # the set changes
-        order = np.lexsort(reach)
-        cuts = np.flatnonzero((reach[:, order[1:]] != reach[:, order[:-1]]).any(axis=0)) + 1
-        for elems in np.split(order, cuts):
-            zset = np.flatnonzero(reach[:, elems[0]])
+        cuts = np.flatnonzero((reach[:, 1:] != reach[:, :-1]).any(axis=0)) + 1
+        for e0, e1 in zip(np.r_[0, cuts], np.r_[cuts, self.ne]):
+            zset = np.flatnonzero(reach[:, e0])
             if zset.size:
-                self.sponge_groups.append(
-                    (elems, [(neg[z][elems], refs[z]) for z in zset]))
+                self.sponge_runs.append(
+                    (int(e0), int(e1), [(neg[z][e0:e1].copy(), refs[z]) for z in zset]))
 
     def _build_interfaces(self, slot_normal, slot_area):
         """One list of interface flux-point pairs: local, remote, boundary.
@@ -428,11 +459,20 @@ class SolverRank:
         tau = self.opt.ldg_tau_scale * (self.opt.p + 1) ** 2 / h_face
         self.iface_tau = tau.reshape(-1)[self.iface.slot // nfp]
 
+        # each pair's left and right column of the canonical frame in the
+        # ``*_cols`` buffers: its own slot, or the other side's (a local
+        # pair's loc_r slot, else ne * nf plus the pair's ghost column)
+        other = np.concatenate([self.loc_r.slot,
+                                self.ne * self.nf + np.arange(self.iface.size - nl)])
+        self.iface_L = np.where(self.iface_flip, other, self.iface.slot)
+        self.iface_R = np.where(self.iface_flip, self.iface.slot, other)
         if self.opt.viscous:
             nfc = self.n_face_pairs
-            L, R = self._sides(0, nfc)
+            L, R, sw = self.iface_L[:nfc], self.iface_R[:nfc], self.iface_sw[:nfc] > 0
+            # the face pairs' viscous flux side and common solution side
+            self.ldg_col = np.where(sw, R, L)
             self.qc_col = np.arange(self.ne * self.nf)  # boundary slots: their own state
-            self.qc_col[self.iface.slot[:nfc]] = np.where(self.iface_sw[:nfc] > 0, L, R)
+            self.qc_col[self.iface.slot[:nfc]] = np.where(sw, L, R)
             self.qc_col[self.loc_r.slot] = self.qc_col[loc_l.slot]
 
     def _build_arrays(self):
@@ -452,9 +492,10 @@ class SolverRank:
             self.grad_fpts = self.grad_cols[:, :nslot].reshape(d, nv, ne, nf)
             self.ghost_grad = self.grad_cols[:, nslot:]
         self.Fhat_upts = np.zeros((d, nv, self.block_plan.block_elements, Ns))
-        # while a residual runs: its input and output as (nv, ne, Ns) views;
-        # while a dt is formed, each element's max(|u| + c)
-        self._Qv = self._dQv = self._sig = None
+        # while a residual runs: its input and output as (nv, ne, Ns) views
+        # and, when it forms an RK stage, (Q view, dt, coefficients); while a
+        # dt is formed, each element's max(|u| + c)
+        self._Qv = self._dQv = self._rk = self._sig = None
 
     # ------------------------------------------------------------------
     # passes over element blocks
@@ -545,16 +586,21 @@ class SolverRank:
         # element, in config order; the ledger charges one sponge_source
         # per zone on each point it reaches
         reached = 0
-        for elems, factors in self.sponge_groups:
-            a, b = np.searchsorted(elems, (lo, hi))
-            if b > a:
-                sel = elems[a:b]
-                out[:, sel - lo] += physics.sponge_sum(
-                    self._Qv[:, sel], [(s[a:b], ref) for s, ref in factors])
+        for e0, e1, factors in self.sponge_runs:
+            a, b = max(e0, lo), min(e1, hi)
+            if a < b:
+                out[:, a - lo:b - lo] += physics.sponge_sum(
+                    self._Qv[:, a:b], [(s[a - e0:b - e0], ref) for s, ref in factors])
                 reached += (b - a) * len(factors)
         if reached:
             self._log_block("sponge_source", 0, reached, self.Ns, nv + 1, nv)
         self._log_block("scale_residual", lo, hi, self.Ns, nv + 1, nv)
+
+    def _form_stage(self, lo, hi):
+        """The Shu-Osher stage rows of elements [lo, hi) in place of their
+        residual rows (:func:`shu_osher_stage`)."""
+        Q, dt, coeffs = self._rk
+        shu_osher_stage(self._dQv[:, lo:hi], Q[:, lo:hi], self._Qv[:, lo:hi], dt, coeffs)
 
     # viscous gradient passes ----------------------------------------------
 
@@ -589,15 +635,6 @@ class SolverRank:
         """A flux-point field ``(..., ne, nf)`` as ``(rows, ne * nf)``, one
         row per variable (and gradient axis), one column per slot."""
         return fpts.reshape(-1, self.ne * self.nf)
-
-    def _sides(self, lo, hi):
-        """Left and right columns in the ``*_cols`` buffers of pairs [lo, hi)
-        (a slot, or ``ne * nf`` plus the pair's ghost column)."""
-        nl = self.loc_r.size
-        own, flip = self.iface.slot[lo:hi], self.iface_flip[lo:hi]
-        other = np.concatenate([self.loc_r.slot[lo:hi],
-                                self.ne * self.nf - nl + np.arange(max(lo, nl), max(hi, nl))])
-        return np.where(flip, other, own), np.where(flip, own, other)
 
     def _scatter(self, F, lo, hi):
         """Write the common fluxes ``F`` (nv, hi - lo) of pairs [lo, hi) to
@@ -652,8 +689,8 @@ class SolverRank:
         nv, d = self.nv, self.dim
         visc = self.opt.viscous
         # states (nv, m); the physics sees (m, nv) views of them
-        L, R = self._sides(lo, hi)
-        QL, QR = self.Q_cols.take(L, axis=1), self.Q_cols.take(R, axis=1)
+        QL = self.Q_cols.take(self.iface_L[lo:hi], axis=1)
+        QR = self.Q_cols.take(self.iface_R[lo:hi], axis=1)
         n = self.iface_n[:, lo:hi].T
         F = physics.riemann_flux(QL.T, QR.T, n, d, self.gas,
                                  self.opt.riemann, self.riemann_diag).T
@@ -665,7 +702,7 @@ class SolverRank:
             members.append(("viscous_interface", self._canonical(lo, m)))
             if m > lo:
                 k = m - lo
-                col = np.where(self.iface_sw[lo:m] > 0, R[:k], L[:k])
+                col = self.ldg_col[lo:m]
                 Gn = physics.ldg_interface(
                     self.Q_cols.take(col, axis=1).T,
                     self._by_point(self.grad_cols.take(col, axis=1)),
@@ -764,21 +801,25 @@ class SolverRank:
         """Fill ghost_grad with the peers' face gradients."""
         self._exchange(self.grad_cols, self.ghost_grad)
 
-    def compute_residual(self, Q: np.ndarray) -> np.ndarray:
-        """dQ/dt ``(ne, nv, Ns)``, stored variable-major, for the state Q
-        ``(ne, nv, Ns)`` of either layout (halo exchanges included).  Q is
+    def compute_residual(self, U: np.ndarray, stage=None) -> np.ndarray:
+        """dQ/dt ``(ne, nv, Ns)``, stored variable-major, for the state U
+        ``(ne, nv, Ns)`` of either layout (halo exchanges included).  With
+        ``stage = (Q, dt, coeffs)``, Shu-Osher coefficients ``(c, a, b)``,
+        it returns the stage ``c dt R(U) + a Q + b U`` instead
+        (:func:`shu_osher_stage`), which the last block loop forms in place
+        of each block's residual rows right after their scale, and keeps
+        the dt it took as ``last_dt``; with ``dt`` None that is the CFL dt
+        :meth:`compute_dt` gives for U, formed from the primitives of the
+        first block loop.  That loop checks positivity, so a bad state fails
+        before any ghost, Riemann or dt kernel sees it.  Inviscid, it also
+        forms the volume flux and its divergence; viscous, those wait for
+        the gradients, and the output is allocated only then.  U and Q are
         only read: ``Q_upts`` is left as it was."""
-        return self._residual(Q, cfl_dt=False)[0]
-
-    def _residual(self, Q: np.ndarray, cfl_dt: bool):
-        """``(dQ/dt, dt)``: the residual of Q and, when ``cfl_dt``, the CFL
-        dt that :meth:`compute_dt` gives for Q, formed from the primitives
-        of the residual's first block loop (else None).  That loop checks
-        positivity, so a bad state fails before any ghost, Riemann or dt
-        kernel sees it.  Inviscid, it also forms the volume flux and its
-        divergence; viscous, those wait for the gradients, and dQ/dt is
-        allocated only then."""
-        self._Qv = Q.transpose(1, 0, 2)
+        cfl_dt = stage is not None and stage[1] is None
+        last = [self._correction, self._scale_residual]
+        if stage is not None:
+            last.append(self._form_stage)
+        self._Qv = U.transpose(1, 0, 2)
         try:
             if self.opt.viscous:
                 dt = self._sweep([self._interp_to_faces, self._primitives], cfl_dt)
@@ -788,20 +829,25 @@ class SolverRank:
                 self._run_blocks(self._gradient, self._grad_transform, self._interp_grad)
                 self.halo_exchange_grad()
                 self._run_pairs(self._riemann_common)
-                dQdt = self._new_residual()
-                self._run_blocks(self._volume_flux, self._divergence, self._correction,
-                                 self._scale_residual)
+                out = self._new_residual()
+                last[:0] = [self._volume_flux, self._divergence]
             else:
-                dQdt = self._new_residual()
+                out = self._new_residual()
                 dt = self._sweep([self._interp_to_faces, self._volume_flux,
                                   self._divergence], cfl_dt)
                 self.halo_exchange_q()
                 self._boundary_ghosts()
                 self._run_pairs(self._riemann_common)
-                self._run_blocks(self._correction, self._scale_residual)
+            if stage is not None:
+                Q, given, coeffs = stage
+                dt = dt if cfl_dt else given
+                self._rk = (Q.transpose(1, 0, 2), dt, coeffs)
+            self._run_blocks(*last)
         finally:
-            self._Qv = self._dQv = None
-        return dQdt, dt
+            self._Qv = self._dQv = self._rk = None
+        if stage is not None:
+            self.last_dt = dt
+        return out
 
     def _new_residual(self) -> np.ndarray:
         """A fresh ``(ne, nv, Ns)`` residual, stored variable-major, whose
@@ -852,31 +898,21 @@ class SolverRank:
 
     def advance_step(self, Q: np.ndarray, dt: Optional[float]) -> np.ndarray:
         """One SSP-RK3 step in Shu-Osher form (Shu & Osher, JCP 77, 1988):
-        u1 = Q + dt R(Q), u2 = 3/4 Q + 1/4 u1 + 1/4 dt R(u1) and
-        u3 = 1/3 Q + 2/3 u2 + 2/3 dt R(u2), each its residual scaled in place
-        plus the earlier stages in that order; u1 is freed before R(u2).
-        With ``dt`` None the step takes the CFL dt of Q (:meth:`compute_dt`),
-        formed in R(Q) from its primitives.  The dt taken is kept as
+        u1 = dt R(Q) + Q, u2 = 1/4 dt R(u1) + 3/4 Q + 1/4 u1 and
+        u3 = 2/3 dt R(u2) + 1/3 Q + 2/3 u2 (:data:`SSPRK3`), each stage
+        formed by :meth:`compute_residual` in its last block loop, so the
+        step makes no full-state pass of its own; u1 is freed once u2 is
+        formed.  With ``dt`` None the step takes the CFL dt of Q
+        (:meth:`compute_dt`), formed in R(Q) from its primitives, and the
+        later stages take the same dt.  The dt taken is kept as
         ``last_dt``."""
-        if dt is None:
-            u1, dt = self._residual(Q, cfl_dt=True)
-        elif not (dt > 0 and np.isfinite(dt)):
+        if dt is not None and not (dt > 0 and np.isfinite(dt)):
             raise ConfigError(f"dt must be finite and positive, got {dt!r}")
-        else:
-            u1 = self.compute_residual(Q)
-        self.last_dt = dt
-        u1 *= dt
-        u1 += Q
-        u2 = self.compute_residual(u1)
-        u2 *= 0.25 * dt
-        u2 += 0.75 * Q
-        u2 += 0.25 * u1
-        del u1
-        u3 = self.compute_residual(u2)
-        u3 *= 2.0 / 3.0 * dt
-        u3 += 1.0 / 3.0 * Q
-        u3 += 2.0 / 3.0 * u2
-        return u3
+        U = Q
+        for coeffs in SSPRK3:
+            U = self.compute_residual(U, (Q, dt, coeffs))
+            dt = self.last_dt
+        return U
 
     def step_in_place(self, dt: float):
         self.Q_upts = self.advance_step(self.Q_upts, dt)

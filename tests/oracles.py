@@ -4,9 +4,11 @@ Everything here is deliberately written the slow, obvious way (per-element
 and per-face loops, no kernel machinery) so it exercises none of the
 production code paths it is checking.  Only ``interfaces_per_face`` uses
 canonical frames, because the halo order it reproduces is defined by them.
-``TwoSidedLDGSolver`` is the one exception to the rule: it is the solver
-with only its LDG passes replaced by the two-sided formulas, so that a test
-compares those passes and nothing else.
+``TwoSidedLDGSolver`` and ``GatherSpongeSolver`` are the exceptions to the
+rule: each is the solver with only one set of passes replaced (the LDG
+passes by the two-sided formulas, the sponge sources by gathers of each
+zone group's elements), so that a test compares those passes and nothing
+else.  ``unfused_step`` likewise drives the solver's own residual.
 """
 
 from __future__ import annotations
@@ -464,6 +466,27 @@ def wave_speed(Q, n, dim, gas):
 
 
 def rusanov_flux(QL, QR, n, dim, gas):
+    """Local Lax-Friedrichs flux in the one-pass form, on whole state
+    arrays: ``(u_n^L/2 + h) Q^L + (u_n^R/2 - h) Q^R`` with h half the larger
+    wave speed, plus the mean pressure times n on momentum and each side's
+    ``u_n/2 p`` on energy.  Each side's ``u.n`` is ``(m.n)/rho`` and its
+    pressure ``(gamma - 1)(E - (|m|^2/2)/rho)``."""
+    nc = [n[..., i] for i in range(dim)]
+    sides = []
+    for Q in (QL, QR):
+        rho, mom = Q[..., 0], [Q[..., 1 + i] for i in range(dim)]
+        un = _dot_in_order(mom, nc) / rho
+        p = (gas.gamma - 1.0) * (Q[..., 1 + dim] - 0.5 * _dot_in_order(mom, mom) / rho)
+        sides.append((0.5 * un, p, np.abs(un) + np.sqrt(gas.gamma * p / rho)))
+    (hunL, pL, lamL), (hunR, pR, lamR) = sides
+    h = 0.5 * np.maximum(lamL, lamR)
+    F = (hunL + h)[..., None] * QL + (hunR - h)[..., None] * QR
+    F[..., 1:1 + dim] += (0.5 * (pL + pR))[..., None] * n
+    F[..., 1 + dim] += hunL * pL + hunR * pR
+    return F
+
+
+def rusanov_flux_textbook(QL, QR, n, dim, gas):
     """Local Lax-Friedrichs flux from two ``physics.normal_flux`` calls and
     the larger of the two sides' wave speeds."""
     half_lam = 0.5 * np.maximum(wave_speed(QL, n, dim, gas), wave_speed(QR, n, dim, gas))
@@ -732,3 +755,59 @@ class TwoSidedLDGSolver(SolverRank):
                     adiabatic=spec.kind == "adiabatic").T
         F *= self.iface_a[lo:hi]
         self._scatter(F, lo, hi)
+
+
+def unfused_step(solver, Q, dt=None):
+    """One SSP-RK3 step in Shu-Osher form from the bare residual, each
+    stage a full-state combination after its residual: u1 = dt R(Q) + Q,
+    u2 = (dt/4) R(u1) + 3/4 Q + 1/4 u1, u3 = (2 dt/3) R(u2) + 1/3 Q +
+    2/3 u2, each summed left to right.  With ``dt`` None the CFL dt of Q
+    (``compute_dt``).  Returns ``(u3, dt)``."""
+    if dt is None:
+        dt = solver.compute_dt(Q)
+    R = solver.compute_residual
+    u1 = R(Q)
+    u1 *= dt
+    u1 += Q
+    u2 = R(u1)
+    u2 *= 0.25 * dt
+    u2 += 0.75 * Q
+    u2 += 0.25 * u1
+    u3 = R(u2)
+    u3 *= 2.0 / 3.0 * dt
+    u3 += 1.0 / 3.0 * Q
+    u3 += 2.0 / 3.0 * u2
+    return u3, dt
+
+
+class GatherSpongeSolver(SolverRank):
+    """The solver with its sponge sources on gathered elements: the
+    elements some zone reaches are grouped by the set of zones that reach
+    them, and each block gathers its group members' states, sums their
+    zones' ``sponge_sum`` in config order and scatters the sum back.
+    Everything else is the solver's own."""
+
+    def _build_sponges(self):
+        neg = [-zone.sigma(self.x_upts) for zone in self.sponge_zones]
+        refs = [np.asarray(zone.reference_state, dtype=float)[:, None, None]
+                for zone in self.sponge_zones]
+        self.sponge_runs, self.groups = [], []
+        reach = np.array([(s != 0).any(axis=1) for s in neg]).reshape(len(neg), self.ne)
+        sets = {}
+        for e in range(self.ne):
+            zset = tuple(int(z) for z in np.flatnonzero(reach[:, e]))
+            if zset:
+                sets.setdefault(zset, []).append(e)
+        for zset, elems in sets.items():
+            elems = np.array(elems)
+            self.groups.append((elems, [(neg[z][elems], refs[z]) for z in zset]))
+
+    def _scale_residual(self, lo, hi):
+        super()._scale_residual(lo, hi)
+        out = self._dQv[:, lo:hi]
+        for elems, factors in self.groups:
+            a, b = np.searchsorted(elems, (lo, hi))
+            if b > a:
+                sel = elems[a:b]
+                out[:, sel - lo] += physics.sponge_sum(
+                    self._Qv[:, sel], [(s[a:b], ref) for s, ref in factors])

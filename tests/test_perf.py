@@ -88,7 +88,8 @@ class TestPointwiseCosts:
         ("viscous_interface", 2, 97),
         ("transformed_flux", 2, 32), ("transformed_flux", 3, 61),
         ("transformed_ns_flux", 2, 120), ("transformed_ns_flux", 3, 252),
-        ("common_solution", 2, 8), ("common_solution", 3, 10)])
+        ("common_solution", 2, 8), ("common_solution", 3, 10),
+        ("riemann_rusanov", 2, 57), ("riemann_rusanov", 3, 70)])
     def test_census_counts_the_solver_formula(self, kernel, dim, count):
         """The common flux times the signed area (one mul per variable);
         one zone's precomputed -sigma (Q - Q_ref) added to the source (three
@@ -106,8 +107,13 @@ class TestPointwiseCosts:
         Navier-Stokes flux in the same kernel (that count, the stress and
         the viscous energy flux on the shared primitives, 64 or 119 ops,
         and per reference axis the transformed viscous momentum and energy
-        rows subtracted: 32 + 64 + 24 and 61 + 119 + 72).  The table
-        carries the same counts."""
+        rows subtracted: 32 + 64 + 24 and 61 + 119 + 72); the Rusanov flux
+        in one pass (per side u.n from the momentum, 2d ops, the pressure,
+        2d + 3, the signal speed, 4, and u.n/2; half the larger speed and
+        the two side weights, 3; per variable two products and their sum;
+        the mean pressure, 2, a multiply-add per momentum row and the
+        energy's 4: 32 + 3 + 12 + 2 + 4 + 4 and 40 + 3 + 15 + 2 + 6 + 4).
+        The table carries the same counts."""
         assert census_pointwise(kernel, dim) == count == POINTWISE_COSTS[(kernel, dim)]
 
 
@@ -142,7 +148,7 @@ class TestLedger:
         expect = ((face_pairs + wall_pairs + slip_pairs)
                   * (cost["riemann_rusanov"] + cost["flux_scale"])
                   + face_pairs * cost["viscous_interface"] + wall_pairs * cost["viscous_wall"])
-        assert expect == 4626
+        assert expect == 4206
         stat = s.ledger.kernels["riemann_common"]
         assert stat.flops == expect and stat.invocations == 1
 

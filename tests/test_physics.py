@@ -773,6 +773,17 @@ class TestFluxOracles:
                               oracles.rusanov_flux(QL, QR, n, dim, gas))
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_rusanov_is_the_textbook_flux(self, dim):
+        """The one-pass form is the mean of the two sides' normal fluxes
+        minus half the larger wave speed times the jump, to round-off,
+        degenerate rows (equal states, sides flying apart, zero pressure)
+        included."""
+        gas, QL, QR, n = self._states(dim)
+        F = rusanov_flux(QL, QR, n, dim, gas)
+        ref = oracles.rusanov_flux_textbook(QL, QR, n, dim, gas)
+        assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_hllc(self, dim):
         gas, QL, QR, n = self._states(dim)
         diag = physics.RiemannDiagnostics()

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from fluxrecon.pipeline import (
 from fluxrecon.prep import SimCluster, prepare_shards
 from fluxrecon.prep.transport import RankContext
 
-from oracles import random_partition, reference_residual
+from oracles import (
+    GatherSpongeSolver,
+    random_partition,
+    reference_residual,
+    unfused_step,
+)
 
 
 def serial_solver(mesh, gas, opts, **kw):
@@ -258,11 +264,19 @@ class TestTimeStepping:
     def test_ssprk3_scalar_decay_polynomial(self):
         """One step of dy/dt = -y matches the stability polynomial
         1 - z + z^2/2 - z^3/6 exactly; its distance to exp(-z) is the
-        scheme's own O(z^4) truncation (4.09e-6 at z = 0.1)."""
+        scheme's own O(z^4) truncation (4.09e-6 at z = 0.1).  The step's
+        stages are its coefficients and ``shu_osher_stage`` on R(u) = -u."""
         from types import SimpleNamespace
 
+        from fluxrecon.pipeline.solver import shu_osher_stage
+
+        def compute_residual(U, stage):
+            Q, dt, coeffs = stage
+            decay.last_dt = dt
+            return shu_osher_stage(-U, Q, U, dt, coeffs)
+
         dt = 0.1
-        decay = SimpleNamespace(compute_residual=lambda u: -u)
+        decay = SimpleNamespace(compute_residual=compute_residual)
         y1 = SolverRank.advance_step(decay, np.array([1.0]), dt)[0]
         poly = 1 - dt + dt ** 2 / 2 - dt ** 3 / 6
         assert abs(y1 - poly) < 1e-15
@@ -398,6 +412,107 @@ class TestTimeStepping:
         # constant-per-variable fields transfer exactly
         Qc = np.ones((2, 4, 4))
         assert np.abs(interpolate_state(Qc, "quad", 1, 3) - 1).max() < 1e-13
+
+
+class TestFusedStage:
+    """advance_step forms each RK stage in the last block loop of its
+    residual, bit for bit the unfused Shu-Osher step
+    (``oracles.unfused_step``), with the CFL dt and with a fixed dt."""
+
+    @staticmethod
+    def _check(s, fixed):
+        Q = s.Q_upts
+        kept = Q.copy()
+        dt = 0.5 * s.compute_dt(Q) if fixed else None
+        expect, expect_dt = unfused_step(s, Q, dt)
+        got = s.advance_step(Q, dt)
+        assert np.array_equal(got, expect) and s.last_dt == expect_dt
+        assert np.array_equal(Q, kept)
+        assert not np.array_equal(got, Q)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_vortex(self, gas, fixed):
+        s = serial_solver(vortex_mesh(6), gas, SolverOptions(p=3, block_kb=8))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        assert len(s.block_plan.blocks()) > 1
+        self._check(s, fixed)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_viscous_walls(self, fixed):
+        """The viscous wall box at CFL 0.3 (its CFL-1 dt is too long for
+        the LDG penalty, see ROADMAP item 1)."""
+        s = serial_solver(_wall_mesh(), WALL_GAS,
+                          SolverOptions(p=2, viscous=True, block_kb=7, cfl=0.3),
+                          boundary_specs=WALL_BCS)
+        s.set_state(_wall_field)
+        assert len(s.block_plan.blocks()) > 1
+        self._check(s, fixed)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_cascade_two_ranks(self, tmp_path, fixed):
+        from fluxrecon import driver
+
+        def prog(shard, cfg, ctx):
+            s = driver.build_solver(shard, cfg, ctx=ctx,
+                                    options=replace(cfg.solver_options(), block_kb=8))
+            driver.initialize(s, cfg)
+            s.set_state(_perturbed(s.Q_upts))
+            assert len(s.block_plan.blocks()) > 1 and s.sponge_runs
+            self._check(s, fixed)
+
+        _on_cascade(tmp_path, prog)
+
+    def test_step_allocates_no_full_state_temporary(self, gas):
+        """Under tracemalloc one step's peak above the memory it starts
+        with is at most a bare residual's peak (its output included) plus
+        one state, the register of the stage before: no full-state
+        temporary is formed beside the stage registers.  The state (1.2 MB)
+        is larger than a pair chunk's temporaries and spans 37 blocks, so
+        one more full state would break the bound."""
+        import tracemalloc
+
+        s = serial_solver(vortex_mesh(64), gas, SolverOptions(p=2, block_kb=64))
+        s.set_state(lambda x: vortex_state(x, 0.0, gas))
+        assert len(s.block_plan.blocks()) == 37
+        Q, dt = s.Q_upts, 1e-3
+        state = Q.nbytes
+        s.advance_step(Q, dt)  # the first call's ledger entries and caches
+        tracemalloc.start()
+        try:
+            def peak(run):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+
+            residual = peak(lambda: s.compute_residual(Q))
+            step = peak(lambda: s.advance_step(Q, dt))
+        finally:
+            tracemalloc.stop()
+        assert state < residual < 2 * state
+        assert step <= residual + state
+
+
+def _perturbed(Q):
+    """A state function for ``set_state`` that ripples Q point by point
+    (the cascade starts from the uniform stream its sponges hold)."""
+    rows = np.ascontiguousarray(Q).transpose(0, 2, 1).reshape(-1, Q.shape[1])
+    ripple = 1.0 + 0.02 * np.sin(np.arange(rows.shape[0]) * 0.37)[:, None]
+    return lambda x: rows * ripple
+
+
+def _on_cascade(tmp_path, prog):
+    """``prog(shard, cfg, ctx)`` on each rank of the cascade fixture (24 x 8
+    quads) split over two simulated ranks; returns the ranks' results."""
+    from fluxrecon import driver
+    from fluxrecon.fixtures import make_fixture
+    from fluxrecon.io.config import RunConfig
+
+    mesh_path, cfg_path = make_fixture("ls89-2d", str(tmp_path / "ls89-2d"), size=24)
+    cfg = RunConfig.load(cfg_path)
+    mesh = driver.load_mesh(mesh_path, cfg)
+    shards = prepare_shards(mesh, np.repeat(np.arange(2), len(mesh.cells) // 2), 2)
+    return SimCluster(2, seed=0).run(lambda ctx: prog(shards[ctx.rank], cfg, ctx))
 
 
 def _wave(x, t, gas):
@@ -618,7 +733,7 @@ class TestVariableMajor:
         # a step too long for this state fails in the third stage's
         # residual, and the state is still the one before the step
         residual, stages = s.compute_residual, []
-        s.compute_residual = lambda q: stages.append(q) or residual(q)
+        s.compute_residual = lambda *args: stages.append(args) or residual(*args)
         with pytest.raises(PositivityError), np.errstate(invalid="ignore"):
             s.step_in_place(0.015)
         assert len(stages) == 3
@@ -845,6 +960,65 @@ class TestSpongeResidual:
         one, three = by_gid(run(1)), by_gid(run(3))
         assert one.keys() == three.keys()
         assert all(np.array_equal(one[g], three[g]) for g in one)
+
+
+class TestSpongeRuns:
+    """The sponge sources act on runs of consecutive elements, slices of
+    the state, bit for bit the gather form that groups the reached
+    elements by their set of zones (``oracles.GatherSpongeSolver``)."""
+
+    @staticmethod
+    def _check_runs(s):
+        """Runs are disjoint, in element order, cover exactly the reached
+        elements, and list the zones that reach them in config order."""
+        neg = [-z.sigma(s.x_upts) for z in s.sponge_zones]
+        reach = [(n != 0).any(axis=1) for n in neg]
+        covered = np.zeros(s.ne, dtype=bool)
+        end = 0
+        for e0, e1, factors in s.sponge_runs:
+            assert end <= e0 < e1 and not covered[e0:e1].any()
+            covered[e0:e1], end = True, e1
+            zones = [z for z, r in enumerate(reach) if r[e0]]
+            assert all(r[e0:e1].all() == r[e0] for r in reach)
+            assert len(factors) == len(zones)
+            for z, (sig, ref) in zip(zones, factors):
+                assert np.array_equal(sig, neg[z][e0:e1]) and sig.base is None
+                assert np.array_equal(ref[:, 0, 0], s.sponge_zones[z].reference_state)
+        assert np.array_equal(covered, np.logical_or.reduce(reach))
+
+    @pytest.mark.parametrize("block_kb", [2, SolverOptions().block_kb])
+    def test_overlapping_zones_in_config_order(self, block_kb, gas):
+        """The two zones that overlap in a corner, summed in config order,
+        in two-element blocks and in one block."""
+        t = TestSpongeResidual()
+        mesh, zones = t.mesh(), t.zones(gas)
+        opts = SolverOptions(p=3, block_kb=block_kb)
+        shard = prepare_shards(mesh, np.zeros(len(mesh.cells), np.int64), 1)[0]
+        s = SolverRank(shard, gas, opts, sponge_zones=zones)
+        gather = GatherSpongeSolver(shard, gas, opts, sponge_zones=zones)
+        self._check_runs(s)
+        assert any(len(factors) == 2 for _, _, factors in s.sponge_runs)
+        s.set_state(lambda x: _sponge_state(x, gas))
+        Q = s.Q_upts
+        assert np.array_equal(s.compute_residual(Q), gather.compute_residual(Q))
+
+    def test_cascade_two_ranks(self, tmp_path, monkeypatch):
+        """Both ranks of the cascade, with its inlet and outlet sponges."""
+        from fluxrecon import driver
+
+        def prog(shard, cfg, ctx):
+            s = driver.build_solver(shard, cfg, ctx=ctx)
+            driver.initialize(s, cfg)
+            s.set_state(_perturbed(s.Q_upts))
+            self._check_runs(s)
+            with monkeypatch.context() as m:
+                m.setattr(driver, "SolverRank", GatherSpongeSolver)
+                gather = driver.build_solver(shard, cfg, ctx=ctx)
+            Q = s.Q_upts
+            return s.sponge_runs, s.compute_residual(Q), gather.compute_residual(Q)
+
+        for runs, got, expect in _on_cascade(tmp_path, prog):
+            assert runs and np.array_equal(got, expect)
 
 
 class TestHaloAndRankInvariance:
